@@ -12,14 +12,15 @@ nu-derivatives, which maximizes grid orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConstraintError, DomainError
-from .splines import (KnotVector, SplineMap, TensorBasis, basis_ders_nonzero,
-                      basis_matrix, greville_abscissae, uniform_knots)
+from .parameterization import check_folding, folded_cells
+from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
+                      greville_abscissae, uniform_knots)
 
 DEFAULT_MARGIN = 1e-3
 
@@ -71,48 +72,18 @@ def identity_control(basis: TensorBasis, margin: float = DEFAULT_MARGIN) -> Cont
 # composite evaluation
 # ---------------------------------------------------------------------------
 
-def composite_points(x: SplineMap, s: ControlMap | None, mus, nus) -> np.ndarray:
-    """(x o s) on the tensor grid mus x nus; s = None means the identity."""
-    mus = np.asarray(mus, dtype=float)
-    nus = np.asarray(nus, dtype=float)
-    if s is None:
-        return x.evaluate_grid(mus, nus)
-    sig = np.clip(s.sigma_grid(mus, nus), 0.0, 1.0)
-    mu_flat = np.repeat(mus, len(nus))
-    pts = x.evaluate(mu_flat, sig.ravel())
-    return pts.reshape(len(mus), len(nus), 2)
-
-
-def composite_jacobian_dets(x: SplineMap, s: ControlMap | None, mus, nus) -> np.ndarray:
-    """det of d(x o s) on the tensor grid (chain rule: det J_x * sigma_nu)."""
-    mus = np.asarray(mus, dtype=float)
-    nus = np.asarray(nus, dtype=float)
-    if s is None:
-        xu = x.evaluate_grid(mus, nus, 1, 0)
-        xv = x.evaluate_grid(mus, nus, 0, 1)
-        return xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0]
-    sig = np.clip(s.sigma_grid(mus, nus), 0.0, 1.0)
-    sig_nu = s.sigma_grid(mus, nus, 0, 1)
-    mu_flat = np.repeat(mus, len(nus))
-    xu = x.evaluate(mu_flat, sig.ravel(), 1, 0).reshape(len(mus), len(nus), 2)
-    xv = x.evaluate(mu_flat, sig.ravel(), 0, 1).reshape(len(mus), len(nus), 2)
-    det_x = xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0]
-    return det_x * sig_nu
-
-
 def check_composite_folding(x: SplineMap, s: ControlMap | None,
                             n_samples: int) -> list:
-    """Cells of the n x n lattice whose corners carry det <= 0."""
+    """Cells of the n x n lattice whose corners carry det d(x o s) <= 0;
+    s = None means the identity.  By the chain rule the determinant is
+    det J_x at (mu, sigma) times sigma_nu."""
+    if s is None:
+        return check_folding(x, n_samples)
     t = np.linspace(0.0, 1.0, n_samples + 1)
-    det = composite_jacobian_dets(x, s, t, t)
-    bad = np.argwhere(det <= 0.0)
-    cells = set()
-    for i, j in bad:
-        for ci in (i - 1, i):
-            for cj in (j - 1, j):
-                if 0 <= ci < n_samples and 0 <= cj < n_samples:
-                    cells.add((int(ci), int(cj)))
-    return sorted(cells)
+    sig = np.clip(s.sigma_grid(t, t), 0.0, 1.0)
+    sig_nu = s.sigma_grid(t, t, 0, 1)
+    _, det_x = x.jacobian(np.repeat(t, len(t)), sig.ravel())
+    return folded_cells(det_x.reshape(sig.shape) * sig_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +91,15 @@ def check_composite_folding(x: SplineMap, s: ControlMap | None,
 # ---------------------------------------------------------------------------
 
 class CostEvaluator:
-    """Riemann-sum orthogonality cost with per-column precomputation.
+    """Riemann-sum orthogonality cost and its exact gradient.
 
     The sample mu-columns are fixed, so the map's xi-contraction is done
-    once; each cost call only evaluates eta-direction splines at the slid
-    ordinates.
+    once; each call only evaluates eta-direction splines at the slid
+    ordinates (mu_a, sigma_ab).  With t_mu = x_xi + sigma_mu x_eta and
+    t_nu = sigma_nu x_eta, the per-sample dot D = t_mu . t_nu depends on the
+    control values through sigma (via x), sigma_mu and sigma_nu, so the
+    gradient of 0.5 sum D^2 is three basis contractions of D times the
+    partials of D.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis, n_cells: int = 64):
@@ -150,68 +125,48 @@ class CostEvaluator:
         self.eta_kv = x.basis.eta
         self._col = np.repeat(np.arange(n_cells), n_cells)
 
-    def _derivs_at(self, sig):
-        """x_xi and x_eta at points (mu_a, sig[a, b]) for all samples."""
+    def _terms(self, coeffs, partials: bool):
+        """Per-sample dots D and, if asked, the partials of D with respect
+        to sigma, sigma_mu and sigma_nu."""
+        sig = self.Bmu @ coeffs @ self.Bnu.T
+        sig_mu = self.Bmu_d @ coeffs @ self.Bnu.T
+        sig_nu = self.Bmu @ coeffs @ self.Bnu_d.T
         eta = np.clip(sig.ravel(), 0.0, 1.0)
-        spans, ders = basis_ders_nonzero(self.eta_kv, eta, 1)
+        spans, ders = basis_ders_nonzero(self.eta_kv, eta, 2 if partials else 1)
         p = self.eta_kv.degree
         win = spans[:, None] + np.arange(-p, 1)[None, :]
-        cx = self.coef_xxi[self._col[:, None], win]   # (M, p+1, 2)
+        cx = self.coef_xxi[self._col[:, None], win]
         ce = self.coef_x[self._col[:, None], win]
-        x_xi = np.einsum("mj,mjd->md", ders[0], cx)
-        x_eta = np.einsum("mj,mjd->md", ders[1], ce)
-        n = self.n_cells
-        return x_xi.reshape(n, n, 2), x_eta.reshape(n, n, 2)
 
-    def _integrand(self, coeffs, rows=None):
-        """Squared-dot integrand per sample; optionally only on the given
-        mu-sample rows (eta-direction support never narrows the columns
-        enough to be worth slicing separately from the gather)."""
-        Bmu = self.Bmu if rows is None else self.Bmu[rows]
-        Bmu_d = self.Bmu_d if rows is None else self.Bmu_d[rows]
-        col = self._col if rows is None else \
-            np.repeat(rows, self.n_cells)
-        sig = Bmu @ coeffs @ self.Bnu.T
-        sig_mu = Bmu_d @ coeffs @ self.Bnu.T
-        sig_nu = Bmu @ coeffs @ self.Bnu_d.T
-        eta = np.clip(sig.ravel(), 0.0, 1.0)
-        spans, ders = basis_ders_nonzero(self.eta_kv, eta, 1)
-        p = self.eta_kv.degree
-        win = spans[:, None] + np.arange(-p, 1)[None, :]
-        cx = self.coef_xxi[col[:, None], win]
-        ce = self.coef_x[col[:, None], win]
-        x_xi = np.einsum("mj,mjd->md", ders[0], cx).reshape(sig.shape + (2,))
-        x_eta = np.einsum("mj,mjd->md", ders[1], ce).reshape(sig.shape + (2,))
+        def eta_der(k, c):
+            return np.einsum("mj,mjd->md", ders[k], c).reshape(sig.shape + (2,))
+
+        x_xi, x_eta = eta_der(0, cx), eta_der(1, ce)
         t_mu = x_xi + sig_mu[..., None] * x_eta
         t_nu = sig_nu[..., None] * x_eta
         dots = np.einsum("abd,abd->ab", t_mu, t_nu)
-        return dots * dots
+        if not partials:
+            return dots, None
+        x_xieta, x_etaeta = eta_der(1, cx), eta_der(2, ce)
+        d_sig = (np.einsum("abd,abd->ab", x_xieta + sig_mu[..., None] * x_etaeta,
+                           t_nu)
+                 + np.einsum("abd,abd->ab", t_mu, sig_nu[..., None] * x_etaeta))
+        d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0  # x is read at the clipped sigma
+        d_mu = np.einsum("abd,abd->ab", x_eta, t_nu)
+        d_nu = np.einsum("abd,abd->ab", t_mu, x_eta)
+        return dots, (d_sig, d_mu, d_nu)
 
     def cost_of(self, coeffs: np.ndarray) -> float:
-        return 0.5 * float(np.sum(self._integrand(coeffs))) * self.cell_area
+        dots, _ = self._terms(coeffs, False)
+        return 0.5 * float(np.sum(dots * dots)) * self.cell_area
 
-    def gradient(self, coeffs: np.ndarray, fd_step: float) -> np.ndarray:
-        """Central finite-difference gradient over the interior eta columns,
-        re-evaluating only the mu-sample rows inside each control value's
-        basis support."""
-        n_mu, n_nu = self.basis.shape
-        base = self._integrand(coeffs)
-        row_support = [np.nonzero(self.Bmu[:, i])[0] for i in range(n_mu)]
-        g = np.zeros((n_mu, n_nu - 2))
-        for i in range(n_mu):
-            rows = row_support[i]
-            if len(rows) == 0:
-                continue
-            base_rows = base[rows].sum()
-            for j in range(1, n_nu - 1):
-                up = coeffs.copy()
-                up[i, j] += fd_step
-                dn = coeffs.copy()
-                dn[i, j] -= fd_step
-                f_up = self._integrand(up, rows).sum()
-                f_dn = self._integrand(dn, rows).sum()
-                g[i, j - 1] = 0.5 * self.cell_area * (f_up - f_dn) / (2 * fd_step)
-        return g.ravel()
+    def gradient(self, coeffs: np.ndarray) -> np.ndarray:
+        """Exact gradient of ``cost_of`` over the interior eta columns."""
+        dots, (d_sig, d_mu, d_nu) = self._terms(coeffs, True)
+        g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
+             + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
+             + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
+        return self.cell_area * g[:, 1:-1].ravel()
 
 
 def orthogonality_cost(x: SplineMap, s: ControlMap, n_cells: int = 64) -> float:
@@ -246,15 +201,14 @@ def _constraint_matrix(n_mu: int, n_nu: int, margin: float):
 
 def optimize_control(x: SplineMap, init: ControlMap,
                      margin: float = DEFAULT_MARGIN, n_cells: int = 64,
-                     fd_step: float = 1e-6, max_iter: int = 200,
+                     max_iter: int = 200,
                      ftol_rel: float = 1e-8) -> ControlMap:
     """Minimize the orthogonality cost over the sliding control values.
 
     Sequential quadratic programming (SLSQP) on the interior eta columns
-    with the per-column ordering margin as linear inequality constraints;
-    the gradient is central finite differences with the given step.  Every
-    accepted iterate stays feasible and the returned cost never exceeds the
-    initial one.
+    with the per-column ordering margin as linear inequality constraints
+    and the exact gradient of the Riemann-sum cost.  Every accepted iterate
+    stays feasible and the returned cost never exceeds the initial one.
     """
     if not init.feasible(margin):
         raise ConstraintError("initial control map violates the ordering margin")
@@ -273,7 +227,7 @@ def optimize_control(x: SplineMap, init: ControlMap,
         return ev.cost_of(unpack(z))
 
     def jac(z):
-        return ev.gradient(unpack(z), fd_step)
+        return ev.gradient(unpack(z))
 
     z0 = init.coeffs[:, 1:-1].ravel().copy()
     f0 = fun(z0)

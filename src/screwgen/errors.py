@@ -1,5 +1,5 @@
-"""Exception hierarchy. Every error carries a short machine-readable code
-that the CLI maps to its exit diagnostics."""
+"""Exception hierarchy. Every error carries a short machine-readable
+``code`` and keyword ``details`` that describe the failure."""
 
 
 class ScrewgenError(Exception):
@@ -114,37 +114,3 @@ class ConstraintError(ScrewgenError):
     """Infeasible starting point for a constrained optimization."""
 
     code = "constraint"
-
-
-class ResolutionError(ScrewgenError):
-    """Background resolution is not an integer multiple of the scaffold's."""
-
-    code = "resolution"
-
-
-class ConformityError(ScrewgenError):
-    """Patch interface vertices disagree beyond tolerance."""
-
-    code = "conformity"
-
-    def __init__(self, message, max_gap=None, **details):
-        super().__init__(message, **details)
-        self.max_gap = max_gap
-
-
-class DatabaseError(ScrewgenError):
-    """Scaffold database is inconsistent or failed to build."""
-
-    code = "database"
-
-
-class ExtrusionError(ScrewgenError):
-    """3D extrusion failed a per-slice validity check."""
-
-    code = "extrusion"
-
-
-class ConfigError(ScrewgenError):
-    """Invalid pipeline configuration."""
-
-    code = "config"

@@ -3,9 +3,8 @@
 Point clouds are fitted with a stabilized least-squares collocation whose
 knot vector is reselected adaptively from the local projection residual.
 Matching assigns consistent parametric values to two opposing clouds by
-recursive closest-pair bisection; the resulting monotone reparameterization
-functions can be shifted periodically (closed loops) and blended over the
-rotation angle.
+recursive closest-pair bisection into monotone reparameterization
+functions.
 """
 
 from __future__ import annotations
@@ -293,59 +292,3 @@ def match_points(cloud_a, cloud_b, mode: str = "one_side_fixed"):
         xb, yb = _dedupe_breakpoints(tb[jb], avg)
         return ReparamFunction(xa, ya), ReparamFunction(xb, yb)
     raise MatchingError(f"unknown matching mode {mode!r}")
-
-
-def shift_reparam(f: ReparamFunction, theta: float, period: float) -> ReparamFunction:
-    """Periodic shift of a closed-loop reparameterization.
-
-    Treats f as a circle map (0 and 1 identified), shifts the breakpoints by
-    theta/period modulo 1 in the domain coordinate and re-normalizes so that
-    0 maps to 0 again.
-    """
-    s = (theta / period) % 1.0
-    if s < 1e-15 or s > 1 - 1e-15:
-        return f
-    f_at = float(f(s))
-    # extend f to a circle map F with F(t + 1) = F(t) + 1 and place kinks of
-    # the shifted map G(t) = F(t + s) - F(s); the winding offset follows the
-    # domain wrap, which by monotonicity keeps y aligned with x
-    xs = f.x - s
-    ys = f.y - f_at
-    wrap = xs < -1e-15
-    xs = xs + wrap
-    ys = ys + wrap
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    keep = (xs > 1e-12) & (xs < 1 - 1e-12)
-    # (0, 0) and (1, 1) lie exactly on the shifted polyline, so adding them
-    # as anchors does not change the function
-    xs = np.concatenate([[0.0], xs[keep], [1.0]])
-    ys = np.concatenate([[0.0], ys[keep], [1.0]])
-    xs, ys = _dedupe_breakpoints(xs, ys)
-    return ReparamFunction(xs, ys)
-
-
-def blend_reparams(samples, theta: float) -> ReparamFunction:
-    """Breakpoint-wise linear blend of the two reparameterizations bracketing
-    ``theta``; exact at the sample angles themselves.
-
-    ``samples`` is a sequence of (theta_i, ReparamFunction) sorted by angle.
-    """
-    angles = np.array([s[0] for s in samples], dtype=float)
-    if len(samples) == 0:
-        raise MatchingError("no reparameterization samples")
-    if theta <= angles[0]:
-        return samples[0][1]
-    if theta >= angles[-1]:
-        return samples[-1][1]
-    k = int(np.searchsorted(angles, theta, side="right")) - 1
-    t0, f0 = samples[k]
-    t1, f1 = samples[k + 1]
-    if abs(theta - t0) < 1e-14:
-        return f0
-    if abs(theta - t1) < 1e-14:
-        return f1
-    w = (theta - t0) / (t1 - t0)
-    x = np.union1d(f0.x, f1.x)
-    y = (1 - w) * f0(x) + w * f1(x)
-    return ReparamFunction(x, y)

@@ -12,7 +12,6 @@ linearization and a backtracking line search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -352,7 +351,6 @@ class EggAssembly:
         def tensorize(c1, c2, k1, k2):
             # (E, Q, L) table of products of per-direction derivatives
             t = np.einsum("aqi,brj->abqrij", c1.vals[k1], c2.vals[k2])
-            E1g, E2g = c1.n_elems, c2.n_elems
             return t.reshape(self.E, self.Q, c1.n_local * c2.n_local)
 
         self.W = tensorize(self.cx, self.ce, 0, 0)
@@ -382,40 +380,31 @@ class EggAssembly:
 
     # -- field evaluation ----------------------------------------------------
 
-    def gather_primal(self, cp):
-        flat = cp.reshape(self.Np, 2)
-        return flat[self.dof_p]   # (E, Lp, 2)
-
-    def gather_aux(self, d):
-        flat = d.reshape(self.Na, 2)
-        return flat[self.dof_a]   # (E, La, 2)
+    @staticmethod
+    def _contract(coeffs, dofs, *tables):
+        """Gather per-element coefficients (E, L, 2) and contract them with
+        each (E, Q, L) table into a field at the quadrature points."""
+        local = coeffs.reshape(-1, 2)[dofs]
+        return [np.einsum("eql,eld->eqd", t, local) for t in tables]
 
     def fields(self, cp, d):
-        lc = self.gather_primal(cp)
-        la = self.gather_aux(d)
-        f = {}
-        f["xx"] = np.einsum("eql,eld->eqd", self.Wx, lc)
-        f["xe"] = np.einsum("eql,eld->eqd", self.We, lc)
-        f["xxe"] = np.einsum("eql,eld->eqd", self.Wxe, lc)
-        f["xee"] = np.einsum("eql,eld->eqd", self.Wee, lc)
-        f["u"] = np.einsum("eql,eld->eqd", self.A, la)
-        f["ux"] = np.einsum("eql,eld->eqd", self.Ax, la)
-        f["ue"] = np.einsum("eql,eld->eqd", self.Ae, la)
+        f = dict(zip(("xx", "xe", "xxe", "xee"),
+                     self._contract(cp, self.dof_p, self.Wx, self.We,
+                                    self.Wxe, self.Wee)))
+        f.update(zip(("u", "ux", "ue"),
+                     self._contract(d, self.dof_a, self.A, self.Ax, self.Ae)))
         f["g11"] = np.einsum("eqd,eqd->eq", f["xx"], f["xx"])
         f["g12"] = np.einsum("eqd,eqd->eq", f["xx"], f["xe"])
         f["g22"] = np.einsum("eqd,eqd->eq", f["xe"], f["xe"])
         return f
 
     def metric_sum_samples(self, cp):
-        lc = self.gather_primal(cp)
-        xx = np.einsum("eql,eld->eqd", self.Wx, lc)
-        xe = np.einsum("eql,eld->eqd", self.We, lc)
+        xx, xe = self._contract(cp, self.dof_p, self.Wx, self.We)
         return np.einsum("eqd,eqd->eq", xx, xx) + np.einsum("eqd,eqd->eq", xe, xe)
 
     def project_u(self, cp):
         """L2 projection of x_xi onto the auxiliary space."""
-        lc = self.gather_primal(cp)
-        xx = np.einsum("eql,eld->eqd", self.Wx, lc)
+        xx, = self._contract(cp, self.dof_p, self.Wx)
         rhs_loc = np.einsum("eq,eqi,eqd->eid", self.wq, self.A, xx)
         rhs = np.zeros((self.Na, 2))
         np.add.at(rhs, self.dof_a.ravel(),
@@ -530,7 +519,12 @@ class EggAssembly:
 
 @dataclass
 class EggProblem:
-    """Root-finding state for one elliptic grid generation solve."""
+    """Root-finding state for one elliptic grid generation solve.
+
+    The quadrature assembly for the map's basis and the auxiliary space is
+    built once here; the default epsilon, ``egg_solve`` and ``egg_residual``
+    all use it.
+    """
 
     map: SplineMap
     aux: AuxiliarySpace
@@ -540,11 +534,12 @@ class EggProblem:
     max_iter: int = 50
     patch_kind: str = "separator"
     theta: float = 0.0
+    assembly: EggAssembly = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.assembly = EggAssembly(self.map.basis, self.aux)
         if self.epsilon <= 0.0:
-            asm = EggAssembly(self.map.basis, self.aux)
-            self.epsilon = default_epsilon(self.map, asm)
+            self.epsilon = default_epsilon(self.map, self.assembly)
 
 
 def default_epsilon(m: SplineMap, asm: EggAssembly) -> float:
@@ -563,35 +558,30 @@ def build_egg_problem(initial: SplineMap, newton_tol: float = 1e-8,
 
 def egg_residual(problem: EggProblem, quad_scale: int = 1) -> np.ndarray:
     """Residual of the discrete system at the problem's current state."""
-    asm = EggAssembly(problem.map.basis, problem.aux, quad_scale=quad_scale)
+    asm = problem.assembly if quad_scale == 1 else \
+        EggAssembly(problem.map.basis, problem.aux, quad_scale=quad_scale)
     d = problem.d
     if d is None:
         d = asm.project_u(problem.map.control_points)
     return asm.residual(problem.map.control_points, d, problem.epsilon)
 
 
-def egg_solve(problem: EggProblem, initial: SplineMap | None = None,
+def egg_solve(problem: EggProblem,
               max_halvings: int = 20) -> PatchParameterization:
     """Newton iteration on the coupled (c_inner, d) unknowns.
 
-    Starts from the given initial map (boundary control points are kept
+    Starts from the problem's map (boundary control points are kept
     bit-identical); u is initialized by L2 projection of x_xi, so the first
     residual block vanishes.  Each step uses the analytic linearization and
     a backtracking line search on the residual norm.  The auxiliary field is
     discarded from the returned parameterization.
     """
-    if initial is None:
-        initial = problem.map
-    if initial.basis.shape != problem.map.basis.shape:
-        raise BasisMismatchError("initial map does not match the problem basis")
-    asm = EggAssembly(initial.basis, problem.aux)
-    cp = initial.control_points.copy()
+    asm = problem.assembly
+    basis = problem.map.basis
+    cp = problem.map.control_points.copy()
     d = problem.d if problem.d is not None else asm.project_u(cp)
     eps = problem.epsilon
-
-    n1, n2 = initial.basis.shape
-    inner = np.zeros((n1, n2), dtype=bool)
-    inner[1:-1, 1:-1] = True
+    n1, n2 = basis.shape
 
     res = asm.residual(cp, d, eps)
     norm0 = float(np.linalg.norm(res))
@@ -601,7 +591,7 @@ def egg_solve(problem: EggProblem, initial: SplineMap | None = None,
     iterations = 0
     while history[-1] > target:
         if iterations >= problem.max_iter:
-            problem.map = SplineMap(initial.basis, cp)
+            problem.map = SplineMap(basis, cp)
             problem.d = d
             raise NonconvergenceError(
                 f"Newton did not converge in {problem.max_iter} iterations "
@@ -625,7 +615,7 @@ def egg_solve(problem: EggProblem, initial: SplineMap | None = None,
                 break
             scale *= 0.5
         else:
-            problem.map = SplineMap(initial.basis, cp)
+            problem.map = SplineMap(basis, cp)
             problem.d = d
             raise NonconvergenceError(
                 "line search failed to reduce the residual",
@@ -634,7 +624,7 @@ def egg_solve(problem: EggProblem, initial: SplineMap | None = None,
         history.append(norm_try)
         iterations += 1
 
-    problem.map = SplineMap(initial.basis, cp)
+    problem.map = SplineMap(basis, cp)
     problem.d = d
     return PatchParameterization(problem.map, problem.patch_kind,
                                  problem.theta, iterations=iterations,
@@ -645,6 +635,14 @@ def egg_solve(problem: EggProblem, initial: SplineMap | None = None,
 # folding detection and repair
 # ---------------------------------------------------------------------------
 
+def folded_cells(det) -> list:
+    """Cells (i, j) of a lattice of (n+1) x (n+1) determinant samples that
+    have a corner with det <= 0, in row-major order."""
+    bad = np.asarray(det) <= 0.0
+    cells = bad[:-1, :-1] | bad[1:, :-1] | bad[:-1, 1:] | bad[1:, 1:]
+    return [(int(i), int(j)) for i, j in np.argwhere(cells)]
+
+
 def check_folding(param: PatchParameterization | SplineMap,
                   n_samples: int = 50):
     """Parametric cells of the n x n sample lattice whose corners carry a
@@ -653,15 +651,7 @@ def check_folding(param: PatchParameterization | SplineMap,
     t = np.linspace(0.0, 1.0, n_samples + 1)
     xu = m.evaluate_grid(t, t, 1, 0)
     xv = m.evaluate_grid(t, t, 0, 1)
-    det = xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0]
-    bad = np.argwhere(det <= 0.0)
-    cells = set()
-    for i, j in bad:
-        for ci in (i - 1, i):
-            for cj in (j - 1, j):
-                if 0 <= ci < n_samples and 0 <= cj < n_samples:
-                    cells.add((int(ci), int(cj)))
-    return sorted(cells)
+    return folded_cells(xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0])
 
 
 def _spans_hit(kv: KnotVector, lo: float, hi: float):
@@ -688,14 +678,11 @@ def repair_folding(problem: EggProblem, defects, n_samples: int = 50,
             xi_new.update(_spans_hit(problem.map.basis.xi, lo_x, hi_x))
             eta_new.update(_spans_hit(problem.map.basis.eta, lo_e, hi_e))
         refined = problem.map.refine(sorted(xi_new), sorted(eta_new))
-        sub = build_egg_problem(refined, newton_tol=problem.newton_tol,
-                                max_iter=problem.max_iter,
-                                patch_kind=problem.patch_kind,
-                                theta=problem.theta)
-        param = egg_solve(sub, refined)
-        problem.map = sub.map
-        problem.aux = sub.aux
-        problem.d = sub.d
+        problem = build_egg_problem(refined, newton_tol=problem.newton_tol,
+                                    max_iter=problem.max_iter,
+                                    patch_kind=problem.patch_kind,
+                                    theta=problem.theta)
+        param = egg_solve(problem)
         defects = check_folding(param, n_samples)
     if defects:
         raise FoldingUnrepairedError(

@@ -18,26 +18,25 @@ control map:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
 from .errors import InvalidGeometryError, MatchingError, TopologyError
-from .fitting import (FitResult, ReparamFunction, bounding_box_diagonal,
-                      chord_length_params, fit_curve, fit_curve_adaptive,
-                      match_points)
+from .fitting import (bounding_box_diagonal, chord_length_params, fit_curve,
+                      fit_curve_adaptive, match_points)
 from .parameterization import (BoundarySet, PatchParameterization,
                                assemble_separator_boundary, build_egg_problem,
                                check_folding, cut_c_grid, egg_solve,
                                o_grid_validity, repair_folding,
                                separator_xi_basis, transfinite)
-from .profiles import (CrossSection, PointCloud, ScrewParams, booy_profile,
-                       casing_arcs, cusp_points, rotation)
+from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
+                       rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, extract_wrapped, greville_abscissae,
-                      open_knots, uniform_knots, unique_knots)
+                      TensorBasis, extract_wrapped, open_knots, uniform_knots,
+                      unique_knots)
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,10 +50,6 @@ class GeometrySource:
 
     def __init__(self, params: ScrewParams):
         self.params = params
-
-    @property
-    def period(self) -> float:
-        return self.params.profile_period
 
     def section(self, theta: float) -> CrossSection:
         raise NotImplementedError
@@ -131,15 +126,6 @@ def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
     return SplineCurve(curve.basis, cp)
 
 
-def roll_cloud(points: np.ndarray, start: int) -> np.ndarray:
-    return np.roll(points, -start, axis=0)
-
-
-def _closed_for_matching(points: np.ndarray) -> np.ndarray:
-    """Append the starting point so the loop reads as an open cloud."""
-    return np.vstack([points, points[:1]])
-
-
 # ---------------------------------------------------------------------------
 # per-geometry fixed data
 # ---------------------------------------------------------------------------
@@ -172,7 +158,6 @@ class PipelineContext:
                  control_margin: float = 1e-3,
                  newton_tol: float = 1e-8,
                  max_newton_iter: int = 50,
-                 reparam_stride: int = 5,
                  optimize_control_maps: bool = True,
                  eta_max_spans: int = 256):
         self.source = source
@@ -190,7 +175,6 @@ class PipelineContext:
         self.control_margin = control_margin
         self.newton_tol = newton_tol
         self.max_newton_iter = max_newton_iter
-        self.reparam_stride = reparam_stride
         self.optimize_control_maps = optimize_control_maps
         self.eta_max_spans = eta_max_spans
 
@@ -199,11 +183,8 @@ class PipelineContext:
         self.cut_frac = beta / TWO_PI         # q: cusp fraction on each casing
         self._build_casing_curves()
         self._base_rotor: dict[str, SplineCurve] = {}
-        self._base_reparam: dict[str, ReparamFunction] = {}
-        self._roll: dict[str, int] = {}
         for side in ("left", "right"):
             self._build_base_rotor(side, sec0)
-        self._sep_reparam_cache: dict[int, tuple] = {}
 
     # -- casing -------------------------------------------------------------
 
@@ -302,16 +283,6 @@ class PipelineContext:
             shifted = extract_wrapped(base, (1.0 - s) % 1.0, (1.0 - s) % 1.0)
         return rotate_curve(shifted, theta, self._center(side))
 
-    def rotor_curve_cut(self, side: str, theta: float) -> SplineCurve:
-        """Rotor boundary restricted to the retained C-grid arc."""
-        s = (theta / TWO_PI) % 1.0
-        q = self.cut_frac
-        base = self._base_rotor[side]
-        a = (q - s) % 1.0
-        b = (1.0 - q - s) % 1.0
-        return rotate_curve(extract_wrapped(base, a, b), theta,
-                            self._center(side))
-
     def rotor_arc_gap(self, side: str, theta: float) -> SplineCurve:
         """Rotor boundary over the cut-away (intermeshing) arc, running
         south to north."""
@@ -323,10 +294,6 @@ class PipelineContext:
         arc = rotate_curve(extract_wrapped(base, a, b), theta,
                            self._center(side))
         return arc if side == "left" else arc.reversed()
-
-    def casing_curve_cut(self, side: str) -> SplineCurve:
-        q = self.cut_frac
-        return self.casing_curve[side].extract(q, 1.0 - q)
 
     # -- patches ---------------------------------------------------------------
 
@@ -361,31 +328,11 @@ class PipelineContext:
         t = np.linspace(0.0, 1.0, n)
         return west, east, west(t), east(t)
 
-    def separator_reparams(self, theta: float, angle_grid=None):
-        """Both-float matching functions for the west/east gap arcs.
-
-        With an angle grid, matchings are computed at every
-        ``reparam_stride``-th grid angle and blended linearly in between;
-        without one, the matching is computed at the angle itself.
-        """
-        if angle_grid is None:
-            _, _, wpts, epts = self._gap_clouds(theta)
-            return match_points(wpts, epts, "both_float")
-        angles = np.asarray(angle_grid, dtype=float)
-        stride = max(1, self.reparam_stride)
-        sample_idx = sorted(set(range(0, len(angles), stride)) | {len(angles) - 1})
-        samples_w, samples_e = [], []
-        for i in sample_idx:
-            if i not in self._sep_reparam_cache:
-                _, _, wpts, epts = self._gap_clouds(float(angles[i]))
-                self._sep_reparam_cache[i] = match_points(wpts, epts,
-                                                          "both_float")
-            fw, fe = self._sep_reparam_cache[i]
-            samples_w.append((float(angles[i]), fw))
-            samples_e.append((float(angles[i]), fe))
-        from .fitting import blend_reparams
-        return (blend_reparams(samples_w, theta),
-                blend_reparams(samples_e, theta))
+    def separator_reparams(self, theta: float):
+        """Both-float matching functions for the west/east gap arcs at the
+        given angle."""
+        _, _, wpts, epts = self._gap_clouds(theta)
+        return match_points(wpts, epts, "both_float")
 
     def _eta_fitter(self, probe_sets):
         """Common eta-basis fitter: adapt on each (points, params) probe set,
@@ -430,7 +377,7 @@ class PipelineContext:
         problem = build_egg_problem(init, newton_tol=self.newton_tol,
                                     max_iter=self.max_newton_iter,
                                     patch_kind="separator", theta=theta)
-        patch = egg_solve(problem, init)
+        patch = egg_solve(problem)
         defects = check_folding(patch, 40)
         if defects:
             patch = repair_folding(problem, defects, n_samples=40)

@@ -11,8 +11,9 @@ element) profiles enter through plain-text point-cloud files.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,6 +305,15 @@ def sample_rotor(params: ScrewParams, n_points: int) -> np.ndarray:
     return np.vstack([a.sample(c, endpoint=False) for a, c in zip(arcs, counts)])
 
 
+@functools.lru_cache(maxsize=8)
+def _rotor_outline(params: ScrewParams, n_points: int) -> np.ndarray:
+    """Read-only ``sample_rotor`` outline, cached for the few geometries a
+    session sweeps."""
+    base = sample_rotor(params, n_points)
+    base.flags.writeable = False
+    return base
+
+
 def cusp_points(params: ScrewParams) -> np.ndarray:
     """Intersections of the two casing circles: (upper, lower), x = 0."""
     rb = params.barrel_radius
@@ -325,9 +335,6 @@ def casing_arcs(params: ScrewParams):
     return left, right
 
 
-_BASE_CACHE: dict = {}
-
-
 def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> CrossSection:
     """Cross section at rotation angle theta.
 
@@ -338,11 +345,7 @@ def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> Cros
     """
     if n_points < 64:
         raise InvalidGeometryError("n_points must be >= 64")
-    key = (params, n_points)
-    base = _BASE_CACHE.get(key)
-    if base is None:
-        base = sample_rotor(params, n_points)
-        _BASE_CACHE[key] = base
+    base = _rotor_outline(params, n_points)
     phase = math.pi / params.flight_count
     left = PointCloud(base @ rotation(theta).T + params.left_center)
     right = PointCloud(base @ rotation(theta + phase).T + params.right_center)

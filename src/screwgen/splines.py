@@ -11,7 +11,7 @@ never mutate after construction and can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,33 +245,6 @@ def eval_basis_derivatives(kv: KnotVector, xi: float, order: int) -> np.ndarray:
     return basis_matrix(kv, [float(xi)], der=order)[0]
 
 
-def eval_basis_recursive(kv: KnotVector, xi: float) -> np.ndarray:
-    """Reference evaluation straight from the two-term recursion with the
-    0/0 = 0 convention.  Slow; used as an independent oracle in tests."""
-    xi = float(_check_param(xi))
-    t = kv.knots
-    nfun = len(t) - 1
-    vals = np.zeros(nfun)
-    for i in range(nfun):
-        inside = t[i] <= xi < t[i + 1]
-        # right-closed at the final nonempty interval so that xi=1 is covered
-        if t[i + 1] == t[-1] and t[i] < t[i + 1] and xi == t[i + 1]:
-            inside = True
-        vals[i] = 1.0 if inside else 0.0
-    for s in range(1, kv.degree + 1):
-        new = np.zeros(nfun - s)
-        for i in range(nfun - s):
-            a = 0.0
-            if t[i + s] != t[i]:
-                a = (xi - t[i]) / (t[i + s] - t[i]) * vals[i]
-            b = 0.0
-            if t[i + s + 1] != t[i + 1]:
-                b = (t[i + s + 1] - xi) / (t[i + s + 1] - t[i + 1]) * vals[i + 1]
-            new[i] = a + b
-        vals = new
-    return vals
-
-
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Per-basis-function knot averages, clipped into [0, 1]."""
     p = kv.degree
@@ -450,17 +423,6 @@ class SplineMap:
                 f"{self.basis.shape}")
         object.__setattr__(self, "control_points", _frozen(cp))
 
-    @property
-    def inner_mask(self) -> np.ndarray:
-        n1, n2 = self.basis.shape
-        mask = np.zeros((n1, n2), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        return mask
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return ~self.inner_mask
-
     # -- evaluation at paired points ---------------------------------------
 
     def evaluate(self, xi, eta, dxi: int = 0, deta: int = 0) -> np.ndarray:
@@ -507,22 +469,6 @@ class SplineMap:
         return g11, g12, g22
 
     # -- structure ----------------------------------------------------------
-
-    def boundary_curve(self, side: str) -> SplineCurve:
-        """Boundary restriction: side in {south, north, west, east}.
-
-        south/north run in xi (eta = 0/1), west/east run in eta (xi = 0/1).
-        """
-        cp = self.control_points
-        if side == "south":
-            return SplineCurve(self.basis.xi, cp[:, 0])
-        if side == "north":
-            return SplineCurve(self.basis.xi, cp[:, -1])
-        if side == "west":
-            return SplineCurve(self.basis.eta, cp[0])
-        if side == "east":
-            return SplineCurve(self.basis.eta, cp[-1])
-        raise DomainError(f"unknown side {side!r}")
 
     def refine(self, xi_knots=(), eta_knots=()) -> "SplineMap":
         cp = self.control_points
@@ -574,14 +520,3 @@ def extract_wrapped(curve: SplineCurve, a: float, b: float) -> SplineCurve:
     second = curve.extract(0.0, b)
     split = (1.0 - a) / ((1.0 - a) + b)
     return join_curves(first, second, split)
-
-
-def eval_map(m: SplineMap, xi: float, eta: float) -> np.ndarray:
-    """Point of the map at (xi, eta) in [0, 1]^2."""
-    return m.point(xi, eta)
-
-
-def eval_jacobian(m: SplineMap, xi: float, eta: float):
-    """2x2 Jacobian (columns x_xi, x_eta) and its determinant at one point."""
-    J, det = m.jacobian([xi], [eta])
-    return J[0], float(det[0])

@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from screwgen.errors import FitConvergenceError, MatchingError
 from screwgen.fitting import (
-    ReparamFunction,
     adapt_knots,
-    blend_reparams,
     chord_length_params,
     fit_curve,
     fit_curve_adaptive,
     match_points,
-    shift_reparam,
 )
 from screwgen.splines import SplineCurve, open_knots, uniform_knots
 
@@ -208,84 +205,3 @@ def test_match_is_monotone(n):
     f = match_points(base, other, "one_side_fixed")
     assert np.all(np.diff(f.x) > 0)
     assert np.all(np.diff(f.y) > 0)
-
-
-# ---------------------------------------------------------------------------
-# shift_reparam
-# ---------------------------------------------------------------------------
-
-def wiggle_reparam():
-    x = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
-    y = np.array([0.0, 0.27, 0.5, 0.64, 1.0])
-    return ReparamFunction(x, y)
-
-
-def test_shift_zero_is_identity_on_function():
-    f = wiggle_reparam()
-    g = shift_reparam(f, 0.0, 2 * np.pi)
-    t = np.linspace(0, 1, 97)
-    assert np.abs(g(t) - f(t)).max() < 1e-12
-
-
-def test_shift_full_period_is_identity():
-    f = wiggle_reparam()
-    g = shift_reparam(f, 2 * np.pi, 2 * np.pi)
-    t = np.linspace(0, 1, 97)
-    assert np.abs(g(t) - f(t)).max() < 1e-12
-
-
-def test_shift_roundtrip():
-    f = wiggle_reparam()
-    theta = 1.234
-    g = shift_reparam(shift_reparam(f, theta, 2 * np.pi), -theta, 2 * np.pi)
-    t = np.linspace(0, 1, 203)
-    assert np.abs(g(t) - f(t)).max() < 1e-12
-
-
-def test_shift_monotone_and_anchored():
-    f = wiggle_reparam()
-    for theta in np.linspace(0.1, 6.0, 13):
-        g = shift_reparam(f, theta, 2 * np.pi)
-        assert g(0.0) == 0.0 and g(1.0) == 1.0
-        assert np.all(np.diff(g.y) > 0)
-
-
-# ---------------------------------------------------------------------------
-# blend_reparams
-# ---------------------------------------------------------------------------
-
-def test_blend_exact_at_samples():
-    f0 = wiggle_reparam()
-    f1 = ReparamFunction.identity()
-    samples = [(0.0, f0), (1.0, f1)]
-    t = np.linspace(0, 1, 50)
-    assert np.abs(blend_reparams(samples, 0.0)(t) - f0(t)).max() == 0.0
-    assert np.abs(blend_reparams(samples, 1.0)(t) - f1(t)).max() == 0.0
-
-
-def test_blend_identical_samples():
-    f0 = wiggle_reparam()
-    samples = [(0.0, f0), (1.0, f0)]
-    t = np.linspace(0, 1, 50)
-    for theta in (0.25, 0.5, 0.9):
-        assert np.abs(blend_reparams(samples, theta)(t) - f0(t)).max() < 1e-15
-
-
-def test_blend_midpoint_average():
-    f0 = ReparamFunction.identity()
-    f1 = wiggle_reparam()
-    g = blend_reparams([(0.0, f0), (2.0, f1)], 1.0)
-    t = np.linspace(0, 1, 50)
-    assert np.abs(g(t) - 0.5 * (f0(t) + f1(t))).max() < 1e-14
-
-
-def test_blend_continuous_in_theta():
-    f0 = ReparamFunction.identity()
-    f1 = wiggle_reparam()
-    samples = [(0.0, f0), (1.0, f1)]
-    t = np.linspace(0, 1, 50)
-    prev = blend_reparams(samples, 0.0)(t)
-    for theta in np.linspace(0.02, 1.0, 50):
-        cur = blend_reparams(samples, theta)(t)
-        assert np.abs(cur - prev).max() < 0.05
-        prev = cur

@@ -19,6 +19,7 @@ from screwgen.parameterization import (
     cut_c_grid,
     egg_residual,
     egg_solve,
+    folded_cells,
     o_grid_validity,
     repair_folding,
     separator_xi_basis,
@@ -294,7 +295,7 @@ def test_unit_square_converges_immediately():
     tb = EGG_TB
     init = transfinite(unit_square_bounds(tb), tb)
     prob = build_egg_problem(init, newton_tol=1e-10)
-    patch = egg_solve(prob, init)
+    patch = egg_solve(prob)
     assert patch.iterations <= 2
     gx, ge = tb.greville_grid()
     assert np.abs(patch.map.control_points[:, :, 0] - gx[:, None]).max() < 1e-9
@@ -305,7 +306,7 @@ def test_quarter_annulus_oracle():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
     prob = build_egg_problem(init)
-    patch = egg_solve(prob, init)
+    patch = egg_solve(prob)
     assert patch.iterations <= 15
     samp = np.linspace(0, 1, 11)
     for eta in samp:
@@ -318,7 +319,7 @@ def test_quarter_annulus_oracle():
 def test_egg_preserves_boundary_bits():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
-    patch = egg_solve(build_egg_problem(init), init)
+    patch = egg_solve(build_egg_problem(init))
     for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
         assert np.array_equal(patch.map.control_points[sl],
                               init.control_points[sl])
@@ -327,7 +328,7 @@ def test_egg_preserves_boundary_bits():
 def test_egg_monotone_residual_history():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
-    patch = egg_solve(build_egg_problem(init), init)
+    patch = egg_solve(build_egg_problem(init))
     h = patch.residual_history
     assert all(b < a for a, b in zip(h, h[1:]))
     assert h[-1] <= 1e-8 * (h[0] + 1.0)
@@ -350,7 +351,7 @@ def test_egg_l_shape_fold_free_after_repair():
     bounds = l_shape_bounds(tb)
     init = transfinite(bounds, tb)
     prob = build_egg_problem(init)
-    patch = egg_solve(prob, init)
+    patch = egg_solve(prob)
     patch = repair_folding(prob, check_folding(patch, 50), n_samples=50)
     t = np.linspace(0, 1, 51)
     xu = patch.map.evaluate_grid(t, t, 1, 0)
@@ -393,7 +394,7 @@ def test_egg_nonconvergence_error():
     init = transfinite(bounds, QUARTER_TB)
     prob = build_egg_problem(init, max_iter=1, newton_tol=1e-14)
     with pytest.raises(NonconvergenceError) as err:
-        egg_solve(prob, init)
+        egg_solve(prob)
     assert err.value.last_map is not None
     assert len(err.value.history) >= 1
 
@@ -438,11 +439,27 @@ def test_check_folding_refinement_superset():
     assert b2[2] <= b1[2] + margin and b2[3] >= b1[3] - margin
 
 
+def test_folded_cells_matches_per_node_marking():
+    # reference: every node with det <= 0 marks the up-to-four cells it
+    # is a corner of
+    rng = np.random.default_rng(7)
+    for shape in ((2, 2), (9, 9), (13, 7)):
+        det = rng.normal(0.6, 1.0, shape)
+        det[0, -1] = 0.0
+        cells = set()
+        for i, j in np.argwhere(det <= 0.0):
+            for ci in (i - 1, i):
+                for cj in (j - 1, j):
+                    if 0 <= ci < shape[0] - 1 and 0 <= cj < shape[1] - 1:
+                        cells.add((int(ci), int(cj)))
+        assert folded_cells(det) == sorted(cells)
+
+
 def test_repair_folding_noop_when_clean():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
     prob = build_egg_problem(init)
-    patch = egg_solve(prob, init)
+    patch = egg_solve(prob)
     repaired = repair_folding(prob, [])
     assert repaired.map is patch.map or np.array_equal(
         repaired.map.control_points, patch.map.control_points)
@@ -468,3 +485,23 @@ def test_collocate_kinked_segments_exact():
 def test_collocate_kinked_requires_c0_knot():
     with pytest.raises(StructureError):
         collocate_kinked_segments(uniform_knots(3, 4), [0, 0], [1, 1], [2, 0])
+
+
+def test_one_assembly_per_solve(monkeypatch):
+    import screwgen.parameterization as par
+
+    builds = []
+    original = par.EggAssembly.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(par.EggAssembly, "__init__", counting)
+    init = transfinite(quarter_annulus_bounds(), QUARTER_TB)
+    prob = build_egg_problem(init)
+    patch = egg_solve(prob)
+    assert patch.iterations > 0
+    assert egg_residual(prob).shape == (2 * prob.assembly.Na
+                                        + 2 * prob.assembly.n_inner,)
+    assert len(builds) == 1

@@ -11,9 +11,6 @@ from screwgen.splines import (
     basis_matrix,
     eval_basis,
     eval_basis_derivatives,
-    eval_basis_recursive,
-    eval_jacobian,
-    eval_map,
     greville_abscissae,
     insertion_matrix,
     open_knots,
@@ -84,6 +81,32 @@ def test_partition_of_unity_and_support():
             lo, hi = kv.knots[i], kv.knots[i + degree + 1]
             outside = (x < lo - 1e-12) | (x > hi + 1e-12)
             assert np.all(B[outside, i] == 0.0)
+
+
+def eval_basis_recursive(kv: KnotVector, xi: float) -> np.ndarray:
+    """Reference evaluation straight from the two-term recursion with the
+    0/0 = 0 convention; an oracle independent of the vectorized kernels."""
+    t = kv.knots
+    nfun = len(t) - 1
+    vals = np.zeros(nfun)
+    for i in range(nfun):
+        inside = t[i] <= xi < t[i + 1]
+        # right-closed at the final nonempty interval so that xi=1 is covered
+        if t[i + 1] == t[-1] and t[i] < t[i + 1] and xi == t[i + 1]:
+            inside = True
+        vals[i] = 1.0 if inside else 0.0
+    for s in range(1, kv.degree + 1):
+        new = np.zeros(nfun - s)
+        for i in range(nfun - s):
+            a = 0.0
+            if t[i + s] != t[i]:
+                a = (xi - t[i]) / (t[i + s] - t[i]) * vals[i]
+            b = 0.0
+            if t[i + s + 1] != t[i + 1]:
+                b = (t[i + s + 1] - xi) / (t[i + s + 1] - t[i + 1]) * vals[i + 1]
+            new[i] = a + b
+        vals = new
+    return vals
 
 
 def test_matches_recursive_definition():
@@ -179,7 +202,7 @@ def test_greville_endpoints_any_open_vector():
 
 
 # ---------------------------------------------------------------------------
-# eval_map / eval_jacobian
+# SplineMap.point / SplineMap.jacobian
 # ---------------------------------------------------------------------------
 
 def test_constant_control_points_constant_map():
@@ -188,7 +211,7 @@ def test_constant_control_points_constant_map():
     cp = np.tile(q, (tb.xi.n, tb.eta.n, 1))
     m = SplineMap(tb, cp)
     for xi, eta in [(0, 0), (0.3, 0.7), (1, 1)]:
-        assert np.allclose(eval_map(m, xi, eta), q, atol=1e-14)
+        assert np.allclose(m.point(xi, eta), q, atol=1e-14)
 
 
 def test_greville_control_points_give_identity():
@@ -205,23 +228,23 @@ def test_corner_evaluates_to_corner_control_point():
     rng = np.random.default_rng(4)
     cp = rng.uniform(-1, 1, (tb.xi.n, tb.eta.n, 2))
     m = SplineMap(tb, cp)
-    assert np.allclose(eval_map(m, 0, 0), cp[0, 0], atol=1e-15)
-    assert np.allclose(eval_map(m, 1, 1), cp[-1, -1], atol=1e-15)
+    assert np.allclose(m.point(0, 0), cp[0, 0], atol=1e-15)
+    assert np.allclose(m.point(1, 1), cp[-1, -1], atol=1e-15)
 
 
 def test_map_domain_error():
     tb = TensorBasis(uniform_knots(2, 2), uniform_knots(2, 2))
     m = identity_map(tb)
     with pytest.raises(DomainError):
-        eval_map(m, 1.5, 0.2)
+        m.point(1.5, 0.2)
 
 
 def test_identity_jacobian():
     tb = TensorBasis(uniform_knots(3, 3), uniform_knots(3, 3))
     m = identity_map(tb)
-    J, det = eval_jacobian(m, 0.4, 0.6)
-    assert np.allclose(J, np.eye(2), atol=1e-12)
-    assert det == pytest.approx(1.0, abs=1e-12)
+    J, det = m.jacobian([0.4], [0.6])
+    assert np.allclose(J[0], np.eye(2), atol=1e-12)
+    assert det[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaled_map_jacobian_determinant():
@@ -231,8 +254,8 @@ def test_scaled_map_jacobian_determinant():
     cp[:, :, 0] *= 2.0
     m2 = SplineMap(tb, cp)
     for xi, eta in [(0.1, 0.9), (0.5, 0.5)]:
-        _, det = eval_jacobian(m2, xi, eta)
-        assert det == pytest.approx(2.0, abs=1e-12)
+        _, det = m2.jacobian([xi], [eta])
+        assert det[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_jacobian_against_finite_differences():
@@ -243,7 +266,7 @@ def test_jacobian_against_finite_differences():
     h = 1e-6
     pts = rng.uniform(0.05, 0.95, (20, 2))
     for xi, eta in pts:
-        J, _ = eval_jacobian(m, xi, eta)
+        J = m.jacobian([xi], [eta])[0][0]
         fd_x = (m.point(xi + h, eta) - m.point(xi - h, eta)) / (2 * h)
         fd_e = (m.point(xi, eta + h) - m.point(xi, eta - h)) / (2 * h)
         fd = np.stack([fd_x, fd_e], axis=-1)
