@@ -23,11 +23,12 @@ from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
                       greville_abscissae, uniform_knots)
 
 DEFAULT_MARGIN = 1e-3
+N_CELLS = 64   # cost sample cells per direction
 
 
-def default_control_basis(degree: int = 2, n_elements: int = 8) -> TensorBasis:
-    return TensorBasis(uniform_knots(degree, n_elements),
-                       uniform_knots(degree, n_elements))
+def default_control_basis() -> TensorBasis:
+    """Biquadratic basis with 8 uniform spans per direction."""
+    return TensorBasis(uniform_knots(2, 8), uniform_knots(2, 8))
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,8 @@ class ControlMap:
         Bv = basis_matrix(self.basis.eta, nus, der=dnu)
         return Bu @ self.coeffs @ Bv.T
 
-    def feasible(self, margin: float | None = None) -> bool:
-        m = self.margin if margin is None else margin
-        return bool(np.all(np.diff(self.coeffs, axis=1) >= m - 1e-9))
+    def feasible(self) -> bool:
+        return bool(np.all(np.diff(self.coeffs, axis=1) >= self.margin - 1e-9))
 
 
 def identity_control(basis: TensorBasis, margin: float = DEFAULT_MARGIN) -> ControlMap:
@@ -102,17 +102,14 @@ class CostEvaluator:
     partials of D.
     """
 
-    def __init__(self, x: SplineMap, basis: TensorBasis, n_cells: int = 64):
-        if n_cells < 2 * max(basis.shape):
+    def __init__(self, x: SplineMap, basis: TensorBasis):
+        if N_CELLS < 2 * max(basis.shape):
             raise DomainError("sample grid must be at least twice the control "
                               "resolution")
         self.x = x
         self.basis = basis
-        self.n_cells = n_cells
-        t = (np.arange(n_cells) + 0.5) / n_cells
-        self.mus = t
-        self.nus = t
-        self.cell_area = 1.0 / (n_cells * n_cells)
+        t = (np.arange(N_CELLS) + 0.5) / N_CELLS
+        self.cell_area = 1.0 / (N_CELLS * N_CELLS)
         Bx = basis_matrix(x.basis.xi, t, der=0)
         Bxd = basis_matrix(x.basis.xi, t, der=1)
         # eta-spline coefficient stacks per mu-column: x and x_xi
@@ -123,7 +120,7 @@ class CostEvaluator:
         self.Bnu = basis_matrix(basis.eta, t, der=0)
         self.Bnu_d = basis_matrix(basis.eta, t, der=1)
         self.eta_kv = x.basis.eta
-        self._col = np.repeat(np.arange(n_cells), n_cells)
+        self._col = np.repeat(np.arange(N_CELLS), N_CELLS)
 
     def _terms(self, coeffs, partials: bool):
         """Per-sample dots D and, if asked, the partials of D with respect
@@ -169,10 +166,9 @@ class CostEvaluator:
         return self.cell_area * g[:, 1:-1].ravel()
 
 
-def orthogonality_cost(x: SplineMap, s: ControlMap, n_cells: int = 64) -> float:
+def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
     """0.5 sum over cell centers of (d(x o s)/dmu . d(x o s)/dnu)^2 * area."""
-    ev = CostEvaluator(x, s.basis, n_cells)
-    return ev.cost_of(s.coeffs)
+    return CostEvaluator(x, s.basis).cost_of(s.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +196,20 @@ def _constraint_matrix(n_mu: int, n_nu: int, margin: float):
 
 
 def optimize_control(x: SplineMap, init: ControlMap,
-                     margin: float = DEFAULT_MARGIN, n_cells: int = 64,
-                     max_iter: int = 200,
-                     ftol_rel: float = 1e-8) -> ControlMap:
+                     max_iter: int = 200) -> ControlMap:
     """Minimize the orthogonality cost over the sliding control values.
 
     Sequential quadratic programming (SLSQP) on the interior eta columns
-    with the per-column ordering margin as linear inequality constraints
-    and the exact gradient of the Riemann-sum cost.  Every accepted iterate
-    stays feasible and the returned cost never exceeds the initial one.
+    with the start's ordering margin per column as linear inequality
+    constraints and the exact gradient of the Riemann-sum cost.  Every
+    accepted iterate stays feasible and the returned cost never exceeds
+    the initial one.
     """
-    if not init.feasible(margin):
+    if not init.feasible():
         raise ConstraintError("initial control map violates the ordering margin")
+    margin = init.margin
     n_mu, n_nu = init.basis.shape
-    ev = CostEvaluator(x, init.basis, n_cells)
+    ev = CostEvaluator(x, init.basis)
     A, b = _constraint_matrix(n_mu, n_nu, margin)
 
     def unpack(z):
@@ -235,7 +231,7 @@ def optimize_control(x: SplineMap, init: ControlMap,
         return ControlMap(init.basis, init.coeffs, margin, iterations=0)
     cons = [{"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A}]
     res = minimize(fun, z0, jac=jac, method="SLSQP", constraints=cons,
-                   options={"maxiter": max_iter, "ftol": ftol_rel * max(f0, 1e-30)})
+                   options={"maxiter": max_iter, "ftol": 1e-8 * max(f0, 1e-30)})
     z = res.x
     if fun(z) > f0:
         z = z0  # never return a worse map than the start

@@ -144,8 +144,7 @@ def adapt_knots(fit: FitResult, threshold: float) -> KnotVector:
 
 
 def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,
-                       lam_reg: float | None = None,
-                       max_spans: int = 512, pins=None) -> FitResult:
+                       max_spans: int = 512) -> FitResult:
     """Repeated fit/adapt loop until max_residual <= threshold.
 
     Raises FitConvergenceError (carrying the best fit) if the span budget is
@@ -153,7 +152,7 @@ def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,
     """
     best = None
     while True:
-        fit = fit_curve(points, params, kv, lam_reg, pins=pins)
+        fit = fit_curve(points, params, kv)
         if best is None or fit.max_residual < best.max_residual:
             best = fit
         if fit.max_residual <= threshold:
@@ -209,10 +208,6 @@ class ReparamFunction:
     def inverse(self) -> "ReparamFunction":
         return ReparamFunction(self.y, self.x)
 
-    @staticmethod
-    def identity() -> "ReparamFunction":
-        return ReparamFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-
 
 def _dedupe_breakpoints(x, y):
     """Sort and strictly monotonize matched breakpoint pairs."""
@@ -256,17 +251,13 @@ def _hierarchical_pairs(dist):
     return sorted(pairs)
 
 
-def match_points(cloud_a, cloud_b, mode: str = "one_side_fixed"):
+def match_points(cloud_a, cloud_b):
     """Match two consistently ordered open clouds by hierarchical
-    closest-pair bisection and return reparameterization function(s).
+    closest-pair bisection and float both parameterizations.
 
-    one_side_fixed: cloud_a keeps its chord-length parameterization; the
-    returned function maps cloud_b chord parameters to the parameters of the
-    matched cloud_a points.
-
-    both_float: matched pairs receive the average of their chord parameters;
-    returns the pair (f_a, f_b) mapping each cloud's chord parameter to the
-    common value.
+    Matched pairs receive the average of their chord parameters; returns
+    the pair (f_a, f_b) mapping each cloud's chord parameter to the common
+    value.
     """
     a = np.asarray(cloud_a, dtype=float)
     b = np.asarray(cloud_b, dtype=float)
@@ -283,12 +274,7 @@ def match_points(cloud_a, cloud_b, mode: str = "one_side_fixed"):
 
     ia = np.array([p[0] for p in pairs])
     jb = np.array([p[1] for p in pairs])
-    if mode == "one_side_fixed":
-        x, y = _dedupe_breakpoints(tb[jb], ta[ia])
-        return ReparamFunction(x, y)
-    if mode == "both_float":
-        avg = 0.5 * (ta[ia] + tb[jb])
-        xa, ya = _dedupe_breakpoints(ta[ia], avg)
-        xb, yb = _dedupe_breakpoints(tb[jb], avg)
-        return ReparamFunction(xa, ya), ReparamFunction(xb, yb)
-    raise MatchingError(f"unknown matching mode {mode!r}")
+    avg = 0.5 * (ta[ia] + tb[jb])
+    xa, ya = _dedupe_breakpoints(ta[ia], avg)
+    xb, yb = _dedupe_breakpoints(tb[jb], avg)
+    return ReparamFunction(xa, ya), ReparamFunction(xb, yb)

@@ -20,9 +20,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
                      NonconvergenceError, StructureError, TopologyError)
+from .fitting import fit_curve
 from .splines import (KNOT_TOL, AuxiliarySpace, KnotVector, SplineCurve,
                       SplineMap, TensorBasis, basis_ders_nonzero,
                       greville_abscissae, open_knots, unique_knots)
+
+MAX_HALVINGS = 20   # line-search step halvings per Newton step
+REPAIR_ROUNDS = 3   # knot-insertion rounds of the folding repair
 
 
 @dataclass(frozen=True)
@@ -133,17 +137,15 @@ def _segments_cross(p1, p2, q1, q2):
     return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
-def o_grid_validity(rotor: SplineCurve, casing: SplineCurve,
-                    n_samples: int | None = None):
+def o_grid_validity(rotor: SplineCurve, casing: SplineCurve):
     """Check that the rotor-to-casing connector segments never cross.
 
-    Samples both curves at matched parameters (at least 4x the control-point
+    Samples both curves at matched parameters (4x the control-point
     density) and tests all connector pairs for proper intersection.
     Diagnostic: returns (valid, crossings) with the offending parameter
     pairs.
     """
-    if n_samples is None:
-        n_samples = 4 * max(rotor.basis.n, casing.basis.n)
+    n_samples = 4 * max(rotor.basis.n, casing.basis.n)
     t = np.linspace(0.0, 1.0, n_samples)
     a = rotor(t)
     b = casing(t)
@@ -205,19 +207,22 @@ def assemble_separator_boundary(left_c: PatchParameterization,
                                 right_c: PatchParameterization,
                                 rotor_arcs, cusps, reparams,
                                 xi_basis: KnotVector,
-                                eta_fitter) -> BoundarySet:
+                                eta_kv: KnotVector) -> BoundarySet:
     """Boundary description of the separator patch.
 
-    rotor_arcs: chord-parameterized west/east rotor arc curves (south to
-    north); cusps: (upper, lower) cusp points; reparams: both-float matching
-    functions for the west/east arcs; xi_basis: knot vector with the
-    degree-fold repetition at 0.5; eta_fitter: callable
-    (points, params) -> SplineCurve building both eta-direction curves in a
-    common basis.
+    rotor_arcs: grid-coordinate parameterized west/east rotor arc curves
+    (south to north); cusps: (upper, lower) cusp points; reparams:
+    both-float matching functions for the west/east arcs; xi_basis: knot
+    vector with the degree-fold repetition at 0.5; eta_kv: the common knot
+    vector of both eta-direction curves.
 
     The north/south boundaries are the straight C-grid cut edges joined at
     the cusp, pinned to xi = 0.5 with the C0 knot; the west/east boundaries
-    are the rotor arcs refit at the floated (matched) parameter values.
+    are the rotor arcs refit in eta_kv at the floated (matched) parameter
+    values.  The matching functions act on the chord-length parameters of
+    the matched clouds but are applied here to the arcs' own grid
+    coordinate; the two differ, so the refit arcs are not exactly
+    chord-consistent with the matching.
     """
     west_arc, east_arc = rotor_arcs
     f_w, f_e = reparams
@@ -244,10 +249,8 @@ def assemble_separator_boundary(left_c: PatchParameterization,
     # reparameterize the arcs by the matching functions: sample densely and
     # refit at the floated parameter values
     t = np.linspace(0.0, 1.0, 16 * max(west_arc.basis.n, east_arc.basis.n))
-    gamma_w = eta_fitter(west_arc(t), f_w(t))
-    gamma_e = eta_fitter(east_arc(t), f_e(t))
-    if not _same_knots(gamma_w.basis, gamma_e.basis):
-        raise BasisMismatchError("eta fitter must return a common basis")
+    gamma_w = fit_curve(west_arc(t), f_w(t), eta_kv).curve
+    gamma_e = fit_curve(east_arc(t), f_e(t), eta_kv).curve
 
     gamma_n = collocate_kinked_segments(xi_basis, a_top_l, cusp_top, a_top_r)
     gamma_s = collocate_kinked_segments(xi_basis, a_bot_l, cusp_bot, a_bot_r)
@@ -532,7 +535,6 @@ class EggProblem:
     epsilon: float = 0.0
     newton_tol: float = 1e-8
     max_iter: int = 50
-    patch_kind: str = "separator"
     theta: float = 0.0
     assembly: EggAssembly = field(init=False, repr=False)
 
@@ -549,11 +551,10 @@ def default_epsilon(m: SplineMap, asm: EggAssembly) -> float:
 
 
 def build_egg_problem(initial: SplineMap, newton_tol: float = 1e-8,
-                      max_iter: int = 50, patch_kind: str = "separator",
-                      theta: float = 0.0) -> EggProblem:
+                      max_iter: int = 50, theta: float = 0.0) -> EggProblem:
     aux = build_aux_space(initial.basis)
     return EggProblem(map=initial, aux=aux, newton_tol=newton_tol,
-                      max_iter=max_iter, patch_kind=patch_kind, theta=theta)
+                      max_iter=max_iter, theta=theta)
 
 
 def egg_residual(problem: EggProblem, quad_scale: int = 1) -> np.ndarray:
@@ -566,8 +567,7 @@ def egg_residual(problem: EggProblem, quad_scale: int = 1) -> np.ndarray:
     return asm.residual(problem.map.control_points, d, problem.epsilon)
 
 
-def egg_solve(problem: EggProblem,
-              max_halvings: int = 20) -> PatchParameterization:
+def egg_solve(problem: EggProblem) -> PatchParameterization:
     """Newton iteration on the coupled (c_inner, d) unknowns.
 
     Starts from the problem's map (boundary control points are kept
@@ -605,7 +605,7 @@ def egg_solve(problem: EggProblem,
         dc = step[n_d:].reshape(n1 - 2, n2 - 2, 2)
 
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cp_try = cp.copy()
             cp_try[1:-1, 1:-1] += scale * dc
             d_try = d + scale * dd
@@ -626,7 +626,7 @@ def egg_solve(problem: EggProblem,
 
     problem.map = SplineMap(basis, cp)
     problem.d = d
-    return PatchParameterization(problem.map, problem.patch_kind,
+    return PatchParameterization(problem.map, "separator",
                                  problem.theta, iterations=iterations,
                                  residual_history=tuple(history))
 
@@ -663,12 +663,12 @@ def _spans_hit(kv: KnotVector, lo: float, hi: float):
     return out
 
 
-def repair_folding(problem: EggProblem, defects, n_samples: int = 50,
-                   max_rounds: int = 3) -> PatchParameterization:
+def repair_folding(problem: EggProblem, defects,
+                   n_samples: int = 50) -> PatchParameterization:
     """Insert midpoint knots in the spans containing folded cells (both
     directions), re-solve, and repeat until fold-free or the round cap."""
-    param = PatchParameterization(problem.map, problem.patch_kind, problem.theta)
-    for _ in range(max_rounds):
+    param = PatchParameterization(problem.map, "separator", problem.theta)
+    for _ in range(REPAIR_ROUNDS):
         if not defects:
             return param
         xi_new, eta_new = set(), set()
@@ -680,12 +680,11 @@ def repair_folding(problem: EggProblem, defects, n_samples: int = 50,
         refined = problem.map.refine(sorted(xi_new), sorted(eta_new))
         problem = build_egg_problem(refined, newton_tol=problem.newton_tol,
                                     max_iter=problem.max_iter,
-                                    patch_kind=problem.patch_kind,
                                     theta=problem.theta)
         param = egg_solve(problem)
         defects = check_folding(param, n_samples)
     if defects:
         raise FoldingUnrepairedError(
-            f"folding persists after {max_rounds} repair rounds",
+            f"folding persists after {REPAIR_ROUNDS} repair rounds",
             cells=defects)
     return param

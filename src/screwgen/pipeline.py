@@ -10,9 +10,9 @@ control map:
   through the periodic shift of the grid coordinate;
 * rotor boundary curves at any angle by exact subdivision of the base fit
   (the material cloud only rotates, so the fit never has to be redone);
-* O-grid validity, C-grid cutting, separator boundary assembly, the EGG
-  solve with folding repair, and the orthogonality control map with warm
-  starts.
+* O-grid validity, C-grid cutting, the gap-arc matching and separator
+  boundary assembly, the EGG solve with folding repair, and the
+  orthogonality control map.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import numpy as np
 from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
 from .errors import InvalidGeometryError, MatchingError, TopologyError
-from .fitting import (bounding_box_diagonal, chord_length_params, fit_curve,
-                      fit_curve_adaptive, match_points)
+from .fitting import (ReparamFunction, bounding_box_diagonal,
+                      chord_length_params, fit_curve, fit_curve_adaptive,
+                      match_points)
 from .parameterization import (BoundarySet, PatchParameterization,
                                assemble_separator_boundary, build_egg_problem,
                                check_folding, cut_c_grid, egg_solve,
@@ -34,11 +35,15 @@ from .parameterization import (BoundarySet, PatchParameterization,
                                separator_xi_basis, transfinite)
 from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
-from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, extract_wrapped, open_knots, uniform_knots,
-                      unique_knots)
+from .splines import (KNOT_TOL, KnotVector, SplineCurve, TensorBasis,
+                      extract_wrapped, open_knots, uniform_knots, unique_knots)
 
 TWO_PI = 2.0 * math.pi
+DEGREE = 3                 # degree of every boundary curve and patch map
+XI_ELEMENTS_PER_HALF = 4   # separator xi spans on each side of the cusp line
+ETA_MAX_SPANS = 256        # span budget of the separator's eta fits
+GAP_SAMPLES = 200          # points per gap-arc cloud for the matching
+FOLD_LATTICE = 40          # lattice of the separator's fold check
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,20 @@ def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
 # per-geometry fixed data
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GapArcs:
+    """The rotor arcs bounding the separator at one angle (south to north,
+    grid-coordinate parameterized), their sampled clouds and the
+    both-float matching functions of those clouds' chord parameters."""
+
+    west: SplineCurve
+    east: SplineCurve
+    west_cloud: np.ndarray
+    east_cloud: np.ndarray
+    f_w: ReparamFunction
+    f_e: ReparamFunction
+
+
 @dataclass
 class PatchSet:
     """Everything produced for one rotation angle."""
@@ -139,8 +158,14 @@ class PatchSet:
     right_c: PatchParameterization
     separator: PatchParameterization
     control: ControlMap
-    newton_iterations: int = 0
-    control_iterations: int = 0
+
+    @property
+    def newton_iterations(self) -> int:
+        return self.separator.iterations
+
+    @property
+    def control_iterations(self) -> int:
+        return self.control.iterations
 
 
 class PipelineContext:
@@ -152,14 +177,7 @@ class PipelineContext:
 
     def __init__(self, source: GeometrySource,
                  fit_threshold: float | None = None,
-                 xi_elements_per_half: int = 4,
-                 degree: int = 3,
-                 control_basis: TensorBasis | None = None,
-                 control_margin: float = 1e-3,
-                 newton_tol: float = 1e-8,
-                 max_newton_iter: int = 50,
-                 optimize_control_maps: bool = True,
-                 eta_max_spans: int = 256):
+                 optimize_control_maps: bool = True):
         self.source = source
         p = source.params
         self.params = p
@@ -169,14 +187,9 @@ class PipelineContext:
         self.fit_threshold = fit_threshold if fit_threshold is not None \
             else 1e-4 * diag
         self.casing_threshold = 5e-7 * p.barrel_radius
-        self.degree = degree
-        self.xi_basis = separator_xi_basis(degree, xi_elements_per_half)
-        self.control_basis = control_basis or default_control_basis()
-        self.control_margin = control_margin
-        self.newton_tol = newton_tol
-        self.max_newton_iter = max_newton_iter
+        self.xi_basis = separator_xi_basis(DEGREE, XI_ELEMENTS_PER_HALF)
+        self.control_basis = default_control_basis()
         self.optimize_control_maps = optimize_control_maps
-        self.eta_max_spans = eta_max_spans
 
         self.cusps = cusp_points(p)           # (upper, lower)
         beta = math.atan2(self.cusps[0, 1], 0.5 * p.centerline_distance)
@@ -189,17 +202,13 @@ class PipelineContext:
     # -- casing -------------------------------------------------------------
 
     def _casing_circle_points(self, side: str, n: int) -> np.ndarray:
-        p = self.params
-        center = p.left_center if side == "left" else p.right_center
-        anchor = 0.0 if side == "left" else math.pi
-        ang = anchor + TWO_PI * np.arange(n) / n
-        return center + p.barrel_radius * np.column_stack([np.cos(ang),
-                                                           np.sin(ang)])
+        ang = self._anchor_angle(side) + TWO_PI * np.arange(n) / n
+        return self._center(side) + self.params.barrel_radius * np.column_stack(
+            [np.cos(ang), np.sin(ang)])
 
     def _build_casing_curves(self):
         """Arc-length parameterized full-circle casing fits, interpolating
         the cusp points exactly at the cut fractions."""
-        p = self.params
         q = self.cut_frac
         self.casing_curve = {}
         for side in ("left", "right"):
@@ -209,7 +218,7 @@ class PipelineContext:
             top, bot = self.cusps[0], self.cusps[1]
             pins = [(q, top), (1 - q, bot)] if side == "left" \
                 else [(q, bot), (1 - q, top)]
-            kv = uniform_knots(self.degree, 8)
+            kv = uniform_knots(DEGREE, 8)
             while True:
                 fit = fit_curve(pts, t, kv, pins=pins)
                 if fit.max_residual <= self.casing_threshold:
@@ -217,14 +226,10 @@ class PipelineContext:
                 spans = kv.n_elements * 2
                 if spans > 1024:
                     raise InvalidGeometryError("casing fit failed to converge")
-                kv = uniform_knots(self.degree, spans)
+                kv = uniform_knots(DEGREE, spans)
             self.casing_curve[side] = fit.curve
 
     # -- base rotor fit and matching -----------------------------------------
-
-    def _rotor_cloud(self, side: str, section: CrossSection) -> np.ndarray:
-        cloud = section.left_rotor if side == "left" else section.right_rotor
-        return cloud.points
 
     def _center(self, side: str) -> np.ndarray:
         return self.params.left_center if side == "left" \
@@ -244,7 +249,7 @@ class PipelineContext:
         every fraction by theta / 2 pi exactly, which is what lets the base
         fit serve all angles.
         """
-        pts = self._rotor_cloud(side, sec0)
+        pts = (sec0.left_rotor if side == "left" else sec0.right_rotor).points
         center = self._center(side)
         anchor = self._anchor_angle(side)
         ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
@@ -265,7 +270,7 @@ class PipelineContext:
         keep = np.concatenate([[True], np.diff(params) > 1e-11])
         cloud, params = cloud[keep], params[keep]
 
-        kv = uniform_knots(self.degree, 16)
+        kv = uniform_knots(DEGREE, 16)
         fit = fit_curve_adaptive(cloud, params, kv, self.fit_threshold,
                                  max_spans=1024)
         self._base_rotor[side] = fit.curve
@@ -297,8 +302,7 @@ class PipelineContext:
 
     # -- patches ---------------------------------------------------------------
 
-    def build_c_grid(self, side: str, theta: float,
-                     validity_samples: int | None = None) -> PatchParameterization:
+    def build_c_grid(self, side: str, theta: float) -> PatchParameterization:
         """O-grid by unidirectional transfinite interpolation, validity-gated,
         cut at the cusp fractions."""
         rotor = self.rotor_curve_full(side, theta)
@@ -306,8 +310,7 @@ class PipelineContext:
         kv = merge_knot_vectors(rotor.basis, casing.basis)
         rotor_p = promote_curve(rotor, kv)
         casing_p = promote_curve(casing, kv)
-        valid, crossings = o_grid_validity(rotor_p, casing_p,
-                                           validity_samples)
+        valid, crossings = o_grid_validity(rotor_p, casing_p)
         if not valid:
             raise MatchingError(
                 f"{side} O-grid isolines cross at theta={theta:.4f}; the "
@@ -322,89 +325,52 @@ class PipelineContext:
 
     # -- separator ---------------------------------------------------------------
 
-    def _gap_clouds(self, theta: float, n: int = 200):
+    def separator_reparams(self, theta: float) -> GapArcs:
+        """Both gap arcs at the given angle, their point clouds and the
+        both-float matching of the clouds."""
         west = self.rotor_arc_gap("left", theta)
         east = self.rotor_arc_gap("right", theta)
-        t = np.linspace(0.0, 1.0, n)
-        return west, east, west(t), east(t)
+        t = np.linspace(0.0, 1.0, GAP_SAMPLES)
+        wpts, epts = west(t), east(t)
+        f_w, f_e = match_points(wpts, epts)
+        return GapArcs(west, east, wpts, epts, f_w, f_e)
 
-    def separator_reparams(self, theta: float):
-        """Both-float matching functions for the west/east gap arcs at the
-        given angle."""
-        _, _, wpts, epts = self._gap_clouds(theta)
-        return match_points(wpts, epts, "both_float")
-
-    def _eta_fitter(self, probe_sets):
-        """Common eta-basis fitter: adapt on each (points, params) probe set,
-        merge the resulting knot vectors, refit in the union."""
-        kv = uniform_knots(self.degree, 8)
+    def _eta_basis(self, gap: GapArcs) -> KnotVector:
+        """Common eta knot vector: adapt a fit of each cloud at its matched
+        parameters and merge the resulting knot vectors."""
+        kv = uniform_knots(DEGREE, 8)
         union = None
-        for pts, t in probe_sets:
-            fit = fit_curve_adaptive(pts, t, kv, self.fit_threshold,
-                                     max_spans=self.eta_max_spans)
+        for pts, f in ((gap.west_cloud, gap.f_w), (gap.east_cloud, gap.f_e)):
+            fit = fit_curve_adaptive(pts, f(chord_length_params(pts)), kv,
+                                     self.fit_threshold,
+                                     max_spans=ETA_MAX_SPANS)
             union = fit.curve.basis if union is None \
                 else merge_knot_vectors(union, fit.curve.basis)
+        return union
 
-        def fitter(pts, t):
-            return fit_curve(pts, t, union).curve
-        return fitter
-
-    def build_separator(self, theta: float, left_c, right_c,
-                        reparams=None, seed_maps=None) -> PatchParameterization:
-        if reparams is None:
-            reparams = self.separator_reparams(theta)
-        f_w, f_e = reparams
-        west, east, wpts, epts = self._gap_clouds(theta)
-        probe = [(wpts, f_w(chord_length_params(wpts))),
-                 (epts, f_e(chord_length_params(epts)))]
-        fitter = self._eta_fitter(probe)
+    def build_separator(self, theta: float, left_c,
+                        right_c) -> PatchParameterization:
+        gap = self.separator_reparams(theta)
+        eta_kv = self._eta_basis(gap)
         bounds = assemble_separator_boundary(
-            left_c, right_c, (west, east),
-            (self.cusps[0], self.cusps[1]), reparams,
-            self.xi_basis, fitter)
-        basis = TensorBasis(self.xi_basis, bounds.gamma_w.basis)
-        init = transfinite(bounds, basis)
-        if seed_maps:
-            gx, ge = basis.greville_grid()
-            blend = np.zeros((basis.xi.n, basis.eta.n, 2))
-            total = 0.0
-            for w_k, m_k in seed_maps:
-                blend += w_k * m_k.evaluate_grid(gx, ge)
-                total += w_k
-            cp = init.control_points.copy()
-            cp[1:-1, 1:-1] = (blend / total)[1:-1, 1:-1]
-            init = SplineMap(basis, cp)
-        problem = build_egg_problem(init, newton_tol=self.newton_tol,
-                                    max_iter=self.max_newton_iter,
-                                    patch_kind="separator", theta=theta)
+            left_c, right_c, (gap.west, gap.east),
+            (self.cusps[0], self.cusps[1]), (gap.f_w, gap.f_e),
+            self.xi_basis, eta_kv)
+        basis = TensorBasis(self.xi_basis, eta_kv)
+        problem = build_egg_problem(transfinite(bounds, basis), theta=theta)
         patch = egg_solve(problem)
-        defects = check_folding(patch, 40)
+        defects = check_folding(patch, FOLD_LATTICE)
         if defects:
-            patch = repair_folding(problem, defects, n_samples=40)
+            patch = repair_folding(problem, defects, n_samples=FOLD_LATTICE)
         return patch
 
     # -- full patch set ------------------------------------------------------------
 
-    def build_patches(self, theta: float, reparams=None,
-                      seed: PatchSet | None = None,
-                      seed_maps=None) -> PatchSet:
+    def build_patches(self, theta: float) -> PatchSet:
         left_c = self.build_c_grid("left", theta)
         right_c = self.build_c_grid("right", theta)
-        separator = self.build_separator(theta, left_c, right_c,
-                                         reparams=reparams,
-                                         seed_maps=seed_maps)
+        separator = self.build_separator(theta, left_c, right_c)
+        control = identity_control(self.control_basis)
         if self.optimize_control_maps:
-            init_ctrl = identity_control(self.control_basis,
-                                         self.control_margin)
-            if seed is not None and seed.control is not None:
-                init_ctrl = ControlMap(self.control_basis,
-                                       seed.control.coeffs,
-                                       self.control_margin)
-            control = optimize_control(separator.map, init_ctrl,
-                                       margin=self.control_margin)
-        else:
-            control = identity_control(self.control_basis,
-                                       self.control_margin)
-        return PatchSet(theta, left_c, right_c, separator, control,
-                        newton_iterations=separator.iterations,
-                        control_iterations=control.iterations)
+            control = optimize_control(separator.map, control)
+        return PatchSet(theta, left_c, right_c, separator, control)

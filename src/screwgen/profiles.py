@@ -76,11 +76,6 @@ class ScrewParams:
     def right_center(self) -> np.ndarray:
         return np.array([0.5 * self.centerline_distance, 0.0])
 
-    @property
-    def profile_period(self) -> float:
-        """Rotation after which the cross-section configuration repeats."""
-        return TWO_PI / self.flight_count
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -97,16 +92,10 @@ class PointCloud:
             raise InvalidGeometryError("closed loops must not repeat a point")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self):
-        return len(self.points)
-
     def rotated(self, theta: float, about=None) -> "PointCloud":
         about = np.zeros(2) if about is None else np.asarray(about, dtype=float)
         pts = (self.points - about) @ rotation(theta).T + about
         return PointCloud(pts, self.params)
-
-    def translated(self, shift) -> "PointCloud":
-        return PointCloud(self.points + np.asarray(shift, dtype=float), self.params)
 
 
 @dataclass(frozen=True)
@@ -134,9 +123,9 @@ class CrossSection:
     casing_right: CasingArc
     cusp_points: np.ndarray  # (2, 2): upper, lower
 
-    def validate(self, tol_factor: float = 1e-9):
+    def validate(self):
         p = self.params
-        rb = p.barrel_radius * (1 + tol_factor)
+        rb = p.barrel_radius * (1 + 1e-9)
         for cloud in (self.left_rotor, self.right_rotor):
             dl = np.linalg.norm(cloud.points - p.left_center, axis=1)
             dr = np.linalg.norm(cloud.points - p.right_center, axis=1)

@@ -83,9 +83,6 @@ class KnotVector:
     def multiplicity(self, value: float) -> int:
         return int(np.sum(np.abs(self.knots - value) <= KNOT_TOL))
 
-    def span_of(self, x: float) -> int:
-        return int(find_spans(self.knots, self.degree, np.atleast_1d(float(x)))[0])
-
 
 def uniform_knots(degree: int, n_elements: int) -> KnotVector:
     """Open knot vector with ``n_elements`` uniform spans on [0, 1]."""
@@ -458,15 +455,6 @@ class SplineMap:
         J = np.stack([xu, xv], axis=-1)
         det = xu[:, 0] * xv[:, 1] - xu[:, 1] * xv[:, 0]
         return J, det
-
-    def metric(self, xi, eta):
-        """Metric entries (g11, g12, g22) at paired points."""
-        xu = self.evaluate(xi, eta, 1, 0)
-        xv = self.evaluate(xi, eta, 0, 1)
-        g11 = np.einsum("md,md->m", xu, xu)
-        g12 = np.einsum("md,md->m", xu, xv)
-        g22 = np.einsum("md,md->m", xv, xv)
-        return g11, g12, g22
 
     # -- structure ----------------------------------------------------------
 

@@ -135,11 +135,16 @@ def test_adaptive_cap_raises_with_best_fit():
 # match_points
 # ---------------------------------------------------------------------------
 
+def b_to_a(fa, fb):
+    """b-chord -> a-chord map of a both-float matching."""
+    return lambda t: fa.inverse()(fb(t))
+
+
 def test_match_identity():
     pts = circle_cloud(80, t1=np.pi)
-    f = match_points(pts, pts, "one_side_fixed")
+    fa, fb = match_points(pts, pts)
     t = np.linspace(0, 1, 100)
-    assert np.abs(f(t) - t).max() < 1e-12
+    assert np.abs(b_to_a(fa, fb)(t) - t).max() < 1e-12
 
 
 def test_match_compresses_locally_densified_half():
@@ -156,7 +161,7 @@ def test_match_compresses_locally_densified_half():
     xb2 = np.linspace(1.0125, 2, 40)
     b2 = np.column_stack([xb2, np.full_like(xb2, 0.02)])
     b = np.vstack([b1, b2])
-    f = match_points(a, b, "one_side_fixed")
+    f = b_to_a(*match_points(a, b))
     tb_half = 2.0 / 3.0  # chord parameter of x=1 in cloud b
     slope_first = f(tb_half) / tb_half
     slope_second = (1 - f(tb_half)) / (1 - tb_half)
@@ -167,7 +172,7 @@ def test_match_parallel_segments_is_arclength():
     t = np.linspace(0, 1, 50)
     a = np.column_stack([t, np.zeros_like(t)])
     b = np.column_stack([t, np.full_like(t, 0.1)])
-    f = match_points(a, b, "one_side_fixed")
+    f = b_to_a(*match_points(a, b))
     x = np.linspace(0, 1, 100)
     assert np.abs(f(x) - x).max() < 1e-12
 
@@ -176,14 +181,19 @@ def test_match_both_float_average():
     t = np.linspace(0, 1, 30)
     a = np.column_stack([t, np.zeros_like(t)])
     b = np.column_stack([t ** 2, np.full_like(t, 0.05)])
-    fa, fb = match_points(a, b, "both_float")
-    # matched pairs carry equal parameter values on both sides
+    fa, fb = match_points(a, b)
+    # each breakpoint pairs a cloud point's chord parameter with the common
+    # value; a matched pair shares that value, the average of its two chord
+    # parameters
     ta = chord_length_params(a)
     tb = chord_length_params(b)
-    for i in range(len(fa.x)):
-        pass
-    # the common value is the average of the two chord parameters: check via
-    # a matched interior point (a_i matched to the nearest b_j)
+    common, ia, ib = np.intersect1d(fa.y, fb.y, return_indices=True)
+    assert len(common) > 2
+    assert np.abs(ta[:, None] - fa.x[None, ia]).min(axis=0).max() < 1e-15
+    assert np.abs(tb[:, None] - fb.x[None, ib]).min(axis=0).max() < 1e-15
+    assert np.abs(0.5 * (fa.x[ia] + fb.x[ib]) - common).max() < 1e-15
+    # the pairs' chord parameters differ, so the average is neither of them
+    assert np.abs(fa.x[ia] - fb.x[ib]).max() > 1e-3
     assert fa(0.0) == 0.0 and fb(1.0) == 1.0
     x = np.linspace(0, 1, 50)
     assert np.all(np.diff(fa(x)) > -1e-12)
@@ -193,7 +203,7 @@ def test_match_both_float_average():
 def test_match_orientation_mismatch_raises():
     pts = circle_cloud(60, t1=np.pi)
     with pytest.raises(MatchingError):
-        match_points(pts, pts[::-1], "one_side_fixed")
+        match_points(pts, pts[::-1])
 
 
 @given(st.integers(min_value=10, max_value=60))
@@ -202,6 +212,6 @@ def test_match_is_monotone(n):
     rng = np.random.default_rng(n)
     base = np.cumsum(rng.uniform(0.05, 1.0, (n, 2)), axis=0)
     other = base + rng.normal(0, 0.01, base.shape)
-    f = match_points(base, other, "one_side_fixed")
-    assert np.all(np.diff(f.x) > 0)
-    assert np.all(np.diff(f.y) > 0)
+    for f in match_points(base, other):
+        assert np.all(np.diff(f.x) > 0)
+        assert np.all(np.diff(f.y) > 0)

@@ -11,7 +11,6 @@ from screwgen.parameterization import (
     EggAssembly,
     EggProblem,
     PatchParameterization,
-    assemble_separator_boundary,
     build_aux_space,
     build_egg_problem,
     check_folding,
@@ -33,12 +32,6 @@ def line_curve(kv, p0, p1):
     g = greville_abscissae(kv)
     ctrl = np.asarray(p0)[None, :] + g[:, None] * (np.asarray(p1) - np.asarray(p0))[None, :]
     return SplineCurve(kv, ctrl)
-
-
-def fit_in(kv, lam=1e-14):
-    def fitter(pts, t):
-        return fit_curve(pts, t, kv, lam_reg=lam).curve
-    return fitter
 
 
 def unit_square_bounds(tb):

@@ -95,7 +95,7 @@ def test_impossible_geometry_raises():
 def test_point_count_and_no_repeats():
     sec = booy_profile(TABLE2, 0.7, 256)
     for cloud in (sec.left_rotor, sec.right_rotor):
-        assert len(cloud) == 256
+        assert len(cloud.points) == 256
         d = np.linalg.norm(np.diff(cloud.points, axis=0), axis=1)
         assert d.min() > 0
 

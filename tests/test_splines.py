@@ -273,19 +273,6 @@ def test_jacobian_against_finite_differences():
         assert np.abs(J - fd).max() / np.abs(J).max() < 1e-5
 
 
-def test_metric_entries():
-    tb = TensorBasis(uniform_knots(3, 3), uniform_knots(3, 3))
-    m = identity_map(tb)
-    cp = m.control_points @ np.array([[1.0, 0.5], [0.0, 1.0]]).T
-    m2 = SplineMap(tb, cp)
-    g11, g12, g22 = m2.metric([0.3], [0.8])
-    xu = m2.evaluate([0.3], [0.8], 1, 0)[0]
-    xv = m2.evaluate([0.3], [0.8], 0, 1)[0]
-    assert g11[0] == pytest.approx(xu @ xu)
-    assert g12[0] == pytest.approx(xu @ xv)
-    assert g22[0] == pytest.approx(xv @ xv)
-
-
 # ---------------------------------------------------------------------------
 # refine_knots
 # ---------------------------------------------------------------------------
