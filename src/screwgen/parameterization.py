@@ -7,7 +7,10 @@ that the inverse map components become harmonic.  The second xi-derivatives
 are eliminated through an auxiliary field u living on a degree-elevated
 space with a C0 macro split at xi = 0.5, which admits the kinked separator
 boundaries.  The weak system is solved by Newton iteration with an analytic
-linearization and a backtracking line search.
+linearization and a backtracking line search.  The Newton unknowns are
+numbered eta-slow, so the Jacobian is banded with half-bandwidths fixed by
+the xi width; its sparsity pattern and iterate-independent blocks are laid
+out once per space pair, and each step is one LAPACK band solve.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
                      NonconvergenceError, StructureError, TopologyError)
@@ -311,7 +315,16 @@ class _DirCache:
 
 
 class EggAssembly:
-    """Precomputed quadrature tables for one primal/auxiliary space pair."""
+    """Precomputed quadrature tables and the banded Newton-matrix layout for
+    one primal/auxiliary space pair.
+
+    Residuals and steps are vectors in [d (2*Na); c_inner (2*n_inner)]
+    order.  The Newton matrix is kept in LAPACK (kl, ku) band storage of an
+    eta-slow numbering of the same unknowns: eta index j holds its
+    2*aux.xi.n auxiliary dofs, then its 2*(xi.n - 2) inner primal dofs.
+    Basis functions couple only within degree+1 eta indices, so the
+    half-bandwidths depend on the xi width alone, not on the eta length.
+    """
 
     def __init__(self, basis: TensorBasis, aux: AuxiliarySpace,
                  quad_scale: int = 1):
@@ -348,7 +361,6 @@ class EggAssembly:
         self.dof_a = dof_table(self.ax, self.ae, aux.basis.eta.n)
         self.Lp = self.cx.n_local * self.ce.n_local
         self.La = self.ax.n_local * self.ae.n_local
-        self.Np = basis.xi.n * basis.eta.n
         self.Na = aux.basis.xi.n * aux.basis.eta.n
 
         def tensorize(c1, c2, k1, k2):
@@ -356,7 +368,6 @@ class EggAssembly:
             t = np.einsum("aqi,brj->abqrij", c1.vals[k1], c2.vals[k2])
             return t.reshape(self.E, self.Q, c1.n_local * c2.n_local)
 
-        self.W = tensorize(self.cx, self.ce, 0, 0)
         self.Wx = tensorize(self.cx, self.ce, 1, 0)
         self.We = tensorize(self.cx, self.ce, 0, 1)
         self.Wxe = tensorize(self.cx, self.ce, 1, 1)
@@ -364,6 +375,13 @@ class EggAssembly:
         self.A = tensorize(self.ax, self.ae, 0, 0)
         self.Ax = tensorize(self.ax, self.ae, 1, 0)
         self.Ae = tensorize(self.ax, self.ae, 0, 1)
+        # test functions premultiplied by the weights, (E, L, Q): a weak
+        # form's element vector or matrix is one batched matmul with them
+        self.wAt = np.ascontiguousarray(
+            (self.wq[..., None] * self.A).transpose(0, 2, 1))
+        self.wWt = np.ascontiguousarray(
+            (self.wq[..., None] * tensorize(self.cx, self.ce, 0, 0))
+            .transpose(0, 2, 1))
 
         # inner-dof numbering of the primal space
         n1p, n2p = basis.shape
@@ -376,10 +394,85 @@ class EggAssembly:
         # aux mass matrix (for the u projection and the R1/d block)
         rows = np.repeat(self.dof_a, self.La, axis=1).ravel()
         cols = np.tile(self.dof_a, (1, self.La)).ravel()
-        mloc = np.einsum("eq,eqi,eqj->eij", self.wq, self.A, self.A)
+        mloc = self.wAt @ self.A
         self.mass_aux = sp.csr_matrix(
             (mloc.ravel(), (rows, cols)), shape=(self.Na, self.Na))
         self._mass_solve = spla.factorized(self.mass_aux.tocsc())
+
+        # scatter targets of element vectors (E, L, 2): into the 2*Na aux
+        # vector, and into the 2*n_inner vector with boundary rows sent to
+        # one extra slot that is dropped
+        comp = np.arange(2)
+        ip = self.inner_of_dof[self.dof_p]                 # (E, Lp)
+        self._vec_a = (2 * self.dof_a[..., None] + comp).ravel()
+        self._vec_c = np.where(ip[..., None] >= 0, 2 * ip[..., None] + comp,
+                               2 * self.n_inner).ravel()
+        self._layout_newton(ip)
+
+    def _layout_newton(self, ip):
+        """Eta-slow unknown order, half-bandwidths, band scatter index and
+        the iterate-independent R1 blocks; the pattern is fixed across
+        Newton steps."""
+        n1p, n2p = self.basis.shape
+        n_d = 2 * self.Na
+        n = self.n_unknowns = n_d + 2 * self.n_inner
+        n_ax = self.aux.basis.xi.n
+        ia, ja, ca = np.indices((n_ax, n2p, 2)).reshape(3, -1)
+        ic, jc, cc = np.indices((n1p - 2, n2p - 2, 2)).reshape(3, -1)
+        width = 2 * n_ax + 2 * (n1p - 2)
+        key = np.concatenate([ja * width + 2 * ia + ca,
+                              (jc + 1) * width + 2 * n_ax + 2 * ic + cc])
+        self.order = np.argsort(key)          # band index -> [d; c] index
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(n)
+
+        # band positions of the element-local unknowns (2, E, L); boundary
+        # primal dofs are no unknowns and get -1
+        comp = np.arange(2)[:, None, None]
+        pd = position[2 * self.dof_a + comp]
+        pc = np.where(ip >= 0, position[n_d + 2 * np.maximum(ip, 0) + comp],
+                      -1)
+        m = self.mass_aux.tocoo()
+        # (row, column) band positions of every block entry
+        blocks = {
+            # R1/d: -mass per component, (2, nnz)
+            "r1d": (position[2 * m.row + comp[:, 0]],
+                    position[2 * m.col + comp[:, 0]]),
+            # R1/c: int a_i (w_j)_xi per component, (2, E, La, Lp)
+            "r1c": (pd[..., None], pc[:, :, None, :]),
+            # R2/d: (2, E, Lp, La)
+            "r2d": (pc[..., None], pd[:, :, None, :]),
+            # R2/c: (E, Lp (row), 2 (column comp b), 2 (row comp a),
+            # Lp (column))
+            "r2c": (pc.transpose(1, 2, 0)[:, :, None, :, None],
+                    pc.transpose(1, 0, 2)[:, None, :, None, :]),
+        }
+
+        def reach(r, c):
+            # largest r - c over the pairs without a boundary dof
+            return int((np.where(r >= 0, r, -n)
+                        - np.where(c >= 0, c, 2 * n)).max())
+
+        self.kl = max(reach(r, c) for r, c in blocks.values())
+        self.ku = max(reach(c, r) for r, c in blocks.values())
+        size = (self.kl + self.ku + 1) * n
+        big = 4 * n * n
+
+        def flat(name):
+            # ab[ku + r - c, c] is entry (ku + r) * n - c * (n - 1) of the
+            # raveled (kl+ku+1, n) band; big pushes a pair with a boundary
+            # dof past the band, and those pairs share index size
+            r, c = blocks[name]
+            return np.minimum(np.where(r >= 0, (self.ku + r) * n, big)
+                              - np.where(c >= 0, c * (n - 1), -big),
+                              size).ravel()
+
+        a1 = self.wAt @ self.Wx                   # (E, La, Lp)
+        fixed = np.concatenate([-m.data, -m.data, a1.ravel(), a1.ravel()])
+        band = np.bincount(np.concatenate([flat("r1d"), flat("r1c")]),
+                           weights=fixed, minlength=size + 1)[:size]
+        self._band_fixed = band.reshape(self.kl + self.ku + 1, n)
+        self._band_var = np.concatenate([flat("r2d"), flat("r2c")])
 
     # -- field evaluation ----------------------------------------------------
 
@@ -388,7 +481,12 @@ class EggAssembly:
         """Gather per-element coefficients (E, L, 2) and contract them with
         each (E, Q, L) table into a field at the quadrature points."""
         local = coeffs.reshape(-1, 2)[dofs]
-        return [np.einsum("eql,eld->eqd", t, local) for t in tables]
+        return [t @ local for t in tables]
+
+    def _scatter_a(self, loc):
+        """Sum element vectors (E, La, 2) into an (Na, 2) aux vector."""
+        return np.bincount(self._vec_a, weights=loc.ravel(),
+                           minlength=2 * self.Na).reshape(self.Na, 2)
 
     def fields(self, cp, d):
         f = dict(zip(("xx", "xe", "xxe", "xee"),
@@ -408,10 +506,7 @@ class EggAssembly:
     def project_u(self, cp):
         """L2 projection of x_xi onto the auxiliary space."""
         xx, = self._contract(cp, self.dof_p, self.Wx)
-        rhs_loc = np.einsum("eq,eqi,eqd->eid", self.wq, self.A, xx)
-        rhs = np.zeros((self.Na, 2))
-        np.add.at(rhs, self.dof_a.ravel(),
-                  rhs_loc.reshape(self.E * self.La, 2))
+        rhs = self._scatter_a(self.wAt @ xx)
         return np.column_stack([self._mass_solve(rhs[:, 0]),
                                 self._mass_solve(rhs[:, 1])]).reshape(
             self.aux.basis.xi.n, self.aux.basis.eta.n, 2)
@@ -430,90 +525,60 @@ class EggAssembly:
         """Residual vector [R1 (2*Na); R2 (2*n_inner)]."""
         f = self.fields(cp, d)
         den, P, U = self._upieces(f, eps)
-        mism = f["xx"] - f["u"]
-        r1_loc = np.einsum("eq,eqi,eqd->eid", self.wq, self.A, mism)
-        r1 = np.zeros((self.Na, 2))
-        np.add.at(r1, self.dof_a.ravel(), r1_loc.reshape(-1, 2))
-        r2_loc = np.einsum("eq,eqi,eqd->eid", self.wq, self.W, U)
-        r2_full = np.zeros((self.Np, 2))
-        np.add.at(r2_full, self.dof_p.ravel(), r2_loc.reshape(-1, 2))
-        keep = self.inner_of_dof >= 0
-        r2 = r2_full[keep]
-        return np.concatenate([r1.ravel(), r2.ravel()])
+        r1 = self._scatter_a(self.wAt @ (f["xx"] - f["u"]))
+        r2 = np.bincount(self._vec_c, weights=(self.wWt @ U).ravel(),
+                         minlength=2 * self.n_inner + 1)[:-1]
+        return np.concatenate([r1.ravel(), r2])
 
     def jacobian(self, cp, d, eps):
-        """Analytic Newton matrix for unknowns [d (2*Na); c_inner (2*n_inner)]."""
+        """Analytic Newton matrix in (kl, ku) band storage (see ``solve``).
+
+        Only the R2 rows depend on the iterate; the R1 blocks (-mass and
+        the int a_i (w_j)_xi coupling) were scattered once in ``__init__``.
+        """
         f = self.fields(cp, d)
         den, P, U = self._upieces(f, eps)
-        n_d = 2 * self.Na
-        n_c = 2 * self.n_inner
-        rows, cols, vals = [], [], []
-
-        def add_block(r, c, v):
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-
-        # R1/d: -mass (per component)
-        m = self.mass_aux.tocoo()
-        for comp in range(2):
-            add_block(2 * m.row + comp, 2 * m.col + comp, -m.data)
-
-        # R1/c: int a_i (w_j)_xi, inner columns only
-        a1 = np.einsum("eq,eqi,eqj->eij", self.wq, self.A, self.Wx)
-        r_idx = np.repeat(self.dof_a, self.Lp, axis=1)      # (E, La*Lp)
-        c_idx = np.tile(self.dof_p, (1, self.La))
-        c_inner = self.inner_of_dof[c_idx]
-        ok = c_inner >= 0
-        for comp in range(2):
-            add_block(2 * r_idx[ok] + comp,
-                      n_d + 2 * c_inner[ok] + comp,
-                      a1.reshape(self.E, -1)[ok])
 
         # R2/d: diag over components: int w_i (g22 abar_j_x - g12 abar_j_e)/den
         kern = (f["g22"][..., None] * self.Ax
                 - f["g12"][..., None] * self.Ae) / den[..., None]
-        b2 = np.einsum("eq,eqi,eqj->eij", self.wq, self.W, kern)
-        r_idx = np.repeat(self.dof_p, self.La, axis=1)
-        c_idx = np.tile(self.dof_a, (1, self.Lp))
-        r_inner = self.inner_of_dof[r_idx]
-        ok = r_inner >= 0
-        for comp in range(2):
-            add_block(n_d + 2 * r_inner[ok] + comp,
-                      2 * c_idx[ok] + comp,
-                      b2.reshape(self.E, -1)[ok])
+        b2 = self.wWt @ kern                       # (E, Lp, La)
 
-        # R2/c: full 2x2 component coupling through the metric
-        dg11 = 2 * np.einsum("eqb,eql->eqlb", f["xx"], self.Wx)
-        dg22 = 2 * np.einsum("eqb,eql->eqlb", f["xe"], self.We)
-        dg12 = np.einsum("eqb,eql->eqlb", f["xx"], self.We) \
-            + np.einsum("eqb,eql->eqlb", f["xe"], self.Wx)
-        dP = (np.einsum("eqlb,eqa->eqlba", dg22, f["ux"])
-              - np.einsum("eqlb,eqa->eqlba", dg12, f["ue"] + f["xxe"])
-              + np.einsum("eqlb,eqa->eqlba", dg11, f["xee"]))
-        diag = (-f["g12"][..., None] * self.Wxe
-                + f["g11"][..., None] * self.Wee)   # (E, Q, L)
-        dP += np.einsum("eql,ba->eqlba", diag, np.eye(2))
-        dden = dg11 + dg22
-        dU = (dP - np.einsum("eqlb,eqa->eqlba", dden, U)) / den[..., None, None, None]
-        b3 = np.einsum("eq,eqi,eqlba->eilba", self.wq, self.W, dU)
-        r_idx = np.repeat(self.dof_p, self.Lp, axis=1)      # (E, Lp*Lp) i-major
-        c_idx = np.tile(self.dof_p, (1, self.Lp))
-        r_inner = self.inner_of_dof[r_idx]
-        c_inner = self.inner_of_dof[c_idx]
-        ok = (r_inner >= 0) & (c_inner >= 0)
-        b3 = b3.reshape(self.E, self.Lp * self.Lp, 2, 2)
-        for b in range(2):
-            for a in range(2):
-                add_block(n_d + 2 * r_inner[ok] + a,
-                          n_d + 2 * c_inner[ok] + b,
-                          b3[..., b, a][ok])
+        # R2/c: full 2x2 component coupling through the metric.  With
+        # k = (b, a) for the perturbed and the residual component, the
+        # derivative of U_a by the l-th control point's b-component is
+        # Wx_l Mx_k + We_l Me_k + delta_ab D_l.
+        xx, xe = f["xx"][..., :, None], f["xe"][..., :, None]   # b
+        s = (f["ue"] + f["xxe"])[..., None, :]                   # a
+        Mx = 2 * xx * (f["xee"] - U)[..., None, :] - xe * s
+        Me = 2 * xe * (f["ux"] - U)[..., None, :] - xx * s
+        Mx = (Mx / den[..., None, None]).reshape(self.E, self.Q, 4, 1)
+        Me = (Me / den[..., None, None]).reshape(self.E, self.Q, 4, 1)
+        D = (-f["g12"][..., None] * self.Wxe
+             + f["g11"][..., None] * self.Wee) / den[..., None]
+        dU = self.Wx[:, :, None, :] * Mx + self.We[:, :, None, :] * Me
+        dU[:, :, 0] += D
+        dU[:, :, 3] += D
 
-        n_total = n_d + n_c
-        J = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n_total, n_total))
-        return J
+        # element blocks straight into the weights of the band scatter
+        n2 = b2.size
+        vals = np.empty(2 * n2 + self.E * self.Lp * 4 * self.Lp)
+        vals[:2 * n2].reshape(2, n2)[:] = b2.reshape(1, n2)
+        np.matmul(self.wWt, dU.reshape(self.E, self.Q, -1),
+                  out=vals[2 * n2:].reshape(self.E, self.Lp, -1))
+        size = self._band_fixed.size
+        band = np.bincount(self._band_var, weights=vals,
+                           minlength=size + 1)[:size]
+        return band.reshape(self._band_fixed.shape) + self._band_fixed
+
+    def solve(self, band, rhs):
+        """Solve the banded Newton system for a right-hand side in [d; c]
+        order; raises ``LinAlgError`` for a singular matrix."""
+        x = solve_banded((self.kl, self.ku), band, rhs[self.order],
+                         overwrite_b=True, check_finite=False)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +637,10 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
 
     Starts from the problem's map (boundary control points are kept
     bit-identical); u is initialized by L2 projection of x_xi, so the first
-    residual block vanishes.  Each step uses the analytic linearization and
-    a backtracking line search on the residual norm.  The auxiliary field is
-    discarded from the returned parameterization.
+    residual block vanishes.  Each step solves the analytic linearization in
+    band storage (LAPACK gbsv) and takes a backtracking line search on the
+    residual norm.  The auxiliary field is discarded from the returned
+    parameterization.
     """
     asm = problem.assembly
     basis = problem.map.basis
@@ -582,25 +648,30 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
     d = problem.d if problem.d is not None else asm.project_u(cp)
     eps = problem.epsilon
     n1, n2 = basis.shape
+    n_d = 2 * asm.Na
 
     res = asm.residual(cp, d, eps)
     norm0 = float(np.linalg.norm(res))
     target = problem.newton_tol * (norm0 + 1.0)
     history = [norm0]
 
+    def fail(message, **details):
+        problem.map = SplineMap(basis, cp)
+        problem.d = d
+        return NonconvergenceError(message, last_map=problem.map,
+                                   history=history, **details)
+
     iterations = 0
     while history[-1] > target:
         if iterations >= problem.max_iter:
-            problem.map = SplineMap(basis, cp)
-            problem.d = d
-            raise NonconvergenceError(
-                f"Newton did not converge in {problem.max_iter} iterations "
-                f"(residual {history[-1]:.3e}, target {target:.3e})",
-                last_map=problem.map, history=history)
-        J = asm.jacobian(cp, d, eps)
-        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        step = lu.solve(-res)
-        n_d = 2 * asm.Na
+            raise fail(f"Newton did not converge in {problem.max_iter} "
+                       f"iterations (residual {history[-1]:.3e}, "
+                       f"target {target:.3e})")
+        try:
+            step = asm.solve(asm.jacobian(cp, d, eps), -res)
+        except np.linalg.LinAlgError as exc:
+            raise fail(f"singular Newton matrix at step {iterations}",
+                       step=iterations) from exc
         dd = step[:n_d].reshape(asm.aux.basis.xi.n, asm.aux.basis.eta.n, 2)
         dc = step[n_d:].reshape(n1 - 2, n2 - 2, 2)
 
@@ -615,11 +686,7 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
                 break
             scale *= 0.5
         else:
-            problem.map = SplineMap(basis, cp)
-            problem.d = d
-            raise NonconvergenceError(
-                "line search failed to reduce the residual",
-                last_map=problem.map, history=history)
+            raise fail("line search failed to reduce the residual")
         cp, d, res = cp_try, d_try, res_try
         history.append(norm_try)
         iterations += 1

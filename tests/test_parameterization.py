@@ -353,17 +353,34 @@ def test_egg_l_shape_fold_free_after_repair():
     assert det.min() > 0
 
 
+def dense_newton_matrix(asm, band):
+    """The Newton matrix in [d; c_inner] order, expanded from the band
+    storage of the assembly's eta-slow numbering."""
+    n = asm.n_unknowns
+    banded = np.zeros((n, n))
+    for k in range(-asm.kl, asm.ku + 1):   # k = column - row
+        banded += np.diag(band[asm.ku - k, max(k, 0):n + min(k, 0)], k)
+    dense = np.empty_like(banded)
+    dense[np.ix_(asm.order, asm.order)] = banded
+    return dense
+
+
+def perturbed_state(asm, rng):
+    """A perturbed inner net and auxiliary field on the assembly's spaces."""
+    tb, aux = asm.basis, asm.aux.basis
+    cp = identity_map(tb).control_points.copy()
+    cp[1:-1, 1:-1] += rng.normal(0, 0.02, (tb.xi.n - 2, tb.eta.n - 2, 2))
+    d = asm.project_u(cp) + rng.normal(0, 0.01, (aux.xi.n, aux.eta.n, 2))
+    return cp, d
+
+
 def test_egg_gradient_check():
     rng = np.random.default_rng(3)
     m0 = identity_map(EGG_TB)
     prob = build_egg_problem(m0)
     asm = EggAssembly(EGG_TB, prob.aux)
-    cp = m0.control_points.copy()
-    cp[1:-1, 1:-1] += rng.normal(0, 0.02, (EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2))
-    d = asm.project_u(cp) + rng.normal(0, 0.01,
-                                       (prob.aux.basis.xi.n,
-                                        prob.aux.basis.eta.n, 2))
-    J = asm.jacobian(cp, d, prob.epsilon)
+    cp, d = perturbed_state(asm, rng)
+    J = dense_newton_matrix(asm, asm.jacobian(cp, d, prob.epsilon))
     n_d = 2 * asm.Na
     h = 1e-6
     for _ in range(20):
@@ -380,6 +397,44 @@ def test_egg_gradient_check():
         fd = (res_at(h) - res_at(-h)) / (2 * h)
         an = J @ v
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-4
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_band_step_matches_dense_solve(refine):
+    # the refined basis carries the midpoint knots repair_folding inserts
+    tb = EGG_TB
+    if refine:
+        tb = identity_map(tb).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
+    prob = build_egg_problem(identity_map(tb))
+    asm = prob.assembly
+    cp, d = perturbed_state(asm, np.random.default_rng(5))
+    band = asm.jacobian(cp, d, prob.epsilon)
+    rhs = -asm.residual(cp, d, prob.epsilon)
+    want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
+    got = asm.solve(band, rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_half_bandwidths_do_not_grow_with_eta_resolution():
+    widths = set()
+    for eta_elems in (3, 6, 24):
+        tb = TensorBasis(EGG_TB.xi, uniform_knots(3, eta_elems))
+        asm = EggAssembly(tb, build_aux_space(tb))
+        widths.add((asm.kl, asm.ku))
+    assert len(widths) == 1
+
+
+def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
+    def zero_band(self, cp, d, eps):
+        return np.zeros((self.kl + self.ku + 1, self.n_unknowns))
+
+    monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
+    prob = build_egg_problem(transfinite(quarter_annulus_bounds(), QUARTER_TB))
+    with pytest.raises(NonconvergenceError) as err:
+        egg_solve(prob)
+    assert err.value.last_map is not None
+    assert len(err.value.history) == 1
+    assert err.value.details["step"] == 0
 
 
 def test_egg_nonconvergence_error():
