@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FitConvergenceError, FitError, MatchingError
 from .splines import (KnotVector, SplineCurve, basis_matrix,
-                      greville_abscissae, refine_knots)
+                      greville_abscissae)
 
 
 def bounding_box_diagonal(points) -> float:
@@ -52,8 +52,8 @@ class FitResult:
         return float(self.residuals.max())
 
 
-def fit_curve(points, params, kv: KnotVector, lam_reg: float | None = None,
-              pins=None) -> FitResult:
+def fit_curve(points, params, kv: KnotVector,
+              lam_reg: float | None = None) -> FitResult:
     """Stabilized least-squares fit of (points, params) against the basis.
 
     The first and last control points are pinned to the first and last cloud
@@ -61,9 +61,6 @@ def fit_curve(points, params, kv: KnotVector, lam_reg: float | None = None,
     minimize the squared collocation residual plus ``lam_reg`` times a
     second-difference penalty, which keeps the normal system regular even
     when the cloud carries fewer points than the basis has functions.
-
-    ``pins`` may add interior interpolation constraints as (param, point)
-    pairs, enforced exactly through Lagrange multipliers.
     """
     points = np.asarray(points, dtype=float)
     params = np.asarray(params, dtype=float)
@@ -96,27 +93,10 @@ def fit_curve(points, params, kv: KnotVector, lam_reg: float | None = None,
         Dp = D[:, [0, n - 1]] @ pinned[[0, -1]]
         M = Bf.T @ Bf + lam_reg * (Df.T @ Df)
         rhs = Bf.T @ rhs_pts - lam_reg * (Df.T @ Dp)
-        if pins:
-            pin_t = np.array([p[0] for p in pins], dtype=float)
-            pin_p = np.array([p[1] for p in pins], dtype=float)
-            C = basis_matrix(kv, pin_t)
-            dvec = pin_p - C[:, [0, n - 1]] @ pinned[[0, -1]]
-            Cf = C[:, free]
-            k = len(pins)
-            kkt = np.zeros((len(free) + k, len(free) + k))
-            kkt[:len(free), :len(free)] = M
-            kkt[:len(free), len(free):] = Cf.T
-            kkt[len(free):, :len(free)] = Cf
-            rhs_kkt = np.vstack([rhs, dvec])
-            try:
-                sol = np.linalg.solve(kkt, rhs_kkt)[:len(free)]
-            except np.linalg.LinAlgError as exc:
-                raise FitError(f"singular constrained fit: {exc}") from exc
-        else:
-            try:
-                sol = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise FitError(f"singular fitting system: {exc}") from exc
+        try:
+            sol = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular fitting system: {exc}") from exc
         if not np.all(np.isfinite(sol)):
             raise FitError("fitting system numerically singular despite stabilization")
         ctrl = pinned
@@ -140,7 +120,7 @@ def adapt_knots(fit: FitResult, threshold: float) -> KnotVector:
             new.append(0.5 * (a + b))
     if not new:
         return kv
-    return refine_knots(kv, new)
+    return KnotVector(kv.degree, np.sort(np.concatenate([kv.knots, new])))
 
 
 def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,

@@ -1,5 +1,5 @@
-"""Patch parameterization: transfinite interpolation, O-grid validity,
-C-grid cutting, separator boundary assembly and the auxiliary-variable
+"""Patch parameterization: transfinite interpolation, the fold check of
+ruled (C-grid) maps, separator boundary assembly and the auxiliary-variable
 elliptic grid generation (EGG) solve with folding detection and repair.
 
 The EGG solve drives the inner control points of a tensor spline map so
@@ -15,19 +15,20 @@ out once per space pair, and each step is one LAPACK band solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
-                     NonconvergenceError, StructureError, TopologyError)
+from .errors import (BasisMismatchError, FoldingUnrepairedError,
+                     MatchingError, NonconvergenceError, StructureError,
+                     TopologyError)
 from .fitting import fit_curve
-from .splines import (KNOT_TOL, AuxiliarySpace, KnotVector, SplineCurve,
-                      SplineMap, TensorBasis, basis_ders_nonzero,
-                      greville_abscissae, open_knots, unique_knots)
+from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
+                      TensorBasis, basis_ders_nonzero, greville_abscissae,
+                      open_knots, unique_knots)
 
 MAX_HALVINGS = 20   # line-search step halvings per Newton step
 REPAIR_ROUNDS = 3   # knot-insertion rounds of the folding repair
@@ -35,7 +36,7 @@ REPAIR_ROUNDS = 3   # knot-insertion rounds of the folding repair
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """Four boundary curves of a patch; an O-type patch omits one pair.
+    """Four boundary curves of a patch; a ruled patch (C-grid) omits one pair.
 
     gamma_s / gamma_n run in xi (west to east) on eta = 0 / 1;
     gamma_w / gamma_e run in eta (south to north) on xi = 0 / 1.
@@ -51,7 +52,7 @@ class BoundarySet:
         """Corner points p00, p10, p01, p11, validated for consistency."""
         w, e, s, n = self.gamma_w, self.gamma_e, self.gamma_s, self.gamma_n
         if None in (w, e, s, n):
-            raise TopologyError("corners undefined for O-type boundary sets")
+            raise TopologyError("corners undefined for one-pair boundary sets")
         p00 = s.control_points[0]
         p10 = s.control_points[-1]
         p01 = n.control_points[0]
@@ -71,8 +72,6 @@ class BoundarySet:
 @dataclass(frozen=True)
 class PatchParameterization:
     map: SplineMap
-    patch_kind: str  # c_grid_left | c_grid_right | separator
-    theta: float = 0.0
     iterations: int = 0
     residual_history: tuple = ()
 
@@ -92,7 +91,7 @@ def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
     The blending factors are linear, so collocating them at the Greville
     abscissae yields the exact spline representation of the boundary blend;
     boundary control rows reproduce the input curves verbatim.  If one pair
-    of opposite curves is absent (O-type input) the blend degenerates to the
+    of opposite curves is absent (ruled input) the blend degenerates to the
     unidirectional interpolation of the remaining pair.
     """
     w, e, s, n = bounds.gamma_w, bounds.gamma_e, bounds.gamma_s, bounds.gamma_n
@@ -126,53 +125,27 @@ def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
 
 
 # ---------------------------------------------------------------------------
-# O-grid validity and C-grid cutting
+# fold check of ruled maps
 # ---------------------------------------------------------------------------
 
-def _segments_cross(p1, p2, q1, q2):
-    """Vectorized proper-intersection test for segment batches."""
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) \
-            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
+def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
+    """Raise MatchingError unless the ruled map x = (1 - eta) s(t) + eta n(t)
+    between the two curves keeps one Jacobian sign.
 
-
-def o_grid_validity(rotor: SplineCurve, casing: SplineCurve):
-    """Check that the rotor-to-casing connector segments never cross.
-
-    Samples both curves at matched parameters (4x the control-point
-    density) and tests all connector pairs for proper intersection.
-    Diagnostic: returns (valid, crossings) with the offending parameter
-    pairs.
+    det J = (1 - eta) s' x (n - s) + eta n' x (n - s) is linear in eta, so
+    one sign of both terms at the sampled t (4x the control-point count)
+    is one sign of det J along every sampled isoline.  ``details`` go into
+    the error.
     """
-    n_samples = 4 * max(rotor.basis.n, casing.basis.n)
-    t = np.linspace(0.0, 1.0, n_samples)
-    a = rotor(t)
-    b = casing(t)
-    i, j = np.triu_indices(n_samples, k=1)
-    cross = _segments_cross(a[i], b[i], a[j], b[j])
-    crossings = [(float(t[ii]), float(t[jj]))
-                 for ii, jj in zip(i[cross], j[cross])]
-    return len(crossings) == 0, crossings
-
-
-def cut_c_grid(o_grid: PatchParameterization, cusp_params) -> PatchParameterization:
-    """Restrict an O-grid to the retained xi-arc between the cusp parameters
-    and renormalize it to [0, 1] by knot-vector subdivision."""
-    t1, t2 = cusp_params
-    if t1 >= t2:
-        raise DomainError("cusp parameters must be ordered")
-    kv = o_grid.map.basis.xi
-    if not (0.0 <= t1 and t2 <= 1.0):
-        raise DomainError("cusp parameters outside the knot range")
-    if t1 <= KNOT_TOL and t2 >= 1.0 - KNOT_TOL:
-        return o_grid
-    cut = o_grid.map.extract_xi(t1, t2)
-    return replace(o_grid, map=cut)
+    t = np.linspace(0.0, 1.0, 4 * max(south.basis.n, north.basis.n))
+    gap = north(t) - south(t)
+    terms = np.array([d[:, 0] * gap[:, 1] - d[:, 1] * gap[:, 0]
+                      for d in (south.evaluate(t, 1), north.evaluate(t, 1))])
+    bad = np.any(terms * np.sign(terms.sum()) <= 0.0, axis=0)
+    if np.any(bad):
+        raise MatchingError(
+            f"ruled map folds: det J changes sign at {int(bad.sum())} of "
+            f"{len(t)} isolines", params=t[bad][:8].tolist(), **details)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +239,7 @@ def assemble_separator_boundary(left_c: PatchParameterization,
 # auxiliary space
 # ---------------------------------------------------------------------------
 
-def build_aux_space(basis: TensorBasis) -> AuxiliarySpace:
+def build_aux_space(basis: TensorBasis) -> TensorBasis:
     """Degree-elevated auxiliary space over the primal tensor basis.
 
     The xi knot vector keeps the interior knots, raises the end repetitions
@@ -286,7 +259,7 @@ def build_aux_space(basis: TensorBasis) -> AuxiliarySpace:
     new_counts[i_half[0]] += 1
     knots = np.repeat(vals, new_counts)
     aux_xi = KnotVector(p + 1, knots)
-    return AuxiliarySpace(TensorBasis(aux_xi, basis.eta))
+    return TensorBasis(aux_xi, basis.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +299,20 @@ class EggAssembly:
     half-bandwidths depend on the xi width alone, not on the eta length.
     """
 
-    def __init__(self, basis: TensorBasis, aux: AuxiliarySpace,
+    def __init__(self, basis: TensorBasis, aux: TensorBasis,
                  quad_scale: int = 1):
-        if not _same_knots(aux.basis.eta, basis.eta):
+        if not _same_knots(aux.eta, basis.eta):
             raise BasisMismatchError("aux eta basis must match the primal")
-        if np.abs(aux.basis.xi.breakpoints - basis.xi.breakpoints).max() > KNOT_TOL:
+        if np.abs(aux.xi.breakpoints - basis.xi.breakpoints).max() > KNOT_TOL:
             raise BasisMismatchError("aux xi breakpoints must match the primal")
         self.basis = basis
         self.aux = aux
-        n1 = quad_scale * (aux.basis.xi.degree + 1)
+        n1 = quad_scale * (aux.xi.degree + 1)
         n2 = quad_scale * (basis.eta.degree + 1)
         self.cx = _DirCache(basis.xi, n1, 2)
         self.ce = _DirCache(basis.eta, n2, 2)
-        self.ax = _DirCache(aux.basis.xi, n1, 1)
-        self.ae = _DirCache(aux.basis.eta, n2, 1)
+        self.ax = _DirCache(aux.xi, n1, 1)
+        self.ae = _DirCache(aux.eta, n2, 1)
 
         E1, E2 = self.cx.n_elems, self.ce.n_elems
         self.E = E1 * E2
@@ -358,10 +331,10 @@ class EggAssembly:
             return glob.reshape(self.E, l1 * l2)
 
         self.dof_p = dof_table(self.cx, self.ce, basis.eta.n)   # primal
-        self.dof_a = dof_table(self.ax, self.ae, aux.basis.eta.n)
+        self.dof_a = dof_table(self.ax, self.ae, aux.eta.n)
         self.Lp = self.cx.n_local * self.ce.n_local
         self.La = self.ax.n_local * self.ae.n_local
-        self.Na = aux.basis.xi.n * aux.basis.eta.n
+        self.Na = aux.xi.n * aux.eta.n
 
         def tensorize(c1, c2, k1, k2):
             # (E, Q, L) table of products of per-direction derivatives
@@ -416,7 +389,7 @@ class EggAssembly:
         n1p, n2p = self.basis.shape
         n_d = 2 * self.Na
         n = self.n_unknowns = n_d + 2 * self.n_inner
-        n_ax = self.aux.basis.xi.n
+        n_ax = self.aux.xi.n
         ia, ja, ca = np.indices((n_ax, n2p, 2)).reshape(3, -1)
         ic, jc, cc = np.indices((n1p - 2, n2p - 2, 2)).reshape(3, -1)
         width = 2 * n_ax + 2 * (n1p - 2)
@@ -509,7 +482,7 @@ class EggAssembly:
         rhs = self._scatter_a(self.wAt @ xx)
         return np.column_stack([self._mass_solve(rhs[:, 0]),
                                 self._mass_solve(rhs[:, 1])]).reshape(
-            self.aux.basis.xi.n, self.aux.basis.eta.n, 2)
+            self.aux.xi.n, self.aux.eta.n, 2)
 
     # -- residual and Jacobian ----------------------------------------------
 
@@ -595,12 +568,11 @@ class EggProblem:
     """
 
     map: SplineMap
-    aux: AuxiliarySpace
+    aux: TensorBasis
     d: np.ndarray | None = None
     epsilon: float = 0.0
     newton_tol: float = 1e-8
     max_iter: int = 50
-    theta: float = 0.0
     assembly: EggAssembly = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -616,10 +588,10 @@ def default_epsilon(m: SplineMap, asm: EggAssembly) -> float:
 
 
 def build_egg_problem(initial: SplineMap, newton_tol: float = 1e-8,
-                      max_iter: int = 50, theta: float = 0.0) -> EggProblem:
+                      max_iter: int = 50) -> EggProblem:
     aux = build_aux_space(initial.basis)
     return EggProblem(map=initial, aux=aux, newton_tol=newton_tol,
-                      max_iter=max_iter, theta=theta)
+                      max_iter=max_iter)
 
 
 def egg_residual(problem: EggProblem, quad_scale: int = 1) -> np.ndarray:
@@ -672,7 +644,7 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
         except np.linalg.LinAlgError as exc:
             raise fail(f"singular Newton matrix at step {iterations}",
                        step=iterations) from exc
-        dd = step[:n_d].reshape(asm.aux.basis.xi.n, asm.aux.basis.eta.n, 2)
+        dd = step[:n_d].reshape(asm.aux.xi.n, asm.aux.eta.n, 2)
         dc = step[n_d:].reshape(n1 - 2, n2 - 2, 2)
 
         scale = 1.0
@@ -693,8 +665,7 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
 
     problem.map = SplineMap(basis, cp)
     problem.d = d
-    return PatchParameterization(problem.map, "separator",
-                                 problem.theta, iterations=iterations,
+    return PatchParameterization(problem.map, iterations=iterations,
                                  residual_history=tuple(history))
 
 
@@ -734,7 +705,7 @@ def repair_folding(problem: EggProblem, defects,
                    n_samples: int = 50) -> PatchParameterization:
     """Insert midpoint knots in the spans containing folded cells (both
     directions), re-solve, and repeat until fold-free or the round cap."""
-    param = PatchParameterization(problem.map, "separator", problem.theta)
+    param = PatchParameterization(problem.map)
     for _ in range(REPAIR_ROUNDS):
         if not defects:
             return param
@@ -746,8 +717,7 @@ def repair_folding(problem: EggProblem, defects,
             eta_new.update(_spans_hit(problem.map.basis.eta, lo_e, hi_e))
         refined = problem.map.refine(sorted(xi_new), sorted(eta_new))
         problem = build_egg_problem(refined, newton_tol=problem.newton_tol,
-                                    max_iter=problem.max_iter,
-                                    theta=problem.theta)
+                                    max_iter=problem.max_iter)
         param = egg_solve(problem)
         defects = check_folding(param, n_samples)
     if defects:

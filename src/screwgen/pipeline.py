@@ -4,13 +4,15 @@ For one screw geometry this module owns everything between a cross-section
 point cloud and the three patch parameterizations plus the separator
 control map:
 
-* the fixed casing curves (arc-length parameterized, pinned exactly onto
-  the cusp points) and the cusp cut fractions;
-* the rotation-angle-zero rotor/casing matching, reused at every angle
-  through the periodic shift of the grid coordinate;
-* rotor boundary curves at any angle by exact subdivision of the base fit
-  (the material cloud only rotates, so the fit never has to be redone);
-* O-grid validity, C-grid cutting, the gap-arc matching and separator
+* the casing curves, one fit per retained barrel arc with its ends on the
+  cusp points, and the cusp cut fraction;
+* the rotation-angle-zero rotor fit over the casing-aligned grid
+  coordinate (radial projection), reused at every angle through the
+  periodic shift of that coordinate;
+* rotor arcs at any angle by exact subdivision of the base fit (the
+  material cloud only rotates, so the fit never has to be redone);
+* each C-grid as the ruled map between its rotor arc and casing arc,
+  checked for folds in closed form; the gap-arc matching and separator
   boundary assembly, the EGG solve with folding repair, and the
   orthogonality control map.
 """
@@ -30,11 +32,10 @@ from .fitting import (ReparamFunction, bounding_box_diagonal,
                       match_points)
 from .parameterization import (BoundarySet, PatchParameterization,
                                assemble_separator_boundary, build_egg_problem,
-                               check_folding, cut_c_grid, egg_solve,
-                               o_grid_validity, repair_folding,
-                               separator_xi_basis, transfinite)
-from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
-                       rotation)
+                               check_folding, check_ruled_map, egg_solve,
+                               repair_folding, separator_xi_basis, transfinite)
+from .profiles import (CasingArc, CrossSection, ScrewParams, booy_profile,
+                       cusp_points, rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, TensorBasis,
                       extract_wrapped, open_knots, uniform_knots, unique_knots)
 
@@ -90,39 +91,29 @@ class FileSource(GeometrySource):
 # helpers
 # ---------------------------------------------------------------------------
 
+def _interior_counts(a: KnotVector, b: KnotVector):
+    """Distinct interior knot values of a and b together, with the
+    multiplicity of each in a and in b (KNOT_TOL clustering)."""
+    vals = unique_knots(np.sort(np.concatenate([a.knots, b.knots])))[0][1:-1]
+
+    def count(kv):
+        return np.sum(np.abs(kv.knots[None, :] - vals[:, None]) <= KNOT_TOL,
+                      axis=1)
+    return vals, count(a), count(b)
+
+
 def merge_knot_vectors(a: KnotVector, b: KnotVector) -> KnotVector:
     """Union spline space: same degree, interior knots at max multiplicity."""
     if a.degree != b.degree:
         raise TopologyError("cannot merge knot vectors of different degree")
-    va, ca = unique_knots(a.knots)
-    vb, cb = unique_knots(b.knots)
-    vals = {}
-    for v, c in zip(va, ca):
-        vals[round(float(v), 12)] = int(c)
-    for v, c in zip(vb, cb):
-        key = round(float(v), 12)
-        vals[key] = max(vals.get(key, 0), int(c))
-    items = sorted(vals.items())
-    interior = [(v, c) for v, c in items if KNOT_TOL < v < 1 - KNOT_TOL]
-    return open_knots(a.degree,
-                      [v for v, _ in interior],
-                      [c for _, c in interior])
+    vals, ca, cb = _interior_counts(a, b)
+    return open_knots(a.degree, vals, np.maximum(ca, cb))
 
 
 def promote_curve(curve: SplineCurve, target: KnotVector) -> SplineCurve:
     """Re-express a curve in the (finer) target knot vector."""
-    va, ca = unique_knots(curve.basis.knots)
-    vt, ct = unique_knots(target.knots)
-    missing = []
-    for v, c in zip(vt, ct):
-        if KNOT_TOL < v < 1 - KNOT_TOL:
-            have = 0
-            for v0, c0 in zip(va, ca):
-                if abs(v0 - v) <= 1e-12:
-                    have = c0
-                    break
-            missing.extend([v] * max(0, c - have))
-    return curve.refine(missing) if missing else curve
+    vals, have, want = _interior_counts(curve.basis, target)
+    return curve.refine(np.repeat(vals, np.maximum(want - have, 0)))
 
 
 def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
@@ -194,49 +185,44 @@ class PipelineContext:
         self.cusps = cusp_points(p)           # (upper, lower)
         beta = math.atan2(self.cusps[0, 1], 0.5 * p.centerline_distance)
         self.cut_frac = beta / TWO_PI         # q: cusp fraction on each casing
-        self._build_casing_curves()
+        self.casing_arc = {"left": self._fit_casing_arc(sec0.casing_left),
+                           "right": self._fit_casing_arc(sec0.casing_right)}
         self._base_rotor: dict[str, SplineCurve] = {}
         for side in ("left", "right"):
             self._build_base_rotor(side, sec0)
 
     # -- casing -------------------------------------------------------------
 
-    def _casing_circle_points(self, side: str, n: int) -> np.ndarray:
-        ang = self._anchor_angle(side) + TWO_PI * np.arange(n) / n
-        return self._center(side) + self.params.barrel_radius * np.column_stack(
-            [np.cos(ang), np.sin(ang)])
+    def _fit_casing_arc(self, arc: CasingArc) -> SplineCurve:
+        """Arc-length parameterized fit of a retained barrel arc; its ends
+        are the cusps, which the fit interpolates.
 
-    def _build_casing_curves(self):
-        """Arc-length parameterized full-circle casing fits, interpolating
-        the cusp points exactly at the cut fractions."""
+        The knots are those of n uniform spans over the whole grid
+        coordinate g = q + t (1 - 2q) that fall inside the arc, so at angles
+        on that grid they coincide with the rotor arc's knots and the
+        C-grid's union knot vector stays small.
+        """
         q = self.cut_frac
-        self.casing_curve = {}
-        for side in ("left", "right"):
-            pts = self._casing_circle_points(side, 4096)
-            pts = np.vstack([pts, pts[:1]])
-            t = np.linspace(0.0, 1.0, len(pts))
-            top, bot = self.cusps[0], self.cusps[1]
-            pins = [(q, top), (1 - q, bot)] if side == "left" \
-                else [(q, bot), (1 - q, top)]
-            kv = uniform_knots(DEGREE, 8)
-            while True:
-                fit = fit_curve(pts, t, kv, pins=pins)
-                if fit.max_residual <= self.casing_threshold:
-                    break
-                spans = kv.n_elements * 2
-                if spans > 1024:
-                    raise InvalidGeometryError("casing fit failed to converge")
-                kv = uniform_knots(DEGREE, spans)
-            self.casing_curve[side] = fit.curve
+        ang = np.linspace(arc.start_angle, arc.end_angle, 4096)
+        pts = arc.center + arc.radius * np.column_stack([np.cos(ang),
+                                                         np.sin(ang)])
+        t = np.linspace(0.0, 1.0, len(pts))
+        n = 8
+        while True:
+            g = np.arange(1, n) / n
+            g = g[(g > q + KNOT_TOL) & (g < 1.0 - q - KNOT_TOL)]
+            fit = fit_curve(pts, t, open_knots(DEGREE, (g - q) / (1 - 2 * q)))
+            if fit.max_residual <= self.casing_threshold:
+                return fit.curve
+            n *= 2
+            if n > 1024:
+                raise InvalidGeometryError("casing fit failed to converge")
 
     # -- base rotor fit and matching -----------------------------------------
 
     def _center(self, side: str) -> np.ndarray:
         return self.params.left_center if side == "left" \
             else self.params.right_center
-
-    def _anchor_angle(self, side: str) -> float:
-        return 0.0 if side == "left" else math.pi
 
     def _build_base_rotor(self, side: str, sec0: CrossSection):
         """Assign casing-aligned grid fractions to the rotation-angle-zero
@@ -251,7 +237,7 @@ class PipelineContext:
         """
         pts = (sec0.left_rotor if side == "left" else sec0.right_rotor).points
         center = self._center(side)
-        anchor = self._anchor_angle(side)
+        anchor = 0.0 if side == "left" else math.pi
         ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
         fracs = ((ang - anchor) / TWO_PI) % 1.0
         order = np.argsort(fracs)
@@ -277,51 +263,36 @@ class PipelineContext:
 
     # -- per-angle curves -----------------------------------------------------
 
-    def rotor_curve_full(self, side: str, theta: float) -> SplineCurve:
-        """Full-loop rotor boundary at the given angle over the grid
-        coordinate: the base fit, parameter-shifted and rotated."""
+    def _rotor_arc(self, side: str, theta: float, a: float,
+                   b: float) -> SplineCurve:
+        """Rotor boundary at the given angle over the wrapped grid range
+        [a, b]: the base fit, restricted and rotated."""
         s = (theta / TWO_PI) % 1.0
-        base = self._base_rotor[side]
-        if s < 1e-12 or s > 1 - 1e-12:
-            shifted = base
-        else:
-            shifted = extract_wrapped(base, (1.0 - s) % 1.0, (1.0 - s) % 1.0)
-        return rotate_curve(shifted, theta, self._center(side))
+        arc = extract_wrapped(self._base_rotor[side], (a - s) % 1.0,
+                              (b - s) % 1.0)
+        return rotate_curve(arc, theta, self._center(side))
 
     def rotor_arc_gap(self, side: str, theta: float) -> SplineCurve:
         """Rotor boundary over the cut-away (intermeshing) arc, running
         south to north."""
-        s = (theta / TWO_PI) % 1.0
         q = self.cut_frac
-        base = self._base_rotor[side]
-        a = (1.0 - q - s) % 1.0
-        b = (q - s) % 1.0
-        arc = rotate_curve(extract_wrapped(base, a, b), theta,
-                           self._center(side))
+        arc = self._rotor_arc(side, theta, 1.0 - q, q)
         return arc if side == "left" else arc.reversed()
 
     # -- patches ---------------------------------------------------------------
 
     def build_c_grid(self, side: str, theta: float) -> PatchParameterization:
-        """O-grid by unidirectional transfinite interpolation, validity-gated,
-        cut at the cusp fractions."""
-        rotor = self.rotor_curve_full(side, theta)
-        casing = self.casing_curve[side]
+        """Ruled map from the rotor arc (eta = 0) to the casing arc (eta = 1)
+        over the retained grid range [q, 1 - q], fold-checked."""
+        q = self.cut_frac
+        rotor = self._rotor_arc(side, theta, q, 1.0 - q)
+        casing = self.casing_arc[side]
         kv = merge_knot_vectors(rotor.basis, casing.basis)
-        rotor_p = promote_curve(rotor, kv)
-        casing_p = promote_curve(casing, kv)
-        valid, crossings = o_grid_validity(rotor_p, casing_p)
-        if not valid:
-            raise MatchingError(
-                f"{side} O-grid isolines cross at theta={theta:.4f}; the "
-                "rotor reparameterization does not align with the casing",
-                crossings=crossings[:8])
-        eta_kv = KnotVector(1, [0.0, 0.0, 1.0, 1.0])
-        basis = TensorBasis(kv, eta_kv)
-        o_map = transfinite(BoundarySet(gamma_s=rotor_p, gamma_n=casing_p),
-                            basis)
-        o_grid = PatchParameterization(o_map, f"c_grid_{side}", theta)
-        return cut_c_grid(o_grid, (self.cut_frac, 1.0 - self.cut_frac))
+        rotor, casing = promote_curve(rotor, kv), promote_curve(casing, kv)
+        check_ruled_map(rotor, casing, side=side, theta=theta)
+        basis = TensorBasis(kv, KnotVector(1, [0.0, 0.0, 1.0, 1.0]))
+        return PatchParameterization(
+            transfinite(BoundarySet(gamma_s=rotor, gamma_n=casing), basis))
 
     # -- separator ---------------------------------------------------------------
 
@@ -357,7 +328,7 @@ class PipelineContext:
             (self.cusps[0], self.cusps[1]), (gap.f_w, gap.f_e),
             self.xi_basis, eta_kv)
         basis = TensorBasis(self.xi_basis, eta_kv)
-        problem = build_egg_problem(transfinite(bounds, basis), theta=theta)
+        problem = build_egg_problem(transfinite(bounds, basis))
         patch = egg_solve(problem)
         defects = check_folding(patch, FOLD_LATTICE)
         if defects:

@@ -79,10 +79,9 @@ class ScrewParams:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered planar point sequence, optionally with parametric values."""
+    """Ordered planar point sequence."""
 
     points: np.ndarray
-    params: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=float)
@@ -95,7 +94,7 @@ class PointCloud:
     def rotated(self, theta: float, about=None) -> "PointCloud":
         about = np.zeros(2) if about is None else np.asarray(about, dtype=float)
         pts = (self.points - about) @ rotation(theta).T + about
-        return PointCloud(pts, self.params)
+        return PointCloud(pts)
 
 
 @dataclass(frozen=True)
@@ -367,7 +366,7 @@ def blend_to_circle(cloud: PointCloud, center, s: float,
     rel = cloud.points - center
     r = np.linalg.norm(rel, axis=1, keepdims=True)
     circle_pts = center + circle_radius * rel / r
-    return PointCloud((1 - s) * cloud.points + s * circle_pts, cloud.params)
+    return PointCloud((1 - s) * cloud.points + s * circle_pts)
 
 
 def extension_profile(section: CrossSection, s: float,

@@ -253,44 +253,33 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
 # knot insertion
 # ---------------------------------------------------------------------------
 
-def insertion_matrix(kv: KnotVector, new_knots):
-    """Refined knot vector and the matrix A with c_new = A @ c_old.
-
-    Built from repeated single-knot (Boehm) insertions; geometry-preserving.
-    """
+def insert_knots(kv: KnotVector, cp: np.ndarray, new_knots):
+    """Refined knot vector and the control points, along the leading axis of
+    ``cp``, of the same spline: repeated single-knot (Boehm) insertion."""
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size == 0:
-        return kv, np.eye(kv.n)
+        return kv, cp
     if np.any(new_knots <= KNOT_TOL) or np.any(new_knots >= 1.0 - KNOT_TOL):
         raise InvalidRefinementError("new knots must be interior")
     p = kv.degree
-    # multiplicity bound after insertion
-    merged = np.sort(np.concatenate([kv.knots, new_knots]))
-    _, counts = unique_knots(merged)
+    counts = unique_knots(np.sort(np.concatenate([kv.knots, new_knots])))[1]
     if np.any(counts[1:-1] > p):
         raise InvalidRefinementError("insertion would exceed multiplicity bound")
 
-    knots = kv.knots.copy()
-    A = np.eye(kv.n)
+    knots = kv.knots
+    shape = (p,) + (1,) * (cp.ndim - 1)
     for u in new_knots:
-        n = len(knots) - p - 1
-        k = int(find_spans(knots, p, np.array([u]))[0])
-        step = np.zeros((n + 1, n))
-        step[np.arange(k - p + 1), np.arange(k - p + 1)] = 1.0
-        for i in range(k - p + 1, k + 1):
-            denom = knots[i + p] - knots[i]
-            alpha = (u - knots[i]) / denom if denom > 0 else 0.0
-            step[i, i] = alpha
-            step[i, i - 1] = 1.0 - alpha
-        step[np.arange(k + 1, n + 1), np.arange(k, n)] = 1.0
-        A = step @ A
-        knots = np.insert(knots, k + 1, u)
-    return KnotVector(p, knots), A
-
-
-def refine_knots(kv: KnotVector, new_knots) -> KnotVector:
-    """Knot vector with the given interior knots inserted."""
-    return insertion_matrix(kv, new_knots)[0]
+        # span k with knots[k] <= u < knots[k + 1]; control points
+        # k-p+1 .. k become blends of their neighbours
+        k = int(np.searchsorted(knots, u, side="right")) - 1
+        lo = knots[k - p + 1:k + 1]
+        alpha = ((u - lo) / (knots[k + 1:k + p + 1] - lo)).reshape(shape)
+        cp = np.concatenate([cp[:k - p + 1],
+                             alpha * cp[k - p + 1:k + 1]
+                             + (1.0 - alpha) * cp[k - p:k],
+                             cp[k:]])
+        knots = np.concatenate([knots[:k + 1], [u], knots[k + 1:]])
+    return KnotVector(p, knots), cp
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +314,8 @@ class SplineCurve:
         return self.evaluate([float(x)])[0]
 
     def refine(self, new_knots) -> "SplineCurve":
-        kv2, A = insertion_matrix(self.basis, new_knots)
-        return SplineCurve(kv2, A @ self.control_points)
+        return SplineCurve(*insert_knots(self.basis, self.control_points,
+                                         new_knots))
 
     def reversed(self) -> "SplineCurve":
         knots = 1.0 - self.basis.knots[::-1]
@@ -334,41 +323,32 @@ class SplineCurve:
                            self.control_points[::-1])
 
     def extract(self, a: float, b: float) -> "SplineCurve":
-        """Restriction to [a, b], reparameterized affinely to [0, 1]."""
-        kv2, A, lo, hi = _extraction(self.basis, a, b)
-        return SplineCurve(kv2, (A @ self.control_points)[lo:hi])
+        """Restriction to [a, b], reparameterized affinely to [0, 1].
 
-
-def _extraction(kv: KnotVector, a: float, b: float):
-    """Split data for restricting a spline to [a, b] (see SplineCurve.extract).
-
-    Inserts a and b to multiplicity p, after which the restriction is a
-    contiguous control-point slice [lo:hi] on a clamped sub knot vector.
-    """
-    if not (-KNOT_TOL <= a < b <= 1.0 + KNOT_TOL):
-        raise DomainError(f"invalid extraction range ({a}, {b})")
-    p = kv.degree
-    work = kv
-    A = np.eye(kv.n)
-    for u in (a, b):
-        if KNOT_TOL < u < 1.0 - KNOT_TOL:
-            add = p - work.multiplicity(u)
-            if add > 0:
-                work, step = insertion_matrix(work, np.full(add, u))
-                A = step @ A
-    knots = work.knots
-    if a <= KNOT_TOL:
-        lo = 0
-    else:
-        lo = int(np.argmax(np.abs(knots - a) <= KNOT_TOL)) - 1
-    if b >= 1.0 - KNOT_TOL:
-        hi = work.n
-    else:
-        hi = int(np.argmax(np.abs(knots - b) <= KNOT_TOL))
-    mid = knots[(knots > a + KNOT_TOL) & (knots < b - KNOT_TOL)]
-    sub = np.concatenate([np.full(p + 1, a), mid, np.full(p + 1, b)])
-    sub = np.clip((sub - a) / (b - a), 0.0, 1.0)
-    return KnotVector(p, sub), A, lo, hi
+        Inserts a and b to multiplicity p, after which the restriction is a
+        contiguous control-point slice [lo:hi] on a clamped sub knot vector.
+        """
+        if not (-KNOT_TOL <= a < b <= 1.0 + KNOT_TOL):
+            raise DomainError(f"invalid extraction range ({a}, {b})")
+        p = self.basis.degree
+        work, cp = self.basis, self.control_points
+        for u in (a, b):
+            if KNOT_TOL < u < 1.0 - KNOT_TOL:
+                work, cp = insert_knots(work, cp,
+                                        np.full(p - work.multiplicity(u), u))
+        knots = work.knots
+        if a <= KNOT_TOL:
+            lo = 0
+        else:
+            lo = int(np.argmax(np.abs(knots - a) <= KNOT_TOL)) - 1
+        if b >= 1.0 - KNOT_TOL:
+            hi = work.n
+        else:
+            hi = int(np.argmax(np.abs(knots - b) <= KNOT_TOL))
+        mid = knots[(knots > a + KNOT_TOL) & (knots < b - KNOT_TOL)]
+        sub = np.concatenate([np.full(p + 1, a), mid, np.full(p + 1, b)])
+        sub = np.clip((sub - a) / (b - a), 0.0, 1.0)
+        return SplineCurve(KnotVector(p, sub), cp[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +368,6 @@ class TensorBasis:
 
     def greville_grid(self):
         return greville_abscissae(self.xi), greville_abscissae(self.eta)
-
-
-@dataclass(frozen=True)
-class AuxiliarySpace:
-    """Elevated-degree auxiliary tensor space with the 0.5 macro split.
-
-    The xi part has degree p1+1, (p1+2)-fold end knots and a (p1+1)-fold
-    repetition at 0.5; the eta part is copied from the primal space.
-    """
-
-    basis: TensorBasis
 
 
 @dataclass(frozen=True)
@@ -459,21 +428,10 @@ class SplineMap:
     # -- structure ----------------------------------------------------------
 
     def refine(self, xi_knots=(), eta_knots=()) -> "SplineMap":
-        cp = self.control_points
-        kvx, kve = self.basis.xi, self.basis.eta
-        if len(xi_knots):
-            kvx, A = insertion_matrix(kvx, xi_knots)
-            cp = np.tensordot(A, cp, axes=(1, 0))
-        if len(eta_knots):
-            kve, A = insertion_matrix(kve, eta_knots)
-            cp = np.tensordot(A, cp, axes=(1, 1)).transpose(1, 0, 2)
-        return SplineMap(TensorBasis(kvx, kve), cp)
-
-    def extract_xi(self, a: float, b: float) -> "SplineMap":
-        """Restriction to xi in [a, b], renormalized to [0, 1]."""
-        kv2, A, lo, hi = _extraction(self.basis.xi, a, b)
-        cp = np.tensordot(A, self.control_points, axes=(1, 0))[lo:hi]
-        return SplineMap(TensorBasis(kv2, self.basis.eta), cp)
+        kvx, cp = insert_knots(self.basis.xi, self.control_points, xi_knots)
+        kve, cp = insert_knots(self.basis.eta, cp.transpose(1, 0, 2),
+                               eta_knots)
+        return SplineMap(TensorBasis(kvx, kve), cp.transpose(1, 0, 2))
 
 
 def join_curves(first: SplineCurve, second: SplineCurve, split: float) -> SplineCurve:
@@ -500,8 +458,13 @@ def extract_wrapped(curve: SplineCurve, a: float, b: float) -> SplineCurve:
     (or plainly [a, b] when a < b), renormalized to [0, 1].
 
     The curve's 0/1 endpoints must coincide (closed loop with a C0 seam);
-    the wrapped result keeps that seam as an interior degree-fold knot.
+    the wrapped result keeps that seam as an interior degree-fold knot.  A
+    range that starts or ends on the seam is a plain extraction.
     """
+    if a >= 1.0 - KNOT_TOL:
+        a = 0.0
+    if b <= KNOT_TOL:
+        b = 1.0
     if a < b:
         return curve.extract(a, b)
     first = curve.extract(a, 1.0)

@@ -3,23 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from screwgen.errors import (BasisMismatchError, DomainError,
+from screwgen.errors import (BasisMismatchError, MatchingError,
                              NonconvergenceError, StructureError)
 from screwgen.fitting import ReparamFunction, fit_curve
 from screwgen.parameterization import (
     BoundarySet,
     EggAssembly,
     EggProblem,
-    PatchParameterization,
     build_aux_space,
     build_egg_problem,
     check_folding,
+    check_ruled_map,
     collocate_kinked_segments,
-    cut_c_grid,
     egg_residual,
     egg_solve,
     folded_cells,
-    o_grid_validity,
     repair_folding,
     separator_xi_basis,
     transfinite,
@@ -117,7 +115,7 @@ def test_transfinite_basis_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# o_grid_validity
+# check_ruled_map
 # ---------------------------------------------------------------------------
 
 def concentric_pair(twist=0.0):
@@ -132,79 +130,39 @@ def concentric_pair(twist=0.0):
     return rotor, casing
 
 
+def ruled_map_folds(rotor, casing):
+    try:
+        check_ruled_map(rotor, casing)
+    except MatchingError as exc:
+        return exc.details["params"]
+    return []
+
+
 def test_o_grid_valid_concentric():
     rotor, casing = concentric_pair()
-    valid, crossings = o_grid_validity(rotor, casing)
-    assert valid and crossings == []
+    assert ruled_map_folds(rotor, casing) == []
 
 
 def test_o_grid_twisted_invalid():
     rotor, casing = concentric_pair(twist=0.3)
-    valid, crossings = o_grid_validity(rotor, casing)
-    assert not valid and len(crossings) > 0
+    with pytest.raises(MatchingError) as info:
+        check_ruled_map(rotor, casing, side="left")
+    assert info.value.details["side"] == "left"
+    assert len(info.value.details["params"]) > 0
 
 
 def test_o_grid_validity_rotation_invariant():
-    rotor, casing = concentric_pair(twist=0.02)
     c, s = math.cos(1.1), math.sin(1.1)
     R = np.array([[c, -s], [s, c]])
-    rot_r = SplineCurve(rotor.basis, rotor.control_points @ R.T)
-    rot_c = SplineCurve(casing.basis, casing.control_points @ R.T)
-    assert o_grid_validity(rotor, casing)[0] == o_grid_validity(rot_r, rot_c)[0]
-
-
-# ---------------------------------------------------------------------------
-# cut_c_grid
-# ---------------------------------------------------------------------------
-
-def annulus_o_grid():
-    tb = TensorBasis(uniform_knots(3, 16), uniform_knots(2, 2))
-    t = np.linspace(0, 1, 600)
-    circ = np.column_stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
-    inner = fit_curve(1.0 * circ, t, tb.xi, lam_reg=1e-14).curve
-    outer = fit_curve(2.0 * circ, t, tb.xi, lam_reg=1e-14).curve
-    m = transfinite(BoundarySet(gamma_s=inner, gamma_n=outer), tb)
-    return PatchParameterization(m, "c_grid_left")
-
-
-def quad_area(m, n=200):
-    """Area by midpoint quadrature of |det J|."""
-    t = (np.arange(n) + 0.5) / n
-    xu = m.evaluate_grid(t, t, 1, 0)
-    xv = m.evaluate_grid(t, t, 0, 1)
-    det = xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0]
-    return np.abs(det).sum() / (n * n)
-
-
-def test_cut_half_annulus_area():
-    o = annulus_o_grid()
-    full = quad_area(o.map)
-    cut = cut_c_grid(o, (0.25, 0.75))
-    assert abs(quad_area(cut.map) - full / 2) < 1e-6 * full
-
-
-def test_cut_identity():
-    o = annulus_o_grid()
-    cut = cut_c_grid(o, (0.0, 1.0))
-    assert cut.map is o.map
-
-
-def test_cut_boundary_matches_original():
-    o = annulus_o_grid()
-    cut = cut_c_grid(o, (0.3, 0.8))
-    etas = np.linspace(0, 1, 7)
-    for t_cut, t_orig in ((0.0, 0.3), (1.0, 0.8)):
-        a = cut.map.evaluate(np.full(7, t_cut), etas)
-        b = o.map.evaluate(np.full(7, t_orig), etas)
-        assert np.abs(a - b).max() < 1e-12
-
-
-def test_cut_bad_params():
-    o = annulus_o_grid()
-    with pytest.raises(DomainError):
-        cut_c_grid(o, (0.8, 0.3))
-    with pytest.raises(DomainError):
-        cut_c_grid(o, (-0.1, 0.5))
+    outcomes = []
+    for twist in (0.02, 0.3):
+        rotor, casing = concentric_pair(twist)
+        rot_r = SplineCurve(rotor.basis, rotor.control_points @ R.T)
+        rot_c = SplineCurve(casing.basis, casing.control_points @ R.T)
+        folded = bool(ruled_map_folds(rotor, casing))
+        assert folded == bool(ruled_map_folds(rot_r, rot_c))
+        outcomes.append(folded)
+    assert outcomes == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +172,21 @@ def test_cut_bad_params():
 def test_aux_space_bicubic_degree():
     tb = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
     aux = build_aux_space(tb)
-    assert aux.basis.xi.degree == 4
-    assert aux.basis.eta is tb.eta
+    assert aux.xi.degree == 4
+    assert aux.eta is tb.eta
 
 
 def test_aux_space_knot_structure():
     tb = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
     aux = build_aux_space(tb)
-    vals, counts = unique_knots(aux.basis.xi.knots)
+    vals, counts = unique_knots(aux.xi.knots)
     pvals, pcounts = unique_knots(tb.xi.knots)
     assert np.allclose(vals, pvals)  # interior knots preserved verbatim
     assert counts[0] == 5 and counts[-1] == 5  # p1 + 2
     i_half = np.argmin(np.abs(vals - 0.5))
     assert counts[i_half] == 4  # p1 + 1
     # dimension from the knot count: n = len(knots) - degree - 1
-    assert aux.basis.xi.n == len(aux.basis.xi.knots) - 4 - 1
+    assert aux.xi.n == len(aux.xi.knots) - 4 - 1
 
 
 def test_aux_space_requires_macro_split():
@@ -367,7 +325,7 @@ def dense_newton_matrix(asm, band):
 
 def perturbed_state(asm, rng):
     """A perturbed inner net and auxiliary field on the assembly's spaces."""
-    tb, aux = asm.basis, asm.aux.basis
+    tb, aux = asm.basis, asm.aux
     cp = identity_map(tb).control_points.copy()
     cp[1:-1, 1:-1] += rng.normal(0, 0.02, (tb.xi.n - 2, tb.eta.n - 2, 2))
     d = asm.project_u(cp) + rng.normal(0, 0.01, (aux.xi.n, aux.eta.n, 2))
@@ -386,7 +344,7 @@ def test_egg_gradient_check():
     for _ in range(20):
         v = rng.normal(0, 1, J.shape[0])
         v /= np.linalg.norm(v)
-        dd = v[:n_d].reshape(prob.aux.basis.xi.n, prob.aux.basis.eta.n, 2)
+        dd = v[:n_d].reshape(prob.aux.xi.n, prob.aux.eta.n, 2)
         dc = v[n_d:].reshape(EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2)
 
         def res_at(s):

@@ -8,7 +8,8 @@ from screwgen.errors import TopologyError
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
-from screwgen.profiles import ScrewParams, booy_profile, load_profile, save_profile
+from screwgen.profiles import (ScrewParams, booy_profile, load_profile,
+                               rotation, save_profile)
 from screwgen.splines import SplineCurve, open_knots, unique_knots
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
@@ -55,6 +56,45 @@ def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path):
             assert np.abs(got.basis.xi.knots - want.basis.xi.knots).max() < 1e-12
             assert np.abs(got.control_points
                           - want.control_points).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("theta", [0.0, 3 * math.pi / 8])
+def test_c_grid_is_the_ruled_map_between_rotor_and_casing_arcs(booy_context,
+                                                               theta):
+    ctx = booy_context
+    q, s = ctx.cut_frac, theta / (2 * math.pi)
+    t = np.linspace(0.0, 1.0, 501)
+    scale = TABLE2.barrel_radius
+    for side, (cusp0, cusp1) in (("left", ctx.cusps), ("right", ctx.cusps[::-1])):
+        c_grid = ctx.build_c_grid(side, theta).map
+        center = TABLE2.left_center if side == "left" else TABLE2.right_center
+        g = (q + t * (1 - 2 * q) - s) % 1.0
+        rotor = (ctx._base_rotor[side](g) - center) @ rotation(theta).T + center
+        casing = ctx.casing_arc[side](t)
+        for eta in (0.0, 0.5, 1.0):
+            got = c_grid.evaluate(t, np.full_like(t, eta))
+            want = (1 - eta) * rotor + eta * casing
+            assert np.abs(got - want).max() < 1e-12 * scale
+        assert np.abs(c_grid.point(0.0, 1.0) - cusp0).max() < 1e-12 * scale
+        assert np.abs(c_grid.point(1.0, 1.0) - cusp1).max() < 1e-12 * scale
+
+
+def test_arcs_ending_on_the_rotor_seam(booy_context):
+    """At theta = 2 pi q the gap arcs end on the base rotor's seam, at
+    2 pi (1 - q) the C-grid rotor arcs do; the arcs still meet at the cut
+    edges."""
+    ctx = booy_context
+    scale = TABLE2.barrel_radius
+    for theta in (2 * math.pi * ctx.cut_frac,
+                  2 * math.pi * (1 - ctx.cut_frac)):
+        gap = ctx.separator_reparams(theta)
+        left = ctx.build_c_grid("left", theta).map.control_points
+        right = ctx.build_c_grid("right", theta).map.control_points
+        for got, want in ((left[0, 0], gap.west.point(1.0)),
+                          (left[-1, 0], gap.west.point(0.0)),
+                          (right[0, 0], gap.east.point(0.0)),
+                          (right[-1, 0], gap.east.point(1.0))):
+            assert np.abs(got - want).max() < 1e-12 * scale
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -12,9 +12,8 @@ from screwgen.splines import (
     eval_basis,
     eval_basis_derivatives,
     greville_abscissae,
-    insertion_matrix,
+    insert_knots,
     open_knots,
-    refine_knots,
     uniform_knots,
 )
 
@@ -274,7 +273,7 @@ def test_jacobian_against_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# refine_knots
+# insert_knots
 # ---------------------------------------------------------------------------
 
 def test_p1_segment_midpoint_insertion():
@@ -285,9 +284,10 @@ def test_p1_segment_midpoint_insertion():
 
 
 def test_empty_insertion_is_identity():
-    kv2, A = insertion_matrix(FIG2_KV, [])
+    cp = np.random.default_rng(5).uniform(-1, 1, (FIG2_KV.n, 2))
+    kv2, cp2 = insert_knots(FIG2_KV, cp, [])
     assert kv2 is FIG2_KV
-    assert np.allclose(A, np.eye(FIG2_KV.n))
+    assert cp2 is cp
 
 
 def test_insertion_preserves_geometry():
@@ -300,10 +300,11 @@ def test_insertion_preserves_geometry():
 
 def test_insertion_multiplicity_overflow():
     kv = open_knots(2, [0.5], [2])
+    cp = np.zeros((kv.n, 2))
     with pytest.raises(InvalidRefinementError):
-        refine_knots(kv, [0.5])
+        insert_knots(kv, cp, [0.5])
     with pytest.raises(InvalidRefinementError):
-        refine_knots(kv, [0.0])
+        insert_knots(kv, cp, [0.0])
 
 
 def test_map_refinement_preserves_geometry():
