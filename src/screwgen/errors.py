@@ -56,7 +56,10 @@ class FitConvergenceError(ScrewgenError):
 
 
 class MatchingError(ScrewgenError):
-    """Point-cloud matching failed (orientation mismatch)."""
+    """Two boundaries cannot bound a fold-free patch: the point-cloud
+    matching failed (orientation mismatch), a ruled map between two curves
+    folds, or a boundary curve reverses direction about its center
+    (backtracking), which no interior map can repair."""
 
     code = "matching"
 
@@ -80,7 +83,9 @@ class StructureError(ScrewgenError):
 
 
 class NonconvergenceError(ScrewgenError):
-    """Newton iteration exhausted max_iter.
+    """Newton iteration stopped short of its tolerance: it exhausted
+    max_iter, its line search failed to reduce the residual, or a Newton
+    matrix was singular.
 
     Carries the last iterate (``last_map``) and the residual norm history
     (``history``).

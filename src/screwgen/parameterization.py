@@ -1,6 +1,12 @@
 """Patch parameterization: transfinite interpolation, the fold check of
-ruled (C-grid) maps, separator boundary assembly and the auxiliary-variable
+ruled (C-grid) maps, separator boundary assembly, the regularity
+certificate of star-shaped boundary curves and the auxiliary-variable
 elliptic grid generation (EGG) solve with folding detection and repair.
+
+The certificate bounds the polar angular speed of a boundary curve about
+its rotor axis by the Bernstein coefficients of its knot-span polynomials,
+with de Casteljau subdivision where they are inconclusive: a boundary that
+backtracks admits no fold-free interior map, so it is rejected before EGG.
 
 The EGG solve drives the inner control points of a tensor spline map so
 that the inverse map components become harmonic.  The second xi-derivatives
@@ -16,6 +22,7 @@ out once per space pair, and each step is one LAPACK band solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +35,7 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError,
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, greville_abscissae,
-                      open_knots, unique_knots)
+                      insert_knots, open_knots, unique_knots)
 
 MAX_HALVINGS = 20   # line-search step halvings per Newton step
 REPAIR_ROUNDS = 3   # knot-insertion rounds of the folding repair
@@ -146,6 +153,105 @@ def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
         raise MatchingError(
             f"ruled map folds: det J changes sign at {int(bad.sum())} of "
             f"{len(t)} isolines", params=t[bad][:8].tolist(), **details)
+
+
+# ---------------------------------------------------------------------------
+# regularity certificate of star-shaped boundary curves
+# ---------------------------------------------------------------------------
+
+def _angular_speed_bernstein(curve: SplineCurve, center):
+    """Knot spans (lo, hi) of the curve and the Bernstein coefficients
+    (spans, 2p) of w = (gamma - c) x gamma' on each of them.
+
+    Bezier extraction (every interior knot raised to multiplicity p) gives
+    the span polynomials exactly; w is their product with the hodograph,
+    of degree 2p - 1, whose Bernstein coefficients are sums of pairwise
+    products.  The first and last coefficient of a span are the exact values
+    of w at its ends.
+    """
+    kv = curve.basis
+    p = kv.degree
+    vals, counts = unique_knots(kv.knots)
+    _, cp = insert_knots(kv, curve.control_points,
+                         np.repeat(vals[1:-1], p - counts[1:-1]))
+    lo, hi = vals[:-1], vals[1:]
+    segs = cp[p * np.arange(len(lo))[:, None] + np.arange(p + 1)]
+    rel = segs - np.asarray(center, dtype=float)
+    hodo = p * np.diff(segs, axis=1) / (hi - lo)[:, None, None]
+    cross = (rel[:, :, None, 0] * hodo[:, None, :, 1]
+             - rel[:, :, None, 1] * hodo[:, None, :, 0])   # (spans, p+1, p)
+    weight = np.zeros((p + 1, p, 2 * p))
+    for i in range(p + 1):
+        for j in range(p):
+            weight[i, j, i + j] = comb(p, i) * comb(p - 1, j) \
+                / comb(2 * p - 1, i + j)
+    return lo, hi, np.einsum("sij,ijl->sl", cross, weight)
+
+
+def _halve(coeffs):
+    """de Casteljau split at the midpoint of each row of Bernstein
+    coefficients: (left halves, right halves)."""
+    left, right = [coeffs[:, 0]], [coeffs[:, -1]]
+    work = coeffs
+    for _ in range(coeffs.shape[1] - 1):
+        work = 0.5 * (work[:, :-1] + work[:, 1:])
+        left.append(work[:, 0])
+        right.append(work[:, -1])
+    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+
+
+def _merged(lo, hi) -> list:
+    """Union of the intervals [lo, hi] as sorted disjoint (lo, hi) pairs."""
+    order = np.argsort(lo)
+    out = []
+    for a, b in zip(lo[order].tolist(), hi[order].tolist()):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+def check_boundary_regular(curve: SplineCurve, center, **details):
+    """Raise MatchingError unless the curve never backtracks about center.
+
+    For a curve star-shaped about ``center`` (a rotor arc about its axis)
+    backtracking is a sign change of the polar angular speed
+    w = (gamma - c) x gamma'.  The orientation is the sign of its integral,
+    the signed area the radius sweeps.  On each knot span w is a polynomial
+    in Bernstein form (``_angular_speed_bernstein``); a span whose
+    coefficients all carry the orientation's sign is certified, a span end
+    with the wrong sign (or w = 0) is a reversal, and any other span is
+    halved by de Casteljau until one or the other holds.  A span narrower
+    than KNOT_TOL that is still open cannot be certified.  ``details`` go
+    into the error, with the offending eta intervals and the least value of
+    w times the orientation sign at their ends.
+    """
+    lo, hi, coeffs = _angular_speed_bernstein(curve, center)
+    # a curve that sweeps no net area gets sign 0 and fails on every span
+    coeffs = coeffs * np.sign(np.sum((hi - lo) * coeffs.sum(axis=1)))
+    while True:
+        ends = np.minimum(coeffs[:, 0], coeffs[:, -1])
+        if np.any(ends <= 0.0):
+            spans = _merged(lo[ends <= 0.0], hi[ends <= 0.0])
+            raise MatchingError(
+                f"boundary backtracks about its center on eta "
+                f"{', '.join(f'[{a:.6g}, {b:.6g}]' for a, b in spans)}",
+                intervals=spans, min_w=float(ends.min()), **details)
+        open_ = np.any(coeffs <= 0.0, axis=1)
+        if not np.any(open_):
+            return
+        lo, hi, coeffs = lo[open_], hi[open_], coeffs[open_]
+        if np.any(hi - lo < KNOT_TOL):
+            narrow = hi - lo < KNOT_TOL
+            raise MatchingError(
+                "boundary regularity not certified: the angular speed "
+                "touches zero", intervals=_merged(lo[narrow], hi[narrow]),
+                min_w=float(ends.min()), **details)
+        mid = 0.5 * (lo + hi)
+        left, right = _halve(coeffs)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        coeffs = np.concatenate([left, right])
 
 
 # ---------------------------------------------------------------------------

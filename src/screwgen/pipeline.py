@@ -12,9 +12,12 @@ control map:
 * rotor arcs at any angle by exact subdivision of the base fit (the
   material cloud only rotates, so the fit never has to be redone);
 * each C-grid as the ruled map between its rotor arc and casing arc,
-  checked for folds in closed form; the gap-arc matching and separator
-  boundary assembly, the EGG solve with folding repair, and the
-  orthogonality control map.
+  checked for folds in closed form;
+* the gap-arc matching and separator boundary assembly, then the
+  regularity certificate of the separator's west/east boundaries, which
+  rejects a backtracking boundary with ``MatchingError`` before any EGG
+  work;
+* the EGG solve with folding repair, and the orthogonality control map.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .fitting import (ReparamFunction, bounding_box_diagonal,
                       match_points)
 from .parameterization import (BoundarySet, PatchParameterization,
                                assemble_separator_boundary, build_egg_problem,
-                               check_folding, check_ruled_map, egg_solve,
-                               repair_folding, separator_xi_basis, transfinite)
+                               check_boundary_regular, check_folding,
+                               check_ruled_map, egg_solve, repair_folding,
+                               separator_xi_basis, transfinite)
 from .profiles import (CasingArc, CrossSection, ScrewParams, booy_profile,
                        cusp_points, rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, TensorBasis,
@@ -327,6 +331,12 @@ class PipelineContext:
             left_c, right_c, (gap.west, gap.east),
             (self.cusps[0], self.cusps[1]), (gap.f_w, gap.f_e),
             self.xi_basis, eta_kv)
+        # a backtracking west/east boundary admits no fold-free interior
+        # map, so it is rejected before any EGG work
+        check_boundary_regular(bounds.gamma_w, self.params.left_center,
+                               side="west", theta=theta)
+        check_boundary_regular(bounds.gamma_e, self.params.right_center,
+                               side="east", theta=theta)
         basis = TensorBasis(self.xi_basis, eta_kv)
         problem = build_egg_problem(transfinite(bounds, basis))
         patch = egg_solve(problem)

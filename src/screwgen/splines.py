@@ -102,16 +102,13 @@ def open_knots(degree: int, interior, multiplicities=None) -> KnotVector:
 
 
 def unique_knots(knots: np.ndarray):
-    """Distinct knot values and multiplicities, with KNOT_TOL clustering."""
-    vals = []
-    counts = []
-    for t in knots:
-        if vals and abs(t - vals[-1]) <= KNOT_TOL:
-            counts[-1] += 1
-        else:
-            vals.append(float(t))
-            counts.append(1)
-    return np.array(vals), np.array(counts, dtype=int)
+    """Distinct knot values and multiplicities of a sorted knot sequence: a
+    new value starts wherever a knot lies more than KNOT_TOL above the one
+    before it, and each value is the first knot of its run."""
+    knots = np.asarray(knots, dtype=float)
+    starts = np.flatnonzero(np.diff(knots) > KNOT_TOL) + 1
+    bounds = np.concatenate([[0], starts, [len(knots)]])
+    return knots[bounds[:-1]], np.diff(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +219,6 @@ def _check_param(x, name="parameter"):
     if np.any(x < -KNOT_TOL) or np.any(x > 1.0 + KNOT_TOL):
         raise DomainError(f"{name} outside [0, 1]")
     return np.clip(x, 0.0, 1.0)
-
-
-def eval_basis(kv: KnotVector, xi: float) -> np.ndarray:
-    """All n basis values at a single parameter, per the Cox-de-Boor recursion
-    (nonnegative partition of unity)."""
-    xi = _check_param(xi)
-    return basis_matrix(kv, [float(xi)])[0]
-
-
-def eval_basis_derivatives(kv: KnotVector, xi: float, order: int) -> np.ndarray:
-    """All n basis derivative values of the given order (1 or 2) at ``xi``.
-
-    Orders above the degree return zeros without raising.
-    """
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    xi = _check_param(xi)
-    return basis_matrix(kv, [float(xi)], der=order)[0]
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:

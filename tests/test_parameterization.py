@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from screwgen import parameterization
 from screwgen.errors import (BasisMismatchError, MatchingError,
                              NonconvergenceError, StructureError)
 from screwgen.fitting import ReparamFunction, fit_curve
@@ -12,6 +13,7 @@ from screwgen.parameterization import (
     EggProblem,
     build_aux_space,
     build_egg_problem,
+    check_boundary_regular,
     check_folding,
     check_ruled_map,
     collocate_kinked_segments,
@@ -163,6 +165,104 @@ def test_o_grid_validity_rotation_invariant():
         assert folded == bool(ruled_map_folds(rot_r, rot_c))
         outcomes.append(folded)
     assert outcomes == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# check_boundary_regular
+# ---------------------------------------------------------------------------
+
+def circular_arc(n_spans=6, half_angle=0.6):
+    t = np.linspace(0.0, 1.0, 400)
+    ang = half_angle * (2 * t - 1)
+    return fit_curve(np.column_stack([np.cos(ang), np.sin(ang)]), t,
+                     uniform_knots(3, n_spans)).curve
+
+
+def angular_speed_samples(curve, center, n=20001):
+    t = np.linspace(0.0, 1.0, n)
+    rel, d = curve(t) - center, curve.evaluate(t, 1)
+    return t, rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
+
+
+def regular_by_samples(curve, center):
+    _, w = angular_speed_samples(curve, center)
+    return bool(np.all(w > 0) or np.all(w < 0))
+
+
+def certified(curve, center):
+    try:
+        check_boundary_regular(curve, center)
+    except MatchingError:
+        return False
+    return True
+
+
+@pytest.fixture
+def halvings(monkeypatch):
+    """Counts the de Casteljau subdivision rounds of the certificate."""
+    calls = []
+    original = parameterization._halve
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(parameterization, "_halve", counted)
+    return calls
+
+
+def test_circular_arc_is_certified_without_subdivision(halvings):
+    arc = circular_arc()
+    check_boundary_regular(arc, [0.0, 0.0])
+    check_boundary_regular(arc.reversed(), [0.0, 0.0])
+    assert halvings == []
+
+
+def test_small_reversal_raises_naming_its_span():
+    # the straight line x = 1 runs north about the origin; pulling one
+    # control point back makes it retreat inside the knot span [3/8, 1/2]
+    kv = uniform_knots(3, 8)
+    g = greville_abscissae(kv)
+    cp = np.column_stack([np.ones_like(g), 2 * g - 1])
+    cp[5, 1] -= 0.42
+    curve = SplineCurve(kv, cp)
+    t, w = angular_speed_samples(curve, [0.0, 0.0])
+    assert w.min() < 0
+    with pytest.raises(MatchingError) as info:
+        check_boundary_regular(curve, [0.0, 0.0], side="west", theta=0.5)
+    details = info.value.details
+    assert details["intervals"] == [(0.375, 0.5)]
+    assert 0.375 < t[w < 0].min() and t[w < 0].max() < 0.5
+    assert details["min_w"] < 0
+    assert details["side"] == "west" and details["theta"] == 0.5
+
+
+def test_positive_speed_with_negative_bernstein_coefficient_is_certified(
+        halvings):
+    # y' = 3 (1.9 B0 - 5.4 B1 + 1.9 B2) has its minimum 0.15 at 1/2, but
+    # its degree-5 Bernstein coefficients are not all positive
+    curve = SplineCurve(uniform_knots(3, 1),
+                        [[1.0, -1.0], [1.0, 0.9], [1.0, -0.9], [1.0, 1.0]])
+    lo, hi, coeffs = parameterization._angular_speed_bernstein(curve,
+                                                               [0.0, 0.0])
+    assert coeffs.min() < 0
+    assert regular_by_samples(curve, [0.0, 0.0])
+    check_boundary_regular(curve, [0.0, 0.0])
+    assert halvings
+
+
+def test_certificate_agrees_with_dense_samples():
+    arc = circular_arc()
+    verdicts = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        curve = SplineCurve(arc.basis, arc.control_points
+                            + 0.05 * rng.normal(size=arc.control_points.shape))
+        center = 0.05 * rng.normal(size=2)
+        verdict = certified(curve, center)
+        assert verdict == regular_by_samples(curve, center), seed
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------

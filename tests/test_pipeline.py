@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from screwgen import parameterization, pipeline
 from screwgen.control_map import check_composite_folding
-from screwgen.errors import TopologyError
+from screwgen.errors import MatchingError, TopologyError
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
@@ -14,11 +15,14 @@ from screwgen.splines import SplineCurve, open_knots, unique_knots
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
+TABLE8 = ScrewParams(screw_radius=0.156, centerline_distance=0.262,
+                     screw_screw_clearance=0.004, screw_barrel_clearance=0.004,
+                     pitch_length=0.28)
 N_POINTS = 1024
 
 
-def fit_threshold(factor):
-    sec0 = booy_profile(TABLE2, 0.0, N_POINTS)
+def fit_threshold(factor, params=TABLE2):
+    sec0 = booy_profile(params, 0.0, N_POINTS)
     return factor * bounding_box_diagonal(
         np.vstack([sec0.left_rotor.points, sec0.right_rotor.points]))
 
@@ -27,6 +31,32 @@ def fit_threshold(factor):
 def booy_context():
     return PipelineContext(BooySource(TABLE2, N_POINTS),
                            fit_threshold=fit_threshold(1e-3))
+
+
+class ReachedEgg(Exception):
+    """Raised in place of the EGG set-up: the boundaries were certified."""
+
+
+def certified_angles(ctx, thetas, monkeypatch):
+    """The angles whose separator boundaries pass the regularity
+    certificate; every other angle must raise the certificate's
+    MatchingError, checked here."""
+    def reached(*args, **kwargs):
+        raise ReachedEgg
+
+    monkeypatch.setattr(pipeline, "build_egg_problem", reached)
+    passed = []
+    for theta in thetas:
+        try:
+            ctx.build_patches(theta)
+        except ReachedEgg:
+            passed.append(theta)
+        except MatchingError as exc:
+            details = exc.details
+            assert details["theta"] == theta
+            assert details["side"] in ("west", "east")
+            assert details["intervals"] and details["min_w"] <= 0.0
+    return passed
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +157,39 @@ def test_separator_extracts_each_gap_arc_once(booy_context, quarter_turn,
     booy_context.build_separator(math.pi / 4, quarter_turn.left_c,
                                  quarter_turn.right_c)
     assert sorted(calls) == ["left", "right"]
+
+
+def test_period_sweep_certifies_exactly_the_symmetric_quarter_turns(
+        booy_context, monkeypatch):
+    thetas = [k * math.pi / 16 for k in range(16)]
+    assert certified_angles(booy_context, thetas, monkeypatch) \
+        == [math.pi / 4, 3 * math.pi / 4]
+
+
+def test_table8_asymmetric_angles_are_rejected(monkeypatch):
+    ctx = PipelineContext(BooySource(TABLE8, N_POINTS),
+                          fit_threshold=fit_threshold(1e-3, TABLE8))
+    thetas = [k * math.pi / 8 for k in (1, 3, 5, 7)]
+    assert certified_angles(ctx, thetas, monkeypatch) == []
+
+
+def test_rejected_angle_builds_no_egg_assembly(booy_context, quarter_turn,
+                                               monkeypatch):
+    calls = []
+    original = parameterization.EggAssembly.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(parameterization.EggAssembly, "__init__", counted)
+    with pytest.raises(MatchingError) as info:
+        booy_context.build_patches(math.pi / 8)
+    assert info.value.details["side"] == "east"
+    assert calls == []
+    booy_context.build_separator(math.pi / 4, quarter_turn.left_c,
+                                 quarter_turn.right_c)
+    assert calls
 
 
 def test_merge_knot_vectors_keeps_max_multiplicity():

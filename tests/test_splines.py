@@ -4,17 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from screwgen.errors import DomainError, InvalidRefinementError
 from screwgen.splines import (
+    KNOT_TOL,
     KnotVector,
     SplineCurve,
     SplineMap,
     TensorBasis,
+    _check_param,
     basis_matrix,
-    eval_basis,
-    eval_basis_derivatives,
     greville_abscissae,
     insert_knots,
     open_knots,
     uniform_knots,
+    unique_knots,
 )
 
 FIG2_KV = open_knots(3, np.arange(1, 7) / 7.0)  # cubic, interior knots k/7
@@ -34,6 +35,18 @@ def identity_map(tb: TensorBasis) -> SplineMap:
     cp[:, :, 0] = gx[:, None]
     cp[:, :, 1] = ge[None, :]
     return SplineMap(tb, cp)
+
+
+def eval_basis(kv: KnotVector, xi: float) -> np.ndarray:
+    """All n basis values at a single parameter, domain-checked as curve
+    evaluation is."""
+    return basis_matrix(kv, [float(_check_param(xi))])[0]
+
+
+def eval_basis_derivatives(kv: KnotVector, xi: float, order: int) -> np.ndarray:
+    """All n basis derivative values of the given order at ``xi``; orders
+    above the degree give zeros."""
+    return basis_matrix(kv, [float(_check_param(xi))], der=order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +211,56 @@ def test_greville_endpoints_any_open_vector():
         g = greville_abscissae(kv)
         assert g[0] == 0.0 and g[-1] == 1.0
         assert np.all(np.diff(g) >= -1e-15)
+
+
+# ---------------------------------------------------------------------------
+# unique_knots
+# ---------------------------------------------------------------------------
+
+def unique_knots_loop(knots):
+    """Reference clustering: a knot joins the current value while it lies
+    within KNOT_TOL of that value's first knot."""
+    vals, counts = [], []
+    for t in knots:
+        if vals and abs(t - vals[-1]) <= KNOT_TOL:
+            counts[-1] += 1
+        else:
+            vals.append(float(t))
+            counts.append(1)
+    return np.array(vals), np.array(counts, dtype=int)
+
+
+def assert_same_clusters(knots):
+    vals, counts = unique_knots(knots)
+    want_vals, want_counts = unique_knots_loop(knots)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(counts, want_counts)
+    assert counts.dtype.kind == "i"
+
+
+def test_unique_knots_repeated_and_clustered():
+    assert_same_clusters(open_knots(3, [0.25, 0.5, 0.75], [1, 3, 2]).knots)
+    assert_same_clusters(np.array([0.0, 0.0, 0.3, 0.3 + 0.4 * KNOT_TOL,
+                                   0.3 + 0.99 * KNOT_TOL,
+                                   0.3 + 2.01 * KNOT_TOL, 1.0, 1.0]))
+    vals, counts = unique_knots(np.array([0.0, 0.5, 0.5 + 1e-13, 1.0]))
+    assert vals.tolist() == [0.0, 0.5, 1.0] and counts.tolist() == [1, 2, 1]
+
+
+@given(st.lists(st.tuples(st.one_of(st.floats(1.01, 2.0),
+                                    st.floats(1e6, 1e10)),
+                          st.lists(st.floats(0.0, 0.99), min_size=1,
+                                   max_size=4)),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_unique_knots_matches_loop(clusters):
+    # clusters spread at most 0.99 KNOT_TOL and lie more than KNOT_TOL apart
+    knots, last = [], 0.0
+    for gap, offsets in clusters:
+        first = last + gap * KNOT_TOL
+        knots += [first + KNOT_TOL * o for o in sorted(offsets)]
+        last = knots[-1]
+    assert_same_clusters(np.array(knots))
 
 
 # ---------------------------------------------------------------------------
