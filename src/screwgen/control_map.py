@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConstraintError, DomainError
-from .parameterization import check_folding, folded_cells
 from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
                       greville_abscissae, uniform_knots)
 
@@ -72,16 +71,25 @@ def identity_control(basis: TensorBasis, margin: float = DEFAULT_MARGIN) -> Cont
 # composite evaluation
 # ---------------------------------------------------------------------------
 
+def folded_cells(det) -> list:
+    """Cells (i, j) of a lattice of (n+1) x (n+1) determinant samples that
+    have a corner with det <= 0, in row-major order."""
+    bad = np.asarray(det) <= 0.0
+    cells = bad[:-1, :-1] | bad[1:, :-1] | bad[:-1, 1:] | bad[1:, 1:]
+    return [(int(i), int(j)) for i, j in np.argwhere(cells)]
+
+
 def check_composite_folding(x: SplineMap, s: ControlMap | None,
                             n_samples: int) -> list:
     """Cells of the n x n lattice whose corners carry det d(x o s) <= 0;
     s = None means the identity.  By the chain rule the determinant is
-    det J_x at (mu, sigma) times sigma_nu."""
-    if s is None:
-        return check_folding(x, n_samples)
+    det J_x at (mu, sigma) times sigma_nu.  This sampled check is the
+    oracle of tests and the benchmark, not used by the pipeline."""
     t = np.linspace(0.0, 1.0, n_samples + 1)
-    sig = np.clip(s.sigma_grid(t, t), 0.0, 1.0)
-    sig_nu = s.sigma_grid(t, t, 0, 1)
+    sig, sig_nu = np.tile(t, (len(t), 1)), 1.0
+    if s is not None:
+        sig = np.clip(s.sigma_grid(t, t), 0.0, 1.0)
+        sig_nu = s.sigma_grid(t, t, 0, 1)
     _, det_x = x.jacobian(np.repeat(t, len(t)), sig.ravel())
     return folded_cells(det_x.reshape(sig.shape) * sig_nu)
 

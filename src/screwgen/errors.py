@@ -83,8 +83,8 @@ class StructureError(ScrewgenError):
 
 
 class NonconvergenceError(ScrewgenError):
-    """Newton iteration stopped short of its tolerance: it exhausted
-    max_iter, its line search failed to reduce the residual, or a Newton
+    """Newton iteration stopped short of its tolerance: it exhausted its
+    step cap, its line search failed to reduce the residual, or a Newton
     matrix was singular.
 
     Carries the last iterate (``last_map``) and the residual norm history
@@ -100,7 +100,7 @@ class NonconvergenceError(ScrewgenError):
 
 
 class FoldingError(ScrewgenError):
-    """A parameterization or scaffold contains folded cells."""
+    """A parameterization is not certified fold-free on the boxes ``cells``."""
 
     code = "folding"
 

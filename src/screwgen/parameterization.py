@@ -1,12 +1,11 @@
-"""Patch parameterization: transfinite interpolation, the fold check of
-ruled (C-grid) maps, separator boundary assembly, the regularity
-certificate of star-shaped boundary curves and the auxiliary-variable
-elliptic grid generation (EGG) solve with folding detection and repair.
+"""Patch parameterization: transfinite interpolation, separator boundary
+assembly, the auxiliary-variable elliptic grid generation (EGG) solve with
+folding repair, and the one sign certificate behind every fold check.
 
-The certificate bounds the polar angular speed of a boundary curve about
-its rotor axis by the Bernstein coefficients of its knot-span polynomials,
-with de Casteljau subdivision where they are inconclusive: a boundary that
-backtracks admits no fold-free interior map, so it is rejected before EGG.
+The certificate proves a spline quantity positive on each knot span by its
+Bernstein coefficients, halving by de Casteljau where they are inconclusive.
+It checks ruled (C-grid) maps, the separator's west/east boundaries (whose
+backtracking admits no fold-free interior map) and the det J of EGG maps.
 
 The EGG solve drives the inner control points of a tensor spline map so
 that the inverse map components become harmonic.  The second xi-derivatives
@@ -35,10 +34,13 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError,
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, greville_abscissae,
-                      insert_knots, open_knots, unique_knots)
+                      open_knots, unique_knots)
 
-MAX_HALVINGS = 20   # line-search step halvings per Newton step
-REPAIR_ROUNDS = 3   # knot-insertion rounds of the folding repair
+NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
+MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
+MAX_HALVINGS = 20     # line-search step halvings per Newton step
+REPAIR_ROUNDS = 3     # knot-insertion rounds of the folding repair
+MAX_DEPTH = 20        # subdivision rounds of the Bernstein sign certificate
 
 
 @dataclass(frozen=True)
@@ -132,64 +134,51 @@ def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
 
 
 # ---------------------------------------------------------------------------
-# fold check of ruled maps
+# Bernstein sign certificate and the checks of ruled maps and boundaries
 # ---------------------------------------------------------------------------
 
-def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
-    """Raise MatchingError unless the ruled map x = (1 - eta) s(t) + eta n(t)
-    between the two curves keeps one Jacobian sign.
+def _bezier(kv: KnotVector, cp):
+    """Knot spans (lo, hi) and the Bezier control points (spans, p+1, ...)
+    of the spline with control points cp along their leading axis: the
+    blossoms f(lo^(p-j), hi^j), by de Boor's algorithm on all spans at once."""
+    p, t = kv.degree, kv.knots
+    vals, counts = unique_knots(t)
+    k = np.cumsum(counts)[:-1] - 1          # last knot index of each span
+    shape = (-1,) + (1,) * (cp.ndim - 1)
+    segs = []
+    for j in range(p + 1):
+        d = [cp[k - p + i] for i in range(p + 1)]
+        for r in range(1, p + 1):
+            x = vals[:-1] if r <= p - j else vals[1:]
+            for i in range(p, r - 1, -1):
+                left, right = t[k - p + i], t[k + i + 1 - r]
+                a = ((x - left) / (right - left)).reshape(shape)
+                d[i] = (1 - a) * d[i - 1] + a * d[i]
+        segs.append(d[p])
+    return vals[:-1], vals[1:], np.stack(segs, axis=1)
 
-    det J = (1 - eta) s' x (n - s) + eta n' x (n - s) is linear in eta, so
-    one sign of both terms at the sampled t (4x the control-point count)
-    is one sign of det J along every sampled isoline.  ``details`` go into
-    the error.
-    """
-    t = np.linspace(0.0, 1.0, 4 * max(south.basis.n, north.basis.n))
-    gap = north(t) - south(t)
-    terms = np.array([d[:, 0] * gap[:, 1] - d[:, 1] * gap[:, 0]
-                      for d in (south.evaluate(t, 1), north.evaluate(t, 1))])
-    bad = np.any(terms * np.sign(terms.sum()) <= 0.0, axis=0)
-    if np.any(bad):
-        raise MatchingError(
-            f"ruled map folds: det J changes sign at {int(bad.sum())} of "
-            f"{len(t)} isolines", params=t[bad][:8].tolist(), **details)
 
-
-# ---------------------------------------------------------------------------
-# regularity certificate of star-shaped boundary curves
-# ---------------------------------------------------------------------------
-
-def _angular_speed_bernstein(curve: SplineCurve, center):
-    """Knot spans (lo, hi) of the curve and the Bernstein coefficients
-    (spans, 2p) of w = (gamma - c) x gamma' on each of them.
-
-    Bezier extraction (every interior knot raised to multiplicity p) gives
-    the span polynomials exactly; w is their product with the hodograph,
-    of degree 2p - 1, whose Bernstein coefficients are sums of pairwise
-    products.  The first and last coefficient of a span are the exact values
-    of w at its ends.
-    """
-    kv = curve.basis
-    p = kv.degree
-    vals, counts = unique_knots(kv.knots)
-    _, cp = insert_knots(kv, curve.control_points,
-                         np.repeat(vals[1:-1], p - counts[1:-1]))
-    lo, hi = vals[:-1], vals[1:]
-    segs = cp[p * np.arange(len(lo))[:, None] + np.arange(p + 1)]
-    rel = segs - np.asarray(center, dtype=float)
-    hodo = p * np.diff(segs, axis=1) / (hi - lo)[:, None, None]
-    cross = (rel[:, :, None, 0] * hodo[:, None, :, 1]
-             - rel[:, :, None, 1] * hodo[:, None, :, 0])   # (spans, p+1, p)
-    weight = np.zeros((p + 1, p, 2 * p))
-    for i in range(p + 1):
-        for j in range(p):
-            weight[i, j, i + j] = comb(p, i) * comb(p - 1, j) \
-                / comb(2 * p - 1, i + j)
-    return lo, hi, np.einsum("sij,ijl->sl", cross, weight)
+def _bernstein_cross(a, b):
+    """Bernstein coefficients of a x b from those of the planar polynomials
+    a (boxes, m_1+1, ..., 2) and b (boxes, n_1+1, ..., 2), contracting one
+    parameter at a time with the weights C(m,i) C(n,j) / C(m+n,i+j)."""
+    d = a.ndim - 2
+    ea, eb = (...,) + (None,) * d, (slice(None),) + (None,) * d + (...,)
+    prod = a[ea + (0,)] * b[eb + (1,)] - a[ea + (1,)] * b[eb + (0,)]
+    for k in range(d):
+        m, n = a.shape[1 + k] - 1, b.shape[1 + k] - 1
+        weight = np.zeros(((m + 1) * (n + 1), m + n + 1))
+        for i, j in np.ndindex(m + 1, n + 1):
+            weight[i * (n + 1) + j, i + j] = comb(m, i) * comb(n, j)
+        weight /= [comb(m + n, r) for r in range(m + n + 1)]
+        # parameter k's axes of a and b go last and become the product's
+        prod = np.moveaxis(prod, (1, 1 + d - k), (-2, -1))
+        prod = prod.reshape(prod.shape[:-2] + (-1,)) @ weight
+    return prod
 
 
 def _halve(coeffs):
-    """de Casteljau split at the midpoint of each row of Bernstein
+    """de Casteljau split at the midpoint of axis 1 of each box's Bernstein
     coefficients: (left halves, right halves)."""
     left, right = [coeffs[:, 0]], [coeffs[:, -1]]
     work = coeffs
@@ -200,16 +189,83 @@ def _halve(coeffs):
     return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
 
 
-def _merged(lo, hi) -> list:
-    """Union of the intervals [lo, hi] as sorted disjoint (lo, hi) pairs."""
-    order = np.argsort(lo)
-    out = []
-    for a, b in zip(lo[order].tolist(), hi[order].tolist()):
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
+def _certify(box, coeffs):
+    """(box, origin, least) of the boxes (boxes, 2, d) on which a
+    polynomial with Bernstein coefficients coeffs is not certified
+    positive, the input box each lies in and its least corner value.
+
+    A corner value (an exact value) <= 0 or a non-finite coefficient
+    rejects a box (least not > 0), positive coefficients certify it, and
+    any other box is halved along the d parameters in turn.  Boxes open
+    after MAX_DEPTH rounds stay uncertified: the cap bounds the work where
+    the polynomial touches zero along a curve.
+    """
+    d = coeffs.ndim - 1
+    origin, failed = np.arange(len(coeffs)), []
+    for depth in range(MAX_DEPTH + 1):
+        flat = coeffs.reshape(len(coeffs), -1)
+        corners = coeffs[(slice(None),) + np.ix_(*[[0, -1]] * d)]
+        least = corners.reshape(len(coeffs), -1).min(axis=1)
+        least[~np.all(np.isfinite(flat), axis=1)] = np.nan
+        positive = np.all(flat > 0, axis=1)
+        bad = ~(least > 0) | ((depth == MAX_DEPTH) & ~positive)
+        open_ = ~bad & ~positive
+        failed.append((box[bad], origin[bad], least[bad]))
+        if not np.any(open_):
+            return tuple(np.concatenate(part) for part in zip(*failed))
+        box, origin, axis = box[open_], origin[open_], depth % d
+        halves = _halve(np.moveaxis(coeffs[open_], axis + 1, 1))
+        coeffs = np.moveaxis(np.concatenate(halves), 1, axis + 1)
+        left, right = box.copy(), box.copy()
+        left[:, 1, axis] = right[:, 0, axis] = box[:, :, axis].mean(axis=1)
+        box, origin = np.concatenate([left, right]), np.tile(origin, 2)
+
+
+def _require_one_sign(lo, hi, coeffs, messages, key, **details):
+    """Raise MatchingError unless the polynomials with Bernstein
+    coefficients (spans, n) on [lo, hi] keep the sign of their joint
+    integral: messages[0] if one has a wrong-signed exact value, else
+    messages[1]; the failed intervals and the least signed value at their
+    ends (``key``) go into the details."""
+    coeffs = coeffs * np.sign(np.sum((hi - lo) * coeffs.sum(axis=1)))
+    box, _, least = _certify(np.stack([lo, hi], 1)[..., None], coeffs)
+    wrong = ~(least > 0)
+    box = box[wrong] if np.any(wrong) else box
+    spans = []
+    for a, b in sorted(box[:, :, 0].tolist()):
+        if spans and a <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], max(spans[-1][1], b))
         else:
-            out.append((a, b))
-    return out
+            spans.append((a, b))
+    if spans:
+        raise MatchingError(
+            f"{messages[0] if np.any(wrong) else messages[1]} "
+            + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in spans),
+            intervals=spans, **{key: float(least.min())}, **details)
+
+
+def _cross_derivative(u, v, lo, hi):
+    """Bernstein coefficients of u x v' from Bezier nets on [lo, hi]."""
+    hodograph = (v.shape[1] - 1) * np.diff(v, axis=1)
+    return _bernstein_cross(u, hodograph / (hi - lo)[:, None, None])
+
+
+def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
+    """Raise MatchingError unless the ruled map x = (1 - eta) s(t) + eta n(t)
+    between two curves on one knot vector keeps one Jacobian sign.
+
+    det J = (1 - eta) s' x (n - s) + eta n' x (n - s) is linear in eta, so
+    both terms must keep one sign.  ``details`` go into the error, with the
+    failed t intervals and the least term value there (``min_det``).
+    """
+    if not _same_knots(south.basis, north.basis):
+        raise BasisMismatchError("ruled map curves must share a knot vector")
+    lo, hi, s = _bezier(south.basis, south.control_points)
+    n = _bezier(south.basis, north.control_points)[2]
+    terms = [_cross_derivative(s - n, c, lo, hi) for c in (s, n)]
+    _require_one_sign(np.tile(lo, 2), np.tile(hi, 2), np.concatenate(terms),
+                      ("ruled map folds on t", "ruled map not certified on t"),
+                      "min_det", **details)
 
 
 def check_boundary_regular(curve: SplineCurve, center, **details):
@@ -217,41 +273,15 @@ def check_boundary_regular(curve: SplineCurve, center, **details):
 
     For a curve star-shaped about ``center`` (a rotor arc about its axis)
     backtracking is a sign change of the polar angular speed
-    w = (gamma - c) x gamma'.  The orientation is the sign of its integral,
-    the signed area the radius sweeps.  On each knot span w is a polynomial
-    in Bernstein form (``_angular_speed_bernstein``); a span whose
-    coefficients all carry the orientation's sign is certified, a span end
-    with the wrong sign (or w = 0) is a reversal, and any other span is
-    halved by de Casteljau until one or the other holds.  A span narrower
-    than KNOT_TOL that is still open cannot be certified.  ``details`` go
-    into the error, with the offending eta intervals and the least value of
-    w times the orientation sign at their ends.
+    w = (gamma - c) x gamma'; the orientation is the sign of the area the
+    radius sweeps.  ``details`` go into the error, with the failed eta
+    intervals and the least value of w times that sign (``min_w``).
     """
-    lo, hi, coeffs = _angular_speed_bernstein(curve, center)
-    # a curve that sweeps no net area gets sign 0 and fails on every span
-    coeffs = coeffs * np.sign(np.sum((hi - lo) * coeffs.sum(axis=1)))
-    while True:
-        ends = np.minimum(coeffs[:, 0], coeffs[:, -1])
-        if np.any(ends <= 0.0):
-            spans = _merged(lo[ends <= 0.0], hi[ends <= 0.0])
-            raise MatchingError(
-                f"boundary backtracks about its center on eta "
-                f"{', '.join(f'[{a:.6g}, {b:.6g}]' for a, b in spans)}",
-                intervals=spans, min_w=float(ends.min()), **details)
-        open_ = np.any(coeffs <= 0.0, axis=1)
-        if not np.any(open_):
-            return
-        lo, hi, coeffs = lo[open_], hi[open_], coeffs[open_]
-        if np.any(hi - lo < KNOT_TOL):
-            narrow = hi - lo < KNOT_TOL
-            raise MatchingError(
-                "boundary regularity not certified: the angular speed "
-                "touches zero", intervals=_merged(lo[narrow], hi[narrow]),
-                min_w=float(ends.min()), **details)
-        mid = 0.5 * (lo + hi)
-        left, right = _halve(coeffs)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        coeffs = np.concatenate([left, right])
+    lo, hi, segs = _bezier(curve.basis, curve.control_points)
+    w = _cross_derivative(segs - np.asarray(center, dtype=float), segs, lo, hi)
+    _require_one_sign(lo, hi, w, (
+        "boundary backtracks about its center on eta",
+        "boundary regularity not certified on eta"), "min_w", **details)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +707,6 @@ class EggProblem:
     aux: TensorBasis
     d: np.ndarray | None = None
     epsilon: float = 0.0
-    newton_tol: float = 1e-8
-    max_iter: int = 50
     assembly: EggAssembly = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -693,11 +721,8 @@ def default_epsilon(m: SplineMap, asm: EggAssembly) -> float:
     return 1e-4 * float(np.median(tr))
 
 
-def build_egg_problem(initial: SplineMap, newton_tol: float = 1e-8,
-                      max_iter: int = 50) -> EggProblem:
-    aux = build_aux_space(initial.basis)
-    return EggProblem(map=initial, aux=aux, newton_tol=newton_tol,
-                      max_iter=max_iter)
+def build_egg_problem(initial: SplineMap) -> EggProblem:
+    return EggProblem(map=initial, aux=build_aux_space(initial.basis))
 
 
 def egg_residual(problem: EggProblem, quad_scale: int = 1) -> np.ndarray:
@@ -730,7 +755,7 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
 
     res = asm.residual(cp, d, eps)
     norm0 = float(np.linalg.norm(res))
-    target = problem.newton_tol * (norm0 + 1.0)
+    target = NEWTON_TOL * (norm0 + 1.0)
     history = [norm0]
 
     def fail(message, **details):
@@ -741,8 +766,8 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
 
     iterations = 0
     while history[-1] > target:
-        if iterations >= problem.max_iter:
-            raise fail(f"Newton did not converge in {problem.max_iter} "
+        if iterations >= MAX_NEWTON_ITER:
+            raise fail(f"Newton did not converge in {MAX_NEWTON_ITER} "
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
         try:
@@ -779,55 +804,35 @@ def egg_solve(problem: EggProblem) -> PatchParameterization:
 # folding detection and repair
 # ---------------------------------------------------------------------------
 
-def folded_cells(det) -> list:
-    """Cells (i, j) of a lattice of (n+1) x (n+1) determinant samples that
-    have a corner with det <= 0, in row-major order."""
-    bad = np.asarray(det) <= 0.0
-    cells = bad[:-1, :-1] | bad[1:, :-1] | bad[:-1, 1:] | bad[1:, 1:]
-    return [(int(i), int(j)) for i, j in np.argwhere(cells)]
+def check_folding(m: SplineMap) -> list:
+    """Knot-span boxes [[xi_lo, eta_lo], [xi_hi, eta_hi]], xi-major, on
+    which det J = x_xi x x_eta > 0 is not certified; empty iff the map is
+    certified fold-free."""
+    lo_x, hi_x, segs = _bezier(m.basis.xi, m.control_points)
+    lo_e, hi_e, segs = _bezier(m.basis.eta, segs.transpose(2, 0, 1, 3))
+    segs = segs.transpose(2, 0, 3, 1, 4)              # (Ex, Ee, p+1, q+1, 2)
+    # x_xi, x_eta up to the positive factors p / h_xi, q / h_eta per element
+    x_xi, x_eta = (np.diff(segs, axis=k) for k in (2, 3))
+    box = np.stack([np.stack(np.meshgrid(x, e, indexing="ij"), -1) for x, e
+                    in ((lo_x, lo_e), (hi_x, hi_e))], 2).reshape(-1, 2, 2)
+    failed = _certify(box, _bernstein_cross(
+        x_xi.reshape(-1, *x_xi.shape[2:]), x_eta.reshape(-1, *x_eta.shape[2:])))
+    return box[np.unique(failed[1])].tolist()
 
 
-def check_folding(param: PatchParameterization | SplineMap,
-                  n_samples: int = 50):
-    """Parametric cells of the n x n sample lattice whose corners carry a
-    nonpositive Jacobian determinant; empty iff det J > 0 at all samples."""
-    m = param.map if isinstance(param, PatchParameterization) else param
-    t = np.linspace(0.0, 1.0, n_samples + 1)
-    xu = m.evaluate_grid(t, t, 1, 0)
-    xv = m.evaluate_grid(t, t, 0, 1)
-    return folded_cells(xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0])
-
-
-def _spans_hit(kv: KnotVector, lo: float, hi: float):
-    bps = kv.breakpoints
-    out = []
-    for k, (a, b) in enumerate(zip(bps[:-1], bps[1:])):
-        if b > lo + 1e-14 and a < hi - 1e-14:
-            out.append(0.5 * (a + b))
-    return out
-
-
-def repair_folding(problem: EggProblem, defects,
-                   n_samples: int = 50) -> PatchParameterization:
-    """Insert midpoint knots in the spans containing folded cells (both
-    directions), re-solve, and repeat until fold-free or the round cap."""
+def repair_folding(problem: EggProblem, boxes) -> PatchParameterization:
+    """Bisect the knot spans holding the boxes in both directions, re-solve,
+    and repeat until certified fold-free or the round cap."""
     param = PatchParameterization(problem.map)
     for _ in range(REPAIR_ROUNDS):
-        if not defects:
+        if not boxes:
             return param
-        xi_new, eta_new = set(), set()
-        for ci, cj in defects:
-            lo_x, hi_x = ci / n_samples, (ci + 1) / n_samples
-            lo_e, hi_e = cj / n_samples, (cj + 1) / n_samples
-            xi_new.update(_spans_hit(problem.map.basis.xi, lo_x, hi_x))
-            eta_new.update(_spans_hit(problem.map.basis.eta, lo_e, hi_e))
-        refined = problem.map.refine(sorted(xi_new), sorted(eta_new))
-        problem = build_egg_problem(refined, newton_tol=problem.newton_tol,
-                                    max_iter=problem.max_iter)
+        mids = map(np.unique, np.mean(boxes, axis=1).T)   # xi, eta
+        problem = build_egg_problem(problem.map.refine(*mids))
         param = egg_solve(problem)
-        defects = check_folding(param, n_samples)
-    if defects:
+        boxes = check_folding(param.map)
+    if boxes:
         raise FoldingUnrepairedError(
             f"folding persists after {REPAIR_ROUNDS} repair rounds",
-            cells=defects)
+            cells=boxes)
     return param

@@ -11,13 +11,14 @@ control map:
   periodic shift of that coordinate;
 * rotor arcs at any angle by exact subdivision of the base fit (the
   material cloud only rotates, so the fit never has to be redone);
-* each C-grid as the ruled map between its rotor arc and casing arc,
-  checked for folds in closed form;
+* each C-grid as the ruled map between its rotor arc and casing arc;
 * the gap-arc matching and separator boundary assembly, then the
   regularity certificate of the separator's west/east boundaries, which
   rejects a backtracking boundary with ``MatchingError`` before any EGG
   work;
 * the EGG solve with folding repair, and the orthogonality control map.
+
+Every fold check is the Bernstein sign certificate of ``parameterization``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ DEGREE = 3                 # degree of every boundary curve and patch map
 XI_ELEMENTS_PER_HALF = 4   # separator xi spans on each side of the cusp line
 ETA_MAX_SPANS = 256        # span budget of the separator's eta fits
 GAP_SAMPLES = 200          # points per gap-arc cloud for the matching
-FOLD_LATTICE = 40          # lattice of the separator's fold check
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +340,9 @@ class PipelineContext:
         basis = TensorBasis(self.xi_basis, eta_kv)
         problem = build_egg_problem(transfinite(bounds, basis))
         patch = egg_solve(problem)
-        defects = check_folding(patch, FOLD_LATTICE)
-        if defects:
-            patch = repair_folding(problem, defects, n_samples=FOLD_LATTICE)
+        boxes = check_folding(patch.map)
+        if boxes:
+            patch = repair_folding(problem, boxes)
         return patch
 
     # -- full patch set ------------------------------------------------------------

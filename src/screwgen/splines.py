@@ -59,12 +59,8 @@ class KnotVector:
             raise DomainError("knot vector must be clamped at 0")
         if abs(t[-1] - 1.0) > KNOT_TOL or abs(t[-p - 1] - t[-1]) > KNOT_TOL:
             raise DomainError("knot vector must be clamped at 1")
-        interior = t[(t > KNOT_TOL) & (t < 1.0 - KNOT_TOL)]
-        if interior.size:
-            vals, counts = np.unique(np.round(interior / KNOT_TOL) * KNOT_TOL,
-                                     return_counts=True)
-            if np.any(counts > p):
-                raise DomainError("interior knot multiplicity exceeds degree")
+        if np.any(unique_knots(t)[1][1:-1] > p):
+            raise DomainError("interior knot multiplicity exceeds degree")
 
     @property
     def n(self) -> int:
@@ -385,16 +381,6 @@ class SplineMap:
 
     def point(self, xi: float, eta: float) -> np.ndarray:
         return self.evaluate([xi], [eta])[0]
-
-    # -- evaluation on tensor grids ----------------------------------------
-
-    def evaluate_grid(self, xis, etas, dxi: int = 0, deta: int = 0) -> np.ndarray:
-        """Derivative field on the tensor grid xis x etas, shape (mx, me, 2)."""
-        xis = _check_param(np.asarray(xis, dtype=float), "xi")
-        etas = _check_param(np.asarray(etas, dtype=float), "eta")
-        Bu = basis_matrix(self.basis.xi, xis, der=dxi)
-        Bv = basis_matrix(self.basis.eta, etas, der=deta)
-        return np.einsum("ai,bj,ijd->abd", Bu, Bv, self.control_points)
 
     def jacobian(self, xi, eta):
         """Jacobian matrices (m, 2, 2) with columns x_xi, x_eta, and dets (m,)."""

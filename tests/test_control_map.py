@@ -3,8 +3,9 @@ import pytest
 
 from screwgen.control_map import (ControlMap, CostEvaluator,
                                   check_composite_folding,
-                                  default_control_basis, identity_control,
-                                  optimize_control, orthogonality_cost)
+                                  default_control_basis, folded_cells,
+                                  identity_control, optimize_control,
+                                  orthogonality_cost)
 from screwgen.errors import ConstraintError
 from screwgen.parameterization import check_folding
 from screwgen.splines import SplineMap, TensorBasis, uniform_knots
@@ -79,13 +80,50 @@ def test_optimize_control_rejects_infeasible_start():
 @pytest.mark.parametrize("make", [curved_map, folded_map])
 def test_identity_composite_check_is_the_map_check(make):
     m = make()
+    identity = identity_control(default_control_basis())
     for n in (25, 40):
-        assert check_folding(m, n) == check_composite_folding(m, None, n)
+        assert check_composite_folding(m, identity, n) \
+            == check_composite_folding(m, None, n)
+    assert bool(check_folding(m)) == bool(check_composite_folding(m, None, 40))
 
 
 def test_composite_check_sees_folds_and_clean_maps():
     control = perturbed_control()
-    assert check_folding(curved_map(), 60) == []
+    assert check_folding(curved_map()) == []
     assert check_composite_folding(curved_map(), control, 60) == []
-    assert check_folding(folded_map(), 60)
+    assert check_folding(folded_map())
     assert check_composite_folding(folded_map(), control, 60)
+
+
+def test_composite_check_refinement_superset():
+    folded = folded_map()
+
+    def bbox(cells, n):
+        arr = np.array(cells, dtype=float)
+        return (arr[:, 0].min() / n, (arr[:, 0].max() + 1) / n,
+                arr[:, 1].min() / n, (arr[:, 1].max() + 1) / n)
+
+    b1 = bbox(check_composite_folding(folded, None, 25), 25)
+    b2 = bbox(check_composite_folding(folded, None, 50), 50)
+    # the refined sample lattice contains the coarse one, so the defect
+    # region can only grow, up to the one-cell marking margin of the
+    # coarse grid
+    margin = 1.0 / 25
+    assert b2[0] <= b1[0] + margin and b2[1] >= b1[1] - margin
+    assert b2[2] <= b1[2] + margin and b2[3] >= b1[3] - margin
+
+
+def test_folded_cells_matches_per_node_marking():
+    # reference: every node with det <= 0 marks the up-to-four cells it
+    # is a corner of
+    rng = np.random.default_rng(7)
+    for shape in ((2, 2), (9, 9), (13, 7)):
+        det = rng.normal(0.6, 1.0, shape)
+        det[0, -1] = 0.0
+        cells = set()
+        for i, j in np.argwhere(det <= 0.0):
+            for ci in (i - 1, i):
+                for cj in (j - 1, j):
+                    if 0 <= ci < shape[0] - 1 and 0 <= cj < shape[1] - 1:
+                        cells.add((int(ci), int(cj)))
+        assert folded_cells(det) == sorted(cells)

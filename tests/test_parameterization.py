@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from screwgen import parameterization
+from screwgen.control_map import check_composite_folding
 from screwgen.errors import (BasisMismatchError, MatchingError,
                              NonconvergenceError, StructureError)
 from screwgen.fitting import ReparamFunction, fit_curve
@@ -19,13 +20,13 @@ from screwgen.parameterization import (
     collocate_kinked_segments,
     egg_residual,
     egg_solve,
-    folded_cells,
     repair_folding,
     separator_xi_basis,
     transfinite,
 )
-from screwgen.splines import (KnotVector, SplineCurve, SplineMap, TensorBasis,
-                              greville_abscissae, uniform_knots, unique_knots)
+from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
+                              greville_abscissae, insert_knots, open_knots,
+                              uniform_knots, unique_knots)
 
 
 def line_curve(kv, p0, p1):
@@ -104,7 +105,8 @@ def test_transfinite_o_type_radial_blend():
     inner = fit_curve(1.0 * circ, t, tb.xi, lam_reg=1e-14).curve
     outer = fit_curve(2.0 * circ, t, tb.xi, lam_reg=1e-14).curve
     m = transfinite(BoundarySet(gamma_s=inner, gamma_n=outer), tb)
-    mid = m.evaluate_grid(np.linspace(0.05, 0.95, 17), [0.5])[:, 0, :]
+    xs = np.linspace(0.05, 0.95, 17)
+    mid = m.evaluate(xs, np.full_like(xs, 0.5))
     r = np.linalg.norm(mid, axis=1)
     assert np.abs(r - 1.5).max() < 1e-3  # mean of the radii, up to fit error
 
@@ -136,7 +138,7 @@ def ruled_map_folds(rotor, casing):
     try:
         check_ruled_map(rotor, casing)
     except MatchingError as exc:
-        return exc.details["params"]
+        return exc.details["intervals"]
     return []
 
 
@@ -150,7 +152,7 @@ def test_o_grid_twisted_invalid():
     with pytest.raises(MatchingError) as info:
         check_ruled_map(rotor, casing, side="left")
     assert info.value.details["side"] == "left"
-    assert len(info.value.details["params"]) > 0
+    assert len(info.value.details["intervals"]) > 0
 
 
 def test_o_grid_validity_rotation_invariant():
@@ -165,6 +167,23 @@ def test_o_grid_validity_rotation_invariant():
         assert folded == bool(ruled_map_folds(rot_r, rot_c))
         outcomes.append(folded)
     assert outcomes == [False, True]
+
+
+def test_ruled_map_fold_between_isoline_samples_is_rejected():
+    # straight rotor and casing; one casing control point pulled back so
+    # that its basis function, supported on [0.5, 0.508], makes the casing
+    # retreat there, between two of 4n uniform isoline samples
+    kv = open_knots(3, np.sort(np.r_[np.arange(1, 8) / 8,
+                                     0.5 + 0.002 * np.arange(1, 5)]))
+    rotor = line_curve(kv, [0, 0], [1, 0])
+    casing = line_curve(kv, [0, 1], [1, 1])
+    cp = casing.control_points.copy()
+    cp[7, 0] -= 0.02
+    casing = SplineCurve(kv, cp)
+    t = np.linspace(0.0, 1.0, 4 * kv.n)
+    assert not np.any((t > 0.5) & (t < 0.508))
+    intervals = ruled_map_folds(rotor, casing)
+    assert intervals and all(0.5 <= a < b <= 0.508 for a, b in intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +214,19 @@ def certified(curve, center):
     except MatchingError:
         return False
     return True
+
+
+def test_bezier_nets_match_knot_insertion():
+    # the blossoms are the control points that Bezier extraction by knot
+    # insertion (every interior knot raised to multiplicity p) yields
+    kv = open_knots(3, [0.2, 0.5, 0.7], [1, 3, 2])
+    cp = np.random.default_rng(4).normal(size=(kv.n, 2))
+    vals, counts = unique_knots(kv.knots)
+    _, ref = insert_knots(kv, cp, np.repeat(vals[1:-1], 3 - counts[1:-1]))
+    lo, hi, segs = parameterization._bezier(kv, cp)
+    assert lo.tolist() == [0.0, 0.2, 0.5, 0.7] and hi[-1] == 1.0
+    ref = ref[3 * np.arange(len(lo))[:, None] + np.arange(4)]
+    assert np.abs(segs - ref).max() < 1e-14
 
 
 @pytest.fixture
@@ -240,15 +272,22 @@ def test_small_reversal_raises_naming_its_span():
 def test_positive_speed_with_negative_bernstein_coefficient_is_certified(
         halvings):
     # y' = 3 (1.9 B0 - 5.4 B1 + 1.9 B2) has its minimum 0.15 at 1/2, but
-    # its degree-5 Bernstein coefficients are not all positive
+    # its degree-5 Bernstein coefficients are not all positive, so the
+    # certificate must halve before it certifies
     curve = SplineCurve(uniform_knots(3, 1),
                         [[1.0, -1.0], [1.0, 0.9], [1.0, -0.9], [1.0, 1.0]])
-    lo, hi, coeffs = parameterization._angular_speed_bernstein(curve,
-                                                               [0.0, 0.0])
-    assert coeffs.min() < 0
     assert regular_by_samples(curve, [0.0, 0.0])
     check_boundary_regular(curve, [0.0, 0.0])
     assert halvings
+
+
+def test_non_finite_coefficient_is_never_certified():
+    # nan <= 0 is False and inf > 0 is True, so only the guard rejects them
+    box = np.array([[[0.0], [1.0]]])
+    for bad in (np.nan, np.inf):
+        _, origin, least = parameterization._certify(
+            box, np.array([[1.0, bad, 1.0]]))
+        assert origin.tolist() == [0] and not least[0] > 0
 
 
 def test_certificate_agrees_with_dense_samples():
@@ -342,10 +381,11 @@ def test_residual_matches_dense_quadrature():
 # egg_solve
 # ---------------------------------------------------------------------------
 
-def test_unit_square_converges_immediately():
+def test_unit_square_converges_immediately(monkeypatch):
+    monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-10)
     tb = EGG_TB
     init = transfinite(unit_square_bounds(tb), tb)
-    prob = build_egg_problem(init, newton_tol=1e-10)
+    prob = build_egg_problem(init)
     patch = egg_solve(prob)
     assert patch.iterations <= 2
     gx, ge = tb.greville_grid()
@@ -361,7 +401,7 @@ def test_quarter_annulus_oracle():
     assert patch.iterations <= 15
     samp = np.linspace(0, 1, 11)
     for eta in samp:
-        pts = patch.map.evaluate_grid(samp, [eta])[:, 0, :]
+        pts = patch.map.evaluate(samp, np.full_like(samp, eta))
         r = np.linalg.norm(pts, axis=1)
         assert np.abs(r - 2.0 ** eta).max() / 2.0 ** eta < 2e-2
         assert r.std() < 1e-2 * 1.0  # isolines are circles
@@ -403,12 +443,14 @@ def test_egg_l_shape_fold_free_after_repair():
     init = transfinite(bounds, tb)
     prob = build_egg_problem(init)
     patch = egg_solve(prob)
-    patch = repair_folding(prob, check_folding(patch, 50), n_samples=50)
-    t = np.linspace(0, 1, 51)
-    xu = patch.map.evaluate_grid(t, t, 1, 0)
-    xv = patch.map.evaluate_grid(t, t, 0, 1)
-    det = xu[..., 0] * xv[..., 1] - xu[..., 1] * xv[..., 0]
-    assert det.min() > 0
+    boxes = check_folding(patch.map)
+    # the two elements beside the reentrant corner at xi = 0.5, eta = 1
+    assert len(boxes) == 2 and all(0.5 in (lo[0], hi[0]) and hi[1] == 1.0
+                                   for lo, hi in boxes)
+    patch = repair_folding(prob, boxes)
+    assert check_folding(patch.map) == []
+    xi, eta = np.meshgrid(np.linspace(0, 1, 401), np.linspace(0, 1, 401))
+    assert patch.map.jacobian(xi.ravel(), eta.ravel())[1].min() > 0
 
 
 def dense_newton_matrix(asm, band):
@@ -495,10 +537,12 @@ def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
     assert err.value.details["step"] == 0
 
 
-def test_egg_nonconvergence_error():
+def test_egg_nonconvergence_error(monkeypatch):
+    monkeypatch.setattr(parameterization, "MAX_NEWTON_ITER", 1)
+    monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-14)
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
-    prob = build_egg_problem(init, max_iter=1, newton_tol=1e-14)
+    prob = build_egg_problem(init)
     with pytest.raises(NonconvergenceError) as err:
         egg_solve(prob)
     assert err.value.last_map is not None
@@ -509,9 +553,9 @@ def test_egg_nonconvergence_error():
 # folding
 # ---------------------------------------------------------------------------
 
-def test_check_folding_identity_empty():
-    m = identity_map(EGG_TB)
-    assert check_folding(m, 30) == []
+def test_check_folding_identity_empty(halvings):
+    assert check_folding(identity_map(EGG_TB)) == []
+    assert halvings == []
 
 
 def _folded_map():
@@ -523,42 +567,61 @@ def _folded_map():
 
 
 def test_check_folding_displaced_control():
-    bad = check_folding(_folded_map(), 40)
-    assert len(bad) > 0
+    boxes = check_folding(_folded_map())
+    gx, ge = EGG_TB.greville_grid()
+    assert any(lo[0] <= gx[4] <= hi[0] and lo[1] <= ge[3] <= hi[1]
+               for lo, hi in boxes)
 
 
-def test_check_folding_refinement_superset():
-    folded = _folded_map()
-
-    def bbox(cells, n):
-        arr = np.array(cells, dtype=float)
-        return (arr[:, 0].min() / n, (arr[:, 0].max() + 1) / n,
-                arr[:, 1].min() / n, (arr[:, 1].max() + 1) / n)
-
-    b1 = bbox(check_folding(folded, 25), 25)
-    b2 = bbox(check_folding(folded, 50), 50)
-    # the refined sample lattice contains the coarse one, so the defect
-    # region can only grow, up to the one-cell marking margin of the
-    # coarse grid
-    margin = 1.0 / 25
-    assert b2[0] <= b1[0] + margin and b2[1] >= b1[1] - margin
-    assert b2[2] <= b1[2] + margin and b2[3] >= b1[3] - margin
+def test_check_folding_agrees_with_dense_lattice():
+    verdicts = []
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        cp = identity_map(EGG_TB).control_points.copy()
+        cp[1:-1, 1:-1] += 0.035 * rng.normal(size=cp[1:-1, 1:-1].shape)
+        m = SplineMap(EGG_TB, cp)
+        verdict = check_folding(m) == []
+        assert verdict == (check_composite_folding(m, None, 200) == []), seed
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_folded_cells_matches_per_node_marking():
-    # reference: every node with det <= 0 marks the up-to-four cells it
-    # is a corner of
-    rng = np.random.default_rng(7)
-    for shape in ((2, 2), (9, 9), (13, 7)):
-        det = rng.normal(0.6, 1.0, shape)
-        det[0, -1] = 0.0
-        cells = set()
-        for i, j in np.argwhere(det <= 0.0):
-            for ci in (i - 1, i):
-                for cj in (j - 1, j):
-                    if 0 <= ci < shape[0] - 1 and 0 <= cj < shape[1] - 1:
-                        cells.add((int(ci), int(cj)))
-        assert folded_cells(det) == sorted(cells)
+def test_positive_det_with_negative_bernstein_coefficient_is_certified(
+        halvings):
+    # x = (g(xi), eta) with g' > 0, but the degree-5 Bernstein coefficients
+    # of det J = g' are not all positive (the curve of the boundary test),
+    # so the certificate must halve before it certifies
+    tb = TensorBasis(uniform_knots(3, 1), uniform_knots(3, 1))
+    cp = identity_map(tb).control_points.copy()
+    cp[:, :, 0] = np.array([-1.0, 0.9, -0.9, 1.0])[:, None]
+    m = SplineMap(tb, cp)
+    assert check_composite_folding(m, None, 200) == []
+    assert check_folding(m) == []
+    assert halvings
+
+
+def test_collapsed_edge_is_not_certified_within_the_depth_cap(halvings):
+    # the north edge collapses to a point, so det J = 0 along eta = 1
+    cp = identity_map(EGG_TB).control_points.copy()
+    cp[:, -1] = [0.5, 1.0]
+    boxes = check_folding(SplineMap(EGG_TB, cp))
+    top = 1.0 - 1.0 / EGG_TB.eta.n_elements
+    assert len(boxes) == EGG_TB.xi.n_elements
+    assert all(lo[1] >= top - 1e-12 for lo, hi in boxes)
+    assert len(halvings) <= parameterization.MAX_DEPTH
+
+
+def test_det_touching_zero_along_a_line_stops_at_the_depth_cap(halvings):
+    # x = (f(xi), eta) with f' = 3 (xi - 0.3)^2: det J >= 0 vanishes on the
+    # line xi = 0.3, so the boxes along it never certify and the cap ends
+    # the subdivision
+    tb = TensorBasis(uniform_knots(3, 1), uniform_knots(3, 1))
+    cp = identity_map(tb).control_points.copy()
+    # Bernstein coefficients of (xi - 0.3)^3: its blossom at 0^(3-j) 1^j
+    j = np.arange(4)
+    cp[:, :, 0] = ((-0.3) ** (3 - j) * 0.7 ** j)[:, None]
+    assert check_folding(SplineMap(tb, cp)) == [[[0.0, 0.0], [1.0, 1.0]]]
+    assert len(halvings) == parameterization.MAX_DEPTH
 
 
 def test_repair_folding_noop_when_clean():

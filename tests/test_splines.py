@@ -58,6 +58,17 @@ def test_degree_zero_spans_rejected():
         KnotVector(0, [0, 0.5, 1])
 
 
+def test_interior_multiplicity_is_counted_like_unique_knots():
+    # four knots within 4e-14 of each other straddle a rounding boundary of
+    # KNOT_TOL, but unique_knots (and so Bezier extraction) counts one knot
+    # of multiplicity 4 > p
+    near = 0.5 + 0.5e-12 + np.array([-2e-14, -1e-14, 1e-14, 2e-14])
+    knots = np.concatenate([np.zeros(4), near, np.ones(4)])
+    assert unique_knots(knots)[1].tolist() == [4, 4, 4]
+    with pytest.raises(DomainError):
+        KnotVector(3, knots)
+
+
 def test_p1_indicator_like_values():
     # lowest supported degree: hat functions on {0, 0.5, 1}
     kv = KnotVector(1, [0, 0, 0.5, 1, 1])
