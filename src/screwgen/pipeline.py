@@ -11,12 +11,12 @@ control map:
   periodic shift of that coordinate;
 * rotor arcs at any angle by exact subdivision of the base fit (the
   material cloud only rotates, so the fit never has to be redone);
-* each C-grid as the ruled map between its rotor arc and casing arc;
-* the gap-arc matching and separator boundary assembly, then the
-  regularity certificate of the separator's west/east boundaries, which
-  rejects a backtracking boundary with ``MatchingError`` before any EGG
-  work;
-* the EGG solve with folding repair, and the orthogonality control map.
+* per angle, in this order: the gap-arc matching and the separator
+  boundary assembly from the gap arcs alone, then the regularity
+  certificate of the separator's west/east boundaries, which rejects a
+  backtracking boundary with ``MatchingError`` before any C-grid or EGG
+  work; the EGG solve with folding repair; each C-grid as the ruled map
+  between its rotor arc and casing arc; the orthogonality control map.
 
 Every fold check is the Bernstein sign certificate of ``parameterization``.
 """
@@ -34,15 +34,16 @@ from .errors import InvalidGeometryError, MatchingError, TopologyError
 from .fitting import (ReparamFunction, bounding_box_diagonal,
                       chord_length_params, fit_curve, fit_curve_adaptive,
                       match_points)
-from .parameterization import (BoundarySet, PatchParameterization,
-                               assemble_separator_boundary, build_egg_problem,
+from .parameterization import (PatchParameterization,
+                               assemble_separator_boundary,
                                check_boundary_regular, check_folding,
                                check_ruled_map, egg_solve, repair_folding,
                                separator_xi_basis, transfinite)
 from .profiles import (CasingArc, CrossSection, ScrewParams, booy_profile,
                        cusp_points, rotation)
-from .splines import (KNOT_TOL, KnotVector, SplineCurve, TensorBasis,
-                      extract_wrapped, open_knots, uniform_knots, unique_knots)
+from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
+                      TensorBasis, extract_wrapped, open_knots, uniform_knots,
+                      unique_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
@@ -191,6 +192,16 @@ class PipelineContext:
         self.cut_frac = beta / TWO_PI         # q: cusp fraction on each casing
         self.casing_arc = {"left": self._fit_casing_arc(sec0.casing_left),
                            "right": self._fit_casing_arc(sec0.casing_right)}
+        # the separator's north/south boundaries end on the cusps, so each
+        # casing arc (user-supplied through a FileSource) must end there
+        scale = np.linalg.norm(self.cusps[0] - self.cusps[1])
+        for side, ends in (("left", self.cusps), ("right", self.cusps[::-1])):
+            cp = self.casing_arc[side].control_points
+            for got, want, name in zip(cp[[0, -1]], ends, ("start", "end")):
+                gap = np.linalg.norm(got - want)
+                if gap > 1e-9 * scale:
+                    raise TopologyError(f"{side} casing arc {name} is off "
+                                        "its cusp", gap=float(gap))
         self._base_rotor: dict[str, SplineCurve] = {}
         for side in ("left", "right"):
             self._build_base_rotor(side, sec0)
@@ -287,7 +298,8 @@ class PipelineContext:
 
     def build_c_grid(self, side: str, theta: float) -> PatchParameterization:
         """Ruled map from the rotor arc (eta = 0) to the casing arc (eta = 1)
-        over the retained grid range [q, 1 - q], fold-checked."""
+        over the retained grid range [q, 1 - q], fold-checked: linear in
+        eta, so its net is the two curves' control points side by side."""
         q = self.cut_frac
         rotor = self._rotor_arc(side, theta, q, 1.0 - q)
         casing = self.casing_arc[side]
@@ -295,8 +307,8 @@ class PipelineContext:
         rotor, casing = promote_curve(rotor, kv), promote_curve(casing, kv)
         check_ruled_map(rotor, casing, side=side, theta=theta)
         basis = TensorBasis(kv, KnotVector(1, [0.0, 0.0, 1.0, 1.0]))
-        return PatchParameterization(
-            transfinite(BoundarySet(gamma_s=rotor, gamma_n=casing), basis))
+        return PatchParameterization(SplineMap(basis, np.stack(
+            [rotor.control_points, casing.control_points], axis=1)))
 
     # -- separator ---------------------------------------------------------------
 
@@ -323,13 +335,11 @@ class PipelineContext:
                 else merge_knot_vectors(union, fit.curve.basis)
         return union
 
-    def build_separator(self, theta: float, left_c,
-                        right_c) -> PatchParameterization:
+    def build_separator(self, theta: float) -> PatchParameterization:
         gap = self.separator_reparams(theta)
         eta_kv = self._eta_basis(gap)
         bounds = assemble_separator_boundary(
-            left_c, right_c, (gap.west, gap.east),
-            (self.cusps[0], self.cusps[1]), (gap.f_w, gap.f_e),
+            (gap.west, gap.east), self.cusps, (gap.f_w, gap.f_e),
             self.xi_basis, eta_kv)
         # a backtracking west/east boundary admits no fold-free interior
         # map, so it is rejected before any EGG work
@@ -337,20 +347,21 @@ class PipelineContext:
                                side="west", theta=theta)
         check_boundary_regular(bounds.gamma_e, self.params.right_center,
                                side="east", theta=theta)
-        basis = TensorBasis(self.xi_basis, eta_kv)
-        problem = build_egg_problem(transfinite(bounds, basis))
-        patch = egg_solve(problem)
+        patch = egg_solve(transfinite(bounds, TensorBasis(self.xi_basis,
+                                                          eta_kv)))
         boxes = check_folding(patch.map)
         if boxes:
-            patch = repair_folding(problem, boxes)
+            patch = repair_folding(patch, boxes)
         return patch
 
     # -- full patch set ------------------------------------------------------------
 
     def build_patches(self, theta: float) -> PatchSet:
+        # the separator first: its boundary certificate rejects an angle
+        # before any C-grid is built
+        separator = self.build_separator(theta)
         left_c = self.build_c_grid("left", theta)
         right_c = self.build_c_grid("right", theta)
-        separator = self.build_separator(theta, left_c, right_c)
         control = identity_control(self.control_basis)
         if self.optimize_control_maps:
             control = optimize_control(separator.map, control)

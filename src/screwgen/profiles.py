@@ -4,9 +4,9 @@ Generates the co-rotating twin-screw cross section at any rotation angle:
 the classical self-wiping double-flighted rotor profile built from circular
 tip arcs, root arcs and kinematic flank arcs, with the clearances applied as
 an inward normal offset; the casing bore circles with their cusp
-intersections; the helical sweep for 3D conveying elements; and the
-inflow/outflow extension blend toward a circle.  Arbitrary (e.g. mixing
-element) profiles enter through plain-text point-cloud files.
+intersections.  A 3D conveying element's section at axial position z is
+the one at rotation angle theta + 2 pi z / pitch_length.  Arbitrary (e.g.
+mixing element) profiles enter through plain-text point-cloud files.
 """
 
 from __future__ import annotations
@@ -343,45 +343,6 @@ def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> Cros
     return section.validate()
 
 
-def section_at_z(params: ScrewParams, theta0: float, z: float,
-                 n_points: int = 256) -> CrossSection:
-    """Cross section of a conveying element at axial position z: the profile
-    rotated by the helix law theta0 + 2 pi z / pitch_length."""
-    if params.pitch_length <= 0:
-        raise InvalidGeometryError("pitch_length must be > 0 for 3D sections")
-    return booy_profile(params, theta0 + TWO_PI * z / params.pitch_length, n_points)
-
-
-# ---------------------------------------------------------------------------
-# inflow/outflow extension blending
-# ---------------------------------------------------------------------------
-
-def blend_to_circle(cloud: PointCloud, center, s: float,
-                    circle_radius: float) -> PointCloud:
-    """Convex blend (1-s) * rotor + s * circle of one rotor cloud, each point
-    matched radially to the circle about the rotor center."""
-    if not 0.0 <= s <= 1.0:
-        raise InvalidGeometryError(f"blend fraction s={s} outside [0, 1]")
-    center = np.asarray(center, dtype=float)
-    rel = cloud.points - center
-    r = np.linalg.norm(rel, axis=1, keepdims=True)
-    circle_pts = center + circle_radius * rel / r
-    return PointCloud((1 - s) * cloud.points + s * circle_pts)
-
-
-def extension_profile(section: CrossSection, s: float,
-                      circle_radius: float) -> CrossSection:
-    """Cross section of the inflow/outflow extension at blend fraction s:
-    s=0 reproduces the screw surfaces, s=1 the two relaxation circles."""
-    p = section.params
-    if circle_radius >= p.barrel_radius:
-        raise InvalidGeometryError("extension circle must fit inside the casing")
-    left = blend_to_circle(section.left_rotor, p.left_center, s, circle_radius)
-    right = blend_to_circle(section.right_rotor, p.right_center, s, circle_radius)
-    return CrossSection(section.angle, p, left, right, section.casing_left,
-                        section.casing_right, section.cusp_points)
-
-
 # ---------------------------------------------------------------------------
 # point-cloud files
 # ---------------------------------------------------------------------------
@@ -389,8 +350,9 @@ def extension_profile(section: CrossSection, s: float,
 PROFILE_HEADER = "screwgen-profile v1"
 
 
-def load_profiles(path, params: ScrewParams) -> list[CrossSection]:
-    """Parse a profile point-cloud file (all sections).
+def load_profile(path, params: ScrewParams) -> CrossSection:
+    """First section of a profile point-cloud file; every section is parsed
+    and validated.
 
     Format: header line ``screwgen-profile v1``; ``section θ=<radians>``
     blocks; ``L x y`` / ``R x y`` point lines (meters) in boundary order;
@@ -446,12 +408,7 @@ def load_profiles(path, params: ScrewParams) -> list[CrossSection]:
     close(current)
     if not sections:
         raise ProfileParseError(f"no sections in {path}")
-    return sections
-
-
-def load_profile(path, params: ScrewParams) -> CrossSection:
-    """First section of a profile file (see load_profiles)."""
-    return load_profiles(path, params)[0]
+    return sections[0]
 
 
 def save_profile(path, section: CrossSection):

@@ -11,14 +11,11 @@ from screwgen.fitting import ReparamFunction, fit_curve
 from screwgen.parameterization import (
     BoundarySet,
     EggAssembly,
-    EggProblem,
     build_aux_space,
-    build_egg_problem,
     check_boundary_regular,
     check_folding,
     check_ruled_map,
     collocate_kinked_segments,
-    egg_residual,
     egg_solve,
     repair_folding,
     separator_xi_basis,
@@ -96,19 +93,6 @@ def test_transfinite_reproduces_affine():
         J, det = m.jacobian(pts[:, 0], pts[:, 1])
         assert np.abs(J - A[None]).max() < 1e-12
         assert np.abs(det - np.linalg.det(A)).max() < 1e-12
-
-
-def test_transfinite_o_type_radial_blend():
-    tb = TensorBasis(uniform_knots(3, 16), uniform_knots(3, 4))
-    t = np.linspace(0, 1, 600)
-    circ = np.column_stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
-    inner = fit_curve(1.0 * circ, t, tb.xi, lam_reg=1e-14).curve
-    outer = fit_curve(2.0 * circ, t, tb.xi, lam_reg=1e-14).curve
-    m = transfinite(BoundarySet(gamma_s=inner, gamma_n=outer), tb)
-    xs = np.linspace(0.05, 0.95, 17)
-    mid = m.evaluate(xs, np.full_like(xs, 0.5))
-    r = np.linalg.norm(mid, axis=1)
-    assert np.abs(r - 1.5).max() < 1e-3  # mean of the radii, up to fit error
 
 
 def test_transfinite_basis_mismatch():
@@ -335,7 +319,7 @@ def test_aux_space_requires_macro_split():
 
 
 # ---------------------------------------------------------------------------
-# egg_residual
+# EGG residual
 # ---------------------------------------------------------------------------
 
 def identity_map(tb):
@@ -349,30 +333,41 @@ def identity_map(tb):
 EGG_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
 
 
+def egg_assembly(m, quad_scale=1):
+    """The EGG assembly of the map's basis and its auxiliary space, and the
+    epsilon ``egg_solve`` takes for the map: 1e-4 times its median metric
+    trace."""
+    asm = EggAssembly(m.basis, build_aux_space(m.basis), quad_scale)
+    return asm, 1e-4 * float(np.median(asm.metric_sum_samples(m.control_points)))
+
+
+def residual_at(m, eps=None, quad_scale=1):
+    """The EGG residual at the map, with u the L2 projection of x_xi."""
+    asm, own_eps = egg_assembly(m, quad_scale)
+    cp = m.control_points
+    return asm.residual(cp, asm.project_u(cp), own_eps if eps is None else eps)
+
+
 def test_residual_zero_on_identity():
-    m = identity_map(EGG_TB)
-    prob = build_egg_problem(m)
-    assert np.abs(egg_residual(prob)).max() < 1e-14
+    assert np.abs(residual_at(identity_map(EGG_TB))).max() < 1e-14
 
 
 def test_residual_zero_on_affine():
     m = identity_map(EGG_TB)
     A = np.array([[1.4, 0.3], [-0.2, 0.8]])
     cp = m.control_points @ A.T + np.array([0.5, 1.0])
-    prob = build_egg_problem(SplineMap(EGG_TB, cp))
-    assert np.abs(egg_residual(prob)).max() < 1e-14
+    assert np.abs(residual_at(SplineMap(EGG_TB, cp))).max() < 1e-14
 
 
 def test_residual_matches_dense_quadrature():
     m0 = identity_map(EGG_TB)
-    prob0 = build_egg_problem(m0)
+    eps = egg_assembly(m0)[1]
     rng = np.random.default_rng(2)
     cp = m0.control_points.copy()
     cp[1:-1, 1:-1] += 3e-5 * rng.normal(0, 1, (EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2))
-    prob = EggProblem(map=SplineMap(EGG_TB, cp), aux=prob0.aux,
-                      epsilon=prob0.epsilon)
-    r1 = egg_residual(prob, quad_scale=1)
-    r2 = egg_residual(prob, quad_scale=2)
+    m = SplineMap(EGG_TB, cp)
+    r1 = residual_at(m, eps, quad_scale=1)
+    r2 = residual_at(m, eps, quad_scale=2)
     assert np.linalg.norm(r2) > 1e-5  # genuinely nonzero
     assert np.abs(r1 - r2).max() < 1e-10
 
@@ -384,9 +379,7 @@ def test_residual_matches_dense_quadrature():
 def test_unit_square_converges_immediately(monkeypatch):
     monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-10)
     tb = EGG_TB
-    init = transfinite(unit_square_bounds(tb), tb)
-    prob = build_egg_problem(init)
-    patch = egg_solve(prob)
+    patch = egg_solve(transfinite(unit_square_bounds(tb), tb))
     assert patch.iterations <= 2
     gx, ge = tb.greville_grid()
     assert np.abs(patch.map.control_points[:, :, 0] - gx[:, None]).max() < 1e-9
@@ -395,9 +388,7 @@ def test_unit_square_converges_immediately(monkeypatch):
 
 def test_quarter_annulus_oracle():
     bounds = quarter_annulus_bounds()
-    init = transfinite(bounds, QUARTER_TB)
-    prob = build_egg_problem(init)
-    patch = egg_solve(prob)
+    patch = egg_solve(transfinite(bounds, QUARTER_TB))
     assert patch.iterations <= 15
     samp = np.linspace(0, 1, 11)
     for eta in samp:
@@ -410,7 +401,7 @@ def test_quarter_annulus_oracle():
 def test_egg_preserves_boundary_bits():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
-    patch = egg_solve(build_egg_problem(init))
+    patch = egg_solve(init)
     for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
         assert np.array_equal(patch.map.control_points[sl],
                               init.control_points[sl])
@@ -419,7 +410,7 @@ def test_egg_preserves_boundary_bits():
 def test_egg_monotone_residual_history():
     bounds = quarter_annulus_bounds()
     init = transfinite(bounds, QUARTER_TB)
-    patch = egg_solve(build_egg_problem(init))
+    patch = egg_solve(init)
     h = patch.residual_history
     assert all(b < a for a, b in zip(h, h[1:]))
     assert h[-1] <= 1e-8 * (h[0] + 1.0)
@@ -440,14 +431,12 @@ def test_egg_l_shape_fold_free_after_repair():
     # plus the local-refinement repair round must end fold-free
     tb = TensorBasis(separator_xi_basis(3, 6), uniform_knots(3, 4))
     bounds = l_shape_bounds(tb)
-    init = transfinite(bounds, tb)
-    prob = build_egg_problem(init)
-    patch = egg_solve(prob)
+    patch = egg_solve(transfinite(bounds, tb))
     boxes = check_folding(patch.map)
     # the two elements beside the reentrant corner at xi = 0.5, eta = 1
     assert len(boxes) == 2 and all(0.5 in (lo[0], hi[0]) and hi[1] == 1.0
                                    for lo, hi in boxes)
-    patch = repair_folding(prob, boxes)
+    patch = repair_folding(patch, boxes)
     assert check_folding(patch.map) == []
     xi, eta = np.meshgrid(np.linspace(0, 1, 401), np.linspace(0, 1, 401))
     assert patch.map.jacobian(xi.ravel(), eta.ravel())[1].min() > 0
@@ -476,23 +465,21 @@ def perturbed_state(asm, rng):
 
 def test_egg_gradient_check():
     rng = np.random.default_rng(3)
-    m0 = identity_map(EGG_TB)
-    prob = build_egg_problem(m0)
-    asm = EggAssembly(EGG_TB, prob.aux)
+    asm, eps = egg_assembly(identity_map(EGG_TB))
     cp, d = perturbed_state(asm, rng)
-    J = dense_newton_matrix(asm, asm.jacobian(cp, d, prob.epsilon))
+    J = dense_newton_matrix(asm, asm.jacobian(cp, d, eps))
     n_d = 2 * asm.Na
     h = 1e-6
     for _ in range(20):
         v = rng.normal(0, 1, J.shape[0])
         v /= np.linalg.norm(v)
-        dd = v[:n_d].reshape(prob.aux.xi.n, prob.aux.eta.n, 2)
+        dd = v[:n_d].reshape(asm.aux.xi.n, asm.aux.eta.n, 2)
         dc = v[n_d:].reshape(EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2)
 
         def res_at(s):
             cp2 = cp.copy()
             cp2[1:-1, 1:-1] += s * dc
-            return asm.residual(cp2, d + s * dd, prob.epsilon)
+            return asm.residual(cp2, d + s * dd, eps)
 
         fd = (res_at(h) - res_at(-h)) / (2 * h)
         an = J @ v
@@ -505,11 +492,10 @@ def test_band_step_matches_dense_solve(refine):
     tb = EGG_TB
     if refine:
         tb = identity_map(tb).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
-    prob = build_egg_problem(identity_map(tb))
-    asm = prob.assembly
+    asm, eps = egg_assembly(identity_map(tb))
     cp, d = perturbed_state(asm, np.random.default_rng(5))
-    band = asm.jacobian(cp, d, prob.epsilon)
-    rhs = -asm.residual(cp, d, prob.epsilon)
+    band = asm.jacobian(cp, d, eps)
+    rhs = -asm.residual(cp, d, eps)
     want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
     got = asm.solve(band, rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -529,9 +515,8 @@ def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
         return np.zeros((self.kl + self.ku + 1, self.n_unknowns))
 
     monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
-    prob = build_egg_problem(transfinite(quarter_annulus_bounds(), QUARTER_TB))
     with pytest.raises(NonconvergenceError) as err:
-        egg_solve(prob)
+        egg_solve(transfinite(quarter_annulus_bounds(), QUARTER_TB))
     assert err.value.last_map is not None
     assert len(err.value.history) == 1
     assert err.value.details["step"] == 0
@@ -541,10 +526,8 @@ def test_egg_nonconvergence_error(monkeypatch):
     monkeypatch.setattr(parameterization, "MAX_NEWTON_ITER", 1)
     monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-14)
     bounds = quarter_annulus_bounds()
-    init = transfinite(bounds, QUARTER_TB)
-    prob = build_egg_problem(init)
     with pytest.raises(NonconvergenceError) as err:
-        egg_solve(prob)
+        egg_solve(transfinite(bounds, QUARTER_TB))
     assert err.value.last_map is not None
     assert len(err.value.history) >= 1
 
@@ -626,12 +609,8 @@ def test_det_touching_zero_along_a_line_stops_at_the_depth_cap(halvings):
 
 def test_repair_folding_noop_when_clean():
     bounds = quarter_annulus_bounds()
-    init = transfinite(bounds, QUARTER_TB)
-    prob = build_egg_problem(init)
-    patch = egg_solve(prob)
-    repaired = repair_folding(prob, [])
-    assert repaired.map is patch.map or np.array_equal(
-        repaired.map.control_points, patch.map.control_points)
+    patch = egg_solve(transfinite(bounds, QUARTER_TB))
+    assert repair_folding(patch, []) is patch
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +646,6 @@ def test_one_assembly_per_solve(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(par.EggAssembly, "__init__", counting)
-    init = transfinite(quarter_annulus_bounds(), QUARTER_TB)
-    prob = build_egg_problem(init)
-    patch = egg_solve(prob)
+    patch = egg_solve(transfinite(quarter_annulus_bounds(), QUARTER_TB))
     assert patch.iterations > 0
-    assert egg_residual(prob).shape == (2 * prob.assembly.Na
-                                        + 2 * prob.assembly.n_inner,)
     assert len(builds) == 1

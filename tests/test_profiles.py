@@ -5,24 +5,15 @@ import pytest
 
 from screwgen.errors import InvalidGeometryError, ProfileParseError
 from screwgen.profiles import (
-    CrossSection,
-    PointCloud,
     ScrewParams,
-    blend_to_circle,
     booy_profile,
-    casing_arcs,
     cusp_points,
-    extension_profile,
     load_profile,
     save_profile,
-    section_at_z,
 )
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
-TABLE8 = ScrewParams(screw_radius=0.156, centerline_distance=0.262,
-                     screw_screw_clearance=0.004, screw_barrel_clearance=0.004,
-                     pitch_length=0.28)
 
 
 # ---------------------------------------------------------------------------
@@ -138,72 +129,6 @@ def test_non_intersecting_casing_raises():
 
 
 # ---------------------------------------------------------------------------
-# section_at_z
-# ---------------------------------------------------------------------------
-
-def test_full_pitch_periodicity():
-    a = section_at_z(TABLE8, 0.0, 0.0, 256)
-    b = section_at_z(TABLE8, 0.0, TABLE8.pitch_length, 256)
-    assert np.abs(a.left_rotor.points - b.left_rotor.points).max() < 1e-12
-
-
-def test_quarter_pitch_is_quarter_turn():
-    a = section_at_z(TABLE8, 0.1, TABLE8.pitch_length / 4, 256)
-    b = booy_profile(TABLE8, 0.1 + math.pi / 2, 256)
-    assert np.abs(a.left_rotor.points - b.left_rotor.points).max() < 1e-12
-
-
-def test_table8_four_turns():
-    a = section_at_z(TABLE8, 0.0, 1.12, 256)
-    b = booy_profile(TABLE8, 4 * 2 * math.pi, 256)
-    assert np.abs(a.left_rotor.points - b.left_rotor.points).max() < 2e-12
-
-
-def test_helix_consistency():
-    delta = 0.37
-    shift = delta * TABLE8.pitch_length / (2 * math.pi)
-    a = section_at_z(TABLE8, 0.2, 0.11, 256)
-    b = section_at_z(TABLE8, 0.2 + delta, 0.11 - shift, 256)
-    assert np.abs(a.left_rotor.points - b.left_rotor.points).max() < 1e-12
-
-
-def test_2d_geometry_has_no_helix():
-    with pytest.raises(InvalidGeometryError):
-        section_at_z(TABLE2, 0.0, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# extension_profile
-# ---------------------------------------------------------------------------
-
-def test_extension_s0_is_input():
-    sec = booy_profile(TABLE8, 0.0, 256)
-    ext = extension_profile(sec, 0.0, 0.06)
-    assert np.abs(ext.left_rotor.points - sec.left_rotor.points).max() == 0.0
-
-
-def test_extension_s1_is_circle():
-    sec = booy_profile(TABLE8, 0.0, 256)
-    ext = extension_profile(sec, 1.0, 0.06)
-    r = np.linalg.norm(ext.left_rotor.points - TABLE8.left_center, axis=1)
-    assert np.abs(r - 0.06).max() < 1e-12
-
-
-def test_extension_midpoint_halfway():
-    sec = booy_profile(TABLE8, 0.0, 256)
-    a = extension_profile(sec, 0.0, 0.06).left_rotor.points
-    b = extension_profile(sec, 1.0, 0.06).left_rotor.points
-    mid = extension_profile(sec, 0.5, 0.06).left_rotor.points
-    assert np.abs(mid - 0.5 * (a + b)).max() < 1e-12
-
-
-def test_extension_circle_too_large():
-    sec = booy_profile(TABLE8, 0.0, 256)
-    with pytest.raises(InvalidGeometryError):
-        extension_profile(sec, 0.5, TABLE8.barrel_radius)
-
-
-# ---------------------------------------------------------------------------
 # profile files
 # ---------------------------------------------------------------------------
 
@@ -215,6 +140,20 @@ def test_profile_roundtrip(tmp_path):
     assert loaded.angle == pytest.approx(0.45)
     assert np.abs(loaded.left_rotor.points - sec.left_rotor.points).max() == 0.0
     assert np.abs(loaded.right_rotor.points - sec.right_rotor.points).max() == 0.0
+
+
+def test_multi_section_file_loads_its_first_section(tmp_path):
+    path = tmp_path / "two.txt"
+    save_profile(path, booy_profile(TABLE2, 0.45, 256))
+    second = tmp_path / "second.txt"
+    save_profile(second, booy_profile(TABLE2, 0.9, 256))
+    body = second.read_text().splitlines()[1:]
+    path.write_text(path.read_text() + "\n".join(body) + "\n")
+    assert load_profile(path, TABLE2).angle == pytest.approx(0.45)
+    # a later section is still parsed and validated
+    path.write_text(path.read_text() + "section θ=1.0\nL 0 0\n")
+    with pytest.raises(ProfileParseError):
+        load_profile(path, TABLE2)
 
 
 def test_profile_parse_errors(tmp_path):
