@@ -209,9 +209,9 @@ def optimize_control(x: SplineMap, init: ControlMap,
 
     Sequential quadratic programming (SLSQP) on the interior eta columns
     with the start's ordering margin per column as linear inequality
-    constraints and the exact gradient of the Riemann-sum cost.  Every
-    accepted iterate stays feasible and the returned cost never exceeds
-    the initial one.
+    constraints and the exact gradient of the Riemann-sum cost.  The
+    returned map is ``feasible()`` and its cost never exceeds the initial
+    one; a result short of the margin raises ConstraintError (``min_diff``).
     """
     if not init.feasible():
         raise ConstraintError("initial control map violates the ordering margin")
@@ -243,14 +243,9 @@ def optimize_control(x: SplineMap, init: ControlMap,
     z = res.x
     if fun(z) > f0:
         z = z0  # never return a worse map than the start
-    coeffs = unpack(z)
-    # repair sub-tolerance constraint drift from the SQP's own feasibility slack
-    diffs = np.diff(coeffs, axis=1)
-    if diffs.min() < margin - 1e-7:
+    out = ControlMap(init.basis, unpack(z), margin, iterations=int(res.nit))
+    # SLSQP's own feasibility slack may leave a gap just short of the margin
+    if not out.feasible():
         raise ConstraintError("optimizer left the feasible region",
-                              min_diff=float(diffs.min()))
-    for j in range(1, n_nu - 1):
-        lo = coeffs[:, j - 1] + max(margin - 1e-7, 1e-12)
-        coeffs[:, j] = np.maximum(coeffs[:, j], lo)
-    return ControlMap(init.basis, coeffs, margin,
-                      iterations=int(res.nit))
+                              min_diff=float(np.diff(out.coeffs, axis=1).min()))
+    return out

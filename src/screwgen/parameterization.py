@@ -36,8 +36,9 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError,
                      TopologyError)
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, basis_ders_nonzero, greville_abscissae,
-                      open_knots, unique_knots)
+                      TensorBasis, basis_ders_nonzero, blossoms,
+                      greville_abscissae, insert_knots, open_knots,
+                      unique_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
@@ -129,22 +130,14 @@ def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
 def _bezier(kv: KnotVector, cp):
     """Knot spans (lo, hi) and the Bezier control points (spans, p+1, ...)
     of the spline with control points cp along their leading axis: the
-    blossoms f(lo^(p-j), hi^j), by de Boor's algorithm on all spans at once."""
-    p, t = kv.degree, kv.knots
-    vals, counts = unique_knots(t)
+    blossoms f(lo^(p-j), hi^j) on all spans at once."""
+    p = kv.degree
+    vals, counts = unique_knots(kv.knots)
     k = np.cumsum(counts)[:-1] - 1          # last knot index of each span
-    shape = (-1,) + (1,) * (cp.ndim - 1)
-    segs = []
-    for j in range(p + 1):
-        d = [cp[k - p + i] for i in range(p + 1)]
-        for r in range(1, p + 1):
-            x = vals[:-1] if r <= p - j else vals[1:]
-            for i in range(p, r - 1, -1):
-                left, right = t[k - p + i], t[k + i + 1 - r]
-                a = ((x - left) / (right - left)).reshape(shape)
-                d[i] = (1 - a) * d[i - 1] + a * d[i]
-        segs.append(d[p])
-    return vals[:-1], vals[1:], np.stack(segs, axis=1)
+    lo, hi = vals[:-1], vals[1:]
+    segs = [blossoms(kv, cp, k, np.column_stack([lo] * (p - j) + [hi] * j))
+            for j in range(p + 1)]
+    return lo, hi, np.stack(segs, axis=1)
 
 
 def _bernstein_cross(a, b):
@@ -168,14 +161,12 @@ def _bernstein_cross(a, b):
 
 def _halve(coeffs):
     """de Casteljau split at the midpoint of axis 1 of each box's Bernstein
-    coefficients: (left halves, right halves)."""
-    left, right = [coeffs[:, 0]], [coeffs[:, -1]]
-    work = coeffs
-    for _ in range(coeffs.shape[1] - 1):
-        work = 0.5 * (work[:, :-1] + work[:, 1:])
-        left.append(work[:, 0])
-        right.append(work[:, -1])
-    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+    coefficients, (left halves, right halves): 1/2 inserted n times into
+    the degree-n Bezier knot vector."""
+    n = coeffs.shape[1] - 1
+    _, both = insert_knots(KnotVector(n, np.repeat([0.0, 1.0], n + 1)),
+                           np.moveaxis(coeffs, 1, 0), np.full(n, 0.5))
+    return np.moveaxis(both[:n + 1], 0, 1), np.moveaxis(both[n:], 0, 1)
 
 
 def _certify(box, coeffs):

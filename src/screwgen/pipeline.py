@@ -8,9 +8,11 @@ control map:
   cusp points, and the cusp cut fraction;
 * the rotation-angle-zero rotor fit over the casing-aligned grid
   coordinate (radial projection), reused at every angle through the
-  periodic shift of that coordinate;
-* rotor arcs at any angle by exact subdivision of the base fit (the
-  material cloud only rotates, so the fit never has to be redone);
+  periodic shift of that coordinate, and stored as the fit joined to
+  itself over two periods;
+* rotor arcs at any angle as one extraction from that two-period curve,
+  rotated (the material cloud only rotates, so the fit never has to be
+  redone, and no arc wraps);
 * per angle, in this order: the gap-arc matching and the separator
   boundary assembly from the gap arcs alone, then the regularity
   certificate of the separator's west/east boundaries, which rejects a
@@ -42,7 +44,7 @@ from .parameterization import (PatchParameterization,
 from .profiles import (CasingArc, CrossSection, ScrewParams, booy_profile,
                        cusp_points, rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, extract_wrapped, open_knots, uniform_knots,
+                      TensorBasis, join_curves, open_knots, uniform_knots,
                       unique_knots)
 
 TWO_PI = 2.0 * math.pi
@@ -202,9 +204,12 @@ class PipelineContext:
                 if gap > 1e-9 * scale:
                     raise TopologyError(f"{side} casing arc {name} is off "
                                         "its cusp", gap=float(gap))
-        self._base_rotor: dict[str, SplineCurve] = {}
+        # the base rotor fit joined to itself over two periods of the grid
+        # coordinate, so that every wrapped grid range is one extraction
+        self._two_period_rotor: dict[str, SplineCurve] = {}
         for side in ("left", "right"):
-            self._build_base_rotor(side, sec0)
+            fit = self._fit_rotor(side, sec0)
+            self._two_period_rotor[side] = join_curves(fit, fit, 0.5)
 
     # -- casing -------------------------------------------------------------
 
@@ -239,7 +244,7 @@ class PipelineContext:
         return self.params.left_center if side == "left" \
             else self.params.right_center
 
-    def _build_base_rotor(self, side: str, sec0: CrossSection):
+    def _fit_rotor(self, side: str, sec0: CrossSection) -> SplineCurve:
         """Assign casing-aligned grid fractions to the rotation-angle-zero
         rotor cloud and fit the boundary over the grid coordinate.
 
@@ -272,19 +277,19 @@ class PipelineContext:
         cloud, params = cloud[keep], params[keep]
 
         kv = uniform_knots(DEGREE, 16)
-        fit = fit_curve_adaptive(cloud, params, kv, self.fit_threshold,
-                                 max_spans=1024)
-        self._base_rotor[side] = fit.curve
+        return fit_curve_adaptive(cloud, params, kv, self.fit_threshold,
+                                  max_spans=1024).curve
 
     # -- per-angle curves -----------------------------------------------------
 
     def _rotor_arc(self, side: str, theta: float, a: float,
                    b: float) -> SplineCurve:
         """Rotor boundary at the given angle over the wrapped grid range
-        [a, b]: the base fit, restricted and rotated."""
-        s = (theta / TWO_PI) % 1.0
-        arc = extract_wrapped(self._base_rotor[side], (a - s) % 1.0,
-                              (b - s) % 1.0)
+        [a, b]: the two-period fit over [lo, lo + (b - a) mod 1] / 2, with
+        lo the range's start in the base fit's grid, rotated."""
+        lo = (a - theta / TWO_PI) % 1.0
+        arc = self._two_period_rotor[side].extract(
+            lo / 2, (lo + (b - a) % 1.0) / 2)
         return rotate_curve(arc, theta, self._center(side))
 
     def rotor_arc_gap(self, side: str, theta: float) -> SplineCurve:

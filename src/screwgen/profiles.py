@@ -41,7 +41,6 @@ class ScrewParams:
     screw_barrel_clearance: float = 0.0
     pitch_length: float = 0.0
     flight_count: int = 2
-    rotation_speed: float = 0.0  # rev/s, metadata only
     tip_fillet_radius: float | None = None  # None: 2% of the screw radius
 
     def __post_init__(self):

@@ -5,6 +5,12 @@ last knots are repeated degree+1 times. Interior knots may be repeated up
 to ``degree`` times, which reduces continuity down to C0 but never allows a
 discontinuous basis.
 
+Every change of basis is one kernel, ``blossoms``: the control points of a
+spline in a knot sequence that refines its own are its blossoms (polar
+forms) at that sequence's consecutive degree-tuples.  Knot insertion (all
+knots at once, the Oslo algorithm), sub-range extraction, Bezier nets and
+the halving of Bernstein coefficients all run through it.
+
 Everything in this module is a pure function of immutable values; instances
 never mutate after construction and can be shared freely between threads.
 """
@@ -225,36 +231,55 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# knot insertion
+# change of basis: blossoms
 # ---------------------------------------------------------------------------
+
+def blossoms(kv: KnotVector, cp: np.ndarray, spans, args) -> np.ndarray:
+    """Blossoms of the polynomial pieces on the given knot spans of the
+    spline with control points cp along their leading axis, at the
+    arguments args (m, p): de Boor's algorithm on all m at once, level r
+    reading args[:, r-1]."""
+    p, t = kv.degree, kv.knots
+    shape = (-1,) + (1,) * (cp.ndim - 1)
+    d = [cp[spans - p + i] for i in range(p + 1)]
+    for r in range(1, p + 1):
+        x = args[:, r - 1]
+        for i in range(p, r - 1, -1):
+            left, right = t[spans - p + i], t[spans + i + 1 - r]
+            a = ((x - left) / (right - left)).reshape(shape)
+            d[i] = (1 - a) * d[i - 1] + a * d[i]
+    return d[p]
+
+
+def _rebase(kv: KnotVector, cp: np.ndarray, tau, x) -> np.ndarray:
+    """Control points in the knot sequence tau: control point j is the
+    blossom at tau[j+1..j+p] of the piece on the span holding x[j].
+
+    Level 1, the widest, takes the largest argument tau[j+p] and level p
+    takes tau[j+1], as in Lyche and Morken's R_1(tau[j+1]) ... R_p(tau[j+p]);
+    ascending order gives the same spline in exact arithmetic but
+    extrapolates and loses digits next to short spans."""
+    p = kv.degree
+    j = np.arange(len(tau) - p - 1)
+    return blossoms(kv, cp, find_spans(kv.knots, p, x),
+                    tau[j[:, None] + np.arange(p, 0, -1)])
+
 
 def insert_knots(kv: KnotVector, cp: np.ndarray, new_knots):
     """Refined knot vector and the control points, along the leading axis of
-    ``cp``, of the same spline: repeated single-knot (Boehm) insertion."""
+    ``cp``, of the same spline: all knots at once (Oslo algorithm), with
+    tau the merged knots, new control point j on the old span holding
+    tau[j]."""
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size == 0:
         return kv, cp
     if np.any(new_knots <= KNOT_TOL) or np.any(new_knots >= 1.0 - KNOT_TOL):
         raise InvalidRefinementError("new knots must be interior")
     p = kv.degree
-    counts = unique_knots(np.sort(np.concatenate([kv.knots, new_knots])))[1]
-    if np.any(counts[1:-1] > p):
+    tau = np.sort(np.concatenate([kv.knots, new_knots]))
+    if np.any(unique_knots(tau)[1][1:-1] > p):
         raise InvalidRefinementError("insertion would exceed multiplicity bound")
-
-    knots = kv.knots
-    shape = (p,) + (1,) * (cp.ndim - 1)
-    for u in new_knots:
-        # span k with knots[k] <= u < knots[k + 1]; control points
-        # k-p+1 .. k become blends of their neighbours
-        k = int(np.searchsorted(knots, u, side="right")) - 1
-        lo = knots[k - p + 1:k + 1]
-        alpha = ((u - lo) / (knots[k + 1:k + p + 1] - lo)).reshape(shape)
-        cp = np.concatenate([cp[:k - p + 1],
-                             alpha * cp[k - p + 1:k + 1]
-                             + (1.0 - alpha) * cp[k - p:k],
-                             cp[k:]])
-        knots = np.concatenate([knots[:k + 1], [u], knots[k + 1:]])
-    return KnotVector(p, knots), cp
+    return KnotVector(p, tau), _rebase(kv, cp, tau, tau[:len(tau) - p - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +325,20 @@ class SplineCurve:
     def extract(self, a: float, b: float) -> "SplineCurve":
         """Restriction to [a, b], reparameterized affinely to [0, 1].
 
-        Inserts a and b to multiplicity p, after which the restriction is a
-        contiguous control-point slice [lo:hi] on a clamped sub knot vector.
+        The control points are the blossoms at the p-tuples of
+        a^(p+1), the knots inside (a, b), b^(p+1); knots within KNOT_TOL of
+        an end count as that end, and the leading a-tuples read the piece
+        that starts within KNOT_TOL of a.
         """
         if not (-KNOT_TOL <= a < b <= 1.0 + KNOT_TOL):
             raise DomainError(f"invalid extraction range ({a}, {b})")
-        p = self.basis.degree
-        work, cp = self.basis, self.control_points
-        for u in (a, b):
-            if KNOT_TOL < u < 1.0 - KNOT_TOL:
-                work, cp = insert_knots(work, cp,
-                                        np.full(p - work.multiplicity(u), u))
-        knots = work.knots
-        if a <= KNOT_TOL:
-            lo = 0
-        else:
-            lo = int(np.argmax(np.abs(knots - a) <= KNOT_TOL)) - 1
-        if b >= 1.0 - KNOT_TOL:
-            hi = work.n
-        else:
-            hi = int(np.argmax(np.abs(knots - b) <= KNOT_TOL))
-        mid = knots[(knots > a + KNOT_TOL) & (knots < b - KNOT_TOL)]
-        sub = np.concatenate([np.full(p + 1, a), mid, np.full(p + 1, b)])
-        sub = np.clip((sub - a) / (b - a), 0.0, 1.0)
-        return SplineCurve(KnotVector(p, sub), cp[lo:hi])
+        p, t = self.basis.degree, self.basis.knots
+        mid = t[(t > a + KNOT_TOL) & (t < b - KNOT_TOL)]
+        tau = np.concatenate([np.full(p + 1, a), mid, np.full(p + 1, b)])
+        cp = _rebase(self.basis, self.control_points, tau,
+                     np.maximum(tau[:len(tau) - p - 1], a + KNOT_TOL))
+        sub = np.clip((tau - a) / (b - a), 0.0, 1.0)
+        return SplineCurve(KnotVector(p, sub), cp)
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +432,3 @@ def join_curves(first: SplineCurve, second: SplineCurve, split: float) -> Spline
     ctrl = np.vstack([first.control_points, second.control_points[1:]])
     return SplineCurve(KnotVector(p, knots), ctrl)
 
-
-def extract_wrapped(curve: SplineCurve, a: float, b: float) -> SplineCurve:
-    """Restriction of a closed-seam curve to the wrapped range [a, 1] + [0, b]
-    (or plainly [a, b] when a < b), renormalized to [0, 1].
-
-    The curve's 0/1 endpoints must coincide (closed loop with a C0 seam);
-    the wrapped result keeps that seam as an interior degree-fold knot.  A
-    range that starts or ends on the seam is a plain extraction.
-    """
-    if a >= 1.0 - KNOT_TOL:
-        a = 0.0
-    if b <= KNOT_TOL:
-        b = 1.0
-    if a < b:
-        return curve.extract(a, b)
-    first = curve.extract(a, 1.0)
-    second = curve.extract(0.0, b)
-    split = (1.0 - a) / ((1.0 - a) + b)
-    return join_curves(first, second, split)

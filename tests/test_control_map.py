@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from screwgen import control_map
 from screwgen.control_map import (ControlMap, CostEvaluator,
                                   check_composite_folding,
                                   default_control_basis, folded_cells,
@@ -75,6 +76,25 @@ def test_optimize_control_rejects_infeasible_start():
     coeffs[:, 1] = 0.1 * s.margin
     with pytest.raises(ConstraintError):
         optimize_control(curved_map(), ControlMap(s.basis, coeffs, s.margin))
+
+
+def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):
+    # SLSQP's own feasibility slack: a cheaper point with one gap 5e-8 short
+    # of the margin must raise, not come back as a map feasible() rejects
+    x, init = curved_map(), identity_control(default_control_basis())
+    real = control_map.minimize
+
+    def slack(fun, z0, **kwargs):
+        res = real(fun, z0, **kwargs)
+        res.x = res.x.copy()
+        res.x[1] = res.x[0] + init.margin - 5e-8
+        assert fun(res.x) < fun(z0)
+        return res
+
+    monkeypatch.setattr(control_map, "minimize", slack)
+    with pytest.raises(ConstraintError) as info:
+        optimize_control(x, init)
+    assert info.value.details["min_diff"] == pytest.approx(init.margin - 5e-8)
 
 
 @pytest.mark.parametrize("make", [curved_map, folded_map])

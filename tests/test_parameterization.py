@@ -22,8 +22,9 @@ from screwgen.parameterization import (
     transfinite,
 )
 from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
-                              greville_abscissae, insert_knots, open_knots,
-                              uniform_knots, unique_knots)
+                              greville_abscissae, open_knots, uniform_knots,
+                              unique_knots)
+from test_splines import insert_knots_boehm
 
 
 def line_curve(kv, p0, p1):
@@ -206,11 +207,33 @@ def test_bezier_nets_match_knot_insertion():
     kv = open_knots(3, [0.2, 0.5, 0.7], [1, 3, 2])
     cp = np.random.default_rng(4).normal(size=(kv.n, 2))
     vals, counts = unique_knots(kv.knots)
-    _, ref = insert_knots(kv, cp, np.repeat(vals[1:-1], 3 - counts[1:-1]))
+    _, ref = insert_knots_boehm(kv, cp,
+                                np.repeat(vals[1:-1], 3 - counts[1:-1]))
     lo, hi, segs = parameterization._bezier(kv, cp)
     assert lo.tolist() == [0.0, 0.2, 0.5, 0.7] and hi[-1] == 1.0
     ref = ref[3 * np.arange(len(lo))[:, None] + np.arange(4)]
     assert np.abs(segs - ref).max() < 1e-14
+
+
+def de_casteljau_halves(coeffs):
+    """Reference midpoint split along axis 1: repeated averaging of
+    neighbours, the first and last of each round kept."""
+    left, right = [coeffs[:, 0]], [coeffs[:, -1]]
+    work = coeffs
+    for _ in range(coeffs.shape[1] - 1):
+        work = 0.5 * (work[:, :-1] + work[:, 1:])
+        left.append(work[:, 0])
+        right.append(work[:, -1])
+    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (40, 6, 6), (5, 2), (5, 4, 3)])
+def test_halving_is_the_de_casteljau_split_bit_for_bit(shape):
+    coeffs = np.random.default_rng(11).normal(size=shape)
+    got = parameterization._halve(coeffs)
+    want = de_casteljau_halves(coeffs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.fixture

@@ -13,7 +13,8 @@ from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
 from screwgen.profiles import (ScrewParams, booy_profile, load_profile,
                                rotation, save_profile)
-from screwgen.splines import SplineCurve, SplineMap, open_knots, unique_knots
+from screwgen.splines import (KNOT_TOL, SplineCurve, SplineMap, open_knots,
+                              unique_knots)
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
@@ -75,9 +76,12 @@ def test_quarter_turn_patch_set_is_fold_free(quarter_turn):
     assert patches.control_iterations == patches.control.iterations > 0
 
 
-def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path):
+@pytest.mark.parametrize("saved_angle", [0.0, math.pi / 8], ids=["0", "pi_8"])
+def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path,
+                                             saved_angle):
+    # a profile saved at a non-zero angle is turned back by FileSource
     path = tmp_path / "table2.txt"
-    save_profile(path, booy_profile(TABLE2, 0.0, N_POINTS))
+    save_profile(path, booy_profile(TABLE2, saved_angle, N_POINTS))
     ctx = PipelineContext(FileSource(load_profile(path, TABLE2), TABLE2),
                           fit_threshold=booy_context.fit_threshold)
     scale = TABLE2.barrel_radius
@@ -102,7 +106,8 @@ def test_c_grid_is_the_ruled_map_between_rotor_and_casing_arcs(booy_context,
         c_grid = ctx.build_c_grid(side, theta).map
         center = TABLE2.left_center if side == "left" else TABLE2.right_center
         g = (q + t * (1 - 2 * q) - s) % 1.0
-        rotor = (ctx._base_rotor[side](g) - center) @ rotation(theta).T + center
+        rotor = ctx._two_period_rotor[side](g / 2)
+        rotor = (rotor - center) @ rotation(theta).T + center
         casing = ctx.casing_arc[side](t)
         for eta in (0.0, 0.5, 1.0):
             got = c_grid.evaluate(t, np.full_like(t, eta))
@@ -110,6 +115,17 @@ def test_c_grid_is_the_ruled_map_between_rotor_and_casing_arcs(booy_context,
             assert np.abs(got - want).max() < 1e-12 * scale
         assert np.abs(c_grid.point(0.0, 1.0) - cusp0).max() < 1e-12 * scale
         assert np.abs(c_grid.point(1.0, 1.0) - cusp1).max() < 1e-12 * scale
+
+
+def test_rotor_arc_starting_just_before_the_seam(booy_context):
+    # a range that starts within KNOT_TOL before the base fit's seam is the
+    # range that starts on it, not the piece before the seam extrapolated
+    ctx = booy_context
+    t = np.linspace(0.0, 1.0, 201)
+    for side in ("left", "right"):
+        on = ctx._rotor_arc(side, 0.0, 0.0, 0.3)(t)
+        before = ctx._rotor_arc(side, 0.0, 1.0 - 0.4 * KNOT_TOL, 0.3)(t)
+        assert np.abs(before - on).max() < 1e-11 * TABLE2.barrel_radius
 
 
 def separator_corners(ctx, theta, monkeypatch):

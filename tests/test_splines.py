@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from screwgen.errors import DomainError, InvalidRefinementError
 from screwgen.splines import (
@@ -347,8 +347,99 @@ def test_jacobian_against_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# insert_knots
+# insert_knots / extract
 # ---------------------------------------------------------------------------
+
+def insert_knots_boehm(kv: KnotVector, cp: np.ndarray, new_knots):
+    """Reference refinement: one knot at a time (Boehm), each insertion
+    blending the p control points around the new knot's span."""
+    p, knots = kv.degree, kv.knots
+    shape = (p,) + (1,) * (cp.ndim - 1)
+    for u in np.sort(new_knots):
+        # span k with knots[k] <= u < knots[k + 1]; control points
+        # k-p+1 .. k become blends of their neighbours
+        k = int(np.searchsorted(knots, u, side="right")) - 1
+        lo = knots[k - p + 1:k + 1]
+        alpha = ((u - lo) / (knots[k + 1:k + p + 1] - lo)).reshape(shape)
+        cp = np.concatenate([cp[:k - p + 1],
+                             alpha * cp[k - p + 1:k + 1]
+                             + (1.0 - alpha) * cp[k - p:k],
+                             cp[k:]])
+        knots = np.concatenate([knots[:k + 1], [u], knots[k + 1:]])
+    return KnotVector(p, knots), cp
+
+
+@st.composite
+def refinements(draw):
+    """A random open knot vector of degree 1-5 with interior multiplicities
+    up to p, control points on it, and knots to insert within the
+    multiplicity bound, existing values among them."""
+    p = draw(st.integers(1, 5))
+    vals = np.unique(draw(st.lists(st.floats(1e-3, 1 - 1e-3), max_size=8)))
+    vals = vals[np.diff(vals, prepend=0.0) > 1e-3]
+    old = [draw(st.integers(0, p)) for _ in vals]
+    new = [draw(st.integers(0, p - m)) for m in old]
+    kv = open_knots(p, vals, old)
+    seed = draw(st.integers(0, 2**32 - 1))
+    cp = np.random.default_rng(seed).normal(size=(kv.n, 2))
+    return kv, cp, np.repeat(vals, new)
+
+
+@given(refinements())
+@settings(max_examples=300, deadline=None)
+def test_insert_knots_matches_boehm(case):
+    kv, cp, new = case
+    got_kv, got = insert_knots(kv, cp, new)
+    want_kv, want = insert_knots_boehm(kv, cp, new)
+    assert np.array_equal(got_kv.knots, want_kv.knots)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_insertion_next_to_a_short_span_keeps_full_precision():
+    # degree 5 with a 1e-3 end span: the blossom arguments must run from
+    # the largest (widest de Boor level) down; ascending order extrapolates
+    # and is off by about 3e-6 here
+    kv = open_knots(5, [0.001])
+    cp = np.random.default_rng(9).normal(size=(kv.n, 2))
+    new = [0.3, 0.6, 0.9]
+    want = insert_knots_boehm(kv, cp, new)[1]
+    got = insert_knots(kv, cp, new)[1]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def hodograph_bound(curve: SplineCurve) -> float:
+    """Upper bound of |curve'| from the control polygon."""
+    p, t = curve.basis.degree, curve.basis.knots
+    steps = np.linalg.norm(np.diff(curve.control_points, axis=0), axis=1)
+    return float(np.max(p * steps / (t[p + 1:-1] - t[1:-p - 1])))
+
+
+@st.composite
+def extractions(draw):
+    """A random curve and a range whose ends lie on knots, at 0 or 1, within
+    KNOT_TOL of a knot, or anywhere."""
+    kv, cp, _ = draw(refinements())
+    knots = st.sampled_from(kv.breakpoints.tolist())
+    end = st.one_of(knots, st.floats(0.0, 1.0),
+                    st.tuples(knots, st.floats(-KNOT_TOL, KNOT_TOL)).map(
+                        lambda k: min(max(k[0] + k[1], 0.0), 1.0)))
+    a, b = sorted([draw(end), draw(end)])
+    assume(b - a > 1e-3)
+    return SplineCurve(kv, cp), a, b
+
+
+@given(extractions())
+@settings(max_examples=300, deadline=None)
+def test_extract_is_the_curve_on_its_range(case):
+    # an end within KNOT_TOL of a knot counts as that knot, which moves the
+    # curve by at most KNOT_TOL times its speed
+    curve, a, b = case
+    sub = curve.extract(a, b)
+    x = np.concatenate([np.linspace(0.0, 1.0, 101), sub.basis.knots])
+    tol = 1e-14 * np.abs(curve.control_points).max() \
+        + 2 * KNOT_TOL * hodograph_bound(curve)
+    assert np.abs(sub(x) - curve(a + (b - a) * x)).max() <= tol
+    assert sub.basis.n == len(sub.control_points)
 
 def test_p1_segment_midpoint_insertion():
     kv = KnotVector(1, [0, 0, 1, 1])
