@@ -8,10 +8,21 @@ remaining control values with a positive margin is a sufficient linear
 condition for bijectivity.  The control values minimize a discrete Riemann
 sum of the squared dot product between the composite map's mu- and
 nu-derivatives, which maximizes grid orthogonality.
+
+The composite x o s needs no fold check of its own.  With eta degree q and
+knots t, sigma_nu is a convex combination of the slopes
+q (c[i, j+1] - c[i, j]) / (t[j+q+1] - t[j+1]), and ``feasible()`` keeps
+every gap c[i, j+1] - c[i, j] at least margin - 1e-9, so
+
+    sigma_nu >= q (margin - 1e-9) / max_j (t[j+q+1] - t[j+1]) > 0.
+
+det J(x o s) = det J_x(mu, sigma) sigma_nu then has the sign of det J_x,
+and the certificate on x certifies x o s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +112,11 @@ def check_composite_folding(x: SplineMap, s: ControlMap | None,
 class CostEvaluator:
     """Riemann-sum orthogonality cost and its exact gradient.
 
-    The sample mu-columns are fixed, so the map's xi-contraction is done
-    once; each call only evaluates eta-direction splines at the slid
-    ordinates (mu_a, sigma_ab).  With t_mu = x_xi + sigma_mu x_eta and
+    The sample mu-columns are fixed, so each column's eta-splines
+    x(mu_a, .) and x_xi(mu_a, .) are fixed piecewise polynomials.  Their
+    Taylor coefficients about each knot span's left breakpoint are tabled
+    once, and a call reads the slid ordinates (mu_a, sigma_ab) by one
+    table lookup and one Horner loop.  With t_mu = x_xi + sigma_mu x_eta and
     t_nu = sigma_nu x_eta, the per-sample dot D = t_mu . t_nu depends on the
     control values through sigma (via x), sigma_mu and sigma_nu, so the
     gradient of 0.5 sum D^2 is three basis contractions of D times the
@@ -115,63 +128,92 @@ class CostEvaluator:
             raise DomainError("sample grid must be at least twice the control "
                               "resolution")
         self.x = x
-        self.basis = basis
         t = (np.arange(N_CELLS) + 0.5) / N_CELLS
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
-        Bx = basis_matrix(x.basis.xi, t, der=0)
-        Bxd = basis_matrix(x.basis.xi, t, der=1)
-        # eta-spline coefficient stacks per mu-column: x and x_xi
-        self.coef_x = np.einsum("ai,ijd->ajd", Bx, x.control_points)
-        self.coef_xxi = np.einsum("ai,ijd->ajd", Bxd, x.control_points)
         self.Bmu = basis_matrix(basis.xi, t, der=0)
         self.Bmu_d = basis_matrix(basis.xi, t, der=1)
         self.Bnu = basis_matrix(basis.eta, t, der=0)
         self.Bnu_d = basis_matrix(basis.eta, t, der=1)
-        self.eta_kv = x.basis.eta
-        self._col = np.repeat(np.arange(N_CELLS), N_CELLS)
+        # eta-spline coefficients per mu-column, x in components 0-1 and
+        # x_xi in 2-3, and their Taylor coefficients (derivative k over k!)
+        # about the left breakpoints lo of the knot spans
+        cp = x.control_points
+        coef = np.concatenate(
+            [np.einsum("ai,ijd->ajd", basis_matrix(x.basis.xi, t, der), cp)
+             for der in (0, 1)], axis=-1)
+        kv = x.basis.eta
+        p = kv.degree
+        self.lo = np.unique(kv.knots[p:kv.n])
+        spans, ders = basis_ders_nonzero(kv, self.lo, p)
+        factorials = [math.factorial(k) for k in range(p + 1)]
+        ders /= np.array(factorials)[:, None, None]
+        win = spans[:, None] + np.arange(-p, 1)[None, :]
+        self.taylor = np.ascontiguousarray(
+            np.einsum("ksj,asjc->kcas", ders, coef[:, win]).reshape(
+                p + 1, 4, N_CELLS * len(self.lo)))
+        self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
 
     def _terms(self, coeffs, partials: bool):
-        """Per-sample dots D and, if asked, the partials of D with respect
-        to sigma, sigma_mu and sigma_nu."""
+        """Per-sample dots D, the products |t_mu|^2 |t_nu|^2 that bound D^2,
+        and, if asked, the partials of D with respect to sigma, sigma_mu and
+        sigma_nu."""
         sig = self.Bmu @ coeffs @ self.Bnu.T
         sig_mu = self.Bmu_d @ coeffs @ self.Bnu.T
         sig_nu = self.Bmu @ coeffs @ self.Bnu_d.T
-        eta = np.clip(sig.ravel(), 0.0, 1.0)
-        spans, ders = basis_ders_nonzero(self.eta_kv, eta, 2 if partials else 1)
-        p = self.eta_kv.degree
-        win = spans[:, None] + np.arange(-p, 1)[None, :]
-        cx = self.coef_xxi[self._col[:, None], win]
-        ce = self.coef_x[self._col[:, None], win]
-
-        def eta_der(k, c):
-            return np.einsum("mj,mjd->md", ders[k], c).reshape(sig.shape + (2,))
-
-        x_xi, x_eta = eta_der(0, cx), eta_der(1, ce)
-        t_mu = x_xi + sig_mu[..., None] * x_eta
-        t_nu = sig_nu[..., None] * x_eta
-        dots = np.einsum("abd,abd->ab", t_mu, t_nu)
+        eta = np.clip(sig, 0.0, 1.0)
+        s = np.clip(np.searchsorted(self.lo, eta, "right") - 1,
+                    0, len(self.lo) - 1)
+        u = eta - self.lo[s]
+        c = np.take(self.taylor, self._row + s, axis=2)
+        # Horner: value, first derivative and half the second derivative
+        val = c[-1]
+        d1 = d2 = np.zeros_like(val)
+        for k in range(len(c) - 2, -1, -1):
+            if partials:
+                d2 = d2 * u + d1
+            d1 = d1 * u + val
+            val = val * u + c[k]
+        x_eta, x_xi = d1[:2], val[2:]
+        t_mu = (x_xi[0] + sig_mu * x_eta[0], x_xi[1] + sig_mu * x_eta[1])
+        t_nu = (sig_nu * x_eta[0], sig_nu * x_eta[1])
+        dots = t_mu[0] * t_nu[0] + t_mu[1] * t_nu[1]
+        sizes = ((t_mu[0] * t_mu[0] + t_mu[1] * t_mu[1])
+                 * (t_nu[0] * t_nu[0] + t_nu[1] * t_nu[1]))
         if not partials:
-            return dots, None
-        x_xieta, x_etaeta = eta_der(1, cx), eta_der(2, ce)
-        d_sig = (np.einsum("abd,abd->ab", x_xieta + sig_mu[..., None] * x_etaeta,
-                           t_nu)
-                 + np.einsum("abd,abd->ab", t_mu, sig_nu[..., None] * x_etaeta))
+            return dots, sizes, None
+        x_xieta, x_etaeta = d1[2:], 2.0 * d2[:2]
+        d_sig = (((x_xieta[0] + sig_mu * x_etaeta[0]) * t_nu[0]
+                  + (x_xieta[1] + sig_mu * x_etaeta[1]) * t_nu[1])
+                 + (t_mu[0] * (sig_nu * x_etaeta[0])
+                    + t_mu[1] * (sig_nu * x_etaeta[1])))
         d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0  # x is read at the clipped sigma
-        d_mu = np.einsum("abd,abd->ab", x_eta, t_nu)
-        d_nu = np.einsum("abd,abd->ab", t_mu, x_eta)
-        return dots, (d_sig, d_mu, d_nu)
+        d_mu = x_eta[0] * t_nu[0] + x_eta[1] * t_nu[1]
+        d_nu = t_mu[0] * x_eta[0] + t_mu[1] * x_eta[1]
+        return dots, sizes, (d_sig, d_mu, d_nu)
 
-    def cost_of(self, coeffs: np.ndarray) -> float:
-        dots, _ = self._terms(coeffs, False)
+    def _cost(self, dots) -> float:
         return 0.5 * float(np.sum(dots * dots)) * self.cell_area
 
-    def gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Exact gradient of ``cost_of`` over the interior eta columns."""
-        dots, (d_sig, d_mu, d_nu) = self._terms(coeffs, True)
+    def cost_of(self, coeffs: np.ndarray) -> float:
+        dots, _, _ = self._terms(coeffs, False)
+        return self._cost(dots)
+
+    def cost_scale(self, coeffs: np.ndarray) -> float:
+        """0.5 sum |t_mu|^2 |t_nu|^2 * area: the cost the same tangents would
+        have if each pair were parallel.  It bounds ``cost_of`` (Cauchy-
+        Schwarz) and scales with it, so their ratio is free of the length
+        unit."""
+        _, sizes, _ = self._terms(coeffs, False)
+        return 0.5 * float(np.sum(sizes)) * self.cell_area
+
+    def gradient(self, coeffs: np.ndarray):
+        """``(cost_of(coeffs), gradient)`` from one pass, the gradient being
+        exact over the interior eta columns."""
+        dots, _, (d_sig, d_mu, d_nu) = self._terms(coeffs, True)
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
-        return self.cell_area * g[:, 1:-1].ravel()
+        return self._cost(dots), self.cell_area * g[:, 1:-1].ravel()
 
 
 def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
@@ -209,9 +251,12 @@ def optimize_control(x: SplineMap, init: ControlMap,
 
     Sequential quadratic programming (SLSQP) on the interior eta columns
     with the start's ordering margin per column as linear inequality
-    constraints and the exact gradient of the Riemann-sum cost.  The
-    returned map is ``feasible()`` and its cost never exceeds the initial
-    one; a result short of the margin raises ConstraintError (``min_diff``).
+    constraints.  Each SLSQP point takes the cost and its exact gradient
+    from one pass of ``CostEvaluator.gradient``.  A start whose cost is
+    below 1e-14 of ``cost_scale`` is already orthogonal to rounding, at any
+    length unit, and is returned after 0 iterations.  The returned map is
+    ``feasible()`` and its cost never exceeds the initial one; a result
+    short of the margin raises ConstraintError (``min_diff``).
     """
     if not init.feasible():
         raise ConstraintError("initial control map violates the ordering margin")
@@ -230,15 +275,15 @@ def optimize_control(x: SplineMap, init: ControlMap,
     def fun(z):
         return ev.cost_of(unpack(z))
 
-    def jac(z):
+    def fun_and_jac(z):
         return ev.gradient(unpack(z))
 
     z0 = init.coeffs[:, 1:-1].ravel().copy()
     f0 = fun(z0)
-    if f0 <= 1e-14:
+    if f0 <= 1e-14 * ev.cost_scale(init.coeffs):
         return ControlMap(init.basis, init.coeffs, margin, iterations=0)
     cons = [{"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A}]
-    res = minimize(fun, z0, jac=jac, method="SLSQP", constraints=cons,
+    res = minimize(fun_and_jac, z0, jac=True, method="SLSQP", constraints=cons,
                    options={"maxiter": max_iter, "ftol": 1e-8 * max(f0, 1e-30)})
     z = res.x
     if fun(z) > f0:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from screwgen import control_map
-from screwgen.control_map import (ControlMap, CostEvaluator,
+from screwgen.control_map import (N_CELLS, ControlMap, CostEvaluator,
                                   check_composite_folding,
                                   default_control_basis, folded_cells,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
 from screwgen.errors import ConstraintError
 from screwgen.parameterization import check_folding
-from screwgen.splines import SplineMap, TensorBasis, uniform_knots
+from screwgen.splines import (SplineMap, TensorBasis, basis_ders_nonzero,
+                              basis_matrix, open_knots, uniform_knots)
 
 
 def curved_map():
@@ -20,6 +21,87 @@ def curved_map():
     r = 1.0 + xi
     phi = 0.5 * np.pi * eta + 0.4 * xi * xi
     return SplineMap(tb, np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
+
+
+def kinked_map(p):
+    """Curved map whose eta knot vector has degree p and one interior knot
+    of multiplicity p, where x_eta jumps."""
+    tb = TensorBasis(uniform_knots(3, 5),
+                     open_knots(p, [0.25, 0.5, 0.75], [1, p, 1]))
+    gx, ge = tb.greville_grid()
+    xi, eta = np.meshgrid(gx, ge, indexing="ij")
+    r = 1.0 + xi + 0.1 * np.sin(7.0 * eta)
+    phi = 0.5 * np.pi * eta + 0.4 * xi * xi
+    return SplineMap(tb, np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1))
+
+
+def basis_pieces(ev, coeffs, partials=True):
+    """sigma, sigma_mu, sigma_nu and the derivatives of x at the slid
+    ordinates, by Cox-de Boor on every ordinate, a window gather and
+    einsum contractions: the per-call path the Taylor tables replace."""
+    x = ev.x
+    t = (np.arange(N_CELLS) + 0.5) / N_CELLS
+    coef_x = np.einsum("ai,ijd->ajd", basis_matrix(x.basis.xi, t),
+                       x.control_points)
+    coef_xxi = np.einsum("ai,ijd->ajd", basis_matrix(x.basis.xi, t, der=1),
+                         x.control_points)
+    sig = ev.Bmu @ coeffs @ ev.Bnu.T
+    sig_mu = ev.Bmu_d @ coeffs @ ev.Bnu.T
+    sig_nu = ev.Bmu @ coeffs @ ev.Bnu_d.T
+    eta = np.clip(sig.ravel(), 0.0, 1.0)
+    kv = x.basis.eta
+    spans, ders = basis_ders_nonzero(kv, eta, 2 if partials else 1)
+    win = spans[:, None] + np.arange(-kv.degree, 1)[None, :]
+    col = np.repeat(np.arange(N_CELLS), N_CELLS)[:, None]
+    cx, ce = coef_xxi[col, win], coef_x[col, win]
+
+    def eta_der(k, c):
+        return np.einsum("mj,mjd->md", ders[k], c).reshape(sig.shape + (2,))
+
+    pieces = (sig, sig_mu, sig_nu, eta_der(0, cx), eta_der(1, ce))
+    if partials:
+        pieces += (eta_der(1, cx), eta_der(2, ce))
+    return pieces
+
+
+def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
+    """Dots, sizes and partials from the pieces, as CostEvaluator._terms
+    returns them."""
+    def dot(a, b):
+        return np.einsum("abd,abd->ab", a, b)
+
+    t_mu = x_xi + sig_mu[..., None] * x_eta
+    t_nu = sig_nu[..., None] * x_eta
+    dots, sizes = dot(t_mu, t_nu), dot(t_mu, t_mu) * dot(t_nu, t_nu)
+    if x_etaeta is None:
+        return dots, sizes, None
+    d_sig = (dot(x_xieta + sig_mu[..., None] * x_etaeta, t_nu)
+             + dot(t_mu, sig_nu[..., None] * x_etaeta))
+    d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0
+    return dots, sizes, (d_sig, dot(x_eta, t_nu), dot(t_mu, x_eta))
+
+
+def terms_by_basis(ev, coeffs, partials=True):
+    """Reference for CostEvaluator._terms."""
+    return combine(*basis_pieces(ev, coeffs, partials))
+
+
+def assert_terms_match_oracle(ev, coeffs):
+    """Every quantity agrees with the oracle to 1e-13 of the largest sum of
+    its products' magnitudes: the scale of the rounding either path makes.
+    Both read second derivatives of x to about 2e-14 of their size, and
+    d_sig cancels."""
+    pieces = basis_pieces(ev, coeffs)
+    dots, sizes, parts = combine(*pieces)
+    m_dots, m_sizes, m_parts = combine(pieces[0], *map(np.abs, pieces[1:]))
+    got_dots, got_sizes, got = ev._terms(coeffs, True)
+    for a, b, m in zip((got_dots, got_sizes) + got, (dots, sizes) + parts,
+                       (m_dots, m_sizes) + m_parts):
+        assert np.abs(a - b).max() <= 1e-13 * m.max()
+    plain_dots, plain_sizes, none = ev._terms(coeffs, False)
+    assert none is None
+    assert np.array_equal(plain_dots, got_dots)
+    assert np.array_equal(plain_sizes, got_sizes)
 
 
 def perturbed_control(seed=0):
@@ -55,10 +137,97 @@ def test_gradient_matches_central_differences():
     assert s.feasible()
     ev = CostEvaluator(curved_map(), s.basis)
     coeffs = np.array(s.coeffs)
-    g = ev.gradient(coeffs)
+    _, g = ev.gradient(coeffs)
     fd = central_difference_gradient(ev, coeffs)
     assert np.linalg.norm(fd) > 1e-3  # the cost is genuinely sloped here
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
+
+
+MAPS = [curved_map] + [lambda p=p: kinked_map(p) for p in (2, 3, 4)]
+MAP_IDS = ["curved", "eta_p2", "eta_p3", "eta_p4"]
+
+
+@pytest.mark.parametrize("make", MAPS, ids=MAP_IDS)
+def test_terms_match_the_basis_oracle(make):
+    s = perturbed_control()
+    ev = CostEvaluator(make(), s.basis)
+    coeffs = np.array(s.coeffs)
+    assert_terms_match_oracle(ev, coeffs)
+    cost, _ = ev.gradient(coeffs)
+    assert cost == ev.cost_of(coeffs)
+
+
+@pytest.mark.parametrize("make", MAPS, ids=MAP_IDS)
+def test_terms_match_the_basis_oracle_at_breakpoints_and_the_clip(make):
+    # identity sample matrices make sigma the coefficient lattice itself,
+    # so sigma lands exactly on every breakpoint, on 0 and 1 and just
+    # outside [0, 1]
+    x = make()
+    ev = CostEvaluator(x, default_control_basis())
+    rng = np.random.default_rng(3)
+    ev.Bmu = ev.Bnu = np.eye(N_CELLS)
+    ev.Bmu_d, ev.Bnu_d = rng.normal(0.0, 1.0, (2, N_CELLS, N_CELLS))
+    sigma = rng.uniform(0.0, 1.0, (N_CELLS, N_CELLS))
+    special = np.concatenate([np.unique(x.basis.eta.knots),
+                              [-1e-9, 1.0 + 1e-9, -0.01, 1.01]])
+    sigma.ravel()[::7][:len(special)] = special
+    assert np.isin(special, sigma).all()
+    assert_terms_match_oracle(ev, sigma)
+    _, _, (d_sig, _, _) = ev._terms(sigma, True)
+    assert np.all(d_sig[(sigma < 0.0) | (sigma > 1.0)] == 0.0)
+
+
+def test_optimize_control_on_the_basis_oracle_takes_the_same_steps(monkeypatch):
+    # 134 SLSQP iterations carry the paths' rounding apart by up to 4e-11
+    # on the way and 1.2e-12 at the end; the cost agrees to 4e-14
+    x, init = curved_map(), identity_control(default_control_basis())
+    got = optimize_control(x, init)
+    monkeypatch.setattr(CostEvaluator, "_terms", terms_by_basis)
+    want = optimize_control(x, init)
+    assert got.iterations == want.iterations > 0
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-11
+    assert orthogonality_cost(x, got) == pytest.approx(
+        orthogonality_cost(x, want), rel=1e-12)
+
+
+def test_optimize_control_early_exit_is_scale_free():
+    # the start's cost is 2.3e-16 at this scale; only an orthogonal start
+    # may skip the optimizer
+    x, init = curved_map(), identity_control(default_control_basis())
+    small = SplineMap(x.basis, 1e-4 * x.control_points)
+    out = optimize_control(small, init)
+    assert out.iterations >= 1
+    assert orthogonality_cost(small, out) <= orthogonality_cost(small, init)
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    gx, ge = x.basis.greville_grid()
+    grid = np.stack(np.meshgrid(2.0 * gx, 3.0 * ge, indexing="ij"), axis=-1)
+    affine = SplineMap(x.basis, grid @ rot.T)
+    assert optimize_control(affine, init).iterations == 0
+
+
+def test_feasible_controls_keep_sigma_nu_above_the_ordering_bound():
+    # sigma_nu = sum of q (c[j+1] - c[j]) / (t[j+q+1] - t[j+1]) times
+    # nonnegative weights summing to 1, so the margin bounds it below
+    basis = default_control_basis()
+    kv, (n_mu, n_nu) = basis.eta, basis.shape
+    q, knots = kv.degree, kv.knots
+    margin = identity_control(basis).margin
+    bound = q * (margin - 1e-9) / np.max(knots[q + 1:n_nu + q] - knots[1:n_nu])
+    t = np.linspace(0.0, 1.0, 201)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        # columns of zero weight sit exactly at the margin
+        gaps = rng.exponential(1.0, (n_mu, n_nu - 1)) ** 3
+        tight = rng.permutation(n_nu - 1)[:rng.integers(0, n_nu - 1)]
+        gaps[:, tight] = 0.0
+        gaps = margin + (1.0 - (n_nu - 1) * margin) * gaps / gaps.sum(
+            axis=1, keepdims=True)
+        coeffs = np.concatenate([np.zeros((n_mu, 1)),
+                                 np.cumsum(gaps, axis=1)], axis=1)
+        coeffs[:, -1] = 1.0
+        s = ControlMap(basis, coeffs, margin)
+        assert s.feasible()
+        assert s.sigma_grid(t, t, 0, 1).min() >= bound
 
 
 def test_optimize_control_feasible_and_not_worse():

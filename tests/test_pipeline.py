@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from screwgen import parameterization, pipeline
-from screwgen.control_map import (check_composite_folding, identity_control,
-                                  optimize_control, orthogonality_cost)
+from screwgen.control_map import (CostEvaluator, check_composite_folding,
+                                  identity_control, optimize_control,
+                                  orthogonality_cost)
 from screwgen.errors import MatchingError, TopologyError
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
@@ -15,6 +16,7 @@ from screwgen.profiles import (ScrewParams, booy_profile, load_profile,
                                rotation, save_profile)
 from screwgen.splines import (KNOT_TOL, SplineCurve, SplineMap, open_knots,
                               unique_knots)
+from test_control_map import terms_by_basis
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
@@ -74,6 +76,16 @@ def test_quarter_turn_patch_set_is_fold_free(quarter_turn):
                                    200) == []
     assert patches.control.feasible()
     assert patches.control_iterations == patches.control.iterations > 0
+
+
+def test_quarter_turn_control_map_on_the_basis_oracle_takes_the_same_steps(
+        quarter_turn, monkeypatch):
+    x = quarter_turn.separator.map
+    identity = identity_control(quarter_turn.control.basis)
+    monkeypatch.setattr(CostEvaluator, "_terms", terms_by_basis)
+    want = optimize_control(x, identity)
+    assert quarter_turn.control.iterations == want.iterations > 0
+    assert np.abs(quarter_turn.control.coeffs - want.coeffs).max() <= 1e-12
 
 
 @pytest.mark.parametrize("saved_angle", [0.0, math.pi / 8], ids=["0", "pi_8"])
