@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from .errors import ConstraintError, DomainError
@@ -144,12 +145,11 @@ class CostEvaluator:
         kv = x.basis.eta
         p = kv.degree
         self.lo = np.unique(kv.knots[p:kv.n])
-        spans, ders = basis_ders_nonzero(kv, self.lo, p)
+        cols, ders = basis_ders_nonzero(kv, self.lo, p)
         factorials = [math.factorial(k) for k in range(p + 1)]
         ders /= np.array(factorials)[:, None, None]
-        win = spans[:, None] + np.arange(-p, 1)[None, :]
         self.taylor = np.ascontiguousarray(
-            np.einsum("ksj,asjc->kcas", ders, coef[:, win]).reshape(
+            np.einsum("ksj,asjc->kcas", ders, coef[:, cols]).reshape(
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
 
@@ -227,22 +227,12 @@ def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
 
 def _constraint_matrix(n_mu: int, n_nu: int, margin: float):
     """Linear ordering constraints A z >= b on the free (interior eta
-    columns) control values, rows ordered per mu-column."""
-    n_free = n_nu - 2
-    nz = n_mu * n_free
-    A = np.zeros((n_mu * (n_nu - 1), nz))
-    b = np.full(n_mu * (n_nu - 1), margin)
-    for i in range(n_mu):
-        for j in range(n_nu - 1):
-            row = i * (n_nu - 1) + j
-            # difference c[i, j+1] - c[i, j] with pinned c[i,0]=0, c[i,-1]=1
-            if j + 1 <= n_free:
-                A[row, i * n_free + j] += 1.0
-            else:
-                b[row] -= 1.0  # c[i, -1] = 1
-            if 1 <= j:
-                A[row, i * n_free + j - 1] -= 1.0
-    return A, b
+    columns) control values, rows ordered per mu-column: the differences
+    c[i, j+1] - c[i, j] with pinned c[i, 0] = 0 and c[i, -1] = 1."""
+    diff = np.eye(n_nu - 1, n_nu - 2) - np.eye(n_nu - 1, n_nu - 2, k=-1)
+    b = np.full((n_mu, n_nu - 1), margin)
+    b[:, -1] -= 1.0
+    return block_diag(*[diff] * n_mu), b.ravel()
 
 
 def optimize_control(x: SplineMap, init: ControlMap,

@@ -369,21 +369,17 @@ class _DirCache:
     """Per-direction Gauss data and basis derivative tables on each span."""
 
     def __init__(self, kv: KnotVector, n_nodes: int, max_der: int):
-        self.kv = kv
         breaks = kv.breakpoints
         self.n_elems = len(breaks) - 1
         ref_x, ref_w = np.polynomial.legendre.leggauss(n_nodes)
         nodes = 0.5 * (breaks[:-1, None] + breaks[1:, None]) \
             + 0.5 * np.diff(breaks)[:, None] * ref_x[None, :]
-        self.nodes = nodes
         self.weights = 0.5 * np.diff(breaks)[:, None] * ref_w[None, :]
-        flat = nodes.ravel()
-        spans, ders = basis_ders_nonzero(kv, flat, max_der)
-        p = kv.degree
-        self.first_dof = (spans.reshape(nodes.shape)[:, 0] - p).astype(int)
-        self.vals = [ders[k].reshape(self.n_elems, n_nodes, p + 1)
+        cols, ders = basis_ders_nonzero(kv, nodes.ravel(), max_der)
+        self.n_local = kv.degree + 1
+        self.cols = cols[::n_nodes]  # (n_elems, p+1) window of each span
+        self.vals = [ders[k].reshape(self.n_elems, n_nodes, self.n_local)
                      for k in range(max_der + 1)]
-        self.n_local = p + 1
 
 
 class EggAssembly:
@@ -422,12 +418,9 @@ class EggAssembly:
 
         # local-to-global dof index tables
         def dof_table(c1, c2, n2_dofs):
-            l1, l2 = c1.n_local, c2.n_local
-            g1 = c1.first_dof[:, None] + np.arange(l1)[None, :]  # (E1, l1)
-            g2 = c2.first_dof[:, None] + np.arange(l2)[None, :]  # (E2, l2)
-            glob = (g1[:, None, :, None] * n2_dofs
-                    + g2[None, :, None, :])  # (E1, E2, l1, l2)
-            return glob.reshape(self.E, l1 * l2)
+            glob = (c1.cols[:, None, :, None] * n2_dofs
+                    + c2.cols[None, :, None, :])  # (E1, E2, l1, l2)
+            return glob.reshape(self.E, c1.n_local * c2.n_local)
 
         self.dof_p = dof_table(self.cx, self.ce, basis.eta.n)   # primal
         self.dof_a = dof_table(self.ax, self.ae, aux.eta.n)

@@ -176,7 +176,6 @@ class PipelineContext:
     def __init__(self, source: GeometrySource,
                  fit_threshold: float | None = None,
                  optimize_control_maps: bool = True):
-        self.source = source
         p = source.params
         self.params = p
         sec0 = source.section(0.0)

@@ -105,9 +105,6 @@ class CasingArc:
     start_angle: float
     end_angle: float
 
-    def point(self, angle: float) -> np.ndarray:
-        return self.center + self.radius * np.array([math.cos(angle), math.sin(angle)])
-
 
 @dataclass(frozen=True)
 class CrossSection:

@@ -5,11 +5,16 @@ last knots are repeated degree+1 times. Interior knots may be repeated up
 to ``degree`` times, which reduces continuity down to C0 but never allows a
 discontinuous basis.
 
-Every change of basis is one kernel, ``blossoms``: the control points of a
-spline in a knot sequence that refines its own are its blossoms (polar
-forms) at that sequence's consecutive degree-tuples.  Knot insertion (all
-knots at once, the Oslo algorithm), sub-range extraction, Bezier nets and
-the halving of Bernstein coefficients all run through it.
+The module has two kernels.  Every change of basis is ``blossoms``: the
+control points of a spline in a knot sequence that refines its own are its
+blossoms (polar forms) at that sequence's consecutive degree-tuples.  Knot
+insertion (all knots at once, the Oslo algorithm), sub-range extraction,
+Bezier nets and the halving of Bernstein coefficients all run through it.
+Every basis evaluation is ``basis_ders_nonzero``: one Cox-de Boor triangle
+gives the values and all derivatives of the p+1 functions nonzero at each
+point, returned with ``cols``, the (m, p+1) global indices of that window.
+Consumers index coefficients by ``cols`` and never rebuild the window from
+span indices.
 
 Everything in this module is a pure function of immutable values; instances
 never mutate after construction and can be shared freely between threads.
@@ -45,8 +50,9 @@ class KnotVector:
     degree : int
         Polynomial degree p >= 1.
     knots : ndarray
-        Nondecreasing knot sequence of length n + p + 1 with (p+1)-fold
-        repetitions of 0 and 1 at the ends.
+        Nondecreasing knot sequence of length n + p + 1 with exactly
+        (p+1)-fold repetitions of 0 and 1 at the ends, so that every span
+        a point can fall in is nonempty.
     """
 
     degree: int
@@ -65,6 +71,8 @@ class KnotVector:
             raise DomainError("knot vector must be clamped at 0")
         if abs(t[-1] - 1.0) > KNOT_TOL or abs(t[-p - 1] - t[-1]) > KNOT_TOL:
             raise DomainError("knot vector must be clamped at 1")
+        if t[p + 1] <= t[0] + KNOT_TOL or t[-p - 2] >= t[-1] - KNOT_TOL:
+            raise DomainError("end knots repeated more than degree+1 times")
         if np.any(unique_knots(t)[1][1:-1] > p):
             raise DomainError("interior knot multiplicity exceeds degree")
 
@@ -124,94 +132,60 @@ def find_spans(knots, degree, x):
     return np.clip(s, degree, n - 1).astype(np.intp)
 
 
-def _nonzero_values(knots, r, spans, x):
-    """Values of the r+1 basis functions of degree ``r`` that are nonzero on
-    the (degree-level) spans, via the triangular Cox-de-Boor scheme.
-
-    Function j of the window corresponds to global index spans - r + j.
-    """
-    m = len(x)
-    vals = np.zeros((m, r + 1))
-    vals[:, 0] = 1.0
-    left = np.zeros((m, r + 1))
-    right = np.zeros((m, r + 1))
-    for j in range(1, r + 1):
-        left[:, j] = x - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - x
-        saved = np.zeros(m)
-        for k in range(j):
-            denom = right[:, k + 1] + left[:, j - k]
-            temp = vals[:, k] / denom
-            vals[:, k] = saved + right[:, k + 1] * temp
-            saved = left[:, j - k] * temp
-        vals[:, j] = saved
-    return vals
-
-
-def _raise_degree_window(knots, r, spans, vals, p):
-    """One derivative step: degree-r nonzero window -> derivative window of
-    degree r+1 functions, using N'_{i,r+1} = (r+1) (N_{i,r}/d_i - N_{i+1,r}/d_{i+1}).
-
-    ``vals`` has shape (m, r+1) for functions spans-r+j.  The result has
-    shape (m, r+2) for functions spans-(r+1)+j, where the entries are the
-    lower-degree combination, not yet scaled by (r+1) (the caller scales).
-    ``p`` is the target full degree (decides window alignment only through
-    spans, which are degree-level spans; alignment is the same).
-    """
-    m, w = vals.shape
-    out = np.zeros((m, w + 1))
-    # function global index of out column j: g = spans - (r+1) + j
-    # term +: N_{g,r} / (knots[g+r+1]-knots[g]); term -: N_{g+1,r}/(knots[g+r+2]-knots[g+1])
-    for j in range(w + 1):
-        g = spans - (r + 1) + j
-        if j > 0:
-            d = knots[g + r + 1] - knots[g]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(d > 0, vals[:, j - 1] / np.where(d > 0, d, 1.0), 0.0)
-            out[:, j] += t
-        if j < w:
-            d = knots[g + r + 2] - knots[g + 1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(d > 0, vals[:, j] / np.where(d > 0, d, 1.0), 0.0)
-            out[:, j] -= t
-    return out
-
-
 def basis_ders_nonzero(kv: KnotVector, x, nders: int):
-    """Nonzero basis values and derivatives at the points ``x``.
+    """Nonzero basis values and derivatives at the points ``x``, from one
+    Cox-de Boor triangle.
+
+    The A2.2 pass of Piegl and Tiller builds the triangle's row of each
+    degree r <= p with the divisors t[s+1+k] - t[s+1+k-r] on span s, and
+    keeps the rows of degree p - nders and up.  The k-th derivative is the
+    degree-(p-k) row differenced k times by
+    N'_{g,r} = r (N_{g,r-1} / (t[g+r] - t[g]) - N_{g+1,r-1} / (t[g+r+1] - t[g+1])),
+    whose divisors are those of the degree-r row.  Every span s is
+    nonempty (a knot vector repeats its end knots exactly p+1 times), so
+    no divisor is zero.
 
     Returns
     -------
-    spans : (m,) span indices
+    cols : (m, p+1) global indices of the functions nonzero at x[i]; every
+        consumer indexes coefficients by it.
     ders : (nders+1, m, p+1) array; ders[k, i, j] is the k-th derivative of
-        basis function spans[i]-p+j at x[i].
+        basis function cols[i, j] at x[i].
     """
     x = np.ascontiguousarray(x, dtype=float)
-    p, knots = kv.degree, kv.knots
-    spans = find_spans(knots, p, x)
-    m = len(x)
-    ders = np.zeros((nders + 1, m, p + 1))
-    ders[0] = _nonzero_values(knots, p, spans, x)
-    for k in range(1, nders + 1):
-        r = p - k
-        if r < 0:
-            break  # higher derivatives of degree < k vanish
-        vals = _nonzero_values(knots, r, spans, x)
-        scale = 1.0
-        for rr in range(r, p):
-            vals = _raise_degree_window(knots, rr, spans, vals, p)
-            scale *= rr + 1
-        ders[k] = scale * vals
-    return spans, ders
+    p, t = kv.degree, kv.knots
+    spans = find_spans(t, p, x)
+    low = p - min(nders, p)  # lowest degree a derivative reads
+    left = [None] + [x - t[spans + 1 - j] for j in range(1, p + 1)]
+    right = [None] + [t[spans + j] - x for j in range(1, p + 1)]
+    row = [np.ones(len(x))]
+    rows, divisors = {0: row}, {}
+    for j in range(1, p + 1):
+        div = [right[k + 1] + left[j - k] for k in range(j)]
+        new, saved = [], 0.0
+        for k in range(j):
+            temp = row[k] / div[k]
+            new.append(saved + right[k + 1] * temp)
+            saved = left[j - k] * temp
+        row = new + [saved]
+        if j >= low:
+            rows[j], divisors[j] = row, div
+    ders = np.zeros((nders + 1, len(x), p + 1))
+    for k in range(p - low + 1):
+        row = rows[p - k]
+        for r in range(p - k + 1, p + 1):
+            q = [n / d for n, d in zip(row, divisors[r])]
+            row = ([-r * q[0]] + [r * (a - b) for a, b in zip(q, q[1:])]
+                   + [r * q[-1]])
+        np.stack(row, axis=-1, out=ders[k])
+    return (spans - p)[:, None] + np.arange(p + 1), ders
 
 
 def basis_matrix(kv: KnotVector, x, der: int = 0):
     """Dense (m, n) matrix of basis values (or ``der``-th derivatives)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    spans, ders = basis_ders_nonzero(kv, x, der)
-    m = len(x)
-    out = np.zeros((m, kv.n))
-    cols = spans[:, None] + np.arange(-kv.degree, 1)[None, :]
+    cols, ders = basis_ders_nonzero(kv, x, der)
+    out = np.zeros((len(x), kv.n))
     np.put_along_axis(out, cols, ders[der], axis=1)
     return out
 
@@ -303,9 +277,8 @@ class SplineCurve:
 
     def evaluate(self, x, der: int = 0) -> np.ndarray:
         x = _check_param(np.atleast_1d(np.asarray(x, dtype=float)))
-        spans, ders = basis_ders_nonzero(self.basis, x, der)
-        idx = spans[:, None] + np.arange(-self.basis.degree, 1)[None, :]
-        return np.einsum("mj,mjd->md", ders[der], self.control_points[idx])
+        cols, ders = basis_ders_nonzero(self.basis, x, der)
+        return np.einsum("mj,mjd->md", ders[der], self.control_points[cols])
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
@@ -386,11 +359,8 @@ class SplineMap:
         points; xi and eta are equal-length arrays."""
         xi = _check_param(np.atleast_1d(np.asarray(xi, dtype=float)), "xi")
         eta = _check_param(np.atleast_1d(np.asarray(eta, dtype=float)), "eta")
-        su, du = basis_ders_nonzero(self.basis.xi, xi, dxi)
-        sv, dv = basis_ders_nonzero(self.basis.eta, eta, deta)
-        p1, p2 = self.basis.xi.degree, self.basis.eta.degree
-        iu = su[:, None] + np.arange(-p1, 1)[None, :]
-        iv = sv[:, None] + np.arange(-p2, 1)[None, :]
+        iu, du = basis_ders_nonzero(self.basis.xi, xi, dxi)
+        iv, dv = basis_ders_nonzero(self.basis.eta, eta, deta)
         sub = self.control_points[iu[:, :, None], iv[:, None, :]]
         return np.einsum("mi,mj,mijd->md", du[dxi], dv[deta], sub)
 

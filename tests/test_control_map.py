@@ -49,11 +49,9 @@ def basis_pieces(ev, coeffs, partials=True):
     sig_mu = ev.Bmu_d @ coeffs @ ev.Bnu.T
     sig_nu = ev.Bmu @ coeffs @ ev.Bnu_d.T
     eta = np.clip(sig.ravel(), 0.0, 1.0)
-    kv = x.basis.eta
-    spans, ders = basis_ders_nonzero(kv, eta, 2 if partials else 1)
-    win = spans[:, None] + np.arange(-kv.degree, 1)[None, :]
-    col = np.repeat(np.arange(N_CELLS), N_CELLS)[:, None]
-    cx, ce = coef_xxi[col, win], coef_x[col, win]
+    cols, ders = basis_ders_nonzero(x.basis.eta, eta, 2 if partials else 1)
+    mu = np.repeat(np.arange(N_CELLS), N_CELLS)[:, None]
+    cx, ce = coef_xxi[mu, cols], coef_x[mu, cols]
 
     def eta_der(k, c):
         return np.einsum("mj,mjd->md", ders[k], c).reshape(sig.shape + (2,))

@@ -106,9 +106,10 @@ def test_partition_of_unity_and_support():
             assert np.all(B[outside, i] == 0.0)
 
 
-def eval_basis_recursive(kv: KnotVector, xi: float) -> np.ndarray:
-    """Reference evaluation straight from the two-term recursion with the
-    0/0 = 0 convention; an oracle independent of the vectorized kernels."""
+def recursive_rows(kv: KnotVector, xi: float) -> list:
+    """Values of every degree 0..p straight from the two-term recursion
+    with the 0/0 = 0 convention; an oracle independent of the vectorized
+    kernels."""
     t = kv.knots
     nfun = len(t) - 1
     vals = np.zeros(nfun)
@@ -118,6 +119,7 @@ def eval_basis_recursive(kv: KnotVector, xi: float) -> np.ndarray:
         if t[i + 1] == t[-1] and t[i] < t[i + 1] and xi == t[i + 1]:
             inside = True
         vals[i] = 1.0 if inside else 0.0
+    rows = [vals]
     for s in range(1, kv.degree + 1):
         new = np.zeros(nfun - s)
         for i in range(nfun - s):
@@ -129,6 +131,27 @@ def eval_basis_recursive(kv: KnotVector, xi: float) -> np.ndarray:
                 b = (t[i + s + 1] - xi) / (t[i + s + 1] - t[i + 1]) * vals[i + 1]
             new[i] = a + b
         vals = new
+        rows.append(vals)
+    return rows
+
+
+def derivatives_recursive(kv: KnotVector, rows: list, order: int) -> np.ndarray:
+    """order-th derivatives of all n functions: the two-term derivative
+    formula N'_{i,s} = s (N_{i,s-1} / (t[i+s] - t[i])
+    - N_{i+1,s-1} / (t[i+s+1] - t[i+1])), 0/0 = 0, applied ``order`` times
+    to the recursive values of degree p - order."""
+    t, p = kv.knots, kv.degree
+    if order > p:
+        return np.zeros(kv.n)
+    vals = rows[p - order]
+    for s in range(p - order + 1, p + 1):
+        new = np.zeros(len(vals) - 1)
+        for i in range(len(new)):
+            a = s * vals[i] / (t[i + s] - t[i]) if t[i + s] != t[i] else 0.0
+            b = (s * vals[i + 1] / (t[i + s + 1] - t[i + 1])
+                 if t[i + s + 1] != t[i + 1] else 0.0)
+            new[i] = a - b
+        vals = new
     return vals
 
 
@@ -138,7 +161,37 @@ def test_matches_recursive_definition():
         kv = random_knot_vector(rng, degree)
         for xi in np.concatenate([rng.uniform(0, 1, 20), [0.0, 1.0], kv.breakpoints]):
             assert np.allclose(eval_basis(kv, xi),
-                               eval_basis_recursive(kv, xi), atol=1e-13)
+                               recursive_rows(kv, xi)[-1], atol=1e-13)
+
+
+def test_derivatives_match_recursive_definition():
+    # every order up to p+1, interior knots up to multiplicity p (where the
+    # derivatives above the continuity jump), at random points, every
+    # breakpoint, 0 and 1; at an interior breakpoint both read the span to
+    # its right
+    rng = np.random.default_rng(7)
+    for degree in (1, 2, 3, 4):
+        kvs = [open_knots(degree, [0.3, 0.6], [degree, 1])] \
+            + [random_knot_vector(rng, degree) for _ in range(3)]
+        for kv in kvs:
+            xs = np.concatenate([rng.uniform(0, 1, 15), kv.breakpoints])
+            for xi in xs:
+                rows = recursive_rows(kv, xi)
+                for order in range(degree + 2):
+                    want = derivatives_recursive(kv, rows, order)
+                    got = basis_matrix(kv, [xi], der=order)[0]
+                    assert np.allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max()), \
+                        (degree, kv.knots, xi, order)
+
+
+def test_end_knots_repeated_more_than_degree_plus_one_rejected():
+    # the first gives a NaN row at 1; the second an identically zero first
+    # function, so a curve would miss its first control point
+    for degree, knots in ((3, [0, 0, 0, 0, 0.5, 1, 1, 1, 1, 1]),
+                          (2, [0, 0, 0, 0, 0.5, 1, 1, 1])):
+        with pytest.raises(DomainError):
+            KnotVector(degree, knots)
 
 
 def test_out_of_domain_raises():
