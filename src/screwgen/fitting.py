@@ -52,6 +52,20 @@ class FitResult:
         return float(self.residuals.max())
 
 
+def _second_differences(g) -> np.ndarray:
+    """(n-2, n) second divided differences of a control polygon over its
+    Greville abscissae g, scaled by the local gap: straight lines lie in the
+    null space and the penalty weight decays under knot refinement, so the
+    stabilization fixes rank deficiency without flooring fine fits."""
+    h0, h1 = np.diff(g)[:-1], np.diff(g)[1:]
+    hbar = 0.5 * (h0 + h1)
+    i = np.arange(len(hbar))
+    D = np.zeros((len(hbar), len(g)))
+    D[i, i], D[i, i + 1], D[i, i + 2] = \
+        hbar / h0, -(hbar / h0 + hbar / h1), hbar / h1
+    return D
+
+
 def fit_curve(points, params, kv: KnotVector,
               lam_reg: float | None = None) -> FitResult:
     """Stabilized least-squares fit of (points, params) against the basis.
@@ -70,18 +84,7 @@ def fit_curve(points, params, kv: KnotVector,
         lam_reg = 1e-7 * bounding_box_diagonal(points) ** 2
     n = kv.n
     B = basis_matrix(kv, params)
-    # second divided differences of the control polygon over the Greville
-    # abscissae, scaled by the local gap: straight lines lie in the null
-    # space and the penalty weight decays under knot refinement, so the
-    # stabilization fixes rank deficiency without flooring fine fits
-    g = greville_abscissae(kv)
-    D = np.zeros((max(n - 2, 0), n))
-    for i in range(n - 2):
-        h0 = g[i + 1] - g[i]
-        h1 = g[i + 2] - g[i + 1]
-        hbar = 0.5 * (h0 + h1)
-        D[i, i:i + 3] = (hbar / h0, -(hbar / h0 + hbar / h1), hbar / h1)
-
+    D = _second_differences(greville_abscissae(kv))
     pinned = np.zeros((n, 2))
     pinned[0] = points[0]
     pinned[-1] = points[-1]
@@ -114,11 +117,14 @@ def adapt_knots(fit: FitResult, threshold: float) -> KnotVector:
     kv = fit.curve.basis
     bps = kv.breakpoints
     offenders = fit.params[fit.residuals > threshold]
-    new = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        if np.any((offenders >= a) & (offenders <= b)):
-            new.append(0.5 * (a + b))
-    if not new:
+    # span k = [bps[k], bps[k+1]] holds t when k + 1 lies in
+    # [searchsorted left, searchsorted right]: one span for an inner t, both
+    # neighbours for a t on a breakpoint; hit[k + 1] marks span k
+    hit = np.zeros(len(bps) + 1, dtype=bool)
+    for side in ("left", "right"):
+        hit[np.searchsorted(bps, offenders, side=side)] = True
+    new = (0.5 * (bps[:-1] + bps[1:]))[hit[1:-1]]
+    if not new.size:
         return kv
     return KnotVector(kv.degree, np.sort(np.concatenate([kv.knots, new])))
 

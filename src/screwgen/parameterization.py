@@ -9,16 +9,20 @@ backtracking admits no fold-free interior map) and the det J of EGG maps.
 
 The EGG solve, ``egg_solve(initial)``, takes the initial map (the
 transfinite blend of the boundaries) and builds everything else it uses
-itself: the auxiliary space, the one assembly, epsilon and the starting
-auxiliary field.  It drives the inner control points of the map so that
-the inverse map components become harmonic.  The second xi-derivatives
-are eliminated through an auxiliary field u living on a degree-elevated
-space with a C0 macro split at xi = 0.5, which admits the kinked separator
-boundaries.  The weak system is solved by Newton iteration with an analytic
-linearization and a backtracking line search.  The Newton unknowns are
-numbered eta-slow, so the Jacobian is banded with half-bandwidths fixed by
-the xi width; its sparsity pattern and iterate-independent blocks are laid
-out once per space pair, and each step is one LAPACK band solve.
+itself: the one assembly and epsilon.  It drives the inner control points
+of the map so that the inverse map components become harmonic.  The second
+xi-derivatives are eliminated through the auxiliary field u of the mixed
+form (Hinz, Moller & Vuik, CAGD 2018), the L2 projection of x_xi onto a
+degree-elevated space with a C0 macro split at xi = 0.5, which admits the
+kinked separator boundaries.  The aux eta basis is the primal one and the
+rule is a tensor Gauss rule, so the aux mass is M_xi (x) M_eta and the
+projection's coupling G_xi (x) M_eta: u has the coefficients
+(proj (x) I) c with the 1-D proj = M_xi^-1 G_xi.  The projection is linear
+in c and holds exactly at every iterate, so Newton runs on the inner
+control points alone, with an analytic linearization and a backtracking
+line search.  The unknowns are numbered eta-slow, so the Jacobian is banded
+with half-bandwidths fixed by the xi width; its pattern is laid out once
+per basis, and each step is one LAPACK band solve.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from .errors import (BasisMismatchError, FoldingUnrepairedError,
@@ -380,270 +382,222 @@ class _DirCache:
         self.cols = cols[::n_nodes]  # (n_elems, p+1) window of each span
         self.vals = [ders[k].reshape(self.n_elems, n_nodes, self.n_local)
                      for k in range(max_der + 1)]
+        self.n = kv.n
+
+    def dense(self, k):
+        """(n_elems, n_nodes, n) table of every function's k-th derivative."""
+        out = np.zeros(self.vals[k].shape[:2] + (self.n,))
+        np.put_along_axis(out, np.broadcast_to(self.cols[:, None],
+                                               self.vals[k].shape),
+                          self.vals[k], axis=2)
+        return out
+
+    def projected(self, proj):
+        """The functions phi_i = sum_k proj[k, i] B_k in place of the B_k,
+        every one of them nonzero on every span."""
+        self.vals = [self.dense(k) @ proj for k in range(len(self.vals))]
+        self.n_local = self.n = proj.shape[1]
+        self.cols = np.broadcast_to(np.arange(self.n), (self.n_elems, self.n))
+        return self
 
 
 class EggAssembly:
-    """Precomputed quadrature tables and the banded Newton-matrix layout for
-    one primal/auxiliary space pair.
+    """Quadrature tables and the banded Newton-matrix layout of one primal
+    basis, with the auxiliary space built from it.
 
-    Residuals and steps are vectors in [d (2*Na); c_inner (2*n_inner)]
-    order.  The Newton matrix is kept in LAPACK (kl, ku) band storage of an
-    eta-slow numbering of the same unknowns: eta index j holds its
-    2*aux.xi.n auxiliary dofs, then its 2*(xi.n - 2) inner primal dofs.
-    Basis functions couple only within degree+1 eta indices, so the
-    half-bandwidths depend on the xi width alone, not on the eta length.
+    The aux mass is M_xi (x) M_eta and the coupling int a_k (w_i)_xi is
+    G_xi (x) M_eta (see the module docstring), so the L2 projection of x_xi
+    has the coefficients d = (proj (x) I) c with the 1-D
+    ``proj`` = M_xi^-1 G_xi, and u = sum_ij c_ij phi_i(xi) M_j(eta) with the
+    projected xi basis phi_i = sum_k proj[k, i] a_k, of which every one is
+    nonzero on every span.  Residual and Jacobian are those of the mixed
+    form's second equation with u so eliminated.
+
+    Residuals and steps are vectors over the inner control points numbered
+    eta-slow: eta index j holds its 2*(xi.n - 2) dofs, component fastest.
+    An element couples every xi dof of its degree+1 eta indices, so the
+    half-bandwidths stay below degree+1 such blocks whatever the eta length.
     """
 
-    def __init__(self, basis: TensorBasis, aux: TensorBasis,
-                 quad_scale: int = 1):
-        if not _same_knots(aux.eta, basis.eta):
-            raise BasisMismatchError("aux eta basis must match the primal")
-        if np.abs(aux.xi.breakpoints - basis.xi.breakpoints).max() > KNOT_TOL:
-            raise BasisMismatchError("aux xi breakpoints must match the primal")
+    def __init__(self, basis: TensorBasis, quad_scale: int = 1):
+        aux_xi = build_aux_space(basis).xi
         self.basis = basis
-        self.aux = aux
-        n1 = quad_scale * (aux.xi.degree + 1)
+        n1 = quad_scale * (aux_xi.degree + 1)
         n2 = quad_scale * (basis.eta.degree + 1)
-        self.cx = _DirCache(basis.xi, n1, 2)
-        self.ce = _DirCache(basis.eta, n2, 2)
-        self.ax = _DirCache(aux.xi, n1, 1)
-        self.ae = _DirCache(aux.eta, n2, 1)
+        cx = _DirCache(basis.xi, n1, 2)
+        ce = _DirCache(basis.eta, n2, 2)
+        ax = _DirCache(aux_xi, n1, 1)
+        a = ax.dense(0)
+        wa = cx.weights[..., None] * a
+        self.proj = np.linalg.solve(
+            np.einsum("aqk,aql->kl", wa, a),
+            np.einsum("aqk,aqi->ki", wa, cx.dense(1)))
+        px = ax.projected(self.proj)
 
-        E1, E2 = self.cx.n_elems, self.ce.n_elems
+        E1, E2 = cx.n_elems, ce.n_elems
         self.E = E1 * E2
         self.Q = n1 * n2
         # quadrature weights (E, Q)
-        self.wq = (self.cx.weights[:, None, :, None]
-                   * self.ce.weights[None, :, None, :]).reshape(self.E, self.Q)
+        wq = (cx.weights[:, None, :, None]
+              * ce.weights[None, :, None, :]).reshape(self.E, self.Q)
 
-        # local-to-global dof index tables
-        def dof_table(c1, c2, n2_dofs):
-            glob = (c1.cols[:, None, :, None] * n2_dofs
-                    + c2.cols[None, :, None, :])  # (E1, E2, l1, l2)
-            return glob.reshape(self.E, c1.n_local * c2.n_local)
+        def dof_table(c1):
+            # (E, L) global dofs of the functions c1 (x) eta on each element
+            glob = (c1.cols[:, None, :, None] * basis.eta.n
+                    + ce.cols[None, :, None, :])  # (E1, E2, l1, l2)
+            return glob.reshape(self.E, c1.n_local * ce.n_local)
 
-        self.dof_p = dof_table(self.cx, self.ce, basis.eta.n)   # primal
-        self.dof_a = dof_table(self.ax, self.ae, aux.eta.n)
-        self.Lp = self.cx.n_local * self.ce.n_local
-        self.La = self.ax.n_local * self.ae.n_local
-        self.Na = aux.xi.n * aux.eta.n
+        def tensorize(c1, *ders):
+            # (E, Q, len(ders), L) table of products of per-direction
+            # derivatives (k1, k2)
+            t = np.empty((E1, E2, n1, n2, len(ders), c1.n_local,
+                           ce.n_local))
+            for k, (k1, k2) in enumerate(ders):
+                np.multiply(c1.vals[k1][:, None, :, None, :, None],
+                            ce.vals[k2][None, :, None, :, None, :],
+                            out=t[:, :, :, :, k])
+            return t.reshape(self.E, self.Q, len(ders), -1)
 
-        def tensorize(c1, c2, k1, k2):
-            # (E, Q, L) table of products of per-direction derivatives
-            t = np.einsum("aqi,brj->abqrij", c1.vals[k1], c2.vals[k2])
-            return t.reshape(self.E, self.Q, c1.n_local * c2.n_local)
-
-        self.Wx = tensorize(self.cx, self.ce, 1, 0)
-        self.We = tensorize(self.cx, self.ce, 0, 1)
-        self.Wxe = tensorize(self.cx, self.ce, 1, 1)
-        self.Wee = tensorize(self.cx, self.ce, 0, 2)
-        self.A = tensorize(self.ax, self.ae, 0, 0)
-        self.Ax = tensorize(self.ax, self.ae, 1, 0)
-        self.Ae = tensorize(self.ax, self.ae, 0, 1)
-        # test functions premultiplied by the weights, (E, L, Q): a weak
+        self.dof_p, self.dof_u = dof_table(cx), dof_table(px)
+        self.Lp = self.dof_p.shape[1]
+        # x_xi, x_eta, x_xi_eta, x_eta_eta and u_xi, u_eta
+        self.W = tensorize(cx, (1, 0), (0, 1), (1, 1), (0, 2))
+        self.U = tensorize(px, (1, 0), (0, 1))
+        # the columns of the inner xi dofs: xi dofs 0 and n-1 lead and
+        # close the xi-major window
+        self._inner_u = slice(ce.n_local, -ce.n_local)
+        # test functions premultiplied by the weights, (E, Lp, Q): a weak
         # form's element vector or matrix is one batched matmul with them
-        self.wAt = np.ascontiguousarray(
-            (self.wq[..., None] * self.A).transpose(0, 2, 1))
         self.wWt = np.ascontiguousarray(
-            (self.wq[..., None] * tensorize(self.cx, self.ce, 0, 0))
+            (wq[..., None] * tensorize(cx, (0, 0))[:, :, 0])
             .transpose(0, 2, 1))
+        self._layout_newton()
 
-        # inner-dof numbering of the primal space
-        n1p, n2p = basis.shape
-        inner = -np.ones((n1p, n2p), dtype=int)
-        idx = np.arange((n1p - 2) * (n2p - 2)).reshape(n1p - 2, n2p - 2)
-        inner[1:-1, 1:-1] = idx
-        self.inner_of_dof = inner.ravel()
-        self.n_inner = (n1p - 2) * (n2p - 2)
-
-        # aux mass matrix (for the u projection and the R1/d block)
-        rows = np.repeat(self.dof_a, self.La, axis=1).ravel()
-        cols = np.tile(self.dof_a, (1, self.La)).ravel()
-        mloc = self.wAt @ self.A
-        self.mass_aux = sp.csr_matrix(
-            (mloc.ravel(), (rows, cols)), shape=(self.Na, self.Na))
-        self._mass_solve = spla.factorized(self.mass_aux.tocsc())
-
-        # scatter targets of element vectors (E, L, 2): into the 2*Na aux
-        # vector, and into the 2*n_inner vector with boundary rows sent to
-        # one extra slot that is dropped
-        comp = np.arange(2)
-        ip = self.inner_of_dof[self.dof_p]                 # (E, Lp)
-        self._vec_a = (2 * self.dof_a[..., None] + comp).ravel()
-        self._vec_c = np.where(ip[..., None] >= 0, 2 * ip[..., None] + comp,
-                               2 * self.n_inner).ravel()
-        self._layout_newton(ip)
-
-    def _layout_newton(self, ip):
-        """Eta-slow unknown order, half-bandwidths, band scatter index and
-        the iterate-independent R1 blocks; the pattern is fixed across
-        Newton steps."""
+    def _layout_newton(self):
+        """Eta-slow unknown positions, half-bandwidths and the scatter
+        indices of residual and band; the pattern is fixed across steps."""
         n1p, n2p = self.basis.shape
-        n_d = 2 * self.Na
-        n = self.n_unknowns = n_d + 2 * self.n_inner
-        n_ax = self.aux.xi.n
-        ia, ja, ca = np.indices((n_ax, n2p, 2)).reshape(3, -1)
-        ic, jc, cc = np.indices((n1p - 2, n2p - 2, 2)).reshape(3, -1)
-        width = 2 * n_ax + 2 * (n1p - 2)
-        key = np.concatenate([ja * width + 2 * ia + ca,
-                              (jc + 1) * width + 2 * n_ax + 2 * ic + cc])
-        self.order = np.argsort(key)          # band index -> [d; c] index
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(n)
-
-        # band positions of the element-local unknowns (2, E, L); boundary
-        # primal dofs are no unknowns and get -1
+        inner = -np.ones((n1p, n2p), dtype=int)
+        inner[1:-1, 1:-1] = np.arange((n1p - 2) * (n2p - 2)).reshape(
+            n2p - 2, n1p - 2).T
+        n = self.n_unknowns = 2 * (n1p - 2) * (n2p - 2)
+        # unknown positions of the element-local dofs (2, E, L); boundary
+        # dofs are no unknowns and get -1
         comp = np.arange(2)[:, None, None]
-        pd = position[2 * self.dof_a + comp]
-        pc = np.where(ip >= 0, position[n_d + 2 * np.maximum(ip, 0) + comp],
-                      -1)
-        m = self.mass_aux.tocoo()
-        # (row, column) band positions of every block entry
+        pc, pu = (np.where(inner.ravel()[dofs] >= 0,
+                           2 * inner.ravel()[dofs] + comp, -1)
+                  for dofs in (self.dof_p, self.dof_u[:, self._inner_u]))
+        # element vectors (E, Lp, 2) scatter into n unknowns plus one slot
+        # for the boundary rows, which is dropped
+        self._vec = np.where(pc >= 0, pc, n).transpose(1, 2, 0).ravel()
+        # (row, column) positions of every block entry
         blocks = {
-            # R1/d: -mass per component, (2, nnz)
-            "r1d": (position[2 * m.row + comp[:, 0]],
-                    position[2 * m.col + comp[:, 0]]),
-            # R1/c: int a_i (w_j)_xi per component, (2, E, La, Lp)
-            "r1c": (pd[..., None], pc[:, :, None, :]),
-            # R2/d: (2, E, Lp, La)
-            "r2d": (pc[..., None], pd[:, :, None, :]),
-            # R2/c: (E, Lp (row), 2 (column comp b), 2 (row comp a),
+            # through u: diagonal in the component, (2, E, Lp, inner Lu)
+            "u": (pc[..., None], pu[:, :, None, :]),
+            # through x: (E, Lp (row), 2 (column comp b), 2 (row comp a),
             # Lp (column))
-            "r2c": (pc.transpose(1, 2, 0)[:, :, None, :, None],
-                    pc.transpose(1, 0, 2)[:, None, :, None, :]),
+            "x": (pc.transpose(1, 2, 0)[:, :, None, :, None],
+                  pc.transpose(1, 0, 2)[:, None, :, None, :]),
         }
 
-        def reach(r, c):
-            # largest r - c over the pairs without a boundary dof
-            return int((np.where(r >= 0, r, -n)
-                        - np.where(c >= 0, c, 2 * n)).max())
+        def extent(p):
+            # least and largest unknown position along the last axis
+            return np.where(p >= 0, p, n).min(-1), p.max(-1)
 
-        self.kl = max(reach(r, c) for r, c in blocks.values())
-        self.ku = max(reach(c, r) for r, c in blocks.values())
-        size = (self.kl + self.ku + 1) * n
+        # every row of an element block meets every column of it
+        (c_lo, c_hi), (u_lo, u_hi) = extent(pc), extent(pu)
+        x_reach = int((c_hi.max(0) - c_lo.min(0)).max())
+        self.kl = max(int((c_hi - u_lo).max()), x_reach)
+        self.ku = max(int((u_hi - c_lo).max()), x_reach)
+        self._band_shape = (self.kl + self.ku + 1, n)
+        size = self._band_shape[0] * n
         big = 4 * n * n
 
-        def flat(name):
+        def flat(r, c):
             # ab[ku + r - c, c] is entry (ku + r) * n - c * (n - 1) of the
-            # raveled (kl+ku+1, n) band; big pushes a pair with a boundary
-            # dof past the band, and those pairs share index size
-            r, c = blocks[name]
+            # raveled band; big pushes a pair with a boundary dof past the
+            # band, and those pairs share index size
             return np.minimum(np.where(r >= 0, (self.ku + r) * n, big)
                               - np.where(c >= 0, c * (n - 1), -big),
                               size).ravel()
 
-        a1 = self.wAt @ self.Wx                   # (E, La, Lp)
-        fixed = np.concatenate([-m.data, -m.data, a1.ravel(), a1.ravel()])
-        band = np.bincount(np.concatenate([flat("r1d"), flat("r1c")]),
-                           weights=fixed, minlength=size + 1)[:size]
-        self._band_fixed = band.reshape(self.kl + self.ku + 1, n)
-        self._band_var = np.concatenate([flat("r2d"), flat("r2c")])
+        self._band = np.concatenate([flat(*blocks["u"]), flat(*blocks["x"])])
 
     # -- field evaluation ----------------------------------------------------
 
-    @staticmethod
-    def _contract(coeffs, dofs, *tables):
+    def _contract(self, coeffs, dofs, table):
         """Gather per-element coefficients (E, L, 2) and contract them with
-        each (E, Q, L) table into a field at the quadrature points."""
+        an (E, Q, k, L) table into k fields at the quadrature points."""
         local = coeffs.reshape(-1, 2)[dofs]
-        return [t @ local for t in tables]
+        return (table.reshape(self.E, -1, table.shape[-1]) @ local).reshape(
+            table.shape[:-1] + (2,))
 
-    def _scatter_a(self, loc):
-        """Sum element vectors (E, La, 2) into an (Na, 2) aux vector."""
-        return np.bincount(self._vec_a, weights=loc.ravel(),
-                           minlength=2 * self.Na).reshape(self.Na, 2)
-
-    def fields(self, cp, d):
-        f = dict(zip(("xx", "xe", "xxe", "xee"),
-                     self._contract(cp, self.dof_p, self.Wx, self.We,
-                                    self.Wxe, self.Wee)))
-        f.update(zip(("u", "ux", "ue"),
-                     self._contract(d, self.dof_a, self.A, self.Ax, self.Ae)))
+    def fields(self, cp):
+        """x_xi, x_eta, x_xi_eta, x_eta_eta, u_xi, u_eta (E, Q, 2) and the
+        metric (E, Q) at the quadrature points."""
+        x = self._contract(cp, self.dof_p, self.W)
+        u = self._contract(cp, self.dof_u, self.U)
+        f = dict(zip(("xx", "xe", "xxe", "xee", "ux", "ue"),
+                     [x[:, :, k] for k in range(4)] + [u[:, :, 0], u[:, :, 1]]))
         f["g11"] = np.einsum("eqd,eqd->eq", f["xx"], f["xx"])
         f["g12"] = np.einsum("eqd,eqd->eq", f["xx"], f["xe"])
         f["g22"] = np.einsum("eqd,eqd->eq", f["xe"], f["xe"])
         return f
 
     def metric_sum_samples(self, cp):
-        xx, xe = self._contract(cp, self.dof_p, self.Wx, self.We)
-        return np.einsum("eqd,eqd->eq", xx, xx) + np.einsum("eqd,eqd->eq", xe, xe)
-
-    def project_u(self, cp):
-        """L2 projection of x_xi onto the auxiliary space."""
-        xx, = self._contract(cp, self.dof_p, self.Wx)
-        rhs = self._scatter_a(self.wAt @ xx)
-        return np.column_stack([self._mass_solve(rhs[:, 0]),
-                                self._mass_solve(rhs[:, 1])]).reshape(
-            self.aux.xi.n, self.aux.eta.n, 2)
+        f = self.fields(cp)
+        return f["g11"] + f["g22"]
 
     # -- residual and Jacobian ----------------------------------------------
 
-    def _upieces(self, f, eps):
+    @staticmethod
+    def _upieces(f, eps):
         den = f["g11"] + f["g22"] + eps
         P = (f["g22"][..., None] * f["ux"]
              - f["g12"][..., None] * f["ue"]
              - f["g12"][..., None] * f["xxe"]
              + f["g11"][..., None] * f["xee"])
-        return den, P, P / den[..., None]
+        return den, P / den[..., None]
 
-    def residual(self, cp, d, eps):
-        """Residual vector [R1 (2*Na); R2 (2*n_inner)]."""
-        f = self.fields(cp, d)
-        den, P, U = self._upieces(f, eps)
-        r1 = self._scatter_a(self.wAt @ (f["xx"] - f["u"]))
-        r2 = np.bincount(self._vec_c, weights=(self.wWt @ U).ravel(),
-                         minlength=2 * self.n_inner + 1)[:-1]
-        return np.concatenate([r1.ravel(), r2])
+    def residual(self, cp, eps):
+        """Residual vector int w_i U over the inner dofs, eta-slow."""
+        den, U = self._upieces(self.fields(cp), eps)
+        return np.bincount(self._vec, weights=(self.wWt @ U).ravel(),
+                           minlength=self.n_unknowns + 1)[:-1]
 
-    def jacobian(self, cp, d, eps):
-        """Analytic Newton matrix in (kl, ku) band storage (see ``solve``).
+    def jacobian(self, cp, eps):
+        """Analytic Newton matrix in (kl, ku) band storage."""
+        f = self.fields(cp)
+        den, U = self._upieces(f, eps)
+        E, Q, Lp = self.E, self.Q, self.Lp
+        U_in = self.U[..., self._inner_u]
+        n_u = E * Lp * U_in.shape[-1]
+        vals = np.empty(2 * n_u + E * Lp * 4 * Lp)
 
-        Only the R2 rows depend on the iterate; the R1 blocks (-mass and
-        the int a_i (w_j)_xi coupling) were scattered once in ``__init__``.
-        """
-        f = self.fields(cp, d)
-        den, P, U = self._upieces(f, eps)
+        # through u: U_a depends on c_a by int w_i (g22 phi_j' M - g12 phi_j
+        # M') / den, alike for both components
+        coef = np.stack([f["g22"], -f["g12"]], axis=-1) / den[..., None]
+        np.matmul((self.wWt[..., None] * coef[:, None]).reshape(E, Lp, -1),
+                  U_in.reshape(E, 2 * Q, -1), out=vals[:n_u].reshape(E, Lp, -1))
+        vals[n_u:2 * n_u] = vals[:n_u]
 
-        # R2/d: diag over components: int w_i (g22 abar_j_x - g12 abar_j_e)/den
-        kern = (f["g22"][..., None] * self.Ax
-                - f["g12"][..., None] * self.Ae) / den[..., None]
-        b2 = self.wWt @ kern                       # (E, Lp, La)
-
-        # R2/c: full 2x2 component coupling through the metric.  With
-        # k = (b, a) for the perturbed and the residual component, the
-        # derivative of U_a by the l-th control point's b-component is
-        # Wx_l Mx_k + We_l Me_k + delta_ab D_l.
+        # through x: full 2x2 component coupling through the metric.  The
+        # derivative of U_a by the b-component of the l-th control point
+        # is M[b, a] . (Wx_l, We_l, Wxe_l, Wee_l)
         xx, xe = f["xx"][..., :, None], f["xe"][..., :, None]   # b
         s = (f["ue"] + f["xxe"])[..., None, :]                   # a
-        Mx = 2 * xx * (f["xee"] - U)[..., None, :] - xe * s
-        Me = 2 * xe * (f["ux"] - U)[..., None, :] - xx * s
-        Mx = (Mx / den[..., None, None]).reshape(self.E, self.Q, 4, 1)
-        Me = (Me / den[..., None, None]).reshape(self.E, self.Q, 4, 1)
-        D = (-f["g12"][..., None] * self.Wxe
-             + f["g11"][..., None] * self.Wee) / den[..., None]
-        dU = self.Wx[:, :, None, :] * Mx + self.We[:, :, None, :] * Me
-        dU[:, :, 0] += D
-        dU[:, :, 3] += D
+        M = np.zeros((E, Q, 2, 2, 4))
+        M[..., 0] = 2 * xx * (f["xee"] - U)[..., None, :] - xe * s
+        M[..., 1] = 2 * xe * (f["ux"] - U)[..., None, :] - xx * s
+        M[:, :, [0, 1], [0, 1], 2] = -f["g12"][..., None]
+        M[:, :, [0, 1], [0, 1], 3] = f["g11"][..., None]
+        M /= den[..., None, None, None]
+        np.matmul(self.wWt, (M.reshape(E, Q, 4, 4) @ self.W).reshape(E, Q, -1),
+                  out=vals[2 * n_u:].reshape(E, Lp, -1))
 
-        # element blocks straight into the weights of the band scatter
-        n2 = b2.size
-        vals = np.empty(2 * n2 + self.E * self.Lp * 4 * self.Lp)
-        vals[:2 * n2].reshape(2, n2)[:] = b2.reshape(1, n2)
-        np.matmul(self.wWt, dU.reshape(self.E, self.Q, -1),
-                  out=vals[2 * n2:].reshape(self.E, self.Lp, -1))
-        size = self._band_fixed.size
-        band = np.bincount(self._band_var, weights=vals,
-                           minlength=size + 1)[:size]
-        return band.reshape(self._band_fixed.shape) + self._band_fixed
-
-    def solve(self, band, rhs):
-        """Solve the banded Newton system for a right-hand side in [d; c]
-        order; raises ``LinAlgError`` for a singular matrix."""
-        x = solve_banded((self.kl, self.ku), band, rhs[self.order],
-                         overwrite_b=True, check_finite=False)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+        size = self._band_shape[0] * self.n_unknowns
+        return np.bincount(self._band, weights=vals,
+                           minlength=size + 1)[:size].reshape(self._band_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -651,26 +605,23 @@ class EggAssembly:
 # ---------------------------------------------------------------------------
 
 def egg_solve(initial: SplineMap) -> PatchParameterization:
-    """Newton iteration on the coupled (c_inner, d) unknowns from the
-    initial map, whose boundary control points are kept bit-identical.
+    """Newton iteration on the inner control points from the initial map,
+    whose boundary control points are kept bit-identical.
 
-    The one assembly of the map's basis and its auxiliary space is built
-    here.  epsilon is 1e-4 times the median metric trace of the initial map,
-    and u starts as the L2 projection of x_xi, so the first residual block
-    vanishes.  Each step solves the analytic linearization in band storage
-    (LAPACK gbsv) and takes a backtracking line search on the residual
-    norm.  The auxiliary field is discarded from the returned
-    parameterization.
+    The one assembly of the map's basis is built here.  epsilon is 1e-4
+    times the median metric trace of the initial map.  u is the L2
+    projection of x_xi at every iterate (see ``EggAssembly``), so the mixed
+    form's projection equation holds exactly and only the harmonic one is
+    solved.  Each step solves its analytic linearization in band storage
+    (LAPACK gbsv) and takes a backtracking line search on the residual norm.
     """
     basis = initial.basis
-    asm = EggAssembly(basis, build_aux_space(basis))
+    asm = EggAssembly(basis)
     cp = initial.control_points.copy()
     eps = 1e-4 * float(np.median(asm.metric_sum_samples(cp)))
-    d = asm.project_u(cp)
     n1, n2 = basis.shape
-    n_d = 2 * asm.Na
 
-    res = asm.residual(cp, d, eps)
+    res = asm.residual(cp, eps)
     norm0 = float(np.linalg.norm(res))
     target = NEWTON_TOL * (norm0 + 1.0)
     history = [norm0]
@@ -686,26 +637,26 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
         try:
-            step = asm.solve(asm.jacobian(cp, d, eps), -res)
+            step = solve_banded((asm.kl, asm.ku), asm.jacobian(cp, eps), -res,
+                                overwrite_ab=True, overwrite_b=True,
+                                check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise fail(f"singular Newton matrix at step {iterations}",
                        step=iterations) from exc
-        dd = step[:n_d].reshape(asm.aux.xi.n, asm.aux.eta.n, 2)
-        dc = step[n_d:].reshape(n1 - 2, n2 - 2, 2)
+        dc = step.reshape(n2 - 2, n1 - 2, 2).transpose(1, 0, 2)
 
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cp_try = cp.copy()
             cp_try[1:-1, 1:-1] += scale * dc
-            d_try = d + scale * dd
-            res_try = asm.residual(cp_try, d_try, eps)
+            res_try = asm.residual(cp_try, eps)
             norm_try = float(np.linalg.norm(res_try))
             if norm_try < history[-1]:
                 break
             scale *= 0.5
         else:
             raise fail("line search failed to reduce the residual")
-        cp, d, res = cp_try, d_try, res_try
+        cp, res = cp_try, res_try
         history.append(norm_try)
         iterations += 1
 

@@ -4,13 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from screwgen.errors import FitConvergenceError, MatchingError
 from screwgen.fitting import (
+    FitResult,
+    _second_differences,
     adapt_knots,
     chord_length_params,
     fit_curve,
     fit_curve_adaptive,
     match_points,
 )
-from screwgen.splines import SplineCurve, open_knots, uniform_knots
+from screwgen.splines import (SplineCurve, greville_abscissae, open_knots,
+                              uniform_knots)
 
 
 def circle_cloud(n, radius=1.0, t0=0.0, t1=2 * np.pi):
@@ -103,6 +106,60 @@ def test_adapt_knots_bisects_offending_span():
     new = sorted(set(np.round(refined.breakpoints, 12))
                  - set(np.round(kv.breakpoints, 12)))
     assert new == [0.75]
+
+
+def second_differences_by_rows(g):
+    """Reference second-difference matrix, one row at a time."""
+    n = len(g)
+    D = np.zeros((max(n - 2, 0), n))
+    for i in range(n - 2):
+        h0 = g[i + 1] - g[i]
+        h1 = g[i + 2] - g[i + 1]
+        hbar = 0.5 * (h0 + h1)
+        D[i, i:i + 3] = (hbar / h0, -(hbar / h0 + hbar / h1), hbar / h1)
+    return D
+
+
+def bisected_by_spans(kv, offenders):
+    """Reference span marking: every span [a, b] with an offender in it,
+    both neighbours for an offender on a breakpoint."""
+    bps = kv.breakpoints
+    new = [0.5 * (a + b) for a, b in zip(bps[:-1], bps[1:])
+           if np.any((offenders >= a) & (offenders <= b))]
+    return np.sort(np.concatenate([kv.knots, new])) if new else kv.knots
+
+
+knot_vectors = st.builds(
+    lambda p, cuts, mult: open_knots(
+        p, np.unique(np.round(cuts, 3)),
+        [min(mult, p)] * len(np.unique(np.round(cuts, 3)))),
+    st.integers(1, 4),
+    st.lists(st.floats(0.001, 0.999), max_size=12),
+    st.integers(1, 4))
+
+
+@given(knot_vectors)
+@settings(max_examples=60, deadline=None)
+def test_second_differences_match_the_row_loop(kv):
+    g = greville_abscissae(kv)
+    assert _second_differences(g).tobytes() \
+        == second_differences_by_rows(g).tobytes()
+
+
+@given(knot_vectors, st.lists(st.integers(0, 40), max_size=20),
+       st.lists(st.floats(-0.5, 1.5), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_adapt_knots_marks_the_spans_of_the_row_loop(kv, on_breaks, free):
+    # offenders on breakpoints (0, 1 and inner ones), inside spans and
+    # outside [0, 1]
+    bps = kv.breakpoints
+    params = np.concatenate([bps[np.array(on_breaks, dtype=int) % len(bps)],
+                             free])
+    residuals = np.where(np.arange(len(params)) % 3 == 0, 0.0, 1.0)
+    fit = FitResult(SplineCurve(kv, np.zeros((kv.n, 2))), params, residuals)
+    refined = adapt_knots(fit, 0.5)
+    want = bisected_by_spans(kv, params[residuals > 0.5])
+    assert refined.knots.tobytes() == want.tobytes()
 
 
 def test_adaptive_loop_circle():

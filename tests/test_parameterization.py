@@ -21,9 +21,10 @@ from screwgen.parameterization import (
     separator_xi_basis,
     transfinite,
 )
+from scipy.linalg import solve_banded
 from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
-                              greville_abscissae, open_knots, uniform_knots,
-                              unique_knots)
+                              basis_matrix, greville_abscissae, open_knots,
+                              uniform_knots, unique_knots)
 from test_splines import insert_knots_boehm
 
 
@@ -357,18 +358,16 @@ EGG_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
 
 
 def egg_assembly(m, quad_scale=1):
-    """The EGG assembly of the map's basis and its auxiliary space, and the
-    epsilon ``egg_solve`` takes for the map: 1e-4 times its median metric
-    trace."""
-    asm = EggAssembly(m.basis, build_aux_space(m.basis), quad_scale)
+    """The EGG assembly of the map's basis, and the epsilon ``egg_solve``
+    takes for the map: 1e-4 times its median metric trace."""
+    asm = EggAssembly(m.basis, quad_scale)
     return asm, 1e-4 * float(np.median(asm.metric_sum_samples(m.control_points)))
 
 
 def residual_at(m, eps=None, quad_scale=1):
     """The EGG residual at the map, with u the L2 projection of x_xi."""
     asm, own_eps = egg_assembly(m, quad_scale)
-    cp = m.control_points
-    return asm.residual(cp, asm.project_u(cp), own_eps if eps is None else eps)
+    return asm.residual(m.control_points, own_eps if eps is None else eps)
 
 
 def test_residual_zero_on_identity():
@@ -466,61 +465,63 @@ def test_egg_l_shape_fold_free_after_repair():
 
 
 def dense_newton_matrix(asm, band):
-    """The Newton matrix in [d; c_inner] order, expanded from the band
-    storage of the assembly's eta-slow numbering."""
+    """The Newton matrix over the eta-slow inner unknowns, expanded from
+    its band storage."""
     n = asm.n_unknowns
-    banded = np.zeros((n, n))
+    dense = np.zeros((n, n))
     for k in range(-asm.kl, asm.ku + 1):   # k = column - row
-        banded += np.diag(band[asm.ku - k, max(k, 0):n + min(k, 0)], k)
-    dense = np.empty_like(banded)
-    dense[np.ix_(asm.order, asm.order)] = banded
+        dense += np.diag(band[asm.ku - k, max(k, 0):n + min(k, 0)], k)
     return dense
 
 
+def inner_net(tb, v):
+    """An eta-slow vector over the inner unknowns as an inner net
+    (xi.n - 2, eta.n - 2, 2)."""
+    return v.reshape(tb.eta.n - 2, tb.xi.n - 2, 2).transpose(1, 0, 2)
+
+
 def perturbed_state(asm, rng):
-    """A perturbed inner net and auxiliary field on the assembly's spaces."""
-    tb, aux = asm.basis, asm.aux
+    """A perturbed inner net on the assembly's basis."""
+    tb = asm.basis
     cp = identity_map(tb).control_points.copy()
     cp[1:-1, 1:-1] += rng.normal(0, 0.02, (tb.xi.n - 2, tb.eta.n - 2, 2))
-    d = asm.project_u(cp) + rng.normal(0, 0.01, (aux.xi.n, aux.eta.n, 2))
-    return cp, d
+    return cp
 
 
 def test_egg_gradient_check():
     rng = np.random.default_rng(3)
     asm, eps = egg_assembly(identity_map(EGG_TB))
-    cp, d = perturbed_state(asm, rng)
-    J = dense_newton_matrix(asm, asm.jacobian(cp, d, eps))
-    n_d = 2 * asm.Na
+    cp = perturbed_state(asm, rng)
+    J = dense_newton_matrix(asm, asm.jacobian(cp, eps))
     h = 1e-6
     for _ in range(20):
         v = rng.normal(0, 1, J.shape[0])
         v /= np.linalg.norm(v)
-        dd = v[:n_d].reshape(asm.aux.xi.n, asm.aux.eta.n, 2)
-        dc = v[n_d:].reshape(EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2)
+        dc = inner_net(EGG_TB, v)
 
         def res_at(s):
             cp2 = cp.copy()
             cp2[1:-1, 1:-1] += s * dc
-            return asm.residual(cp2, d + s * dd, eps)
+            return asm.residual(cp2, eps)
 
         fd = (res_at(h) - res_at(-h)) / (2 * h)
         an = J @ v
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-4
 
 
+# the refined basis carries the midpoint knots repair_folding inserts
+REFINED_TB = identity_map(EGG_TB).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
+
+
 @pytest.mark.parametrize("refine", [False, True])
 def test_band_step_matches_dense_solve(refine):
-    # the refined basis carries the midpoint knots repair_folding inserts
-    tb = EGG_TB
-    if refine:
-        tb = identity_map(tb).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
+    tb = REFINED_TB if refine else EGG_TB
     asm, eps = egg_assembly(identity_map(tb))
-    cp, d = perturbed_state(asm, np.random.default_rng(5))
-    band = asm.jacobian(cp, d, eps)
-    rhs = -asm.residual(cp, d, eps)
+    cp = perturbed_state(asm, np.random.default_rng(5))
+    band = asm.jacobian(cp, eps)
+    rhs = -asm.residual(cp, eps)
     want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
-    got = asm.solve(band, rhs)
+    got = solve_banded((asm.kl, asm.ku), band, rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -528,13 +529,21 @@ def test_half_bandwidths_do_not_grow_with_eta_resolution():
     widths = set()
     for eta_elems in (3, 6, 24):
         tb = TensorBasis(EGG_TB.xi, uniform_knots(3, eta_elems))
-        asm = EggAssembly(tb, build_aux_space(tb))
+        asm = EggAssembly(tb)
+        # an element couples every inner xi dof of its four eta indices
+        assert max(asm.kl, asm.ku) <= 4 * 2 * (tb.xi.n - 2) - 1
         widths.add((asm.kl, asm.ku))
     assert len(widths) == 1
 
 
+def test_assembly_requires_macro_split():
+    tb = TensorBasis(uniform_knots(3, 8), uniform_knots(3, 6))
+    with pytest.raises(StructureError):
+        EggAssembly(tb)
+
+
 def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
-    def zero_band(self, cp, d, eps):
+    def zero_band(self, cp, eps):
         return np.zeros((self.kl + self.ku + 1, self.n_unknowns))
 
     monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
@@ -543,6 +552,93 @@ def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
     assert err.value.last_map is not None
     assert len(err.value.history) == 1
     assert err.value.details["step"] == 0
+
+
+def gauss_rule(kv, n):
+    """Nodes and weights of the n-point Gauss rule on every knot span."""
+    lo, hi = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (0.5 * (lo + hi + (hi - lo) * x)).ravel(), (0.5 * (hi - lo) * w).ravel()
+
+
+class MixedForm:
+    """The mixed EGG system (Hinz, Moller & Vuik) with the auxiliary
+    coefficients d as free unknowns, u = sum_kj d_kj a_k(xi) M_j(eta), on
+    dense global basis matrices at the tensor Gauss points of the
+    assembly's rule (aux xi degree + 1 by eta degree + 1 nodes per span).
+
+    R1 = int a_k M_j (x_xi - u) on the aux dofs and R2 = int w_i U on the
+    primal dofs, with U = (g22 u_xi - g12 u_eta - g12 x_xi_eta
+    + g11 x_eta_eta) / (g11 + g22 + eps)."""
+
+    def __init__(self, basis):
+        aux = build_aux_space(basis).xi
+        xq, self.wx = gauss_rule(basis.xi, aux.degree + 1)
+        eq, self.we = gauss_rule(basis.eta, basis.eta.degree + 1)
+        self.N = [basis_matrix(basis.xi, xq, k) for k in range(3)]
+        self.M = [basis_matrix(basis.eta, eq, k) for k in range(3)]
+        self.A = [basis_matrix(aux, xq, k) for k in range(2)]
+
+    def x(self, cp, i, j):
+        return np.einsum("ai,bj,ijd->abd", self.N[i], self.M[j], cp)
+
+    def u(self, d, i, j):
+        return np.einsum("ak,bj,kjd->abd", self.A[i], self.M[j], d)
+
+    def integrate(self, B, f):
+        """int B_k(xi) M_j(eta) f over the rule, (n_B, eta.n, 2)."""
+        return np.einsum("a,b,ak,bj,abd->kjd", self.wx, self.we, B,
+                         self.M[0], f)
+
+    def projection(self, cp):
+        """d of the 2-D L2 projection of x_xi, solved with the dense
+        Kronecker aux mass M_xi (x) M_eta."""
+        mass = np.kron(self.A[0].T @ (self.wx[:, None] * self.A[0]),
+                       self.M[0].T @ (self.we[:, None] * self.M[0]))
+        rhs = self.integrate(self.A[0], self.x(cp, 1, 0))
+        return np.linalg.solve(mass, rhs.reshape(-1, 2)).reshape(rhs.shape)
+
+    def residual(self, cp, d, eps):
+        """(R1, R2) with R2 on every primal dof, boundary ones too."""
+        xx, xe = self.x(cp, 1, 0), self.x(cp, 0, 1)
+        g11, g12, g22 = ((a * b).sum(-1) for a, b in
+                         ((xx, xx), (xx, xe), (xe, xe)))
+        P = (g22[..., None] * self.u(d, 1, 0) - g12[..., None] * self.u(d, 0, 1)
+             - g12[..., None] * self.x(cp, 1, 1)
+             + g11[..., None] * self.x(cp, 0, 2))
+        return (self.integrate(self.A[0], xx - self.u(d, 0, 0)),
+                self.integrate(self.N[0], P / (g11 + g22 + eps)[..., None]))
+
+
+AUX_BASES = {"separator": EGG_TB, "refined": REFINED_TB,
+             "quarter": QUARTER_TB}
+
+
+@pytest.mark.parametrize("name", sorted(AUX_BASES))
+def test_aux_field_is_the_xi_projection(name):
+    tb = AUX_BASES[name]
+    asm, eps = egg_assembly(identity_map(tb))
+    cp = perturbed_state(asm, np.random.default_rng(7))
+    oracle = MixedForm(tb)
+    d = oracle.projection(cp)
+    # the solver's coefficients (proj (x) I) c are the 2-D projection's
+    got = np.einsum("ki,ijd->kjd", asm.proj, cp)
+    assert np.abs(got - d).max() <= 1e-12 * np.abs(d).max()
+    # and so are its u_xi, u_eta at the quadrature points
+    f = asm.fields(cp)
+    E1, E2 = tb.xi.n_elements, tb.eta.n_elements
+    for key, ders in (("ux", (1, 0)), ("ue", (0, 1))):
+        want = oracle.u(d, *ders)
+        have = f[key].reshape(E1, E2, -1, want.shape[1] // E2, 2).transpose(
+            0, 2, 1, 3, 4).reshape(want.shape)
+        assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+    # the mixed system at that d: R1 vanishes and R2 is the residual
+    r1, r2 = oracle.residual(cp, d, eps)
+    assert np.abs(r1).max() <= 1e-14
+    want = r2[1:-1, 1:-1].transpose(1, 0, 2).ravel()
+    have = asm.residual(cp, eps)
+    assert np.abs(want).max() > 1e-3
+    assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_egg_nonconvergence_error(monkeypatch):
