@@ -198,13 +198,14 @@ class CostEvaluator:
         dots, _, _ = self._terms(coeffs, False)
         return self._cost(dots)
 
-    def cost_scale(self, coeffs: np.ndarray) -> float:
-        """0.5 sum |t_mu|^2 |t_nu|^2 * area: the cost the same tangents would
-        have if each pair were parallel.  It bounds ``cost_of`` (Cauchy-
+    def cost_and_scale(self, coeffs: np.ndarray):
+        """``(cost_of(coeffs), scale)`` from one pass, the scale being
+        0.5 sum |t_mu|^2 |t_nu|^2 * area: the cost the same tangents would
+        have if each pair were parallel.  It bounds the cost (Cauchy-
         Schwarz) and scales with it, so their ratio is free of the length
         unit."""
-        _, sizes, _ = self._terms(coeffs, False)
-        return 0.5 * float(np.sum(sizes)) * self.cell_area
+        dots, sizes, _ = self._terms(coeffs, False)
+        return self._cost(dots), 0.5 * float(np.sum(sizes)) * self.cell_area
 
     def gradient(self, coeffs: np.ndarray):
         """``(cost_of(coeffs), gradient)`` from one pass, the gradient being
@@ -243,10 +244,11 @@ def optimize_control(x: SplineMap, init: ControlMap,
     with the start's ordering margin per column as linear inequality
     constraints.  Each SLSQP point takes the cost and its exact gradient
     from one pass of ``CostEvaluator.gradient``.  A start whose cost is
-    below 1e-14 of ``cost_scale`` is already orthogonal to rounding, at any
-    length unit, and is returned after 0 iterations.  The returned map is
-    ``feasible()`` and its cost never exceeds the initial one; a result
-    short of the margin raises ConstraintError (``min_diff``).
+    below 1e-14 of its scale (``cost_and_scale``, one pass) is already
+    orthogonal to rounding, at any length unit, and is returned after 0
+    iterations.  The returned map is ``feasible()`` and its cost never
+    exceeds the initial one; a result short of the margin raises
+    ConstraintError (``min_diff``).
     """
     if not init.feasible():
         raise ConstraintError("initial control map violates the ordering margin")
@@ -269,8 +271,8 @@ def optimize_control(x: SplineMap, init: ControlMap,
         return ev.gradient(unpack(z))
 
     z0 = init.coeffs[:, 1:-1].ravel().copy()
-    f0 = fun(z0)
-    if f0 <= 1e-14 * ev.cost_scale(init.coeffs):
+    f0, scale = ev.cost_and_scale(unpack(z0))
+    if f0 <= 1e-14 * scale:
         return ControlMap(init.basis, init.coeffs, margin, iterations=0)
     cons = [{"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A}]
     res = minimize(fun_and_jac, z0, jac=True, method="SLSQP", constraints=cons,

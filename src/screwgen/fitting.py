@@ -2,9 +2,12 @@
 
 Point clouds are fitted with a stabilized least-squares collocation whose
 knot vector is reselected adaptively from the local projection residual.
-Matching assigns consistent parametric values to two opposing clouds by
-recursive closest-pair bisection into monotone reparameterization
-functions.
+``fit_curve`` checks and clips its parameters once, on entry, evaluates
+the basis there once, and takes both the normal equations and the
+residuals from that one window, so the residuals are measured at exactly
+the parameters it fitted.  Matching assigns consistent parametric values
+to two opposing clouds by recursive closest-pair bisection into monotone
+reparameterization functions.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitConvergenceError, FitError, MatchingError
-from .splines import (KnotVector, SplineCurve, basis_matrix,
-                      greville_abscissae)
+from .splines import (KnotVector, SplineCurve, _check_param,
+                      basis_ders_nonzero, greville_abscissae)
 
 
 def bounding_box_diagonal(points) -> float:
@@ -75,15 +78,21 @@ def fit_curve(points, params, kv: KnotVector,
     minimize the squared collocation residual plus ``lam_reg`` times a
     second-difference penalty, which keeps the normal system regular even
     when the cloud carries fewer points than the basis has functions.
+    Parameters outside [0, 1] by more than KNOT_TOL raise DomainError;
+    the rest are clipped into it, and fit and residuals both use the
+    clipped values.
     """
     points = np.asarray(points, dtype=float)
     params = np.asarray(params, dtype=float)
     if points.shape[0] != params.shape[0]:
         raise FitError("points and params length mismatch")
+    params = _check_param(params)
     if lam_reg is None:
         lam_reg = 1e-7 * bounding_box_diagonal(points) ** 2
     n = kv.n
-    B = basis_matrix(kv, params)
+    cols, ders = basis_ders_nonzero(kv, params, 0)
+    B = np.zeros((len(params), n))
+    np.put_along_axis(B, cols, ders[0], axis=1)
     D = _second_differences(greville_abscissae(kv))
     pinned = np.zeros((n, 2))
     pinned[0] = points[0]
@@ -107,8 +116,8 @@ def fit_curve(points, params, kv: KnotVector,
     else:
         ctrl = pinned
     curve = SplineCurve(kv, ctrl)
-    residuals = np.linalg.norm(curve(params) - points, axis=1)
-    return FitResult(curve, params, residuals)
+    fitted = np.einsum("mj,mjd->md", ders[0], curve.control_points[cols])
+    return FitResult(curve, params, np.linalg.norm(fitted - points, axis=1))
 
 
 def adapt_knots(fit: FitResult, threshold: float) -> KnotVector:
@@ -228,8 +237,7 @@ def _hierarchical_pairs(dist):
         a0, a1, b0, b1 = stack.pop()
         if a1 - a0 < 2 or b1 - b0 < 2:
             continue
-        sub = dist[a0 + 1:a1, b0 + 1:b1]
-        i, j = np.unravel_index(np.argmin(sub), sub.shape)
+        i, j = divmod(int(dist[a0 + 1:a1, b0 + 1:b1].argmin()), b1 - b0 - 1)
         ia, jb = a0 + 1 + i, b0 + 1 + j
         pairs.append((ia, jb))
         stack.append((a0, ia, b0, jb))
@@ -237,26 +245,28 @@ def _hierarchical_pairs(dist):
     return sorted(pairs)
 
 
-def match_points(cloud_a, cloud_b):
+def match_points(cloud_a, cloud_b, ta, tb):
     """Match two consistently ordered open clouds by hierarchical
     closest-pair bisection and float both parameterizations.
 
-    Matched pairs receive the average of their chord parameters; returns
-    the pair (f_a, f_b) mapping each cloud's chord parameter to the common
-    value.
+    ta and tb are the clouds' increasing parameters from 0 to 1 (their
+    chord-length parameters in the pipeline, computed once by the caller).
+    Matched pairs receive the average of their parameters; returns the pair
+    (f_a, f_b) mapping each cloud's parameter to the common value.
     """
     a = np.asarray(cloud_a, dtype=float)
     b = np.asarray(cloud_b, dtype=float)
-    ta = chord_length_params(a)
-    tb = chord_length_params(b)
+    ta = np.asarray(ta, dtype=float)
+    tb = np.asarray(tb, dtype=float)
     # reversed-orientation input would force crossing matches; detect it from
     # the endpoint correspondence before committing to the recursion
     d_fwd = np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[-1] - b[-1])
     d_rev = np.linalg.norm(a[0] - b[-1]) + np.linalg.norm(a[-1] - b[0])
     if d_rev < 0.5 * d_fwd:
         raise MatchingError("clouds appear oppositely oriented (crossing matches)")
-    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    pairs = _hierarchical_pairs(dist)
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    pairs = _hierarchical_pairs(np.sqrt(dx * dx + dy * dy))
 
     ia = np.array([p[0] for p in pairs])
     jb = np.array([p[1] for p in pairs])

@@ -132,14 +132,16 @@ def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
 def _bezier(kv: KnotVector, cp):
     """Knot spans (lo, hi) and the Bezier control points (spans, p+1, ...)
     of the spline with control points cp along their leading axis: the
-    blossoms f(lo^(p-j), hi^j) on all spans at once."""
+    blossoms f(lo^(p-j), hi^j), all spans and all j in one call."""
     p = kv.degree
     vals, counts = unique_knots(kv.knots)
     k = np.cumsum(counts)[:-1] - 1          # last knot index of each span
     lo, hi = vals[:-1], vals[1:]
-    segs = [blossoms(kv, cp, k, np.column_stack([lo] * (p - j) + [hi] * j))
-            for j in range(p + 1)]
-    return lo, hi, np.stack(segs, axis=1)
+    # args[s, j, r] = hi on the last j levels r, else lo
+    args = np.where(np.arange(p) >= p - np.arange(p + 1)[:, None],
+                    hi[:, None, None], lo[:, None, None])
+    segs = blossoms(kv, cp, np.repeat(k, p + 1), args.reshape(-1, p))
+    return lo, hi, segs.reshape((len(k), p + 1) + segs.shape[1:])
 
 
 def _bernstein_cross(a, b):

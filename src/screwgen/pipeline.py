@@ -136,13 +136,16 @@ def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
 @dataclass(frozen=True)
 class GapArcs:
     """The rotor arcs bounding the separator at one angle (south to north,
-    grid-coordinate parameterized), their sampled clouds and the
-    both-float matching functions of those clouds' chord parameters."""
+    grid-coordinate parameterized), their sampled clouds, those clouds'
+    chord-length parameters and the both-float matching functions of
+    them."""
 
     west: SplineCurve
     east: SplineCurve
     west_cloud: np.ndarray
     east_cloud: np.ndarray
+    west_chord: np.ndarray
+    east_chord: np.ndarray
     f_w: ReparamFunction
     f_e: ReparamFunction
 
@@ -317,23 +320,24 @@ class PipelineContext:
     # -- separator ---------------------------------------------------------------
 
     def separator_reparams(self, theta: float) -> GapArcs:
-        """Both gap arcs at the given angle, their point clouds and the
-        both-float matching of the clouds."""
+        """Both gap arcs at the given angle, their point clouds with their
+        chord-length parameters and the both-float matching of the clouds."""
         west = self.rotor_arc_gap("left", theta)
         east = self.rotor_arc_gap("right", theta)
         t = np.linspace(0.0, 1.0, GAP_SAMPLES)
         wpts, epts = west(t), east(t)
-        f_w, f_e = match_points(wpts, epts)
-        return GapArcs(west, east, wpts, epts, f_w, f_e)
+        tw, te = chord_length_params(wpts), chord_length_params(epts)
+        f_w, f_e = match_points(wpts, epts, tw, te)
+        return GapArcs(west, east, wpts, epts, tw, te, f_w, f_e)
 
     def _eta_basis(self, gap: GapArcs) -> KnotVector:
         """Common eta knot vector: adapt a fit of each cloud at its matched
         parameters and merge the resulting knot vectors."""
         kv = uniform_knots(DEGREE, 8)
         union = None
-        for pts, f in ((gap.west_cloud, gap.f_w), (gap.east_cloud, gap.f_e)):
-            fit = fit_curve_adaptive(pts, f(chord_length_params(pts)), kv,
-                                     self.fit_threshold,
+        for pts, t, f in ((gap.west_cloud, gap.west_chord, gap.f_w),
+                          (gap.east_cloud, gap.east_chord, gap.f_e)):
+            fit = fit_curve_adaptive(pts, f(t), kv, self.fit_threshold,
                                      max_spans=ETA_MAX_SPANS)
             union = fit.curve.basis if union is None \
                 else merge_knot_vectors(union, fit.curve.basis)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from screwgen.errors import FitConvergenceError, MatchingError
+from screwgen.errors import DomainError, FitConvergenceError, MatchingError
 from screwgen.fitting import (
     FitResult,
+    _dedupe_breakpoints,
+    _hierarchical_pairs,
     _second_differences,
     adapt_knots,
     chord_length_params,
@@ -76,6 +78,41 @@ def test_fit_endpoint_interpolation():
     fit = fit_curve(pts, t, uniform_knots(3, 4))
     assert np.allclose(fit.curve.point(0.0), pts[0], atol=1e-12)
     assert np.allclose(fit.curve.point(1.0), pts[-1], atol=1e-12)
+
+
+def test_fit_residuals_are_the_curve_distances_bit_for_bit():
+    # the residuals come from the basis window of the fit, not from a second
+    # evaluation of the curve; they must be the same bits
+    rng = np.random.default_rng(5)
+    for kv in (uniform_knots(3, 7), open_knots(3, [0.2, 0.5, 0.7], [1, 3, 2]),
+               uniform_knots(2, 1)):
+        t = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 150),
+                                    kv.breakpoints]))
+        pts = np.column_stack([np.cos(3 * t), np.sin(5 * t)]) \
+            + rng.normal(0, 1e-3, (len(t), 2))
+        fit = fit_curve(pts, t, kv)
+        want = np.linalg.norm(fit.curve(t) - pts, axis=1)
+        assert fit.residuals.tobytes() == want.tobytes()
+
+
+def test_fit_rejects_params_outside_the_domain():
+    t = np.linspace(0, 1, 20)
+    pts = np.column_stack([t, t * t])
+    t[0] = -1e-3
+    with pytest.raises(DomainError):
+        fit_curve(pts, t, uniform_knots(3, 4))
+
+
+def test_fit_clips_params_within_the_tolerance():
+    t = np.linspace(0, 1, 20)
+    pts = np.column_stack([t, t * t])
+    nudged = t.copy()
+    nudged[0], nudged[-1] = -1e-13, 1.0 + 1e-13
+    got, want = (fit_curve(pts, u, uniform_knots(3, 4)) for u in (nudged, t))
+    assert got.curve.control_points.tobytes() \
+        == want.curve.control_points.tobytes()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert got.params.tobytes() == t.tobytes()
 
 
 def test_fit_underdetermined_is_stabilized():
@@ -192,6 +229,12 @@ def test_adaptive_cap_raises_with_best_fit():
 # match_points
 # ---------------------------------------------------------------------------
 
+def match_by_chord(a, b):
+    """Matching of two clouds on their chord-length parameters, as the
+    pipeline calls it."""
+    return match_points(a, b, chord_length_params(a), chord_length_params(b))
+
+
 def b_to_a(fa, fb):
     """b-chord -> a-chord map of a both-float matching."""
     return lambda t: fa.inverse()(fb(t))
@@ -199,7 +242,7 @@ def b_to_a(fa, fb):
 
 def test_match_identity():
     pts = circle_cloud(80, t1=np.pi)
-    fa, fb = match_points(pts, pts)
+    fa, fb = match_by_chord(pts, pts)
     t = np.linspace(0, 1, 100)
     assert np.abs(b_to_a(fa, fb)(t) - t).max() < 1e-12
 
@@ -218,7 +261,7 @@ def test_match_compresses_locally_densified_half():
     xb2 = np.linspace(1.0125, 2, 40)
     b2 = np.column_stack([xb2, np.full_like(xb2, 0.02)])
     b = np.vstack([b1, b2])
-    f = b_to_a(*match_points(a, b))
+    f = b_to_a(*match_by_chord(a, b))
     tb_half = 2.0 / 3.0  # chord parameter of x=1 in cloud b
     slope_first = f(tb_half) / tb_half
     slope_second = (1 - f(tb_half)) / (1 - tb_half)
@@ -229,7 +272,7 @@ def test_match_parallel_segments_is_arclength():
     t = np.linspace(0, 1, 50)
     a = np.column_stack([t, np.zeros_like(t)])
     b = np.column_stack([t, np.full_like(t, 0.1)])
-    f = b_to_a(*match_points(a, b))
+    f = b_to_a(*match_by_chord(a, b))
     x = np.linspace(0, 1, 100)
     assert np.abs(f(x) - x).max() < 1e-12
 
@@ -238,7 +281,7 @@ def test_match_both_float_average():
     t = np.linspace(0, 1, 30)
     a = np.column_stack([t, np.zeros_like(t)])
     b = np.column_stack([t ** 2, np.full_like(t, 0.05)])
-    fa, fb = match_points(a, b)
+    fa, fb = match_by_chord(a, b)
     # each breakpoint pairs a cloud point's chord parameter with the common
     # value; a matched pair shares that value, the average of its two chord
     # parameters
@@ -260,7 +303,7 @@ def test_match_both_float_average():
 def test_match_orientation_mismatch_raises():
     pts = circle_cloud(60, t1=np.pi)
     with pytest.raises(MatchingError):
-        match_points(pts, pts[::-1])
+        match_by_chord(pts, pts[::-1])
 
 
 @given(st.integers(min_value=10, max_value=60))
@@ -269,6 +312,61 @@ def test_match_is_monotone(n):
     rng = np.random.default_rng(n)
     base = np.cumsum(rng.uniform(0.05, 1.0, (n, 2)), axis=0)
     other = base + rng.normal(0, 0.01, base.shape)
-    for f in match_points(base, other):
+    for f in match_by_chord(base, other):
         assert np.all(np.diff(f.x) > 0)
         assert np.all(np.diff(f.y) > 0)
+
+
+def hierarchical_pairs_by_unravel(dist):
+    """Reference pairing: the closest-pair bisection with the 2-D argmin
+    index taken by np.unravel_index."""
+    na, nb = dist.shape
+    pairs = [(0, 0), (na - 1, nb - 1)]
+    stack = [(0, na - 1, 0, nb - 1)]
+    while stack:
+        a0, a1, b0, b1 = stack.pop()
+        if a1 - a0 < 2 or b1 - b0 < 2:
+            continue
+        sub = dist[a0 + 1:a1, b0 + 1:b1]
+        i, j = np.unravel_index(np.argmin(sub), sub.shape)
+        ia, jb = a0 + 1 + i, b0 + 1 + j
+        pairs.append((ia, jb))
+        stack.append((a0, ia, b0, jb))
+        stack.append((ia, a1, jb, b1))
+    return sorted(pairs)
+
+
+@given(st.integers(2, 40), st.integers(2, 40), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_hierarchical_pairs_match_the_unravel_loop(na, nb, ties, seed):
+    # small-integer matrices carry many exact ties, which the first minimum
+    # in row-major order must break the same way
+    rng = np.random.default_rng(seed)
+    dist = rng.integers(0, 3, (na, nb)).astype(float) if ties \
+        else rng.uniform(0, 1, (na, nb))
+    got = [(int(i), int(j)) for i, j in _hierarchical_pairs(dist)]
+    want = [(int(i), int(j)) for i, j in hierarchical_pairs_by_unravel(dist)]
+    assert got == want
+
+
+def match_by_norm(a, b):
+    """Reference matching: the distance matrix from np.linalg.norm of the
+    difference vectors and the unravel pairing loop."""
+    ta, tb = chord_length_params(a), chord_length_params(b)
+    pairs = hierarchical_pairs_by_unravel(
+        np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+    ia = np.array([p[0] for p in pairs])
+    jb = np.array([p[1] for p in pairs])
+    avg = 0.5 * (ta[ia] + tb[jb])
+    return _dedupe_breakpoints(ta[ia], avg), _dedupe_breakpoints(tb[jb], avg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_points_equals_the_norm_distance_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = 30 + 40 * seed
+    a = np.cumsum(rng.uniform(0.01, 1.0, (n, 2)), axis=0) * 10.0 ** (seed - 3)
+    b = a[::2] + rng.normal(0, 0.05, a[::2].shape) * 10.0 ** (seed - 3)
+    for f, (x, y) in zip(match_by_chord(a, b), match_by_norm(a, b)):
+        assert f.x.tobytes() == x.tobytes() and f.y.tobytes() == y.tobytes()

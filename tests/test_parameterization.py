@@ -21,10 +21,11 @@ from screwgen.parameterization import (
     separator_xi_basis,
     transfinite,
 )
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
-                              basis_matrix, greville_abscissae, open_knots,
-                              uniform_knots, unique_knots)
+                              basis_matrix, blossoms, greville_abscissae,
+                              open_knots, uniform_knots, unique_knots)
 from test_splines import insert_knots_boehm
 
 
@@ -214,6 +215,35 @@ def test_bezier_nets_match_knot_insertion():
     assert lo.tolist() == [0.0, 0.2, 0.5, 0.7] and hi[-1] == 1.0
     ref = ref[3 * np.arange(len(lo))[:, None] + np.arange(4)]
     assert np.abs(segs - ref).max() < 1e-14
+
+
+def bezier_by_levels(kv, cp):
+    """Reference Bezier nets: one blossoms call per Bernstein index j."""
+    p = kv.degree
+    vals, counts = unique_knots(kv.knots)
+    k = np.cumsum(counts)[:-1] - 1
+    lo, hi = vals[:-1], vals[1:]
+    segs = [blossoms(kv, cp, k, np.column_stack([lo] * (p - j) + [hi] * j))
+            for j in range(p + 1)]
+    return lo, hi, np.stack(segs, axis=1)
+
+
+@given(st.integers(1, 5), st.lists(st.floats(0.001, 0.999), max_size=8),
+       st.lists(st.integers(1, 5), min_size=8, max_size=8),
+       st.sampled_from([(2,), (3, 2), (2, 4, 2)]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_bezier_nets_equal_the_per_index_blossoms_bit_for_bit(
+        p, cuts, mults, trailing, seed):
+    # random knot vectors with interior multiplicities up to p, and control
+    # points with the trailing axes the curve, ruled-map and folding checks
+    # pass
+    vals = np.unique(np.round(cuts, 3))
+    kv = open_knots(p, vals, [min(m, p) for m in mults[:len(vals)]])
+    cp = np.random.default_rng(seed).normal(size=(kv.n,) + trailing)
+    got = parameterization._bezier(kv, cp)
+    want = bezier_by_levels(kv, cp)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def de_casteljau_halves(coeffs):
