@@ -27,7 +27,8 @@ class ProfileParseError(ScrewgenError):
 
 
 class FitError(ScrewgenError):
-    """Least-squares fit produced a singular or unusable system."""
+    """Least-squares fit produced a singular or unusable system, or was
+    asked for a fit threshold that is not a positive finite length."""
 
 
 class FitConvergenceError(ScrewgenError):

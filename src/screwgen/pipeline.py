@@ -1,11 +1,14 @@
 """Per-angle three-patch construction.
 
-For one screw geometry this module owns everything between a cross-section
-point cloud and the three patch parameterizations plus the separator
-control map:
+For one screw geometry this module owns everything between a source of
+rotor clouds (``BooySource`` or ``FileSource``; the barrel is always that
+of the source's ``ScrewParams``) and the three patch parameterizations plus
+the separator control map:
 
-* the casing curves, one fit per retained barrel arc with its ends on the
-  cusp points, and the cusp cut fraction;
+* the casing curves and the cusp cut fraction: one fit of the left
+  retained barrel arc, from the upper cusp to the lower one with the exact
+  cusps as its ends, and the right arc as its point reflection through the
+  axes' midpoint (same knots, negated control points);
 * the rotation-angle-zero rotor fit over the casing-aligned grid
   coordinate (radial projection), reused at every angle through the
   periodic shift of that coordinate, and stored as the fit joined to
@@ -19,6 +22,8 @@ control map:
   backtracking boundary with ``MatchingError`` before any C-grid or EGG
   work; the EGG solve with folding repair; each C-grid as the ruled map
   between its rotor arc and casing arc; the orthogonality control map.
+  Every ``ScrewgenError`` that ``build_patches`` raises carries the angle
+  as ``theta`` in its details.
 
 Every fold check is the Bernstein sign certificate of ``parameterization``.
 """
@@ -32,7 +37,8 @@ import numpy as np
 
 from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
-from .errors import InvalidGeometryError, MatchingError, TopologyError
+from .errors import (FitError, InvalidGeometryError, MatchingError,
+                     ScrewgenError, TopologyError)
 from .fitting import (ReparamFunction, bounding_box_diagonal,
                       chord_length_params, fit_curve, fit_curve_adaptive,
                       match_points)
@@ -41,8 +47,8 @@ from .parameterization import (PatchParameterization,
                                check_boundary_regular, check_folding,
                                check_ruled_map, egg_solve, repair_folding,
                                separator_xi_basis, transfinite)
-from .profiles import (CasingArc, CrossSection, ScrewParams, booy_profile,
-                       cusp_points, rotation)
+from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
+                       rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, join_curves, open_knots, uniform_knots,
                       unique_knots)
@@ -58,31 +64,24 @@ GAP_SAMPLES = 200          # points per gap-arc cloud for the matching
 # geometry sources
 # ---------------------------------------------------------------------------
 
-class GeometrySource:
-    """Provider of cross sections at arbitrary rotation angles."""
+class BooySource:
+    """Self-wiping profile sections of ``params`` at any angle."""
 
-    def __init__(self, params: ScrewParams):
-        self.params = params
-
-    def section(self, theta: float) -> CrossSection:
-        raise NotImplementedError
-
-
-class BooySource(GeometrySource):
     def __init__(self, params: ScrewParams, n_points: int = 1024):
-        super().__init__(params)
+        self.params = params
         self.n_points = n_points
 
     def section(self, theta: float) -> CrossSection:
         return booy_profile(self.params, theta, self.n_points)
 
 
-class FileSource(GeometrySource):
-    """Profile from a point-cloud file; other angles rotate the base clouds
-    about their own centers (co-rotating kinematics)."""
+class FileSource:
+    """Profile from a point-cloud file, with the screw parameters of its
+    base section; other angles rotate the base clouds about their own
+    centers (co-rotating kinematics)."""
 
-    def __init__(self, base: CrossSection, params: ScrewParams):
-        super().__init__(params)
+    def __init__(self, base: CrossSection):
+        self.params = base.params
         self.base = base
 
     def section(self, theta: float) -> CrossSection:
@@ -90,8 +89,7 @@ class FileSource(GeometrySource):
         p = self.params
         left = self.base.left_rotor.rotated(delta, p.left_center)
         right = self.base.right_rotor.rotated(delta, p.right_center)
-        return CrossSection(theta, p, left, right, self.base.casing_left,
-                            self.base.casing_right, self.base.cusp_points)
+        return CrossSection(theta, p, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +170,27 @@ class PatchSet:
 class PipelineContext:
     """Fixed per-geometry machinery and the per-angle patch builder.
 
-    fit_threshold governs the rotor boundary fits; the casing fit gets a
-    tighter budget so barrel vertices stay on the physical circle.
+    ``source`` (a ``BooySource`` or ``FileSource``) supplies the rotor
+    clouds at angle zero and, through its ``params``, the barrel.
+    ``fit_threshold``, a positive finite length (default 1e-4 of the
+    rotor clouds' bounding-box diagonal), governs the rotor and separator
+    boundary fits; the casing fit gets a tighter budget so barrel vertices
+    stay on the physical circle.
     """
 
-    def __init__(self, source: GeometrySource,
+    def __init__(self, source: BooySource | FileSource,
                  fit_threshold: float | None = None,
                  optimize_control_maps: bool = True):
         p = source.params
         self.params = p
         sec0 = source.section(0.0)
-        diag = bounding_box_diagonal(
-            np.vstack([sec0.left_rotor.points, sec0.right_rotor.points]))
-        self.fit_threshold = fit_threshold if fit_threshold is not None \
-            else 1e-4 * diag
+        if fit_threshold is None:
+            fit_threshold = 1e-4 * bounding_box_diagonal(
+                np.vstack([sec0.left_rotor.points, sec0.right_rotor.points]))
+        if not (math.isfinite(fit_threshold) and fit_threshold > 0):
+            raise FitError("fit_threshold must be a positive finite number",
+                           fit_threshold=fit_threshold)
+        self.fit_threshold = fit_threshold
         self.casing_threshold = 5e-7 * p.barrel_radius
         self.xi_basis = separator_xi_basis(DEGREE, XI_ELEMENTS_PER_HALF)
         self.control_basis = default_control_basis()
@@ -194,18 +199,11 @@ class PipelineContext:
         self.cusps = cusp_points(p)           # (upper, lower)
         beta = math.atan2(self.cusps[0, 1], 0.5 * p.centerline_distance)
         self.cut_frac = beta / TWO_PI         # q: cusp fraction on each casing
-        self.casing_arc = {"left": self._fit_casing_arc(sec0.casing_left),
-                           "right": self._fit_casing_arc(sec0.casing_right)}
-        # the separator's north/south boundaries end on the cusps, so each
-        # casing arc (user-supplied through a FileSource) must end there
-        scale = np.linalg.norm(self.cusps[0] - self.cusps[1])
-        for side, ends in (("left", self.cusps), ("right", self.cusps[::-1])):
-            cp = self.casing_arc[side].control_points
-            for got, want, name in zip(cp[[0, -1]], ends, ("start", "end")):
-                gap = np.linalg.norm(got - want)
-                if gap > 1e-9 * scale:
-                    raise TopologyError(f"{side} casing arc {name} is off "
-                                        "its cusp", gap=float(gap))
+        # the axes, and so the bores and the cusp pairs, are symmetric about
+        # the origin: the right arc is the left one turned by pi about it
+        left = self._fit_casing()
+        self.casing_arc = {"left": left, "right": SplineCurve(
+            left.basis, -left.control_points)}
         # the base rotor fit joined to itself over two periods of the grid
         # coordinate, so that every wrapped grid range is one extraction
         self._two_period_rotor: dict[str, SplineCurve] = {}
@@ -215,19 +213,21 @@ class PipelineContext:
 
     # -- casing -------------------------------------------------------------
 
-    def _fit_casing_arc(self, arc: CasingArc) -> SplineCurve:
-        """Arc-length parameterized fit of a retained barrel arc; its ends
-        are the cusps, which the fit interpolates.
+    def _fit_casing(self) -> SplineCurve:
+        """Arc-length parameterized fit of the left retained barrel arc, CCW
+        about the left axis from the upper cusp to the lower one.  Its end
+        samples are the exact cusps, which the fit interpolates.
 
         The knots are those of n uniform spans over the whole grid
         coordinate g = q + t (1 - 2q) that fall inside the arc, so at angles
         on that grid they coincide with the rotor arc's knots and the
         C-grid's union knot vector stays small.
         """
-        q = self.cut_frac
-        ang = np.linspace(arc.start_angle, arc.end_angle, 4096)
-        pts = arc.center + arc.radius * np.column_stack([np.cos(ang),
-                                                         np.sin(ang)])
+        p, q = self.params, self.cut_frac
+        ang = np.linspace(TWO_PI * q, TWO_PI * (1.0 - q), 4096)
+        pts = p.left_center + p.barrel_radius * np.column_stack(
+            [np.cos(ang), np.sin(ang)])
+        pts[0], pts[-1] = self.cusps
         t = np.linspace(0.0, 1.0, len(pts))
         n = 8
         while True:
@@ -312,7 +312,7 @@ class PipelineContext:
         casing = self.casing_arc[side]
         kv = merge_knot_vectors(rotor.basis, casing.basis)
         rotor, casing = promote_curve(rotor, kv), promote_curve(casing, kv)
-        check_ruled_map(rotor, casing, side=side, theta=theta)
+        check_ruled_map(rotor, casing, side=side)
         basis = TensorBasis(kv, KnotVector(1, [0.0, 0.0, 1.0, 1.0]))
         return PatchParameterization(SplineMap(basis, np.stack(
             [rotor.control_points, casing.control_points], axis=1)))
@@ -352,9 +352,9 @@ class PipelineContext:
         # a backtracking west/east boundary admits no fold-free interior
         # map, so it is rejected before any EGG work
         check_boundary_regular(bounds.gamma_w, self.params.left_center,
-                               side="west", theta=theta)
+                               side="west")
         check_boundary_regular(bounds.gamma_e, self.params.right_center,
-                               side="east", theta=theta)
+                               side="east")
         patch = egg_solve(transfinite(bounds, TensorBasis(self.xi_basis,
                                                           eta_kv)))
         boxes = check_folding(patch.map)
@@ -365,12 +365,19 @@ class PipelineContext:
     # -- full patch set ------------------------------------------------------------
 
     def build_patches(self, theta: float) -> PatchSet:
-        # the separator first: its boundary certificate rejects an angle
-        # before any C-grid is built
-        separator = self.build_separator(theta)
-        left_c = self.build_c_grid("left", theta)
-        right_c = self.build_c_grid("right", theta)
-        control = identity_control(self.control_basis)
-        if self.optimize_control_maps:
-            control = optimize_control(separator.map, control)
+        """The three patches and the control map at ``theta``; every
+        ``ScrewgenError`` raised on the way carries ``theta`` in its
+        details."""
+        try:
+            # the separator first: its boundary certificate rejects an
+            # angle before any C-grid is built
+            separator = self.build_separator(theta)
+            left_c = self.build_c_grid("left", theta)
+            right_c = self.build_c_grid("right", theta)
+            control = identity_control(self.control_basis)
+            if self.optimize_control_maps:
+                control = optimize_control(separator.map, control)
+        except ScrewgenError as exc:
+            exc.details.setdefault("theta", theta)
+            raise
         return PatchSet(theta, left_c, right_c, separator, control)

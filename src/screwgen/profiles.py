@@ -1,12 +1,17 @@
 """Twin-screw cross-section geometry.
 
-Generates the co-rotating twin-screw cross section at any rotation angle:
-the classical self-wiping double-flighted rotor profile built from circular
-tip arcs, root arcs and kinematic flank arcs, with the clearances applied as
-an inward normal offset; the casing bore circles with their cusp
-intersections.  A 3D conveying element's section at axial position z is
-the one at rotation angle theta + 2 pi z / pitch_length.  Arbitrary (e.g.
-mixing element) profiles enter through plain-text point-cloud files.
+``ScrewParams`` fixes the whole barrel: the two bore circles of radius
+``barrel_radius`` about the rotor axes, which meet at ``cusp_points``.  A
+``CrossSection`` carries only what varies with the rotation angle, the two
+rotor point clouds, and checks on construction that they lie inside the
+bore.  Sections come from two places: ``booy_profile`` generates the
+classical self-wiping rotor profile, built from circular tip arcs, root
+arcs and kinematic flank arcs with the clearances applied as an inward
+normal offset, at any angle; ``load_profile`` reads arbitrary (e.g. mixing
+element) rotor clouds from a plain-text point-cloud file.  A 3D conveying
+element's section at axial position z is the one at rotation angle
+theta + 2 pi z / pitch_length.  Non-finite coordinates and angles are
+rejected where they enter.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ class PointCloud:
         pts = np.ascontiguousarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
             raise InvalidGeometryError("point cloud needs at least 8 planar points")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidGeometryError("point cloud has non-finite coordinates")
         if np.linalg.norm(pts[0] - pts[-1]) < 1e-14 * max(1.0, np.abs(pts).max()):
             raise InvalidGeometryError("closed loops must not repeat a point")
         object.__setattr__(self, "points", pts)
@@ -97,43 +104,26 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class CasingArc:
-    """Retained barrel arc: CCW from start_angle to end_angle about center."""
-
-    center: np.ndarray
-    radius: float
-    start_angle: float
-    end_angle: float
-
-
-@dataclass(frozen=True)
 class CrossSection:
-    """One planar cut: both rotor clouds, the casing arcs and cusp points."""
+    """One planar cut: both rotor clouds at rotation angle ``angle``.  The
+    barrel is the two bore circles of ``params`` (``cusp_points`` gives
+    their intersections); every rotor point must lie inside it."""
 
     angle: float
     params: ScrewParams
     left_rotor: PointCloud
     right_rotor: PointCloud
-    casing_left: CasingArc
-    casing_right: CasingArc
-    cusp_points: np.ndarray  # (2, 2): upper, lower
 
-    def validate(self):
+    def __post_init__(self):
         p = self.params
-        rb = p.barrel_radius * (1 + 1e-9)
         for cloud in (self.left_rotor, self.right_rotor):
-            dl = np.linalg.norm(cloud.points - p.left_center, axis=1)
-            dr = np.linalg.norm(cloud.points - p.right_center, axis=1)
-            if np.any(np.minimum(dl, dr) > rb):
+            dist = np.minimum(
+                np.linalg.norm(cloud.points - p.left_center, axis=1),
+                np.linalg.norm(cloud.points - p.right_center, axis=1))
+            if np.any(dist > p.barrel_radius * (1 + 1e-9)):
                 raise InvalidGeometryError(
                     "rotor points leave the casing bore",
-                    max_excess=float(np.minimum(dl, dr).max() - p.barrel_radius))
-        for cusp in self.cusp_points:
-            for center in (p.left_center, p.right_center):
-                r = np.linalg.norm(cusp - center)
-                if abs(r - p.barrel_radius) > 1e-9 * p.barrel_radius:
-                    raise InvalidGeometryError("cusp point off the casing circles")
-        return self
+                    max_excess=float(dist.max() - p.barrel_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +298,6 @@ def cusp_points(params: ScrewParams) -> np.ndarray:
     return np.array([[0.0, y], [0.0, -y]])
 
 
-def casing_arcs(params: ScrewParams):
-    """Retained (outside the intermeshing lens) barrel arcs, CCW."""
-    cusps = cusp_points(params)
-    beta = math.atan2(cusps[0, 1], 0.5 * params.centerline_distance)
-    left = CasingArc(params.left_center, params.barrel_radius,
-                     beta, TWO_PI - beta)
-    right = CasingArc(params.right_center, params.barrel_radius,
-                      math.pi + beta, 3 * math.pi - beta)
-    return left, right
-
-
 def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> CrossSection:
     """Cross section at rotation angle theta.
 
@@ -333,10 +312,7 @@ def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> Cros
     phase = math.pi / params.flight_count
     left = PointCloud(base @ rotation(theta).T + params.left_center)
     right = PointCloud(base @ rotation(theta + phase).T + params.right_center)
-    cl_arc, cr_arc = casing_arcs(params)
-    section = CrossSection(theta, params, left, right, cl_arc, cr_arc,
-                           cusp_points(params))
-    return section.validate()
+    return CrossSection(theta, params, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +328,8 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
 
     Format: header line ``screwgen-profile v1``; ``section θ=<radians>``
     blocks; ``L x y`` / ``R x y`` point lines (meters) in boundary order;
-    ``#`` comments.
+    ``#`` comments.  Angles and coordinates must be finite numbers.  The
+    barrel is not part of the file: it is the one of ``params``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -370,11 +347,8 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
         theta, left, right = cur
         if len(left) < 8 or len(right) < 8:
             raise ProfileParseError("each rotor needs at least 8 points")
-        cl_arc, cr_arc = casing_arcs(params)
-        section = CrossSection(theta, params, PointCloud(np.array(left)),
-                               PointCloud(np.array(right)), cl_arc, cr_arc,
-                               cusp_points(params))
-        sections.append(section.validate())
+        sections.append(CrossSection(theta, params, PointCloud(np.array(left)),
+                                     PointCloud(np.array(right))))
 
     for ln in body[1:]:
         if ln.startswith("section"):
@@ -386,6 +360,8 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
                         theta = float(rest[len(prefix):])
                     except ValueError as exc:
                         raise ProfileParseError(f"bad section angle: {ln!r}") from exc
+                    if not math.isfinite(theta):
+                        raise ProfileParseError(f"non-finite section angle: {ln!r}")
                     break
             else:
                 raise ProfileParseError(f"bad section line: {ln!r}")
@@ -400,6 +376,8 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
             xy = [float(parts[1]), float(parts[2])]
         except ValueError as exc:
             raise ProfileParseError(f"bad coordinates: {ln!r}") from exc
+        if not all(map(math.isfinite, xy)):
+            raise ProfileParseError(f"non-finite coordinates: {ln!r}")
         current[1 if parts[0] == "L" else 2].append(xy)
     close(current)
     if not sections:

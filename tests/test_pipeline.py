@@ -8,12 +8,14 @@ from screwgen import parameterization, pipeline
 from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
-from screwgen.errors import MatchingError, TopologyError
+from screwgen.errors import (ConstraintError, FitConvergenceError, FitError,
+                             MatchingError, NonconvergenceError,
+                             TopologyError)
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
-from screwgen.profiles import (ScrewParams, booy_profile, load_profile,
-                               rotation, save_profile)
+from screwgen.profiles import (ScrewParams, booy_profile, cusp_points,
+                               load_profile, rotation, save_profile)
 from screwgen.splines import (KNOT_TOL, SplineCurve, SplineMap, open_knots,
                               unique_knots)
 from test_control_map import terms_by_basis
@@ -94,7 +96,7 @@ def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path,
     # a profile saved at a non-zero angle is turned back by FileSource
     path = tmp_path / "table2.txt"
     save_profile(path, booy_profile(TABLE2, saved_angle, N_POINTS))
-    ctx = PipelineContext(FileSource(load_profile(path, TABLE2), TABLE2),
+    ctx = PipelineContext(FileSource(load_profile(path, TABLE2)),
                           fit_threshold=booy_context.fit_threshold)
     scale = TABLE2.barrel_radius
     for theta in (0.0, math.pi / 4):
@@ -173,17 +175,58 @@ def test_arcs_ending_on_the_rotor_seam(booy_context, monkeypatch):
             assert np.abs(got - want).max() < 1e-12 * scale, theta
 
 
-def test_file_source_casing_arc_off_its_cusps_is_rejected():
-    base = booy_profile(TABLE2, 0.0, N_POINTS)
-    arc = base.casing_left
-    turned = dataclasses.replace(base, casing_left=dataclasses.replace(
-        arc, start_angle=arc.start_angle + 1e-6,
-        end_angle=arc.end_angle + 1e-6))
-    with pytest.raises(TopologyError) as info:
-        PipelineContext(FileSource(turned, TABLE2),
-                        fit_threshold=fit_threshold(1e-3))
-    assert "left casing arc" in str(info.value)
-    assert info.value.details["gap"] > 0.5e-6 * TABLE2.barrel_radius
+ONE_FLIGHT = dataclasses.replace(TABLE2, flight_count=1)
+
+
+@pytest.mark.parametrize("params", [TABLE2, TABLE8, ONE_FLIGHT],
+                         ids=["table2", "table8", "one_flight"])
+def test_casing_arcs_end_on_the_cusps_and_reflect_into_each_other(params):
+    ctx = PipelineContext(BooySource(params, N_POINTS),
+                          fit_threshold=fit_threshold(1e-3, params))
+    upper, lower = cusp_points(params)
+    left, right = ctx.casing_arc["left"], ctx.casing_arc["right"]
+    # the point reflection through the axes' midpoint swaps the bores and
+    # the cusps, so the right arc is the negated left one, end for end
+    assert np.array_equal(-params.left_center, params.right_center)
+    assert np.array_equal(-upper, lower)
+    assert np.array_equal(right.basis.knots, left.basis.knots)
+    assert np.array_equal(right.control_points, -left.control_points)
+    assert np.array_equal(left.control_points[[0, -1]], [upper, lower])
+    assert np.array_equal(right.control_points[[0, -1]], [lower, upper])
+    t = np.linspace(0.0, 1.0, 1001)
+    for arc, center in ((left, params.left_center),
+                        (right, params.right_center)):
+        radius = np.linalg.norm(arc(t) - center, axis=1)
+        assert np.abs(radius - params.barrel_radius).max() \
+            <= ctx.casing_threshold
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-5, math.nan, math.inf])
+def test_context_rejects_a_fit_threshold_that_is_not_a_positive_length(
+        threshold, monkeypatch):
+    for name in ("fit_curve", "fit_curve_adaptive"):
+        monkeypatch.setattr(pipeline, name, stop)
+    with pytest.raises(FitError) as info:
+        PipelineContext(BooySource(TABLE2, N_POINTS), fit_threshold=threshold)
+    got = info.value.details["fit_threshold"]
+    assert got == threshold or (math.isnan(got) and math.isnan(threshold))
+
+
+@pytest.mark.parametrize("stage, error", [
+    ("egg_solve", NonconvergenceError("line search failed")),
+    ("optimize_control", ConstraintError("start map infeasible")),
+    ("fit_curve_adaptive", FitConvergenceError("span cap reached")),
+], ids=["egg", "control", "eta_fit"])
+def test_build_patches_errors_carry_theta(booy_context, monkeypatch, stage,
+                                          error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, stage, fail)
+    with pytest.raises(type(error)) as info:
+        booy_context.build_patches(math.pi / 4)
+    assert info.value is error
+    assert info.value.details == {"theta": math.pi / 4}
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from screwgen.errors import InvalidGeometryError, ProfileParseError
 from screwgen.profiles import (
+    CrossSection,
+    PointCloud,
     ScrewParams,
     booy_profile,
     cusp_points,
@@ -81,6 +84,29 @@ def test_impossible_geometry_raises():
         ScrewParams(screw_radius=10e-3, centerline_distance=25e-3)
     with pytest.raises(InvalidGeometryError):
         booy_profile(TABLE2, 0.0, 32)  # too few points
+
+
+def test_hand_built_section_with_a_rotor_point_outside_the_bore_raises():
+    sec = booy_profile(TABLE2, 0.3, 256)
+    pts = sec.left_rotor.points.copy()
+    # the outermost point of the left bore, pushed just past it
+    pts[5] = TABLE2.left_center + [-1.001 * TABLE2.barrel_radius, 0.0]
+    outside = PointCloud(pts)
+    with pytest.raises(InvalidGeometryError) as info:
+        CrossSection(sec.angle, TABLE2, outside, sec.right_rotor)
+    assert info.value.details["max_excess"] == pytest.approx(
+        1e-3 * TABLE2.barrel_radius)
+    with pytest.raises(InvalidGeometryError):
+        dataclasses.replace(sec, right_rotor=outside)
+
+
+def test_point_cloud_rejects_non_finite_points():
+    pts = booy_profile(TABLE2, 0.0, 256).left_rotor.points.copy()
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = pts.copy()
+        broken[7, 1] = bad
+        with pytest.raises(InvalidGeometryError):
+            PointCloud(broken)
 
 
 def test_point_count_and_no_repeats():
@@ -167,6 +193,22 @@ def test_profile_parse_errors(tmp_path):
     bad.write_text("screwgen-profile v1\nsection θ=0\nL 0 zero\n")
     with pytest.raises(ProfileParseError):
         load_profile(bad, TABLE2)
+
+
+@pytest.mark.parametrize("line", [
+    "section θ=nan", "section theta=inf", "L nan nan", "R 0.001 -inf",
+    "L inf 0.0"])
+def test_profile_with_non_finite_numbers_is_rejected(tmp_path, line):
+    # a valid file with one angle or point line replaced by a non-finite one
+    path = tmp_path / "profile.txt"
+    save_profile(path, booy_profile(TABLE2, 0.45, 256))
+    lines = path.read_text().splitlines()
+    index = 1 if line.startswith("section") \
+        else next(i for i, ln in enumerate(lines) if ln[0] == line[0]) + 3
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileParseError, match="non-finite"):
+        load_profile(path, TABLE2)
 
 
 def test_profile_invariant_violation(tmp_path):
