@@ -18,12 +18,8 @@ import numpy as np
 
 from .errors import FitConvergenceError, FitError, MatchingError
 from .splines import (KnotVector, SplineCurve, _check_param,
-                      basis_ders_nonzero, greville_abscissae)
-
-
-def bounding_box_diagonal(points) -> float:
-    points = np.asarray(points, dtype=float)
-    return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+                      basis_ders_nonzero, bounding_box_diagonal,
+                      greville_abscissae)
 
 
 def chord_length_params(points) -> np.ndarray:
@@ -94,27 +90,24 @@ def fit_curve(points, params, kv: KnotVector,
     B = np.zeros((len(params), n))
     np.put_along_axis(B, cols, ders[0], axis=1)
     D = _second_differences(greville_abscissae(kv))
-    pinned = np.zeros((n, 2))
-    pinned[0] = points[0]
-    pinned[-1] = points[-1]
+    ctrl = np.zeros((n, 2))
+    ctrl[0] = points[0]
+    ctrl[-1] = points[-1]
+    # the inner control points; an empty system (n = 2) solves to nothing
     free = np.arange(1, n - 1)
-    if free.size:
-        Bf = B[:, free]
-        rhs_pts = points - B[:, [0, n - 1]] @ pinned[[0, -1]]
-        Df = D[:, free]
-        Dp = D[:, [0, n - 1]] @ pinned[[0, -1]]
-        M = Bf.T @ Bf + lam_reg * (Df.T @ Df)
-        rhs = Bf.T @ rhs_pts - lam_reg * (Df.T @ Dp)
-        try:
-            sol = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular fitting system: {exc}") from exc
-        if not np.all(np.isfinite(sol)):
-            raise FitError("fitting system numerically singular despite stabilization")
-        ctrl = pinned
-        ctrl[free] = sol
-    else:
-        ctrl = pinned
+    Bf = B[:, free]
+    rhs_pts = points - B[:, [0, n - 1]] @ ctrl[[0, -1]]
+    Df = D[:, free]
+    Dp = D[:, [0, n - 1]] @ ctrl[[0, -1]]
+    M = Bf.T @ Bf + lam_reg * (Df.T @ Df)
+    rhs = Bf.T @ rhs_pts - lam_reg * (Df.T @ Dp)
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"singular fitting system: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise FitError("fitting system numerically singular despite stabilization")
+    ctrl[free] = sol
     curve = SplineCurve(kv, ctrl)
     fitted = np.einsum("mj,mjd->md", ders[0], curve.control_points[cols])
     return FitResult(curve, params, np.linalg.norm(fitted - points, axis=1))
@@ -200,28 +193,6 @@ class ReparamFunction:
     def __call__(self, t):
         return np.interp(t, self.x, self.y)
 
-    def inverse(self) -> "ReparamFunction":
-        return ReparamFunction(self.y, self.x)
-
-
-def _dedupe_breakpoints(x, y):
-    """Sort and strictly monotonize matched breakpoint pairs."""
-    order = np.argsort(x)
-    x, y = np.asarray(x, float)[order], np.asarray(y, float)[order]
-    keep_x, keep_y = [x[0]], [y[0]]
-    for xi, yi in zip(x[1:], y[1:]):
-        if xi - keep_x[-1] > 1e-12 and yi - keep_y[-1] > 1e-12:
-            keep_x.append(xi)
-            keep_y.append(yi)
-    # endpoints are anchored by construction; force them exactly
-    keep_x[0], keep_y[0] = 0.0, 0.0
-    if abs(keep_x[-1] - 1) > 1e-12 or abs(keep_y[-1] - 1) > 1e-12:
-        keep_x.append(1.0)
-        keep_y.append(1.0)
-    else:
-        keep_x[-1], keep_y[-1] = 1.0, 1.0
-    return np.array(keep_x), np.array(keep_y)
-
 
 def _hierarchical_pairs(dist):
     """Matched index pairs by recursive closest-pair bisection.
@@ -252,7 +223,10 @@ def match_points(cloud_a, cloud_b, ta, tb):
     ta and tb are the clouds' increasing parameters from 0 to 1 (their
     chord-length parameters in the pipeline, computed once by the caller).
     Matched pairs receive the average of their parameters; returns the pair
-    (f_a, f_b) mapping each cloud's parameter to the common value.
+    (f_a, f_b) mapping each cloud's parameter to the common value.  The
+    pairs increase strictly in both indices, so the breakpoints do wherever
+    the parameters do; a repeated point matched twice repeats its parameter
+    and raises MatchingError.
     """
     a = np.asarray(cloud_a, dtype=float)
     b = np.asarray(cloud_b, dtype=float)
@@ -268,9 +242,6 @@ def match_points(cloud_a, cloud_b, ta, tb):
     dy = a[:, 1, None] - b[None, :, 1]
     pairs = _hierarchical_pairs(np.sqrt(dx * dx + dy * dy))
 
-    ia = np.array([p[0] for p in pairs])
-    jb = np.array([p[1] for p in pairs])
+    ia, jb = np.array(pairs).T
     avg = 0.5 * (ta[ia] + tb[jb])
-    xa, ya = _dedupe_breakpoints(ta[ia], avg)
-    xb, yb = _dedupe_breakpoints(tb[jb], avg)
-    return ReparamFunction(xa, ya), ReparamFunction(xb, yb)
+    return ReparamFunction(ta[ia], avg), ReparamFunction(tb[jb], avg)

@@ -39,47 +39,14 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError,
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, blossoms,
-                      greville_abscissae, insert_knots, open_knots,
-                      unique_knots)
+                      bounding_box_diagonal, greville_abscissae, insert_knots,
+                      open_knots, unique_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
 MAX_HALVINGS = 20     # line-search step halvings per Newton step
 REPAIR_ROUNDS = 3     # knot-insertion rounds of the folding repair
 MAX_DEPTH = 20        # subdivision rounds of the Bernstein sign certificate
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """Four boundary curves of a patch.
-
-    gamma_s / gamma_n run in xi (west to east) on eta = 0 / 1;
-    gamma_w / gamma_e run in eta (south to north) on xi = 0 / 1.
-    """
-
-    gamma_w: SplineCurve
-    gamma_e: SplineCurve
-    gamma_s: SplineCurve
-    gamma_n: SplineCurve
-    corner_tol: float = 1e-10
-
-    def corners(self):
-        """Corner points p00, p10, p01, p11, validated for consistency."""
-        w, e, s, n = self.gamma_w, self.gamma_e, self.gamma_s, self.gamma_n
-        p00 = s.control_points[0]
-        p10 = s.control_points[-1]
-        p01 = n.control_points[0]
-        p11 = n.control_points[-1]
-        scale = max(1.0, np.abs(np.array([p00, p10, p01, p11])).max())
-        for got, want, name in ((w.control_points[0], p00, "w(0)=s(0)"),
-                                (w.control_points[-1], p01, "w(1)=n(0)"),
-                                (e.control_points[0], p10, "e(0)=s(1)"),
-                                (e.control_points[-1], p11, "e(1)=n(1)")):
-            if np.linalg.norm(got - want) > self.corner_tol * scale:
-                raise TopologyError(
-                    f"boundary corners disagree at {name}",
-                    gap=float(np.linalg.norm(got - want)))
-        return p00, p10, p01, p11
 
 
 @dataclass(frozen=True)
@@ -98,22 +65,39 @@ def _same_knots(a: KnotVector, b: KnotVector) -> bool:
 # transfinite interpolation
 # ---------------------------------------------------------------------------
 
-def transfinite(bounds: BoundarySet, basis: TensorBasis) -> SplineMap:
+def transfinite(west: SplineCurve, east: SplineCurve, south: SplineCurve,
+                north: SplineCurve, basis: TensorBasis) -> SplineMap:
     """Spline transfinite interpolation of the four boundary curves.
+
+    south / north run in xi (west to east) on eta = 0 / 1 and live in
+    ``basis.xi``; west / east run in eta (south to north) on xi = 0 / 1 and
+    live in ``basis.eta``.  The corners are the end control points of south
+    and north; the west and east ends must meet them within 1e-10 of the
+    boundary control points' bounding-box diagonal, else TopologyError.
 
     The blending factors are linear, so collocating them at the Greville
     abscissae yields the exact spline representation of the boundary blend;
     boundary control rows reproduce the input curves verbatim.
     """
-    w, e, s, n = bounds.gamma_w, bounds.gamma_e, bounds.gamma_s, bounds.gamma_n
+    w, e, s, n = west, east, south, north
     for curve, kv, name in ((w, basis.eta, "west"), (e, basis.eta, "east"),
                             (s, basis.xi, "south"), (n, basis.xi, "north")):
         if not _same_knots(curve.basis, kv):
             raise BasisMismatchError(
                 f"{name} boundary curve does not live in the patch basis")
+    p00, p10 = s.control_points[[0, -1]]
+    p01, p11 = n.control_points[[0, -1]]
+    gap = np.linalg.norm(np.array([w.control_points[[0, -1]],
+                                   e.control_points[[0, -1]]])
+                         - [[p00, p01], [p10, p11]], axis=-1).ravel()
+    extent = bounding_box_diagonal(np.vstack(
+        [c.control_points for c in (w, e, s, n)]))
+    if gap.max() > 1e-10 * extent:
+        name = ("w(0)=s(0)", "w(1)=n(0)", "e(0)=s(1)", "e(1)=n(1)")
+        raise TopologyError(f"boundary corners disagree at {name[gap.argmax()]}",
+                            gap=float(gap.max()))
     gx, ge = basis.greville_grid()
     cp = np.zeros((basis.xi.n, basis.eta.n, 2))
-    p00, p10, p01, p11 = bounds.corners()
     cp += (1 - gx)[:, None, None] * w.control_points[None, :, :]
     cp += gx[:, None, None] * e.control_points[None, :, :]
     cp += (1 - ge)[None, :, None] * s.control_points[:, None, :]
@@ -301,9 +285,9 @@ def collocate_kinked_segments(kv: KnotVector, p_start, p_mid, p_end) -> SplineCu
 
 
 def assemble_separator_boundary(rotor_arcs, cusps, reparams,
-                                xi_basis: KnotVector,
-                                eta_kv: KnotVector) -> BoundarySet:
-    """Boundary description of the separator patch.
+                                xi_basis: KnotVector, eta_kv: KnotVector):
+    """The separator's boundary curves (west, east, south, north), in the
+    orientations ``transfinite`` takes.
 
     rotor_arcs: grid-coordinate parameterized west/east rotor arc curves
     (south to north); cusps: (upper, lower) cusp points; reparams:
@@ -329,13 +313,10 @@ def assemble_separator_boundary(rotor_arcs, cusps, reparams,
     # reparameterize the arcs by the matching functions: sample densely and
     # refit at the floated parameter values
     t = np.linspace(0.0, 1.0, 16 * max(west_arc.basis.n, east_arc.basis.n))
-    gamma_w = fit_curve(west_arc(t), f_w(t), eta_kv).curve
-    gamma_e = fit_curve(east_arc(t), f_e(t), eta_kv).curve
-
-    gamma_n = collocate_kinked_segments(xi_basis, a_top_l, cusp_top, a_top_r)
-    gamma_s = collocate_kinked_segments(xi_basis, a_bot_l, cusp_bot, a_bot_r)
-    return BoundarySet(gamma_w=gamma_w, gamma_e=gamma_e,
-                       gamma_s=gamma_s, gamma_n=gamma_n, corner_tol=1e-9)
+    return (fit_curve(west_arc(t), f_w(t), eta_kv).curve,
+            fit_curve(east_arc(t), f_e(t), eta_kv).curve,
+            collocate_kinked_segments(xi_basis, a_bot_l, cusp_bot, a_bot_r),
+            collocate_kinked_segments(xi_basis, a_top_l, cusp_top, a_top_r))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +597,9 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     form's projection equation holds exactly and only the harmonic one is
     solved.  Each step solves its analytic linearization in band storage
     (LAPACK gbsv) and takes a backtracking line search on the residual norm.
+    The residual is a length; the iteration stops once its norm is below
+    NEWTON_TOL times the initial norm plus the initial net's bounding-box
+    diagonal, so a scaled map takes the same steps.
     """
     basis = initial.basis
     asm = EggAssembly(basis)
@@ -625,7 +609,7 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
 
     res = asm.residual(cp, eps)
     norm0 = float(np.linalg.norm(res))
-    target = NEWTON_TOL * (norm0 + 1.0)
+    target = NEWTON_TOL * (norm0 + bounding_box_diagonal(cp.reshape(-1, 2)))
     history = [norm0]
 
     def fail(message, **details):

@@ -39,9 +39,8 @@ from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
 from .errors import (FitError, InvalidGeometryError, MatchingError,
                      ScrewgenError, TopologyError)
-from .fitting import (ReparamFunction, bounding_box_diagonal,
-                      chord_length_params, fit_curve, fit_curve_adaptive,
-                      match_points)
+from .fitting import (ReparamFunction, chord_length_params, fit_curve,
+                      fit_curve_adaptive, match_points)
 from .parameterization import (PatchParameterization,
                                assemble_separator_boundary,
                                check_boundary_regular, check_folding,
@@ -50,8 +49,8 @@ from .parameterization import (PatchParameterization,
 from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, join_curves, open_knots, uniform_knots,
-                      unique_knots)
+                      TensorBasis, bounding_box_diagonal, join_curves,
+                      open_knots, uniform_knots, unique_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
@@ -346,17 +345,15 @@ class PipelineContext:
     def build_separator(self, theta: float) -> PatchParameterization:
         gap = self.separator_reparams(theta)
         eta_kv = self._eta_basis(gap)
-        bounds = assemble_separator_boundary(
+        west, east, south, north = assemble_separator_boundary(
             (gap.west, gap.east), self.cusps, (gap.f_w, gap.f_e),
             self.xi_basis, eta_kv)
         # a backtracking west/east boundary admits no fold-free interior
         # map, so it is rejected before any EGG work
-        check_boundary_regular(bounds.gamma_w, self.params.left_center,
-                               side="west")
-        check_boundary_regular(bounds.gamma_e, self.params.right_center,
-                               side="east")
-        patch = egg_solve(transfinite(bounds, TensorBasis(self.xi_basis,
-                                                          eta_kv)))
+        check_boundary_regular(west, self.params.left_center, side="west")
+        check_boundary_regular(east, self.params.right_center, side="east")
+        patch = egg_solve(transfinite(west, east, south, north,
+                                      TensorBasis(self.xi_basis, eta_kv)))
         boxes = check_folding(patch.map)
         if boxes:
             patch = repair_folding(patch, boxes)

@@ -10,8 +10,8 @@ arcs and kinematic flank arcs with the clearances applied as an inward
 normal offset, at any angle; ``load_profile`` reads arbitrary (e.g. mixing
 element) rotor clouds from a plain-text point-cloud file.  A 3D conveying
 element's section at axial position z is the one at rotation angle
-theta + 2 pi z / pitch_length.  Non-finite coordinates and angles are
-rejected where they enter.
+theta + 2 pi z / pitch_length.  Non-finite parameters, coordinates and
+angles are rejected where they enter.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometryError, ProfileParseError
+from .splines import bounding_box_diagonal
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +50,13 @@ class ScrewParams:
     tip_fillet_radius: float | None = None  # None: 2% of the screw radius
 
     def __post_init__(self):
+        for name in ("screw_radius", "centerline_distance",
+                     "screw_screw_clearance", "screw_barrel_clearance",
+                     "pitch_length", "tip_fillet_radius"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidGeometryError(f"{name} must be finite",
+                                           field=name, value=value)
         if self.screw_radius <= 0 or self.centerline_distance <= 0:
             raise InvalidGeometryError("radius and centerline distance must be > 0")
         if self.screw_screw_clearance < 0 or self.screw_barrel_clearance < 0:
@@ -93,7 +101,7 @@ class PointCloud:
             raise InvalidGeometryError("point cloud needs at least 8 planar points")
         if not np.all(np.isfinite(pts)):
             raise InvalidGeometryError("point cloud has non-finite coordinates")
-        if np.linalg.norm(pts[0] - pts[-1]) < 1e-14 * max(1.0, np.abs(pts).max()):
+        if np.linalg.norm(pts[0] - pts[-1]) <= 1e-14 * bounding_box_diagonal(pts):
             raise InvalidGeometryError("closed loops must not repeat a point")
         object.__setattr__(self, "points", pts)
 

@@ -37,6 +37,13 @@ def _frozen(a):
     return a
 
 
+def bounding_box_diagonal(points) -> float:
+    """Extent of a point set: its bounding box's diagonal, the length scale
+    that relative tolerances refer to."""
+    points = np.asarray(points, dtype=float)
+    return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+
+
 # ---------------------------------------------------------------------------
 # knot vectors
 # ---------------------------------------------------------------------------
@@ -386,14 +393,17 @@ class SplineMap:
 
 def join_curves(first: SplineCurve, second: SplineCurve, split: float) -> SplineCurve:
     """C0 join of two clamped curves into one over [0, 1] with the seam at
-    ``split``; the first curve occupies [0, split].  End points must agree."""
+    ``split``; the first curve occupies [0, split].  End points must agree
+    within 1e-9 of the two control polygons' bounding-box diagonal."""
     if not 0.0 < split < 1.0:
         raise DomainError("split must be interior")
     if first.basis.degree != second.basis.degree:
         raise DomainError("joined curves must share the degree")
     pa = first.control_points[-1]
     pb = second.control_points[0]
-    if np.linalg.norm(pa - pb) > 1e-9 * max(1.0, np.abs(pa).max()):
+    extent = bounding_box_diagonal(np.vstack([first.control_points,
+                                              second.control_points]))
+    if np.linalg.norm(pa - pb) > 1e-9 * extent:
         raise DomainError("curves do not meet at the seam")
     p = first.basis.degree
     ka = first.basis.knots * split

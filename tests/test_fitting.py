@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from screwgen.errors import DomainError, FitConvergenceError, MatchingError
 from screwgen.fitting import (
     FitResult,
-    _dedupe_breakpoints,
     _hierarchical_pairs,
     _second_differences,
     adapt_knots,
@@ -236,8 +235,9 @@ def match_by_chord(a, b):
 
 
 def b_to_a(fa, fb):
-    """b-chord -> a-chord map of a both-float matching."""
-    return lambda t: fa.inverse()(fb(t))
+    """b-chord -> a-chord map of a both-float matching: fb, then fa's
+    breakpoints read backwards."""
+    return lambda t: np.interp(fb(t), fa.y, fa.x)
 
 
 def test_match_identity():
@@ -300,6 +300,15 @@ def test_match_both_float_average():
     assert np.all(np.diff(fb(x)) > -1e-12)
 
 
+def test_match_rejects_a_repeated_point_matched_twice():
+    # the repeated point's chord parameter repeats, and both copies pair
+    # with the other cloud's copies
+    pts = circle_cloud(40, t1=np.pi)
+    pts = np.insert(pts, 17, pts[17], axis=0)
+    with pytest.raises(MatchingError, match="strictly increasing"):
+        match_by_chord(pts, 1.1 * pts)
+
+
 def test_match_orientation_mismatch_raises():
     pts = circle_cloud(60, t1=np.pi)
     with pytest.raises(MatchingError):
@@ -359,7 +368,7 @@ def match_by_norm(a, b):
     ia = np.array([p[0] for p in pairs])
     jb = np.array([p[1] for p in pairs])
     avg = 0.5 * (ta[ia] + tb[jb])
-    return _dedupe_breakpoints(ta[ia], avg), _dedupe_breakpoints(tb[jb], avg)
+    return (ta[ia], avg), (tb[jb], avg)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -6,10 +6,10 @@ import pytest
 from screwgen import parameterization
 from screwgen.control_map import check_composite_folding
 from screwgen.errors import (BasisMismatchError, MatchingError,
-                             NonconvergenceError, StructureError)
+                             NonconvergenceError, StructureError,
+                             TopologyError)
 from screwgen.fitting import ReparamFunction, fit_curve
 from screwgen.parameterization import (
-    BoundarySet,
     EggAssembly,
     build_aux_space,
     check_boundary_regular,
@@ -24,8 +24,9 @@ from screwgen.parameterization import (
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
-                              basis_matrix, blossoms, greville_abscissae,
-                              open_knots, uniform_knots, unique_knots)
+                              basis_matrix, blossoms, bounding_box_diagonal,
+                              greville_abscissae, open_knots, uniform_knots,
+                              unique_knots)
 from test_splines import insert_knots_boehm
 
 
@@ -36,19 +37,20 @@ def line_curve(kv, p0, p1):
 
 
 def unit_square_bounds(tb):
+    """Boundary curves (west, east, south, north) of the unit square."""
     s = line_curve(tb.xi, [0, 0], [1, 0])
     n = line_curve(tb.xi, [0, 1], [1, 1])
     w = line_curve(tb.eta, [0, 0], [0, 1])
     e = line_curve(tb.eta, [1, 0], [1, 1])
-    return BoundarySet(gamma_w=w, gamma_e=e, gamma_s=s, gamma_n=n)
+    return w, e, s, n
 
 
 QUARTER_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 8))
 
 
 def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
-    """Quarter annulus with the exponential radial abscissa r = r_in
-    (r_out/r_in)^eta, matching the inverse-harmonic solution; xi runs
+    """Boundary curves (west, east, south, north) of the quarter annulus
+    with the exponential radial abscissa r = r_in (r_out/r_in)^eta, matching the inverse-harmonic solution; xi runs
     clockwise from phi = pi/2 so that (xi, eta) is right-handed."""
     t = np.linspace(0, 1, 400)
     phi = (1 - t) * np.pi / 2
@@ -60,8 +62,7 @@ def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
                      lam_reg=1e-14).curve
     east = fit_curve(np.column_stack([r, np.zeros_like(t)]), t, tb.eta,
                      lam_reg=1e-14).curve
-    return BoundarySet(gamma_w=west, gamma_e=east, gamma_s=south,
-                       gamma_n=north, corner_tol=1e-8)
+    return west, east, south, north
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
 
 def test_transfinite_unit_square_identity():
     tb = TensorBasis(uniform_knots(3, 4), uniform_knots(2, 3))
-    m = transfinite(unit_square_bounds(tb), tb)
+    m = transfinite(*unit_square_bounds(tb), tb)
     gx, ge = tb.greville_grid()
     assert np.abs(m.control_points[:, :, 0] - gx[:, None]).max() < 1e-14
     assert np.abs(m.control_points[:, :, 1] - ge[None, :]).max() < 1e-14
@@ -86,12 +87,11 @@ def test_transfinite_reproduces_affine():
         b = rng.uniform(-1, 1, 2)
         corners = {k: A @ np.array(v) + b for k, v in
                    dict(p00=(0, 0), p10=(1, 0), p01=(0, 1), p11=(1, 1)).items()}
-        bounds = BoundarySet(
-            gamma_w=line_curve(tb.eta, corners["p00"], corners["p01"]),
-            gamma_e=line_curve(tb.eta, corners["p10"], corners["p11"]),
-            gamma_s=line_curve(tb.xi, corners["p00"], corners["p10"]),
-            gamma_n=line_curve(tb.xi, corners["p01"], corners["p11"]))
-        m = transfinite(bounds, tb)
+        bounds = (line_curve(tb.eta, corners["p00"], corners["p01"]),
+                  line_curve(tb.eta, corners["p10"], corners["p11"]),
+                  line_curve(tb.xi, corners["p00"], corners["p10"]),
+                  line_curve(tb.xi, corners["p01"], corners["p11"]))
+        m = transfinite(*bounds, tb)
         pts = rng.uniform(0, 1, (20, 2))
         J, det = m.jacobian(pts[:, 0], pts[:, 1])
         assert np.abs(J - A[None]).max() < 1e-12
@@ -102,7 +102,25 @@ def test_transfinite_basis_mismatch():
     tb = TensorBasis(uniform_knots(3, 4), uniform_knots(2, 3))
     bad = unit_square_bounds(TensorBasis(uniform_knots(3, 5), tb.eta))
     with pytest.raises(BasisMismatchError):
-        transfinite(bad, tb)
+        transfinite(*bad, tb)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_transfinite_corner_tolerance_is_relative(scale):
+    # a west end 1e-12 of the patch size off its corner is the corner; one
+    # 1e-4 off is a TopologyError that names the corner, at any scale
+    tb = TensorBasis(uniform_knots(3, 4), uniform_knots(2, 3))
+    w, e, s, n = (SplineCurve(c.basis, scale * c.control_points)
+                  for c in unit_square_bounds(tb))
+    for offset, ok in ((1e-12, True), (1e-4, False)):
+        cp = w.control_points.copy()
+        cp[-1, 0] += offset * scale
+        moved = SplineCurve(w.basis, cp)
+        if ok:
+            transfinite(moved, e, s, n, tb)
+        else:
+            with pytest.raises(TopologyError, match=r"w\(1\)=n\(0\)"):
+                transfinite(moved, e, s, n, tb)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +449,7 @@ def test_residual_matches_dense_quadrature():
 def test_unit_square_converges_immediately(monkeypatch):
     monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-10)
     tb = EGG_TB
-    patch = egg_solve(transfinite(unit_square_bounds(tb), tb))
+    patch = egg_solve(transfinite(*unit_square_bounds(tb), tb))
     assert patch.iterations <= 2
     gx, ge = tb.greville_grid()
     assert np.abs(patch.map.control_points[:, :, 0] - gx[:, None]).max() < 1e-9
@@ -440,7 +458,7 @@ def test_unit_square_converges_immediately(monkeypatch):
 
 def test_quarter_annulus_oracle():
     bounds = quarter_annulus_bounds()
-    patch = egg_solve(transfinite(bounds, QUARTER_TB))
+    patch = egg_solve(transfinite(*bounds, QUARTER_TB))
     assert patch.iterations <= 15
     samp = np.linspace(0, 1, 11)
     for eta in samp:
@@ -452,7 +470,7 @@ def test_quarter_annulus_oracle():
 
 def test_egg_preserves_boundary_bits():
     bounds = quarter_annulus_bounds()
-    init = transfinite(bounds, QUARTER_TB)
+    init = transfinite(*bounds, QUARTER_TB)
     patch = egg_solve(init)
     for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
         assert np.array_equal(patch.map.control_points[sl],
@@ -461,21 +479,37 @@ def test_egg_preserves_boundary_bits():
 
 def test_egg_monotone_residual_history():
     bounds = quarter_annulus_bounds()
-    init = transfinite(bounds, QUARTER_TB)
+    init = transfinite(*bounds, QUARTER_TB)
     patch = egg_solve(init)
     h = patch.residual_history
     assert all(b < a for a, b in zip(h, h[1:]))
-    assert h[-1] <= 1e-8 * (h[0] + 1.0)
+    extent = bounding_box_diagonal(init.control_points.reshape(-1, 2))
+    assert h[-1] <= parameterization.NEWTON_TOL * (h[0] + extent)
+
+
+def test_egg_newton_stop_is_scale_free():
+    # the residual is a length and the stop is relative to the initial
+    # net's extent, so a scaled quarter annulus takes the same steps to the
+    # scaled map
+    init = transfinite(*quarter_annulus_bounds(), QUARTER_TB)
+    ref = egg_solve(init)
+    extent = bounding_box_diagonal(init.control_points.reshape(-1, 2))
+    for scale in (1e-6, 1e3):
+        patch = egg_solve(SplineMap(init.basis, scale * init.control_points))
+        assert patch.iterations == ref.iterations
+        assert np.abs(patch.map.control_points / scale
+                      - ref.map.control_points).max() <= 1e-12 * extent
 
 
 def l_shape_bounds(tb):
-    """Bent tube around the corner at (1, 1): outer boundary through (0, 0),
-    inner through (1, 1), kinks pinned at xi = 0.5."""
+    """Boundary curves (west, east, south, north) of a bent tube around the
+    corner at (1, 1): outer (south) boundary through (0, 0), inner (north)
+    through (1, 1), kinks pinned at xi = 0.5."""
     outer = collocate_kinked_segments(tb.xi, [0, 2], [0, 0], [2, 0])
     inner = collocate_kinked_segments(tb.xi, [1, 2], [1, 1], [2, 1])
     west = line_curve(tb.eta, [0, 2], [1, 2])
     east = line_curve(tb.eta, [2, 0], [2, 1])
-    return BoundarySet(gamma_w=west, gamma_e=east, gamma_s=outer, gamma_n=inner)
+    return west, east, outer, inner
 
 
 def test_egg_l_shape_fold_free_after_repair():
@@ -483,7 +517,7 @@ def test_egg_l_shape_fold_free_after_repair():
     # plus the local-refinement repair round must end fold-free
     tb = TensorBasis(separator_xi_basis(3, 6), uniform_knots(3, 4))
     bounds = l_shape_bounds(tb)
-    patch = egg_solve(transfinite(bounds, tb))
+    patch = egg_solve(transfinite(*bounds, tb))
     boxes = check_folding(patch.map)
     # the two elements beside the reentrant corner at xi = 0.5, eta = 1
     assert len(boxes) == 2 and all(0.5 in (lo[0], hi[0]) and hi[1] == 1.0
@@ -578,7 +612,7 @@ def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
 
     monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
     with pytest.raises(NonconvergenceError) as err:
-        egg_solve(transfinite(quarter_annulus_bounds(), QUARTER_TB))
+        egg_solve(transfinite(*quarter_annulus_bounds(), QUARTER_TB))
     assert err.value.last_map is not None
     assert len(err.value.history) == 1
     assert err.value.details["step"] == 0
@@ -676,7 +710,7 @@ def test_egg_nonconvergence_error(monkeypatch):
     monkeypatch.setattr(parameterization, "NEWTON_TOL", 1e-14)
     bounds = quarter_annulus_bounds()
     with pytest.raises(NonconvergenceError) as err:
-        egg_solve(transfinite(bounds, QUARTER_TB))
+        egg_solve(transfinite(*bounds, QUARTER_TB))
     assert err.value.last_map is not None
     assert len(err.value.history) >= 1
 
@@ -758,7 +792,7 @@ def test_det_touching_zero_along_a_line_stops_at_the_depth_cap(halvings):
 
 def test_repair_folding_noop_when_clean():
     bounds = quarter_annulus_bounds()
-    patch = egg_solve(transfinite(bounds, QUARTER_TB))
+    patch = egg_solve(transfinite(*bounds, QUARTER_TB))
     assert repair_folding(patch, []) is patch
 
 
@@ -795,6 +829,6 @@ def test_one_assembly_per_solve(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(par.EggAssembly, "__init__", counting)
-    patch = egg_solve(transfinite(quarter_annulus_bounds(), QUARTER_TB))
+    patch = egg_solve(transfinite(*quarter_annulus_bounds(), QUARTER_TB))
     assert patch.iterations > 0
     assert len(builds) == 1

@@ -143,8 +143,8 @@ def test_rotor_arc_starting_just_before_the_seam(booy_context):
 
 
 def separator_corners(ctx, theta, monkeypatch):
-    """Corners p00, p10, p01, p11 of the boundary set that
-    ``build_separator`` assembles at theta."""
+    """Corners p00, p10, p01, p11 of the boundary curves that
+    ``build_separator`` assembles at theta: the ends of south and north."""
     assembled = []
 
     def capture(*args, **kwargs):
@@ -155,7 +155,14 @@ def separator_corners(ctx, theta, monkeypatch):
     monkeypatch.setattr(pipeline, "assemble_separator_boundary", capture)
     with pytest.raises(Stop):
         ctx.build_separator(theta)
-    return assembled[0].corners()
+    west, east, south, north = assembled[0]
+    p00, p10 = south.control_points[[0, -1]]
+    p01, p11 = north.control_points[[0, -1]]
+    # the west and east ends are those corners too
+    ends = np.vstack([west.control_points[[0, -1]], east.control_points[[0, -1]]])
+    assert np.abs(ends - [p00, p01, p10, p11]).max() \
+        < 1e-12 * TABLE2.barrel_radius
+    return p00, p10, p01, p11
 
 
 def test_arcs_ending_on_the_rotor_seam(booy_context, monkeypatch):

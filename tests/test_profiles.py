@@ -86,6 +86,16 @@ def test_impossible_geometry_raises():
         booy_profile(TABLE2, 0.0, 32)  # too few points
 
 
+@pytest.mark.parametrize("field", [
+    "screw_radius", "centerline_distance", "screw_screw_clearance",
+    "screw_barrel_clearance", "pitch_length", "tip_fillet_radius"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_screw_params_are_rejected_by_name(field, bad):
+    with pytest.raises(InvalidGeometryError, match=field) as info:
+        dataclasses.replace(TABLE2, **{field: bad})
+    assert info.value.details["field"] == field
+
+
 def test_hand_built_section_with_a_rotor_point_outside_the_bore_raises():
     sec = booy_profile(TABLE2, 0.3, 256)
     pts = sec.left_rotor.points.copy()
@@ -107,6 +117,18 @@ def test_point_cloud_rejects_non_finite_points():
         broken[7, 1] = bad
         with pytest.raises(InvalidGeometryError):
             PointCloud(broken)
+
+
+def test_closed_loop_check_is_relative_to_the_cloud():
+    # a micro-scale cloud whose ends are 1e-9 of its size apart is open; the
+    # same cloud closed by a repeated point is not
+    pts = 1e-6 * booy_profile(TABLE2, 0.0, 256).left_rotor.points / \
+        TABLE2.barrel_radius
+    open_ = pts.copy()
+    open_[-1] = pts[0] + [1e-15, 0.0]
+    assert PointCloud(open_).points.shape == pts.shape
+    with pytest.raises(InvalidGeometryError, match="repeat"):
+        PointCloud(np.vstack([pts, pts[:1]]))
 
 
 def test_point_count_and_no_repeats():
