@@ -20,9 +20,16 @@ projection's coupling G_xi (x) M_eta: u has the coefficients
 (proj (x) I) c with the 1-D proj = M_xi^-1 G_xi.  The projection is linear
 in c and holds exactly at every iterate, so Newton runs on the inner
 control points alone, with an analytic linearization and a backtracking
-line search.  The unknowns are numbered eta-slow, so the Jacobian is banded
-with half-bandwidths fixed by the xi width; its pattern is laid out once
-per basis, and each step is one LAPACK band solve.
+line search.  Every integrand is a tensor product of 1-D tables, so the
+assembly works by sum factorization (Antolin, Buffa, Calabro, Martinelli
+& Sangalli, CMAME 2015): the fields at the Gauss points are two
+contractions of the net, one per direction, the residual is the transposed
+pair, and the Newton matrix sums over the eta points of each span before
+the xi points.  The unknowns are numbered eta-slow, so the Newton matrix
+is banded with half-bandwidths fixed by the xi width, and its
+component-diagonal part, alike for both components, is placed for one
+component and shifted by one raveled band slot onto the other.  Each step
+is one LAPACK band solve.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from math import comb
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (BasisMismatchError, FoldingUnrepairedError,
+from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
                      MatchingError, NonconvergenceError, StructureError,
                      TopologyError)
 from .fitting import fit_curve
@@ -347,184 +354,180 @@ def build_aux_space(basis: TensorBasis) -> TensorBasis:
 
 
 # ---------------------------------------------------------------------------
-# quadrature caches
+# per-direction quadrature tables
 # ---------------------------------------------------------------------------
 
-class _DirCache:
-    """Per-direction Gauss data and basis derivative tables on each span."""
+def _gauss_windows(kv: KnotVector, rule, max_der: int):
+    """The Gauss rule (nodes, weights on [-1, 1]) on every knot span and the
+    basis on it: weights (spans, nodes), the first of the p+1 functions
+    nonzero on each span (spans,) and their derivatives up to max_der,
+    (max_der+1, spans, nodes, p+1)."""
+    breaks = kv.breakpoints
+    ref_x, ref_w = rule
+    half = 0.5 * np.diff(breaks)[:, None]
+    nodes = 0.5 * (breaks[:-1, None] + breaks[1:, None]) + half * ref_x
+    cols, ders = basis_ders_nonzero(kv, nodes.ravel(), max_der)
+    return (half * ref_w, cols[::len(ref_x), 0],
+            ders.reshape((max_der + 1,) + nodes.shape + (-1,)))
 
-    def __init__(self, kv: KnotVector, n_nodes: int, max_der: int):
-        breaks = kv.breakpoints
-        self.n_elems = len(breaks) - 1
-        ref_x, ref_w = np.polynomial.legendre.leggauss(n_nodes)
-        nodes = 0.5 * (breaks[:-1, None] + breaks[1:, None]) \
-            + 0.5 * np.diff(breaks)[:, None] * ref_x[None, :]
-        self.weights = 0.5 * np.diff(breaks)[:, None] * ref_w[None, :]
-        cols, ders = basis_ders_nonzero(kv, nodes.ravel(), max_der)
-        self.n_local = kv.degree + 1
-        self.cols = cols[::n_nodes]  # (n_elems, p+1) window of each span
-        self.vals = [ders[k].reshape(self.n_elems, n_nodes, self.n_local)
-                     for k in range(max_der + 1)]
-        self.n = kv.n
 
-    def dense(self, k):
-        """(n_elems, n_nodes, n) table of every function's k-th derivative."""
-        out = np.zeros(self.vals[k].shape[:2] + (self.n,))
-        np.put_along_axis(out, np.broadcast_to(self.cols[:, None],
-                                               self.vals[k].shape),
-                          self.vals[k], axis=2)
-        return out
+def _dense(first, windows, n):
+    """(..., spans * nodes, n) table of all n functions from the windows
+    (..., spans, nodes, L) that start at function first (spans,)."""
+    out = np.zeros(windows.shape[:-1] + (n,))
+    cols = first[:, None, None] + np.arange(windows.shape[-1])
+    np.put_along_axis(out, np.broadcast_to(cols, windows.shape), windows,
+                      axis=-1)
+    return out.reshape(windows.shape[:-3] + (-1, n))
 
-    def projected(self, proj):
-        """The functions phi_i = sum_k proj[k, i] B_k in place of the B_k,
-        every one of them nonzero on every span."""
-        self.vals = [self.dense(k) @ proj for k in range(len(self.vals))]
-        self.n_local = self.n = proj.shape[1]
-        self.cols = np.broadcast_to(np.arange(self.n), (self.n_elems, self.n))
-        return self
+
+def _sum_span_products(A, B, first, n, pairs):
+    """Sum over spans e and window positions l of A[e, l] @ B[e], each
+    (R, C), into row first[e] + l of (n, R, C); for pairs, whose R = L
+    axis is the function first[e] + k, into (n, 2L - 1, C) over the
+    offsets k - l + L - 1.  One product per window position keeps the
+    temporaries at a span's share."""
+    L, R = A.shape[1:3]
+    out = np.zeros((n, 2 * L - 1 if pairs else R, B.shape[-1]))
+    for l in range(L):
+        lo = L - 1 - l if pairs else 0
+        out[first + l, lo:lo + R] += A[:, l] @ B   # one row per span
+    return out
 
 
 class EggAssembly:
-    """Quadrature tables and the banded Newton-matrix layout of one primal
-    basis, with the auxiliary space built from it.
+    """Per-direction quadrature tables and the banded Newton-matrix layout
+    of one primal basis, with the auxiliary space built from it.
 
     The aux mass is M_xi (x) M_eta and the coupling int a_k (w_i)_xi is
     G_xi (x) M_eta (see the module docstring), so the L2 projection of x_xi
     has the coefficients d = (proj (x) I) c with the 1-D
     ``proj`` = M_xi^-1 G_xi, and u = sum_ij c_ij phi_i(xi) M_j(eta) with the
-    projected xi basis phi_i = sum_k proj[k, i] a_k, of which every one is
-    nonzero on every span.  Residual and Jacobian are those of the mixed
-    form's second equation with u so eliminated.
+    projected xi basis phi_i = sum_k proj[k, i] a_k.  Residual and Jacobian
+    are those of the mixed form's second equation with u so eliminated.
+
+    Every integrand is a tensor product, so nothing is tabulated per 2-D
+    element.  The xi tables are dense over all xi Gauss points (phi is
+    nonzero on every span anyway); the eta tables are the p+1 functions of
+    each span.  ``fields`` contracts the net with the eta windows, then
+    with the xi tables, onto the Gauss grid; ``residual`` is the transposed
+    pair.  The Jacobian integrand is a sum of terms
+    coefficient(q) * trial xi function * trial eta derivative, with the
+    weighted test function N_i1 M_i2; each term is summed over the eta
+    points of each span against products M_i2 M^(k)_j2 and folded into
+    (row, offset) pairs, then over the xi points of each span against
+    products N_i1 tau_j1.
 
     Residuals and steps are vectors over the inner control points numbered
     eta-slow: eta index j holds its 2*(xi.n - 2) dofs, component fastest.
-    An element couples every xi dof of its degree+1 eta indices, so the
-    half-bandwidths stay below degree+1 such blocks whatever the eta length.
+    A knot span couples every xi dof of its p+1 eta indices, so the
+    half-bandwidths stay below p+1 such blocks whatever the eta length.  The component-diagonal block (through u, x_xi_eta and
+    x_eta_eta) is the same for both components and is placed once: in the
+    raveled band storage the component-1 entry sits one slot after its
+    component-0 entry.
     """
 
     def __init__(self, basis: TensorBasis, quad_scale: int = 1):
+        if not quad_scale >= 1:
+            raise DomainError(f"quad_scale must be at least 1, got "
+                              f"{quad_scale}", quad_scale=quad_scale)
         aux_xi = build_aux_space(basis).xi
         self.basis = basis
-        n1 = quad_scale * (aux_xi.degree + 1)
-        n2 = quad_scale * (basis.eta.degree + 1)
-        cx = _DirCache(basis.xi, n1, 2)
-        ce = _DirCache(basis.eta, n2, 2)
-        ax = _DirCache(aux_xi, n1, 1)
-        a = ax.dense(0)
-        wa = cx.weights[..., None] * a
-        self.proj = np.linalg.solve(
-            np.einsum("aqk,aql->kl", wa, a),
-            np.einsum("aqk,aqi->ki", wa, cx.dense(1)))
-        px = ax.projected(self.proj)
+        n1 = basis.xi.n
+        n1q = quad_scale * (aux_xi.degree + 1)
+        n2q = quad_scale * (basis.eta.degree + 1)
+        rule1 = np.polynomial.legendre.leggauss(n1q)
+        w1, self._first1, N = _gauss_windows(basis.xi, rule1, 1)
+        w2, self._first2, M = _gauss_windows(
+            basis.eta, np.polynomial.legendre.leggauss(n2q), 2)
+        _, first_a, A = _gauss_windows(aux_xi, rule1, 1)
+        E1, L1, L2 = len(w1), N.shape[-1], M.shape[-1]
+        Nd, Ad = _dense(self._first1, N, n1), _dense(first_a, A, aux_xi.n)
+        wa = w1.reshape(-1, 1) * Ad[0]
+        self.proj = np.linalg.solve(wa.T @ Ad[0], wa.T @ Nd[1])
+        phi = Ad @ self.proj                      # (2, xi points, n1)
 
-        E1, E2 = cx.n_elems, ce.n_elems
-        self.E = E1 * E2
-        self.Q = n1 * n2
-        # quadrature weights (E, Q)
-        wq = (cx.weights[:, None, :, None]
-              * ce.weights[None, :, None, :]).reshape(self.E, self.Q)
-
-        def dof_table(c1):
-            # (E, L) global dofs of the functions c1 (x) eta on each element
-            glob = (c1.cols[:, None, :, None] * basis.eta.n
-                    + ce.cols[None, :, None, :])  # (E1, E2, l1, l2)
-            return glob.reshape(self.E, c1.n_local * ce.n_local)
-
-        def tensorize(c1, *ders):
-            # (E, Q, len(ders), L) table of products of per-direction
-            # derivatives (k1, k2)
-            t = np.empty((E1, E2, n1, n2, len(ders), c1.n_local,
-                           ce.n_local))
-            for k, (k1, k2) in enumerate(ders):
-                np.multiply(c1.vals[k1][:, None, :, None, :, None],
-                            ce.vals[k2][None, :, None, :, None, :],
-                            out=t[:, :, :, :, k])
-            return t.reshape(self.E, self.Q, len(ders), -1)
-
-        self.dof_p, self.dof_u = dof_table(cx), dof_table(px)
-        self.Lp = self.dof_p.shape[1]
-        # x_xi, x_eta, x_xi_eta, x_eta_eta and u_xi, u_eta
-        self.W = tensorize(cx, (1, 0), (0, 1), (1, 1), (0, 2))
-        self.U = tensorize(px, (1, 0), (0, 1))
-        # the columns of the inner xi dofs: xi dofs 0 and n-1 lead and
-        # close the xi-major window
-        self._inner_u = slice(ce.n_local, -ce.n_local)
-        # test functions premultiplied by the weights, (E, Lp, Q): a weak
-        # form's element vector or matrix is one batched matmul with them
-        self.wWt = np.ascontiguousarray(
-            (wq[..., None] * tensorize(cx, (0, 0))[:, :, 0])
-            .transpose(0, 2, 1))
+        # fields: the eta windows of each span (E2, 3 * n2q, L2), then the
+        # xi tables (terms, 1, n1, xi points) each eta derivative meets:
+        # x_xi, u_xi | x_eta, x_xi_eta, u_eta | x_eta_eta
+        self._eta = M.transpose(1, 0, 2, 3).reshape(len(w2), -1, L2)
+        self._win2 = self._first2[:, None] + np.arange(L2)
+        self._xi = tuple(np.stack(t).transpose(0, 2, 1)[:, None] for t in
+                         ((Nd[1], phi[1]), (Nd[0], Nd[1], phi[0]), (Nd[0],)))
+        # residual: the weighted test functions
+        self._xi_test = w1.reshape(-1, 1) * Nd[0]            # (xi points, n1)
+        self._eta_test = (w2[..., None] * M[0]).transpose(0, 2, 1)[:, :, None]
+        # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q), and
+        # xi products w N_i1 tau_j1 over (term, xi point) per span, with
+        # tau = phi', phi + N', N for the component-diagonal terms of eta
+        # derivative 0, 1, 2 (inner j1 only) and N', N for the 2x2 ones
+        wN = w1[..., None] * N[0]
+        self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
+        tau = np.stack([phi[1], phi[0] + Nd[1], Nd[0]])[:, :, 1:-1]
+        self._xi_diag = np.einsum(
+            "eql,keqj->eljkq", wN, tau.reshape(3, E1, n1q, n1 - 2)
+        ).reshape(E1, L1, n1 - 2, 3 * n1q)
+        self._xi_x = np.einsum("eql,keqj->eljkq", wN, N[::-1]).reshape(
+            E1, L1, L1, 2 * n1q)
         self._layout_newton()
 
     def _layout_newton(self):
-        """Eta-slow unknown positions, half-bandwidths and the scatter
-        indices of residual and band; the pattern is fixed across steps."""
-        n1p, n2p = self.basis.shape
-        inner = -np.ones((n1p, n2p), dtype=int)
-        inner[1:-1, 1:-1] = np.arange((n1p - 2) * (n2p - 2)).reshape(
-            n2p - 2, n1p - 2).T
-        n = self.n_unknowns = 2 * (n1p - 2) * (n2p - 2)
-        # unknown positions of the element-local dofs (2, E, L); boundary
-        # dofs are no unknowns and get -1
-        comp = np.arange(2)[:, None, None]
-        pc, pu = (np.where(inner.ravel()[dofs] >= 0,
-                           2 * inner.ravel()[dofs] + comp, -1)
-                  for dofs in (self.dof_p, self.dof_u[:, self._inner_u]))
-        # element vectors (E, Lp, 2) scatter into n unknowns plus one slot
-        # for the boundary rows, which is dropped
-        self._vec = np.where(pc >= 0, pc, n).transpose(1, 2, 0).ravel()
-        # (row, column) positions of every block entry
-        blocks = {
-            # through u: diagonal in the component, (2, E, Lp, inner Lu)
-            "u": (pc[..., None], pu[:, :, None, :]),
-            # through x: (E, Lp (row), 2 (column comp b), 2 (row comp a),
-            # Lp (column))
-            "x": (pc.transpose(1, 2, 0)[:, :, None, :, None],
-                  pc.transpose(1, 0, 2)[:, None, :, None, :]),
-        }
-
-        def extent(p):
-            # least and largest unknown position along the last axis
-            return np.where(p >= 0, p, n).min(-1), p.max(-1)
-
-        # every row of an element block meets every column of it
-        (c_lo, c_hi), (u_lo, u_hi) = extent(pc), extent(pu)
-        x_reach = int((c_hi.max(0) - c_lo.min(0)).max())
-        self.kl = max(int((c_hi - u_lo).max()), x_reach)
-        self.ku = max(int((u_hi - c_lo).max()), x_reach)
+        """Eta-slow unknown positions, half-bandwidths and the raveled band
+        positions of the component-diagonal block's component 0 and of the
+        2x2 block; the pattern is fixed across steps."""
+        n1, n2 = self.basis.shape
+        p1, p2 = self.basis.xi.degree, self.basis.eta.degree
+        m = n1 - 2
+        n = self.n_unknowns = 2 * m * (n2 - 2)
+        # unknown pair of each control point, -1 on the boundary and on the
+        # pads that out-of-range offsets reach
+        pos = -np.ones((n1 + 2 * p1, n2 + 2 * p2), dtype=np.int64)
+        pos[p1 + 1:p1 + n1 - 1, p2 + 1:p2 + n2 - 1] = np.arange(
+            m * (n2 - 2)).reshape(n2 - 2, m).T
+        row = pos[p1:p1 + n1, p2:p2 + n2]
+        j2 = np.arange(n2)[:, None] + np.arange(2 * p2 + 1)
+        j1 = np.arange(n1)[:, None] + np.arange(2 * p1 + 1)
+        # (row, column) pairs of the diagonal block, (i1, inner j1, i2,
+        # offset), and of the 2x2 block, (i1, offset, a, b, i2, offset)
+        diag = (row[:, None, :, None], pos[p1 + 1:p1 + n1 - 1][:, j2])
+        full = (row[:, None, None, None, :, None],
+                pos[j1[:, :, None, None], j2][:, :, None, None])
+        ok = [(r >= 0) & (c >= 0) for r, c in (diag, full)]
+        # r - c of the unknowns: 2 (pos_i - pos_j) on the diagonal block,
+        # plus a - b in the 2x2 one
+        reach = [2 * (c - r)[k] for (r, c), k in zip((diag, full), ok)]
+        self.kl = -int(min(reach[0].min(), reach[1].min() - 1))
+        self.ku = int(max(reach[0].max(), reach[1].max() + 1))
         self._band_shape = (self.kl + self.ku + 1, n)
         size = self._band_shape[0] * n
-        big = 4 * n * n
-
-        def flat(r, c):
-            # ab[ku + r - c, c] is entry (ku + r) * n - c * (n - 1) of the
-            # raveled band; big pushes a pair with a boundary dof past the
-            # band, and those pairs share index size
-            return np.minimum(np.where(r >= 0, (self.ku + r) * n, big)
-                              - np.where(c >= 0, c * (n - 1), -big),
-                              size).ravel()
-
-        self._band = np.concatenate([flat(*blocks["u"]), flat(*blocks["x"])])
+        # ab[ku + r - c, c] is entry (ku + r - c) * n + c of the raveled
+        # band; a pair with a boundary dof goes to the spare slot size
+        self._diag_at = np.where(ok[0], self.ku * n + 2 * diag[0] * n
+                                 - 2 * diag[1] * (n - 1), size).ravel()
+        a, b = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
+        self._x_at = np.where(ok[1], self.ku * n + (2 * full[0] + a) * n
+                              - (2 * full[1] + b) * (n - 1), size).ravel()
 
     # -- field evaluation ----------------------------------------------------
 
-    def _contract(self, coeffs, dofs, table):
-        """Gather per-element coefficients (E, L, 2) and contract them with
-        an (E, Q, k, L) table into k fields at the quadrature points."""
-        local = coeffs.reshape(-1, 2)[dofs]
-        return (table.reshape(self.E, -1, table.shape[-1]) @ local).reshape(
-            table.shape[:-1] + (2,))
-
     def fields(self, cp):
-        """x_xi, x_eta, x_xi_eta, x_eta_eta, u_xi, u_eta (E, Q, 2) and the
-        metric (E, Q) at the quadrature points."""
-        x = self._contract(cp, self.dof_p, self.W)
-        u = self._contract(cp, self.dof_u, self.U)
-        f = dict(zip(("xx", "xe", "xxe", "xee", "ux", "ue"),
-                     [x[:, :, k] for k in range(4)] + [u[:, :, 0], u[:, :, 1]]))
-        f["g11"] = np.einsum("eqd,eqd->eq", f["xx"], f["xx"])
-        f["g12"] = np.einsum("eqd,eqd->eq", f["xx"], f["xe"])
-        f["g22"] = np.einsum("eqd,eqd->eq", f["xe"], f["xe"])
+        """x_xi, x_eta, x_xi_eta, x_eta_eta, u_xi, u_eta (2, eta points, xi
+        points) and the metric (eta points, xi points) on the Gauss grid,
+        both directions span-major."""
+        n1 = len(cp)
+        E2, L2 = self._win2.shape
+        # the eta derivatives 0, 1, 2 on every eta point, (3, 2, points, n1)
+        y = self._eta @ cp[:, self._win2].transpose(1, 2, 3, 0).reshape(
+            E2, L2, 2 * n1)
+        y = y.reshape(E2, 3, -1, 2, n1).transpose(1, 3, 0, 2, 4).reshape(
+            3, 2, -1, n1)
+        xx, ux = y[0] @ self._xi[0]
+        xe, xxe, ue = y[1] @ self._xi[1]
+        f = {"xx": xx, "xe": xe, "xxe": xxe, "xee": (y[2] @ self._xi[2])[0],
+             "ux": ux, "ue": ue}
+        f["g11"] = np.einsum("d...,d...->...", xx, xx)
+        f["g12"] = np.einsum("d...,d...->...", xx, xe)
+        f["g22"] = np.einsum("d...,d...->...", xe, xe)
         return f
 
     def metric_sum_samples(self, cp):
@@ -536,51 +539,76 @@ class EggAssembly:
     @staticmethod
     def _upieces(f, eps):
         den = f["g11"] + f["g22"] + eps
-        P = (f["g22"][..., None] * f["ux"]
-             - f["g12"][..., None] * f["ue"]
-             - f["g12"][..., None] * f["xxe"]
-             + f["g11"][..., None] * f["xee"])
-        return den, P / den[..., None]
+        P = (f["g22"] * f["ux"] - f["g12"] * f["ue"] - f["g12"] * f["xxe"]
+             + f["g11"] * f["xee"])
+        return den, P / den
 
     def residual(self, cp, eps):
         """Residual vector int w_i U over the inner dofs, eta-slow."""
         den, U = self._upieces(self.fields(cp), eps)
-        return np.bincount(self._vec, weights=(self.wWt @ U).ravel(),
-                           minlength=self.n_unknowns + 1)[:-1]
+        n1, n2 = self.basis.shape
+        E2, _, _, n2q = self._eta_test.shape
+        z = (U @ self._xi_test).reshape(2, E2, n2q, n1)
+        z = _sum_span_products(
+            self._eta_test, z.transpose(1, 2, 3, 0).reshape(E2, n2q, 2 * n1),
+            self._first2, n2, pairs=False)
+        return z.reshape(n2, n1, 2)[1:-1, 1:-1].ravel()
+
+    def _eta_sums(self, cp, eps):
+        """The Newton integrand summed over the eta points of each span
+        against the eta products and folded into (i2, offset) pairs, laid
+        out by xi span for the xi sums: the component-diagonal terms
+        (E1, term * xi point, i2 * offset) and the 2x2 ones
+        (E1, term * xi point, [a, b] * i2 * offset)."""
+        f = self.fields(cp)
+        den, U = self._upieces(f, eps)
+        n2 = self.basis.shape[1]
+        G2, G1 = den.shape
+        E1, E2 = len(self._first1), len(self._first2)
+        n1q, n2q = G1 // E1, G2 // E2
+        offsets = 2 * self.basis.eta.degree + 1
+        inv = 1 / den
+        # U_a depends on c_jb through u (g22 phi_j1' M_j2 - g12 phi_j1 M_j2')
+        # and through x: x_xi_eta and x_eta_eta enter with -g12 and g11
+        # alike for both components, the metric with the 2x2 coefficients
+        # [a, b] of x_xi (trial N' M) and x_eta (trial N M').  Term k has
+        # the trial eta derivative k.
+        diag = np.stack([f["g22"], -f["g12"], f["g11"]]) * inv
+        x = np.stack([f["xx"], f["xe"]])
+        s = f["ue"] + f["xxe"]
+        full = (2 * (np.stack([f["xee"], f["ux"]]) - U)[:, :, None]
+                * x[:, None] - s[:, None] * x[::-1, None]) * inv
+        d_in = np.empty((E1, 3, n1q, n2, offsets))
+        x_in = np.empty((E1, 2, n1q, 4, n2, offsets))
+        for k, m in enumerate((*full, None)):
+            coef = diag[k][:, None] if m is None else np.concatenate(
+                [diag[k][:, None], m.reshape(4, G2, G1).transpose(1, 0, 2)],
+                axis=1)
+            t = _sum_span_products(self._eta_pairs[k],
+                                   coef.reshape(E2, n2q, -1), self._first2,
+                                   n2, pairs=True).reshape(n2, offsets, -1,
+                                                           E1, n1q)
+            d_in[:, k] = t[:, :, 0].transpose(2, 3, 0, 1)
+            if m is not None:
+                x_in[:, k] = t[:, :, 1:].transpose(3, 4, 2, 0, 1)
+        return d_in.reshape(E1, 3 * n1q, -1), x_in.reshape(E1, 2 * n1q, -1)
 
     def jacobian(self, cp, eps):
         """Analytic Newton matrix in (kl, ku) band storage."""
-        f = self.fields(cp)
-        den, U = self._upieces(f, eps)
-        E, Q, Lp = self.E, self.Q, self.Lp
-        U_in = self.U[..., self._inner_u]
-        n_u = E * Lp * U_in.shape[-1]
-        vals = np.empty(2 * n_u + E * Lp * 4 * Lp)
-
-        # through u: U_a depends on c_a by int w_i (g22 phi_j' M - g12 phi_j
-        # M') / den, alike for both components
-        coef = np.stack([f["g22"], -f["g12"]], axis=-1) / den[..., None]
-        np.matmul((self.wWt[..., None] * coef[:, None]).reshape(E, Lp, -1),
-                  U_in.reshape(E, 2 * Q, -1), out=vals[:n_u].reshape(E, Lp, -1))
-        vals[n_u:2 * n_u] = vals[:n_u]
-
-        # through x: full 2x2 component coupling through the metric.  The
-        # derivative of U_a by the b-component of the l-th control point
-        # is M[b, a] . (Wx_l, We_l, Wxe_l, Wee_l)
-        xx, xe = f["xx"][..., :, None], f["xe"][..., :, None]   # b
-        s = (f["ue"] + f["xxe"])[..., None, :]                   # a
-        M = np.zeros((E, Q, 2, 2, 4))
-        M[..., 0] = 2 * xx * (f["xee"] - U)[..., None, :] - xe * s
-        M[..., 1] = 2 * xe * (f["ux"] - U)[..., None, :] - xx * s
-        M[:, :, [0, 1], [0, 1], 2] = -f["g12"][..., None]
-        M[:, :, [0, 1], [0, 1], 3] = f["g11"][..., None]
-        M /= den[..., None, None, None]
-        np.matmul(self.wWt, (M.reshape(E, Q, 4, 4) @ self.W).reshape(E, Q, -1),
-                  out=vals[2 * n_u:].reshape(E, Lp, -1))
-
+        n1 = self.basis.shape[0]
+        diag, full = self._eta_sums(cp, eps)
+        # the xi sums: (i1, inner j1, i2, offset) and (i1, offset, [a, b],
+        # i2, offset)
+        diag = _sum_span_products(self._xi_diag, diag, self._first1, n1,
+                                  pairs=False)
+        full = _sum_span_products(self._xi_x, full, self._first1, n1,
+                                  pairs=True)
         size = self._band_shape[0] * self.n_unknowns
-        return np.bincount(self._band, weights=vals,
-                           minlength=size + 1)[:size].reshape(self._band_shape)
+        band = np.zeros(size + 1)
+        band[self._diag_at] = diag.ravel()
+        band[1:size] += band[:size - 1]          # component 1
+        band[self._x_at] += full.ravel()
+        return band[:size].reshape(self._band_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -599,23 +627,31 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     (LAPACK gbsv) and takes a backtracking line search on the residual norm.
     The residual is a length; the iteration stops once its norm is below
     NEWTON_TOL times the initial norm plus the initial net's bounding-box
-    diagonal, so a scaled map takes the same steps.
+    diagonal, so a scaled map takes the same steps.  A start whose residual
+    or epsilon is not finite raises NonconvergenceError before any step.
     """
     basis = initial.basis
     asm = EggAssembly(basis)
     cp = initial.control_points.copy()
-    eps = 1e-4 * float(np.median(asm.metric_sum_samples(cp)))
     n1, n2 = basis.shape
-
-    res = asm.residual(cp, eps)
-    norm0 = float(np.linalg.norm(res))
-    target = NEWTON_TOL * (norm0 + bounding_box_diagonal(cp.reshape(-1, 2)))
+    # an inf in the net makes NaNs on the way; the check below reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        eps = 1e-4 * float(np.median(asm.metric_sum_samples(cp)))
+        res = asm.residual(cp, eps)
+        norm0 = float(np.linalg.norm(res))
+        target = NEWTON_TOL * (norm0
+                               + bounding_box_diagonal(cp.reshape(-1, 2)))
     history = [norm0]
 
     def fail(message, **details):
         return NonconvergenceError(message, last_map=SplineMap(basis, cp),
                                    history=history, **details)
 
+    # a NaN residual compares false with the target and would pass as
+    # converged
+    if not (np.isfinite(norm0) and np.isfinite(eps)):
+        raise fail(f"non-finite initial map: residual {norm0}, epsilon {eps}",
+                   epsilon=eps)
     iterations = 0
     while history[-1] > target:
         if iterations >= MAX_NEWTON_ITER:

@@ -5,7 +5,7 @@ import pytest
 
 from screwgen import parameterization
 from screwgen.control_map import check_composite_folding
-from screwgen.errors import (BasisMismatchError, MatchingError,
+from screwgen.errors import (BasisMismatchError, DomainError, MatchingError,
                              NonconvergenceError, StructureError,
                              TopologyError)
 from screwgen.fitting import ReparamFunction, fit_curve
@@ -552,16 +552,30 @@ def perturbed_state(asm, rng):
     return cp
 
 
-def test_egg_gradient_check():
+# the refined basis carries the midpoint knots repair_folding inserts
+REFINED_TB = identity_map(EGG_TB).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
+# 48 eta spans graded by bisection, as the separator's adaptive eta fits
+# produce them
+GRADED_ETA = np.concatenate([np.arange(1, 16) / 64, np.arange(8, 24) / 32,
+                             np.arange(48, 64) / 64])
+GRADED_TB = TensorBasis(EGG_TB.xi, open_knots(3, GRADED_ETA,
+                                               np.ones(len(GRADED_ETA), int)))
+NEWTON_BASES = {"separator": EGG_TB, "refined": REFINED_TB,
+                "graded": GRADED_TB}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_BASES))
+def test_egg_gradient_check(name):
+    tb = NEWTON_BASES[name]
     rng = np.random.default_rng(3)
-    asm, eps = egg_assembly(identity_map(EGG_TB))
+    asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, rng)
     J = dense_newton_matrix(asm, asm.jacobian(cp, eps))
     h = 1e-6
     for _ in range(20):
         v = rng.normal(0, 1, J.shape[0])
         v /= np.linalg.norm(v)
-        dc = inner_net(EGG_TB, v)
+        dc = inner_net(tb, v)
 
         def res_at(s):
             cp2 = cp.copy()
@@ -573,13 +587,9 @@ def test_egg_gradient_check():
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-4
 
 
-# the refined basis carries the midpoint knots repair_folding inserts
-REFINED_TB = identity_map(EGG_TB).refine([0.0625, 0.6875], [1 / 12, 0.75]).basis
-
-
-@pytest.mark.parametrize("refine", [False, True])
-def test_band_step_matches_dense_solve(refine):
-    tb = REFINED_TB if refine else EGG_TB
+@pytest.mark.parametrize("name", sorted(NEWTON_BASES))
+def test_band_step_matches_dense_solve(name):
+    tb = NEWTON_BASES[name]
     asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, np.random.default_rng(5))
     band = asm.jacobian(cp, eps)
@@ -604,6 +614,13 @@ def test_assembly_requires_macro_split():
     tb = TensorBasis(uniform_knots(3, 8), uniform_knots(3, 6))
     with pytest.raises(StructureError):
         EggAssembly(tb)
+
+
+@pytest.mark.parametrize("quad_scale", [0, -1])
+def test_assembly_rejects_a_quad_scale_below_one(quad_scale):
+    with pytest.raises(DomainError, match="quad_scale") as err:
+        EggAssembly(EGG_TB, quad_scale)
+    assert err.value.details["quad_scale"] == quad_scale
 
 
 def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
@@ -675,7 +692,9 @@ class MixedForm:
 
 
 AUX_BASES = {"separator": EGG_TB, "refined": REFINED_TB,
-             "quarter": QUARTER_TB}
+             "quarter": QUARTER_TB,
+             "double_eta": TensorBasis(EGG_TB.xi, open_knots(
+                 3, [0.25, 0.5, 0.75], [1, 2, 1]))}
 
 
 @pytest.mark.parametrize("name", sorted(AUX_BASES))
@@ -688,14 +707,19 @@ def test_aux_field_is_the_xi_projection(name):
     # the solver's coefficients (proj (x) I) c are the 2-D projection's
     got = np.einsum("ki,ijd->kjd", asm.proj, cp)
     assert np.abs(got - d).max() <= 1e-12 * np.abs(d).max()
-    # and so are its u_xi, u_eta at the quadrature points
+    # the fields on the (2, eta, xi) Gauss grid are the dense ones on the
+    # oracle's (xi, eta, 2) grid: x's derivatives, the metric and u_xi,
+    # u_eta of that projection
     f = asm.fields(cp)
-    E1, E2 = tb.xi.n_elements, tb.eta.n_elements
-    for key, ders in (("ux", (1, 0)), ("ue", (0, 1))):
-        want = oracle.u(d, *ders)
-        have = f[key].reshape(E1, E2, -1, want.shape[1] // E2, 2).transpose(
-            0, 2, 1, 3, 4).reshape(want.shape)
-        assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+    xx, xe = oracle.x(cp, 1, 0), oracle.x(cp, 0, 1)
+    want = {"xx": xx, "xe": xe, "xxe": oracle.x(cp, 1, 1),
+            "xee": oracle.x(cp, 0, 2), "ux": oracle.u(d, 1, 0),
+            "ue": oracle.u(d, 0, 1), "g11": (xx * xx).sum(-1),
+            "g12": (xx * xe).sum(-1), "g22": (xe * xe).sum(-1)}
+    for key, w in want.items():
+        have = f[key].T
+        assert have.shape == w.shape, key
+        assert np.abs(have - w).max() <= 1e-12 * np.abs(w).max(), key
     # the mixed system at that d: R1 vanishes and R2 is the residual
     r1, r2 = oracle.residual(cp, d, eps)
     assert np.abs(r1).max() <= 1e-14
@@ -703,6 +727,22 @@ def test_aux_field_is_the_xi_projection(name):
     have = asm.residual(cp, eps)
     assert np.abs(want).max() > 1e-3
     assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("where", ["inner_nan", "boundary_inf"])
+def test_egg_rejects_a_non_finite_start(where):
+    # a NaN residual never compares above the target, so without the check
+    # the start would come back as converged after no step
+    cp = transfinite(*quarter_annulus_bounds(), QUARTER_TB).control_points.copy()
+    if where == "inner_nan":
+        cp[3, 4, 0] = np.nan
+    else:
+        cp[0, 4, 1] = np.inf
+    with pytest.raises(NonconvergenceError, match="non-finite") as err:
+        egg_solve(SplineMap(QUARTER_TB, cp))
+    assert err.value.last_map is not None
+    assert len(err.value.history) == 1
+    assert not np.isfinite(err.value.history[0])
 
 
 def test_egg_nonconvergence_error(monkeypatch):
