@@ -6,8 +6,19 @@ is spanned by an independent (low-order) tensor basis whose first and last
 eta control columns are pinned to 0 and 1; per-column ordering of the
 remaining control values with a positive margin is a sufficient linear
 condition for bijectivity.  The control values minimize a discrete Riemann
-sum of the squared dot product between the composite map's mu- and
+sum of the squared dot product D between the composite map's mu- and
 nu-derivatives, which maximizes grid orthogonality.
+
+The cost 0.5 sum D^2 * area is a least-squares sum, so ``optimize_control``
+runs Gauss-Newton damped by Levenberg-Marquardt (Nocedal & Wright,
+*Numerical Optimization*, ch. 10).  Each sample's D depends only on the
+control values of its control-span cell, so the Gauss-Newton matrix J^T J
+is a sum of small per-cell blocks.  The ordering constraints are handled by
+a primal active set (ch. 16): an active gap ties a control value to its
+neighbour at the margin, the tied values move as one, and a ratio test
+keeps every other gap at or above the margin.  The loop works on the cost
+divided by its start value, which is free of the length unit, and stops
+once a step lowers it by less than a fixed share.
 
 The composite x o s needs no fold check of its own.  With eta degree q and
 knots t, sigma_nu is a convex combination of the slopes
@@ -26,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import minimize
 
 from .errors import ConstraintError, DomainError
 from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
@@ -35,6 +44,12 @@ from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
 
 DEFAULT_MARGIN = 1e-3
 N_CELLS = 64   # cost sample cells per direction
+# optimize_control stops once a step lowers the cost by less than this share
+# of the start cost
+STOP_DECREASE = 5e-3
+# initial Levenberg-Marquardt damping, relative to the largest diagonal
+# entry of the Gauss-Newton matrix
+DAMPING = 1e-4
 
 
 def default_control_basis() -> TensorBasis:
@@ -110,8 +125,27 @@ def check_composite_folding(x: SplineMap, s: ControlMap | None,
 # orthogonality cost
 # ---------------------------------------------------------------------------
 
+def _span_samples(kv, t):
+    """The sorted samples t grouped by the knot span they lie in.
+
+    Returns the sample indices (spans, slots), padded where a span holds
+    fewer samples than the fullest; the p+1 nonzero basis values and first
+    derivatives there, (2, spans, p+1, slots), zero in the padding; and the
+    first function nonzero on each span.
+    """
+    cols, ders = basis_ders_nonzero(kv, t, 1)
+    first, start, count = np.unique(cols[:, 0], return_index=True,
+                                    return_counts=True)
+    slots = np.arange(count.max())
+    rows = np.minimum(start[:, None] + slots, len(t) - 1)
+    values = np.where((slots < count[:, None])[:, None],
+                      ders[:, rows].transpose(0, 1, 3, 2), 0.0)
+    return rows, values, first
+
+
 class CostEvaluator:
-    """Riemann-sum orthogonality cost and its exact gradient.
+    """Riemann-sum orthogonality cost, its exact gradient and its
+    Gauss-Newton matrix.
 
     The sample mu-columns are fixed, so each column's eta-splines
     x(mu_a, .) and x_xi(mu_a, .) are fixed piecewise polynomials.  Their
@@ -121,7 +155,10 @@ class CostEvaluator:
     t_nu = sigma_nu x_eta, the per-sample dot D = t_mu . t_nu depends on the
     control values through sigma (via x), sigma_mu and sigma_nu, so the
     gradient of 0.5 sum D^2 is three basis contractions of D times the
-    partials of D.
+    partials of D.  The same partials give the sample's row of the
+    Jacobian J of D on the (p+1)(q+1) control values of its control-span
+    cell, d_sig N M + d_mu N' M + d_nu N M', so J^T J is one batched
+    product of per-cell blocks and one scatter.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -152,6 +189,27 @@ class CostEvaluator:
             np.einsum("ksj,asjc->kcas", ders, coef[:, cols]).reshape(
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
+        # the samples of each control-span cell (span_mu, span_nu, 1, slots)
+        # as flat indices, and the basis values N, N' and M, M' there
+        rows_mu, N, first_mu = _span_samples(basis.xi, t)
+        rows_nu, M, first_nu = _span_samples(basis.eta, t)
+        self._cell_samples = (rows_mu[:, None, :, None] * N_CELLS
+                              + rows_nu[None, :, None, :]).reshape(
+            len(first_mu), len(first_nu), 1, -1)
+        self._N = np.repeat(N, M.shape[-1], axis=-1)[:, :, None]
+        self._M = np.tile(M, rows_mu.shape[1])[:, None, :, None]
+        # the free (interior eta column) index of each cell's control
+        # values, n_free for a pinned one, and their pairs in the
+        # (n_free + 1)^2 matrix whose last row and column are dropped
+        n_mu, n_nu = basis.shape
+        self.n_free = n_mu * (n_nu - 2)
+        i = first_mu[:, None] + np.arange(basis.xi.degree + 1)
+        j = first_nu[:, None] + np.arange(basis.eta.degree + 1) - 1
+        i, j = i[:, None, :, None], j[None, :, None, :]
+        dof = np.where((j >= 0) & (j < n_nu - 2), i * (n_nu - 2) + j,
+                       self.n_free).reshape(len(first_mu) * len(first_nu), -1)
+        self._pairs = (dof[:, :, None] * (self.n_free + 1)
+                       + dof[:, None, :]).ravel()
 
     def _terms(self, coeffs, partials: bool):
         """Per-sample dots D, the products |t_mu|^2 |t_nu|^2 that bound D^2,
@@ -208,13 +266,26 @@ class CostEvaluator:
         return self._cost(dots), 0.5 * float(np.sum(sizes)) * self.cell_area
 
     def gradient(self, coeffs: np.ndarray):
-        """``(cost_of(coeffs), gradient)`` from one pass, the gradient being
-        exact over the interior eta columns."""
+        """``(cost_of(coeffs), gradient, J^T J * area)`` from one pass, the
+        gradient and the Gauss-Newton matrix being exact over the interior
+        eta columns (raveled row-major)."""
         dots, _, (d_sig, d_mu, d_nu) = self._terms(coeffs, True)
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
-        return self._cost(dots), self.cell_area * g[:, 1:-1].ravel()
+        (N, N_d), (M, M_d) = self._N, self._M
+        d_sig, d_mu, d_nu = (np.take(d, self._cell_samples)
+                             for d in (d_sig, d_mu, d_nu))
+        # (cells, (p+1)(q+1), samples)
+        rows = ((d_sig * N + d_mu * N_d)[:, :, :, None] * M
+                + (d_nu * N)[:, :, :, None] * M_d)
+        rows = rows.reshape(-1, N.shape[-2] * M.shape[-2], N.shape[-1])
+        m = self.n_free + 1
+        normal = np.bincount(self._pairs,
+                             np.matmul(rows, rows.transpose(0, 2, 1)).ravel(),
+                             minlength=m * m).reshape(m, m)[:-1, :-1]
+        return (self._cost(dots), self.cell_area * g[:, 1:-1].ravel(),
+                self.cell_area * normal)
 
 
 def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
@@ -226,62 +297,139 @@ def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
 # constrained optimization
 # ---------------------------------------------------------------------------
 
-def _constraint_matrix(n_mu: int, n_nu: int, margin: float):
-    """Linear ordering constraints A z >= b on the free (interior eta
-    columns) control values, rows ordered per mu-column: the differences
-    c[i, j+1] - c[i, j] with pinned c[i, 0] = 0 and c[i, -1] = 1."""
-    diff = np.eye(n_nu - 1, n_nu - 2) - np.eye(n_nu - 1, n_nu - 2, k=-1)
-    b = np.full((n_mu, n_nu - 1), margin)
-    b[:, -1] -= 1.0
-    return block_diag(*[diff] * n_mu), b.ravel()
+def _tied_groups(active):
+    """The interior control values that move, raveled row-major, and where
+    each group of them that active gaps tie together starts in that list.
+    Values tied to a pinned end column do not move."""
+    label = np.cumsum(~active, axis=1)
+    inner = label[:, :-1]                    # group of c[i, 1:-1] in its row
+    index = np.flatnonzero((inner > 0) & (inner < label[:, -1:]))
+    # a moving value starts a group unless the gap below it is active
+    return index, np.flatnonzero(~active[:, :-1].ravel()[index])
+
+
+def _gap_normals(active):
+    """Rows c[i, j+1] - c[i, j] of the active gaps on the interior values,
+    and the (i, j) of each."""
+    n_mu, n_gaps = active.shape
+    i, j = np.nonzero(active)
+    normals = np.zeros((len(i), n_mu * (n_gaps - 1)))
+    k = np.arange(len(i))
+    at = i * (n_gaps - 1) + j
+    normals[k[j < n_gaps - 1], at[j < n_gaps - 1]] = 1.0
+    normals[k[j > 0], at[j > 0] - 1] = -1.0
+    return normals, (i, j)
+
+
+def _qp_step(g, K, slack, active):
+    """The step s minimizing g.s + s.K.s / 2 with every gap kept at or
+    above the margin, by a primal active set from s = 0 (Nocedal & Wright,
+    Algorithm 16.3).
+
+    ``slack`` holds each gap's excess over the margin and ``active`` the
+    start's working set of gaps held at the margin.  Each pass solves the
+    system reduced to the values the working set leaves free.  A ratio test
+    stops the step at the first inactive gap it would close past the margin
+    and adds that gap; a full step ends the search unless a working gap's
+    multiplier is negative, and the most negative one then drops.  Returns
+    the step and its working set.
+    """
+    n_mu = active.shape[0]
+    work, slack = active.copy(), slack.copy()
+    s = np.zeros(len(g))
+    for _ in range(2 * work.size):
+        index, starts = _tied_groups(work)
+        reduced = np.add.reduceat(np.add.reduceat(
+            K[np.ix_(index, index)], starts, axis=0), starts, axis=1)
+        step = np.linalg.solve(reduced,
+                               -np.add.reduceat((g + K @ s)[index], starts))
+        p = np.zeros(len(g))
+        p[index] = np.repeat(step, np.diff(starts, append=len(index)))
+        dgap = np.diff(p.reshape(n_mu, -1), axis=1, prepend=0.0, append=0.0)
+        closing = ~work & (dgap < 0.0)
+        room = np.maximum(slack[closing], 0.0) / -dgap[closing]
+        if room.size and room.min() < 1.0:
+            k = int(np.argmin(room))
+            block = tuple(at[k] for at in np.nonzero(closing))
+            s += room[k] * p
+            slack += room[k] * dgap
+            slack[block] = 0.0
+            work[block] = True
+            continue
+        s += p
+        slack += dgap
+        if not work.any():
+            break
+        normals, (i, j) = _gap_normals(work)
+        lam = np.linalg.lstsq(normals.T, g + K @ s, rcond=None)[0]
+        k = int(np.argmin(lam))
+        if lam[k] >= 0.0:
+            break
+        work[i[k], j[k]] = False
+    return s, work
 
 
 def optimize_control(x: SplineMap, init: ControlMap,
                      max_iter: int = 200) -> ControlMap:
     """Minimize the orthogonality cost over the sliding control values.
 
-    Sequential quadratic programming (SLSQP) on the interior eta columns
-    with the start's ordering margin per column as linear inequality
-    constraints.  Each SLSQP point takes the cost and its exact gradient
-    from one pass of ``CostEvaluator.gradient``.  A start whose cost is
-    below 1e-14 of its scale (``cost_and_scale``, one pass) is already
-    orthogonal to rounding, at any length unit, and is returned after 0
-    iterations.  The returned map is ``feasible()`` and its cost never
-    exceeds the initial one; a result short of the margin raises
-    ConstraintError (``min_diff``).
+    Gauss-Newton damped by Levenberg-Marquardt on the interior eta columns,
+    on the cost divided by its start value: a scaled map takes the same
+    steps.  Each iteration solves the damped model over the ordering
+    constraints by a primal active set (``_qp_step``) and pays one
+    ``CostEvaluator.cost_of`` for the trial.  A trial that lowers the cost
+    is taken, with one ``CostEvaluator.gradient`` pass for the cost, its
+    gradient and J^T J at the new point, and the damping shrinks as far as
+    the model predicted the decrease; otherwise the damping grows.  The
+    loop stops once a step lowers the normalized cost by less than
+    STOP_DECREASE, or a rejected trial's model predicts less, or after
+    ``max_iter`` trials.  A start whose cost is below 1e-14 of its scale
+    (``cost_and_scale``, one pass) is already orthogonal to rounding, at
+    any length unit, and is returned after 0 iterations.
+
+    Every trial keeps the active gaps at the margin and the others above
+    it, so the returned map is ``feasible()`` by construction, and its
+    cost never exceeds the initial one; a result short of the margin
+    raises ConstraintError (``min_diff``).
     """
     if not init.feasible():
         raise ConstraintError("initial control map violates the ordering margin")
-    margin = init.margin
-    n_mu, n_nu = init.basis.shape
-    ev = CostEvaluator(x, init.basis)
-    A, b = _constraint_matrix(n_mu, n_nu, margin)
-
-    def unpack(z):
-        c = np.empty((n_mu, n_nu))
-        c[:, 0] = 0.0
-        c[:, -1] = 1.0
-        c[:, 1:-1] = z.reshape(n_mu, n_nu - 2)
-        return c
-
-    def fun(z):
-        return ev.cost_of(unpack(z))
-
-    def fun_and_jac(z):
-        return ev.gradient(unpack(z))
-
-    z0 = init.coeffs[:, 1:-1].ravel().copy()
-    f0, scale = ev.cost_and_scale(unpack(z0))
+    basis, margin = init.basis, init.margin
+    n_mu = basis.shape[0]
+    ev = CostEvaluator(x, basis)
+    c = np.array(init.coeffs)
+    f0, scale = ev.cost_and_scale(c)
     if f0 <= 1e-14 * scale:
-        return ControlMap(init.basis, init.coeffs, margin, iterations=0)
-    cons = [{"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A}]
-    res = minimize(fun_and_jac, z0, jac=True, method="SLSQP", constraints=cons,
-                   options={"maxiter": max_iter, "ftol": 1e-8 * max(f0, 1e-30)})
-    z = res.x
-    if fun(z) > f0:
-        z = z0  # never return a worse map than the start
-    out = ControlMap(init.basis, unpack(z), margin, iterations=int(res.nit))
-    # SLSQP's own feasibility slack may leave a gap just short of the margin
+        return ControlMap(basis, init.coeffs, margin, iterations=0)
+    _, g, H = ev.gradient(c)
+    f, g, H = 1.0, g / f0, H / f0
+    active = np.diff(c, axis=1) <= margin
+    damping, growth = DAMPING * float(H.diagonal().max()), 2.0
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        K = H + damping * np.eye(len(g))
+        s, work = _qp_step(g, K, np.diff(c, axis=1) - margin, active)
+        predicted = -(g @ s + 0.5 * s @ H @ s)
+        trial = c.copy()
+        trial[:, 1:-1] += s.reshape(n_mu, -1)
+        f_trial = ev.cost_of(trial) / f0
+        if f_trial >= f:
+            if predicted < STOP_DECREASE:
+                break
+            damping *= growth
+            growth *= 2.0
+            continue
+        rho = (f - f_trial) / predicted
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        growth = 2.0
+        converged = f - f_trial < STOP_DECREASE
+        c, f, active = trial, f_trial, work
+        if converged:
+            break
+        _, g, H = ev.gradient(c)
+        g, H = g / f0, H / f0
+    out = ControlMap(basis, c, margin, iterations=iterations)
     if not out.feasible():
         raise ConstraintError("optimizer left the feasible region",
                               min_diff=float(np.diff(out.coeffs, axis=1).min()))

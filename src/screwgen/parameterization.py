@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
                      MatchingError, NonconvergenceError, StructureError,
@@ -652,19 +652,22 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     if not (np.isfinite(norm0) and np.isfinite(eps)):
         raise fail(f"non-finite initial map: residual {norm0}, epsilon {eps}",
                    epsilon=eps)
+    # gbsv's band array, Fortran-ordered so that LAPACK works in place: the
+    # Newton matrix goes into rows kl:, and the LU factors overwrite it,
+    # their fill in the rows above, which gbsv sets itself
+    lu = np.zeros((2 * asm.kl + asm.ku + 1, asm.n_unknowns), order="F")
     iterations = 0
     while history[-1] > target:
         if iterations >= MAX_NEWTON_ITER:
             raise fail(f"Newton did not converge in {MAX_NEWTON_ITER} "
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
-        try:
-            step = solve_banded((asm.kl, asm.ku), asm.jacobian(cp, eps), -res,
-                                overwrite_ab=True, overwrite_b=True,
-                                check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        lu[asm.kl:] = asm.jacobian(cp, eps)
+        _, _, step, info = dgbsv(asm.kl, asm.ku, lu, -res, overwrite_ab=True,
+                                 overwrite_b=True)
+        if info > 0:
             raise fail(f"singular Newton matrix at step {iterations}",
-                       step=iterations) from exc
+                       step=iterations)
         dc = step.reshape(n2 - 2, n1 - 2, 2).transpose(1, 0, 2)
 
         scale = 1.0

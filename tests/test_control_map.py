@@ -135,7 +135,7 @@ def test_gradient_matches_central_differences():
     assert s.feasible()
     ev = CostEvaluator(curved_map(), s.basis)
     coeffs = np.array(s.coeffs)
-    _, g = ev.gradient(coeffs)
+    _, g, _ = ev.gradient(coeffs)
     fd = central_difference_gradient(ev, coeffs)
     assert np.linalg.norm(fd) > 1e-3  # the cost is genuinely sloped here
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
@@ -151,8 +151,40 @@ def test_terms_match_the_basis_oracle(make):
     ev = CostEvaluator(make(), s.basis)
     coeffs = np.array(s.coeffs)
     assert_terms_match_oracle(ev, coeffs)
-    cost, _ = ev.gradient(coeffs)
+    cost, _, _ = ev.gradient(coeffs)
     assert cost == ev.cost_of(coeffs)
+
+
+def dense_normal_matrix(ev, coeffs):
+    """J^T J * area over the interior eta columns, from the oracle's
+    partials and the dense Kronecker products of the sample matrices."""
+    _, _, (d_sig, d_mu, d_nu) = terms_by_basis(ev, coeffs)
+    jac = (d_sig.reshape(-1, 1) * np.kron(ev.Bmu, ev.Bnu)
+           + d_mu.reshape(-1, 1) * np.kron(ev.Bmu_d, ev.Bnu)
+           + d_nu.reshape(-1, 1) * np.kron(ev.Bmu, ev.Bnu_d))
+    n_mu, n_nu = coeffs.shape
+    jac = jac.reshape(-1, n_mu, n_nu)[:, :, 1:-1].reshape(len(jac), -1)
+    return ev.cell_area * jac.T @ jac
+
+
+# a graded control basis: its spans hold 3 to 20 of the 64 samples per
+# direction, so the per-cell sample blocks are padded
+GRADED = TensorBasis(open_knots(2, [0.05, 0.2, 0.5, 0.55, 0.8]),
+                     open_knots(3, [0.1, 0.4, 0.45, 0.7, 0.9]))
+
+
+@pytest.mark.parametrize("make", MAPS, ids=MAP_IDS)
+@pytest.mark.parametrize("basis", [default_control_basis(), GRADED],
+                         ids=["uniform", "graded"])
+def test_normal_matrix_matches_the_dense_oracle(make, basis):
+    coeffs = np.array(identity_control(basis).coeffs)
+    coeffs[:, 1:-1] += 0.01 * np.random.default_rng(2).uniform(
+        -1.0, 1.0, coeffs[:, 1:-1].shape)
+    ev = CostEvaluator(make(), basis)
+    want = dense_normal_matrix(ev, coeffs)
+    _, _, got = ev.gradient(coeffs)
+    assert got.shape == (ev.n_free, ev.n_free)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("make", MAPS, ids=MAP_IDS)
@@ -176,14 +208,14 @@ def test_terms_match_the_basis_oracle_at_breakpoints_and_the_clip(make):
 
 
 def test_optimize_control_on_the_basis_oracle_takes_the_same_steps(monkeypatch):
-    # 134 SLSQP iterations carry the paths' rounding apart by up to 4e-11
-    # on the way and 1.2e-12 at the end; the cost agrees to 4e-14
+    # 4 Gauss-Newton iterations carry the paths' rounding apart by 6e-14;
+    # the cost agrees to 2e-14
     x, init = curved_map(), identity_control(default_control_basis())
     got = optimize_control(x, init)
     monkeypatch.setattr(CostEvaluator, "_terms", terms_by_basis)
     want = optimize_control(x, init)
     assert got.iterations == want.iterations > 0
-    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-11
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12
     assert orthogonality_cost(x, got) == pytest.approx(
         orthogonality_cost(x, want), rel=1e-12)
 
@@ -246,21 +278,29 @@ def test_optimize_control_rejects_infeasible_start():
 
 
 def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):
-    # SLSQP's own feasibility slack: a cheaper point with one gap 5e-8 short
-    # of the margin must raise, not come back as a map feasible() rejects
+    # a step that leaves a working gap 5e-8 short of the margin must raise,
+    # not come back as a map feasible() rejects
     x, init = curved_map(), identity_control(default_control_basis())
-    real = control_map.minimize
+    real = control_map._qp_step
+    shortened = []
 
-    def slack(fun, z0, **kwargs):
-        res = real(fun, z0, **kwargs)
-        res.x = res.x.copy()
-        res.x[1] = res.x[0] + init.margin - 5e-8
-        assert fun(res.x) < fun(z0)
-        return res
+    def short(g, K, slack, active):
+        s, work = real(g, K, slack, active)
+        held = np.argwhere(work[:, :-1])   # upper value c[i, j + 1] interior
+        if len(held):
+            i, j = held[0]
+            m = work.shape[1] - 1
+            k = i * m + j                   # free index of c[i, j + 1]
+            change = s[k] - (s[k - 1] if j > 0 else 0.0)
+            s = s.copy()
+            s[k] -= slack[i, j] + change + 5e-8
+            shortened.append((i, j))
+        return s, work
 
-    monkeypatch.setattr(control_map, "minimize", slack)
+    monkeypatch.setattr(control_map, "_qp_step", short)
     with pytest.raises(ConstraintError) as info:
         optimize_control(x, init)
+    assert shortened
     assert info.value.details["min_diff"] == pytest.approx(init.margin - 5e-8)
 
 
