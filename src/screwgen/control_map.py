@@ -14,11 +14,12 @@ runs Gauss-Newton damped by Levenberg-Marquardt (Nocedal & Wright,
 *Numerical Optimization*, ch. 10).  Each sample's D depends only on the
 control values of its control-span cell, so the Gauss-Newton matrix J^T J
 is a sum of small per-cell blocks.  The ordering constraints are handled by
-a primal active set (ch. 16): an active gap ties a control value to its
-neighbour at the margin, the tied values move as one, and a ratio test
-keeps every other gap at or above the margin.  The loop works on the cost
-divided by its start value, which is free of the length unit, and stops
-once a step lowers it by less than a fixed share.
+a primal active set (ch. 16) on one gap operator D, which maps a step on
+the interior values to the change of every gap: each pass solves one
+bordered KKT system for the step and the working gaps' multipliers, and a
+ratio test on D p keeps every other gap at or above the margin.  The loop
+works on the cost divided by its start value, which is free of the length
+unit, and stops once a step lowers it by less than a fixed share.
 
 The composite x o s needs no fold check of its own.  With eta degree q and
 knots t, sigma_nu is a convex combination of the slopes
@@ -70,6 +71,8 @@ class ControlMap:
         c = np.ascontiguousarray(self.coeffs, dtype=float)
         if c.shape != self.basis.shape:
             raise DomainError("control value grid does not match the basis")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("control values must be finite")
         if np.abs(c[:, 0]).max() > 1e-12 or np.abs(c[:, -1] - 1).max() > 1e-12:
             raise ConstraintError("boundary control rows must be pinned to 0 and 1")
         if np.any(np.diff(c, axis=1) <= 0):
@@ -297,76 +300,54 @@ def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
 # constrained optimization
 # ---------------------------------------------------------------------------
 
-def _tied_groups(active):
-    """The interior control values that move, raveled row-major, and where
-    each group of them that active gaps tie together starts in that list.
-    Values tied to a pinned end column do not move."""
-    label = np.cumsum(~active, axis=1)
-    inner = label[:, :-1]                    # group of c[i, 1:-1] in its row
-    index = np.flatnonzero((inner > 0) & (inner < label[:, -1:]))
-    # a moving value starts a group unless the gap below it is active
-    return index, np.flatnonzero(~active[:, :-1].ravel()[index])
-
-
-def _gap_normals(active):
-    """Rows c[i, j+1] - c[i, j] of the active gaps on the interior values,
-    and the (i, j) of each."""
-    n_mu, n_gaps = active.shape
-    i, j = np.nonzero(active)
-    normals = np.zeros((len(i), n_mu * (n_gaps - 1)))
-    k = np.arange(len(i))
-    at = i * (n_gaps - 1) + j
-    normals[k[j < n_gaps - 1], at[j < n_gaps - 1]] = 1.0
-    normals[k[j > 0], at[j > 0] - 1] = -1.0
-    return normals, (i, j)
-
-
 def _qp_step(g, K, slack, active):
     """The step s minimizing g.s + s.K.s / 2 with every gap kept at or
     above the margin, by a primal active set from s = 0 (Nocedal & Wright,
     Algorithm 16.3).
 
     ``slack`` holds each gap's excess over the margin and ``active`` the
-    start's working set of gaps held at the margin.  Each pass solves the
-    system reduced to the values the working set leaves free.  A ratio test
-    stops the step at the first inactive gap it would close past the margin
-    and adds that gap; a full step ends the search unless a working gap's
-    multiplier is negative, and the most negative one then drops.  Returns
-    the step and its working set.
+    start's working set of gaps held at the margin, both (rows, gaps).  The
+    gap operator D = kron(I_rows, diff(I)[:, 1:-1]) maps a step on the
+    interior values to the change of every gap; a pinned end column
+    contributes nothing.  Each pass solves the KKT system
+
+        [[K, -A^T], [A, 0]] [p; lam] = [-(g + K s); 0]
+
+    on the working rows A of D, for the step p and the working gaps'
+    multipliers lam.  A ratio test on D p stops the step at the first
+    inactive gap it would close past the margin and adds that gap; a full
+    step ends the search unless a multiplier is negative, and the most
+    negative one's gap then drops.  Returns the step and its working set.
     """
-    n_mu = active.shape[0]
-    work, slack = active.copy(), slack.copy()
-    s = np.zeros(len(g))
+    n_mu, n_gaps = active.shape
+    D = np.kron(np.eye(n_mu), np.diff(np.eye(n_gaps + 1), axis=0)[:, 1:-1])
+    work, slack = active.flatten(), slack.flatten()
+    n = len(g)
+    s = np.zeros(n)
     for _ in range(2 * work.size):
-        index, starts = _tied_groups(work)
-        reduced = np.add.reduceat(np.add.reduceat(
-            K[np.ix_(index, index)], starts, axis=0), starts, axis=1)
-        step = np.linalg.solve(reduced,
-                               -np.add.reduceat((g + K @ s)[index], starts))
-        p = np.zeros(len(g))
-        p[index] = np.repeat(step, np.diff(starts, append=len(index)))
-        dgap = np.diff(p.reshape(n_mu, -1), axis=1, prepend=0.0, append=0.0)
-        closing = ~work & (dgap < 0.0)
+        # the KKT matrix is singular only if every gap of a row is working,
+        # which cannot happen: a step keeps each row's total slack at
+        # 1 - n_gaps * margin > 0, so some gap of the row stays above it
+        A, m = D[work], int(work.sum())
+        kkt = np.block([[K, -A.T], [A, np.zeros((m, m))]])
+        sol = np.linalg.solve(kkt, np.concatenate([-(g + K @ s), np.zeros(m)]))
+        p, lam = sol[:n], sol[n:]
+        dgap = D @ p
+        closing = np.flatnonzero(~work & (dgap < 0.0))
         room = np.maximum(slack[closing], 0.0) / -dgap[closing]
         if room.size and room.min() < 1.0:
             k = int(np.argmin(room))
-            block = tuple(at[k] for at in np.nonzero(closing))
             s += room[k] * p
             slack += room[k] * dgap
-            slack[block] = 0.0
-            work[block] = True
+            slack[closing[k]] = 0.0
+            work[closing[k]] = True
             continue
         s += p
         slack += dgap
-        if not work.any():
+        if not lam.size or lam.min() >= 0.0:
             break
-        normals, (i, j) = _gap_normals(work)
-        lam = np.linalg.lstsq(normals.T, g + K @ s, rcond=None)[0]
-        k = int(np.argmin(lam))
-        if lam[k] >= 0.0:
-            break
-        work[i[k], j[k]] = False
-    return s, work
+        work[np.flatnonzero(work)[np.argmin(lam)]] = False
+    return s, work.reshape(n_mu, n_gaps)
 
 
 def optimize_control(x: SplineMap, init: ControlMap,

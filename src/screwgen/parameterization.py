@@ -40,9 +40,8 @@ from math import comb
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
-                     MatchingError, NonconvergenceError, StructureError,
-                     TopologyError)
+from .errors import (BasisMismatchError, FoldingUnrepairedError, MatchingError,
+                     NonconvergenceError, StructureError, TopologyError)
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, blossoms,
@@ -405,6 +404,8 @@ class EggAssembly:
     ``proj`` = M_xi^-1 G_xi, and u = sum_ij c_ij phi_i(xi) M_j(eta) with the
     projected xi basis phi_i = sum_k proj[k, i] a_k.  Residual and Jacobian
     are those of the mixed form's second equation with u so eliminated.
+    The rule has degree + 1 Gauss points per span in each direction, the
+    aux degree in xi.
 
     Every integrand is a tensor product, so nothing is tabulated per 2-D
     element.  The xi tables are dense over all xi Gauss points (phi is
@@ -427,15 +428,11 @@ class EggAssembly:
     component-0 entry.
     """
 
-    def __init__(self, basis: TensorBasis, quad_scale: int = 1):
-        if not quad_scale >= 1:
-            raise DomainError(f"quad_scale must be at least 1, got "
-                              f"{quad_scale}", quad_scale=quad_scale)
+    def __init__(self, basis: TensorBasis):
         aux_xi = build_aux_space(basis).xi
         self.basis = basis
         n1 = basis.xi.n
-        n1q = quad_scale * (aux_xi.degree + 1)
-        n2q = quad_scale * (basis.eta.degree + 1)
+        n1q, n2q = aux_xi.degree + 1, basis.eta.degree + 1
         rule1 = np.polynomial.legendre.leggauss(n1q)
         w1, self._first1, N = _gauss_windows(basis.xi, rule1, 1)
         w2, self._first2, M = _gauss_windows(

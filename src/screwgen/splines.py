@@ -72,6 +72,8 @@ class KnotVector:
             raise DomainError(f"degree must be >= 1, got {p}")
         if t.ndim != 1 or len(t) < 2 * (p + 1):
             raise DomainError("knot vector too short for degree")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("knots must be finite")
         if np.any(np.diff(t) < -KNOT_TOL):
             raise DomainError("knots must be nondecreasing")
         if abs(t[0]) > KNOT_TOL or abs(t[p] - t[0]) > KNOT_TOL:
@@ -199,8 +201,9 @@ def basis_matrix(kv: KnotVector, x, der: int = 0):
 
 def _check_param(x, name="parameter"):
     x = np.asarray(x, dtype=float)
-    if np.any(x < -KNOT_TOL) or np.any(x > 1.0 + KNOT_TOL):
-        raise DomainError(f"{name} outside [0, 1]")
+    # NaN fails every comparison, so test that x lies inside the range
+    if not np.all((x >= -KNOT_TOL) & (x <= 1.0 + KNOT_TOL)):
+        raise DomainError(f"{name} outside [0, 1] or not finite", name=name)
     return np.clip(x, 0.0, 1.0)
 
 

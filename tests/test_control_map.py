@@ -7,7 +7,7 @@ from screwgen.control_map import (N_CELLS, ControlMap, CostEvaluator,
                                   default_control_basis, folded_cells,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
-from screwgen.errors import ConstraintError
+from screwgen.errors import ConstraintError, DomainError
 from screwgen.parameterization import check_folding
 from screwgen.splines import (SplineMap, TensorBasis, basis_ders_nonzero,
                               basis_matrix, open_knots, uniform_knots)
@@ -275,6 +275,59 @@ def test_optimize_control_rejects_infeasible_start():
     coeffs[:, 1] = 0.1 * s.margin
     with pytest.raises(ConstraintError):
         optimize_control(curved_map(), ControlMap(s.basis, coeffs, s.margin))
+
+
+def test_control_map_rejects_a_non_finite_value():
+    coeffs = np.array(identity_control(default_control_basis()).coeffs)
+    coeffs[3, 4] = np.nan
+    with pytest.raises(DomainError, match="control values must be finite"):
+        ControlMap(default_control_basis(), coeffs)
+
+
+def gap_rows(n_mu, n_gaps):
+    """The change of every gap c[i, j+1] - c[i, j] under a step on the
+    interior values c[i, 1:-1], raveled row-major, entry by entry."""
+    D = np.zeros((n_mu * n_gaps, n_mu * (n_gaps - 1)))
+    for i in range(n_mu):
+        for j in range(n_gaps):
+            if j < n_gaps - 1:
+                D[i * n_gaps + j, i * (n_gaps - 1) + j] = 1.0
+            if j > 0:
+                D[i * n_gaps + j, i * (n_gaps - 1) + j - 1] = -1.0
+    return D
+
+
+def test_qp_step_returns_the_kkt_point():
+    rng = np.random.default_rng(11)
+    dropped = pinned = 0
+    for _ in range(300):
+        n_mu, n_gaps = rng.integers(2, 6), rng.integers(3, 10)
+        n = n_mu * (n_gaps - 1)
+        B = rng.normal(size=(n, n))
+        K, g = B @ B.T + 0.1 * np.eye(n), 3.0 * rng.normal(size=n)
+        # gaps at the margin, the first and last of each row among them as
+        # at pi/4, and a stale working set; every row keeps a gap above it
+        slack = rng.uniform(0.01, 0.2, (n_mu, n_gaps))
+        slack[rng.random((n_mu, n_gaps)) < 0.3] = 0.0
+        slack[:, [0, -1]] = 0.0
+        slack[:, n_gaps // 2] = 0.1
+        active = (slack == 0.0) & (rng.random((n_mu, n_gaps)) < 0.6)
+        s, work = control_map._qp_step(g, K, slack, active)
+        assert s.shape == (n,) and work.shape == (n_mu, n_gaps)
+        D = gap_rows(n_mu, n_gaps)
+        after = slack.ravel() + D @ s
+        assert after.min() >= -1e-12                              # feasible
+        A = D[work.ravel()]
+        grad = K @ s + g
+        lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+        scale = np.abs(g).max() + np.abs(K @ s).max()
+        assert np.abs(A.T @ lam - grad).max() <= 1e-10 * scale   # stationary
+        assert lam.min() >= -1e-10 * scale
+        # lam lives on the working gaps, and each of them is at the margin
+        assert np.abs(after[work.ravel()]).max(initial=0.0) <= 1e-12
+        dropped += np.sum(active & ~work)
+        pinned += np.sum(work[:, [0, -1]])
+    assert dropped > 0 and pinned > 0
 
 
 def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):

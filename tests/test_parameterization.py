@@ -5,7 +5,7 @@ import pytest
 
 from screwgen import parameterization
 from screwgen.control_map import check_composite_folding
-from screwgen.errors import (BasisMismatchError, DomainError, MatchingError,
+from screwgen.errors import (BasisMismatchError, MatchingError,
                              NonconvergenceError, StructureError,
                              TopologyError)
 from screwgen.fitting import ReparamFunction, fit_curve
@@ -405,16 +405,16 @@ def identity_map(tb):
 EGG_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
 
 
-def egg_assembly(m, quad_scale=1):
+def egg_assembly(m):
     """The EGG assembly of the map's basis, and the epsilon ``egg_solve``
     takes for the map: 1e-4 times its median metric trace."""
-    asm = EggAssembly(m.basis, quad_scale)
+    asm = EggAssembly(m.basis)
     return asm, 1e-4 * float(np.median(asm.metric_sum_samples(m.control_points)))
 
 
-def residual_at(m, eps=None, quad_scale=1):
+def residual_at(m, eps=None):
     """The EGG residual at the map, with u the L2 projection of x_xi."""
-    asm, own_eps = egg_assembly(m, quad_scale)
+    asm, own_eps = egg_assembly(m)
     return asm.residual(m.control_points, own_eps if eps is None else eps)
 
 
@@ -436,8 +436,11 @@ def test_residual_matches_dense_quadrature():
     cp = m0.control_points.copy()
     cp[1:-1, 1:-1] += 3e-5 * rng.normal(0, 1, (EGG_TB.xi.n - 2, EGG_TB.eta.n - 2, 2))
     m = SplineMap(EGG_TB, cp)
-    r1 = residual_at(m, eps, quad_scale=1)
-    r2 = residual_at(m, eps, quad_scale=2)
+    r1 = residual_at(m, eps)
+    # the mixed form on twice the Gauss points per span and direction
+    dense = MixedForm(EGG_TB, refine=2)
+    r2 = dense.residual(cp, dense.projection(cp), eps)[1]
+    r2 = r2[1:-1, 1:-1].transpose(1, 0, 2).ravel()
     assert np.linalg.norm(r2) > 1e-5  # genuinely nonzero
     assert np.abs(r1 - r2).max() < 1e-10
 
@@ -616,13 +619,6 @@ def test_assembly_requires_macro_split():
         EggAssembly(tb)
 
 
-@pytest.mark.parametrize("quad_scale", [0, -1])
-def test_assembly_rejects_a_quad_scale_below_one(quad_scale):
-    with pytest.raises(DomainError, match="quad_scale") as err:
-        EggAssembly(EGG_TB, quad_scale)
-    assert err.value.details["quad_scale"] == quad_scale
-
-
 def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
     def zero_band(self, cp, eps):
         return np.zeros((self.kl + self.ku + 1, self.n_unknowns))
@@ -646,16 +642,17 @@ class MixedForm:
     """The mixed EGG system (Hinz, Moller & Vuik) with the auxiliary
     coefficients d as free unknowns, u = sum_kj d_kj a_k(xi) M_j(eta), on
     dense global basis matrices at the tensor Gauss points of the
-    assembly's rule (aux xi degree + 1 by eta degree + 1 nodes per span).
+    assembly's rule (aux xi degree + 1 by eta degree + 1 nodes per span),
+    or of ``refine`` times as many per direction.
 
     R1 = int a_k M_j (x_xi - u) on the aux dofs and R2 = int w_i U on the
     primal dofs, with U = (g22 u_xi - g12 u_eta - g12 x_xi_eta
     + g11 x_eta_eta) / (g11 + g22 + eps)."""
 
-    def __init__(self, basis):
+    def __init__(self, basis, refine=1):
         aux = build_aux_space(basis).xi
-        xq, self.wx = gauss_rule(basis.xi, aux.degree + 1)
-        eq, self.we = gauss_rule(basis.eta, basis.eta.degree + 1)
+        xq, self.wx = gauss_rule(basis.xi, refine * (aux.degree + 1))
+        eq, self.we = gauss_rule(basis.eta, refine * (basis.eta.degree + 1))
         self.N = [basis_matrix(basis.xi, xq, k) for k in range(3)]
         self.M = [basis_matrix(basis.eta, eq, k) for k in range(3)]
         self.A = [basis_matrix(aux, xq, k) for k in range(2)]

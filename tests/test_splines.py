@@ -195,6 +195,11 @@ def test_end_knots_repeated_more_than_degree_plus_one_rejected():
             KnotVector(degree, knots)
 
 
+def test_non_finite_knot_rejected():
+    with pytest.raises(DomainError, match="knots must be finite"):
+        KnotVector(3, [0, 0, 0, 0, np.nan, 1, 1, 1, 1])
+
+
 def test_out_of_domain_raises():
     with pytest.raises(DomainError):
         eval_basis(FIG2_KV, 1.2)
@@ -364,6 +369,19 @@ def test_map_domain_error():
     m = identity_map(tb)
     with pytest.raises(DomainError):
         m.point(1.5, 0.2)
+
+
+def test_non_finite_parameters_are_rejected_by_name():
+    kv = uniform_knots(2, 3)
+    curve = SplineCurve(kv, np.zeros((kv.n, 2)))
+    with pytest.raises(DomainError, match="parameter") as err:
+        curve.evaluate([0.2, np.nan])
+    assert err.value.details["name"] == "parameter"
+    m = identity_map(TensorBasis(uniform_knots(2, 2), uniform_knots(2, 2)))
+    for xi, eta, name in ((np.nan, 0.5, "xi"), (0.5, np.inf, "eta")):
+        with pytest.raises(DomainError, match=name) as err:
+            m.evaluate([xi], [eta])
+        assert err.value.details["name"] == name
 
 
 def test_identity_jacobian():
