@@ -28,8 +28,9 @@ pair, and the Newton matrix sums over the eta points of each span before
 the xi points.  The unknowns are numbered eta-slow, so the Newton matrix
 is banded with half-bandwidths fixed by the xi width, and its
 component-diagonal part, alike for both components, is placed for one
-component and shifted by one raveled band slot onto the other.  Each step
-is one LAPACK band solve.
+component and copied onto the other.  The matrix is scattered straight
+into LAPACK's Fortran-ordered band array, and each step is one in-place
+LAPACK band solve.
 """
 
 from __future__ import annotations
@@ -424,8 +425,8 @@ class EggAssembly:
     A knot span couples every xi dof of its p+1 eta indices, so the
     half-bandwidths stay below p+1 such blocks whatever the eta length.  The component-diagonal block (through u, x_xi_eta and
     x_eta_eta) is the same for both components and is placed once: in the
-    raveled band storage the component-1 entry sits one slot after its
-    component-0 entry.
+    Fortran-ordered band array the component-1 entry (2r + 1, 2c + 1) has
+    the row of the component-0 entry (2r, 2c), one column on.
     """
 
     def __init__(self, basis: TensorBasis):
@@ -495,15 +496,18 @@ class EggAssembly:
         reach = [2 * (c - r)[k] for (r, c), k in zip((diag, full), ok)]
         self.kl = -int(min(reach[0].min(), reach[1].min() - 1))
         self.ku = int(max(reach[0].max(), reach[1].max() + 1))
-        self._band_shape = (self.kl + self.ku + 1, n)
-        size = self._band_shape[0] * n
-        # ab[ku + r - c, c] is entry (ku + r - c) * n + c of the raveled
-        # band; a pair with a boundary dof goes to the spare slot size
-        self._diag_at = np.where(ok[0], self.ku * n + 2 * diag[0] * n
-                                 - 2 * diag[1] * (n - 1), size).ravel()
+        # gbsv's band array ab is Fortran-ordered with ldab = 2 kl + ku + 1
+        # rows: entry (r, c) of the matrix is ab[kl + ku + r - c, c], at
+        # c * ldab + kl + ku + r - c of the raveled storage, and a pair with
+        # a boundary dof goes to the spare slot after it
+        self._ldab = ldab = 2 * self.kl + self.ku + 1
+        size = ldab * n
+        top = self.kl + self.ku
+        self._diag_at = np.where(ok[0], top + 2 * diag[0]
+                                 + 2 * diag[1] * (ldab - 1), size).ravel()
         a, b = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
-        self._x_at = np.where(ok[1], self.ku * n + (2 * full[0] + a) * n
-                              - (2 * full[1] + b) * (n - 1), size).ravel()
+        self._x_at = np.where(ok[1], top + 2 * full[0] + a
+                              + (2 * full[1] + b) * (ldab - 1), size).ravel()
 
     # -- field evaluation ----------------------------------------------------
 
@@ -591,7 +595,9 @@ class EggAssembly:
         return d_in.reshape(E1, 3 * n1q, -1), x_in.reshape(E1, 2 * n1q, -1)
 
     def jacobian(self, cp, eps):
-        """Analytic Newton matrix in (kl, ku) band storage."""
+        """Analytic Newton matrix in gbsv's (2 kl + ku + 1, n) Fortran-
+        ordered band array, rows kl onward; the rows above are zero and
+        take the LU factors' fill."""
         n1 = self.basis.shape[0]
         diag, full = self._eta_sums(cp, eps)
         # the xi sums: (i1, inner j1, i2, offset) and (i1, offset, [a, b],
@@ -600,12 +606,13 @@ class EggAssembly:
                                   pairs=False)
         full = _sum_span_products(self._xi_x, full, self._first1, n1,
                                   pairs=True)
-        size = self._band_shape[0] * self.n_unknowns
-        band = np.zeros(size + 1)
+        n, ldab = self.n_unknowns, self._ldab
+        band = np.zeros(ldab * n + 1)
         band[self._diag_at] = diag.ravel()
-        band[1:size] += band[:size - 1]          # component 1
+        columns = band[:-1].reshape(n, ldab)
+        columns[1::2] = columns[::2]             # component 1
         band[self._x_at] += full.ravel()
-        return band[:size].reshape(self._band_shape)
+        return columns.T
 
 
 # ---------------------------------------------------------------------------
@@ -649,19 +656,15 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     if not (np.isfinite(norm0) and np.isfinite(eps)):
         raise fail(f"non-finite initial map: residual {norm0}, epsilon {eps}",
                    epsilon=eps)
-    # gbsv's band array, Fortran-ordered so that LAPACK works in place: the
-    # Newton matrix goes into rows kl:, and the LU factors overwrite it,
-    # their fill in the rows above, which gbsv sets itself
-    lu = np.zeros((2 * asm.kl + asm.ku + 1, asm.n_unknowns), order="F")
     iterations = 0
     while history[-1] > target:
         if iterations >= MAX_NEWTON_ITER:
             raise fail(f"Newton did not converge in {MAX_NEWTON_ITER} "
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
-        lu[asm.kl:] = asm.jacobian(cp, eps)
-        _, _, step, info = dgbsv(asm.kl, asm.ku, lu, -res, overwrite_ab=True,
-                                 overwrite_b=True)
+        # the LU factors overwrite the band array in place
+        _, _, step, info = dgbsv(asm.kl, asm.ku, asm.jacobian(cp, eps), -res,
+                                 overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise fail(f"singular Newton matrix at step {iterations}",
                        step=iterations)

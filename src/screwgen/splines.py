@@ -16,6 +16,15 @@ point, returned with ``cols``, the (m, p+1) global indices of that window.
 Consumers index coefficients by ``cols`` and never rebuild the window from
 span indices.
 
+``SplineMap.evaluate`` and ``SplineMap.jacobian`` share one evaluation
+kernel at paired points (xi[i], eta[i]), which works on blocks of at most
+EVAL_BLOCK points.  Per block it makes one basis pass per direction,
+for the highest derivative order asked for, and contracts one xi offset at
+a time: the (block, q+1, 2) control rows of that offset are gathered,
+contracted in eta and accumulated with the offset's xi weights.  Every
+temporary is O(block (q+1)), so the memory beyond the output is fixed, and
+``jacobian`` takes x_xi and x_eta from the same tables and gathers.
+
 Everything in this module is a pure function of immutable values; instances
 never mutate after construction and can be shared freely between threads.
 """
@@ -29,6 +38,7 @@ import numpy as np
 from .errors import DomainError, InvalidRefinementError
 
 KNOT_TOL = 1e-12  # absolute tolerance for knot equality
+EVAL_BLOCK = 4096  # points per block of SplineMap evaluation
 
 
 def _frozen(a):
@@ -364,25 +374,45 @@ class SplineMap:
 
     # -- evaluation at paired points ---------------------------------------
 
-    def evaluate(self, xi, eta, dxi: int = 0, deta: int = 0) -> np.ndarray:
-        """Partial derivative d^(dxi+deta) x / dxi^dxi deta^deta at paired
-        points; xi and eta are equal-length arrays."""
+    def _derivatives(self, xi, eta, orders) -> np.ndarray:
+        """The partial derivatives of the (dxi, deta) ``orders`` at paired
+        points, (m, 2, len(orders)), block by block (module docstring)."""
         xi = _check_param(np.atleast_1d(np.asarray(xi, dtype=float)), "xi")
         eta = _check_param(np.atleast_1d(np.asarray(eta, dtype=float)), "eta")
-        iu, du = basis_ders_nonzero(self.basis.xi, xi, dxi)
-        iv, dv = basis_ders_nonzero(self.basis.eta, eta, deta)
-        sub = self.control_points[iu[:, :, None], iv[:, None, :]]
-        return np.einsum("mi,mj,mijd->md", du[dxi], dv[deta], sub)
+        if xi.ndim != 1 or xi.shape != eta.shape:
+            raise DomainError(f"xi {xi.shape} and eta {eta.shape} are not "
+                              "paired 1-D arrays", xi_shape=xi.shape,
+                              eta_shape=eta.shape)
+        kx, ke = np.max(orders, axis=0)
+        net = self.control_points.reshape(-1, 2)
+        n2 = self.basis.eta.n
+        out = np.zeros((len(xi), 2, len(orders)))
+        for lo in range(0, len(xi), EVAL_BLOCK):
+            block = slice(lo, lo + EVAL_BLOCK)
+            iu, du = basis_ders_nonzero(self.basis.xi, xi[block], kx)
+            iv, dv = basis_ders_nonzero(self.basis.eta, eta[block], ke)
+            dv = dv.transpose(1, 0, 2)                   # (b, ke + 1, q + 1)
+            acc = out[block]
+            for a in range(iu.shape[1]):
+                # the eta contractions of one xi offset's control rows
+                rows = np.take(net, iu[:, a, None] * n2 + iv, axis=0)
+                y = dv @ rows                            # (b, ke + 1, 2)
+                for k, (i, j) in enumerate(orders):
+                    acc[..., k] += du[i, :, a, None] * y[:, j]
+        return out
+
+    def evaluate(self, xi, eta, dxi: int = 0, deta: int = 0) -> np.ndarray:
+        """Partial derivative d^(dxi+deta) x / dxi^dxi deta^deta at paired
+        points; xi and eta are equal-length arrays, else DomainError."""
+        return self._derivatives(xi, eta, [(dxi, deta)])[..., 0]
 
     def point(self, xi: float, eta: float) -> np.ndarray:
         return self.evaluate([xi], [eta])[0]
 
     def jacobian(self, xi, eta):
         """Jacobian matrices (m, 2, 2) with columns x_xi, x_eta, and dets (m,)."""
-        xu = self.evaluate(xi, eta, 1, 0)
-        xv = self.evaluate(xi, eta, 0, 1)
-        J = np.stack([xu, xv], axis=-1)
-        det = xu[:, 0] * xv[:, 1] - xu[:, 1] * xv[:, 0]
+        J = self._derivatives(xi, eta, [(1, 0), (0, 1)])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
         return J, det
 
     # -- structure ----------------------------------------------------------

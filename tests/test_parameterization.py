@@ -533,11 +533,12 @@ def test_egg_l_shape_fold_free_after_repair():
 
 def dense_newton_matrix(asm, band):
     """The Newton matrix over the eta-slow inner unknowns, expanded from
-    its band storage."""
+    gbsv's band array, whose rows kl onward hold it."""
     n = asm.n_unknowns
     dense = np.zeros((n, n))
     for k in range(-asm.kl, asm.ku + 1):   # k = column - row
-        dense += np.diag(band[asm.ku - k, max(k, 0):n + min(k, 0)], k)
+        dense += np.diag(band[asm.kl + asm.ku - k, max(k, 0):n + min(k, 0)],
+                         k)
     return dense
 
 
@@ -596,9 +597,12 @@ def test_band_step_matches_dense_solve(name):
     asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, np.random.default_rng(5))
     band = asm.jacobian(cp, eps)
+    # gbsv's layout: Fortran order, the fill rows above row kl zero
+    assert band.shape == (2 * asm.kl + asm.ku + 1, asm.n_unknowns)
+    assert band.flags.f_contiguous and not band[:asm.kl].any()
     rhs = -asm.residual(cp, eps)
     want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
-    got = solve_banded((asm.kl, asm.ku), band, rhs)
+    got = solve_banded((asm.kl, asm.ku), band[asm.kl:], rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -621,7 +625,8 @@ def test_assembly_requires_macro_split():
 
 def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
     def zero_band(self, cp, eps):
-        return np.zeros((self.kl + self.ku + 1, self.n_unknowns))
+        return np.zeros((2 * self.kl + self.ku + 1, self.n_unknowns),
+                        order="F")
 
     monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
     with pytest.raises(NonconvergenceError) as err:

@@ -370,7 +370,12 @@ def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
 def test_readme_example_builds_a_feasible_patch_set():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
-    assert len(blocks) == 1
+    assert len(blocks) == 2
+    # the evaluation example continues the build example, as a reader runs
+    # them
     namespace = {}
-    exec(blocks[0], namespace)
+    for block in blocks:
+        exec(block, namespace)
     assert namespace["patches"].control.feasible()
+    assert namespace["nodes"].shape == (201 * 201, 2)
+    assert namespace["det"].min() > 0

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from screwgen.errors import DomainError, InvalidRefinementError
 from screwgen.splines import (
+    EVAL_BLOCK,
     KNOT_TOL,
     KnotVector,
     SplineCurve,
@@ -416,6 +419,72 @@ def test_jacobian_against_finite_differences():
         fd_e = (m.point(xi, eta + h) - m.point(xi, eta - h)) / (2 * h)
         fd = np.stack([fd_x, fd_e], axis=-1)
         assert np.abs(J - fd).max() / np.abs(J).max() < 1e-5
+
+
+# a uniform basis, and a graded one whose xi knot 0.5 is doubled (C1 there)
+ORACLE_BASES = {
+    "uniform": TensorBasis(uniform_knots(3, 5), uniform_knots(2, 4)),
+    "graded": TensorBasis(open_knots(3, [0.1, 0.25, 0.5, 0.8], [1, 1, 2, 1]),
+                          open_knots(2, [0.05, 0.3, 0.45, 0.9])),
+}
+
+
+def paired_points(rng):
+    """2 blocks + 7 random paired points, so the last block is partial,
+    plus the four corners."""
+    pts = rng.uniform(0, 1, (2 * EVAL_BLOCK + 7, 2))
+    corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
+    return np.vstack([pts, corners]).T
+
+
+def dense_oracle(m, xi, eta, dxi, deta):
+    """sum_kl N_k^(dxi)(xi) M_l^(deta)(eta) P_kl on dense basis matrices."""
+    return np.einsum("mk,ml,kld->md", basis_matrix(m.basis.xi, xi, dxi),
+                     basis_matrix(m.basis.eta, eta, deta), m.control_points)
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+def test_evaluate_and_jacobian_match_the_dense_tensor_oracle(name):
+    tb = ORACLE_BASES[name]
+    rng = np.random.default_rng(11)
+    m = SplineMap(tb, rng.uniform(-1, 1, (tb.xi.n, tb.eta.n, 2)))
+    xi, eta = paired_points(rng)
+    for dxi, deta in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        assert_close(m.evaluate(xi, eta, dxi, deta),
+                     dense_oracle(m, xi, eta, dxi, deta))
+    J, det = m.jacobian(xi, eta)
+    x_xi, x_eta = (dense_oracle(m, xi, eta, *d) for d in ((1, 0), (0, 1)))
+    assert_close(J, np.stack([x_xi, x_eta], axis=-1))
+    assert_close(det, x_xi[:, 0] * x_eta[:, 1] - x_xi[:, 1] * x_eta[:, 0])
+
+
+def test_unpaired_points_raise_domain_error():
+    m = identity_map(ORACLE_BASES["uniform"])
+    for xi, eta in (([0.1, 0.2], [0.3, 0.4, 0.5]), ([0.1], [0.3, 0.4, 0.5])):
+        with pytest.raises(DomainError, match="paired"):
+            m.evaluate(xi, eta)
+        with pytest.raises(DomainError, match="paired"):
+            m.jacobian(xi, eta)
+
+
+def test_jacobian_memory_is_a_small_multiple_of_its_output():
+    # the paper's coarse-mesh lattice: 201 x 201 paired points
+    m = identity_map(ORACLE_BASES["graded"])
+    t = np.linspace(0, 1, 201)
+    xi, eta = np.repeat(t, len(t)), np.tile(t, len(t))
+    tracemalloc.start()
+    try:
+        J, _ = m.jacobian(xi, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a gather of the (m, p+1, q+1, 2) control sub-net alone is 3 J.nbytes
+    assert peak <= 5 * J.nbytes
 
 
 # ---------------------------------------------------------------------------
