@@ -15,11 +15,21 @@ runs Gauss-Newton damped by Levenberg-Marquardt (Nocedal & Wright,
 control values of its control-span cell, so the Gauss-Newton matrix J^T J
 is a sum of small per-cell blocks.  The ordering constraints are handled by
 a primal active set (ch. 16) on one gap operator D, which maps a step on
-the interior values to the change of every gap: each pass solves one
-bordered KKT system for the step and the working gaps' multipliers, and a
-ratio test on D p keeps every other gap at or above the margin.  The loop
-works on the cost divided by its start value, which is free of the length
-unit, and stops once a step lowers it by less than a fixed share.
+the interior values to the change of every gap.  The damped matrix K is
+fixed within a step, so the step makes one solve with K, and each pass
+solves only the Schur system of its working gaps for their multipliers
+(range-space form, section 16.2); a ratio test on D p keeps every other gap
+at or above the margin.  The loop works on the cost divided by its start
+value, which is free of the length unit, and stops once a step lowers it
+by less than a fixed share.
+
+Each point costs one pass over the samples: ``CostEvaluator`` keeps the
+last point's terms, so a trial's cost and, once it is taken, its gradient
+come from the same pass.  The tables that depend only on the control basis
+or on the map's xi basis, both fixed for a geometry, are built once and
+shared through ``splines.basis_tables``, keyed by degree and knot values
+and bounded by TABLE_CACHE_SIZE entries; nothing is keyed by the
+per-angle eta knots.
 
 The composite x o s needs no fold check of its own.  With eta degree q and
 knots t, sigma_nu is a convex combination of the slopes
@@ -41,7 +51,7 @@ import numpy as np
 
 from .errors import ConstraintError, DomainError
 from .splines import (SplineMap, TensorBasis, basis_ders_nonzero, basis_matrix,
-                      greville_abscissae, uniform_knots)
+                      basis_tables, greville_abscissae, uniform_knots)
 
 DEFAULT_MARGIN = 1e-3
 N_CELLS = 64   # cost sample cells per direction
@@ -146,6 +156,46 @@ def _span_samples(kv, t):
     return rows, values, first
 
 
+def _sample_columns():
+    return (np.arange(N_CELLS) + 0.5) / N_CELLS
+
+
+def _control_tables(kv_mu, kv_nu):
+    """The tables of one control basis: its sample matrices Bmu, Bmu_d, Bnu,
+    Bnu_d; the samples of each control-span cell (span_mu, span_nu, 1,
+    slots) as flat indices and the basis values N, N' and M, M' there; the
+    free (interior eta column) index of each cell's control values, n_free
+    for a pinned one, as pairs in the (n_free + 1)^2 matrix whose last row
+    and column are dropped; and n_free."""
+    t = _sample_columns()
+    mats = tuple(basis_matrix(kv, t, der=der)
+                 for kv in (kv_mu, kv_nu) for der in (0, 1))
+    rows_mu, N, first_mu = _span_samples(kv_mu, t)
+    rows_nu, M, first_nu = _span_samples(kv_nu, t)
+    cell_samples = (rows_mu[:, None, :, None] * N_CELLS
+                    + rows_nu[None, :, None, :]).reshape(
+        len(first_mu), len(first_nu), 1, -1)
+    n_mu, n_nu = kv_mu.n, kv_nu.n
+    n_free = n_mu * (n_nu - 2)
+    i = first_mu[:, None] + np.arange(kv_mu.degree + 1)
+    j = first_nu[:, None] + np.arange(kv_nu.degree + 1) - 1
+    i, j = i[:, None, :, None], j[None, :, None, :]
+    dof = np.where((j >= 0) & (j < n_nu - 2), i * (n_nu - 2) + j,
+                   n_free).reshape(len(first_mu) * len(first_nu), -1)
+    pairs = (dof[:, :, None] * (n_free + 1) + dof[:, None, :]).ravel()
+    return mats + (cell_samples,
+                   np.repeat(N, M.shape[-1], axis=-1)[:, :, None],
+                   np.tile(M, rows_mu.shape[1])[:, None, :, None],
+                   pairs, n_free)
+
+
+def _column_rows(kv):
+    """The rows of the map's xi basis and of its derivative at the sample
+    columns."""
+    t = _sample_columns()
+    return basis_matrix(kv, t, der=0), basis_matrix(kv, t, der=1)
+
+
 class CostEvaluator:
     """Riemann-sum orthogonality cost, its exact gradient and its
     Gauss-Newton matrix.
@@ -162,6 +212,15 @@ class CostEvaluator:
     Jacobian J of D on the (p+1)(q+1) control values of its control-span
     cell, d_sig N M + d_mu N' M + d_nu N M', so J^T J is one batched
     product of per-cell blocks and one scatter.
+
+    Each point costs one pass: the evaluator keeps the dots, sizes and
+    partials of the last point it evaluated, so ``cost_of`` or
+    ``cost_and_scale`` followed by ``gradient`` at the same control values
+    runs ``_terms`` once.  The tables of the control basis and the rows of
+    the map's xi basis at the sample columns depend on those bases alone
+    and come from ``splines.basis_tables``, shared by every evaluator over
+    the same bases; the Taylor tables depend on the map's net and are built
+    per evaluator.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -169,19 +228,17 @@ class CostEvaluator:
             raise DomainError("sample grid must be at least twice the control "
                               "resolution")
         self.x = x
-        t = (np.arange(N_CELLS) + 0.5) / N_CELLS
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
-        self.Bmu = basis_matrix(basis.xi, t, der=0)
-        self.Bmu_d = basis_matrix(basis.xi, t, der=1)
-        self.Bnu = basis_matrix(basis.eta, t, der=0)
-        self.Bnu_d = basis_matrix(basis.eta, t, der=1)
+        (self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d, self._cell_samples,
+         self._N, self._M, self._pairs, self.n_free) = basis_tables(
+            _control_tables, basis.xi, basis.eta)
         # eta-spline coefficients per mu-column, x in components 0-1 and
         # x_xi in 2-3, and their Taylor coefficients (derivative k over k!)
         # about the left breakpoints lo of the knot spans
         cp = x.control_points
         coef = np.concatenate(
-            [np.einsum("ai,ijd->ajd", basis_matrix(x.basis.xi, t, der), cp)
-             for der in (0, 1)], axis=-1)
+            [np.einsum("ai,ijd->ajd", rows, cp)
+             for rows in basis_tables(_column_rows, x.basis.xi)], axis=-1)
         kv = x.basis.eta
         p = kv.degree
         self.lo = np.unique(kv.knots[p:kv.n])
@@ -192,27 +249,14 @@ class CostEvaluator:
             np.einsum("ksj,asjc->kcas", ders, coef[:, cols]).reshape(
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
-        # the samples of each control-span cell (span_mu, span_nu, 1, slots)
-        # as flat indices, and the basis values N, N' and M, M' there
-        rows_mu, N, first_mu = _span_samples(basis.xi, t)
-        rows_nu, M, first_nu = _span_samples(basis.eta, t)
-        self._cell_samples = (rows_mu[:, None, :, None] * N_CELLS
-                              + rows_nu[None, :, None, :]).reshape(
-            len(first_mu), len(first_nu), 1, -1)
-        self._N = np.repeat(N, M.shape[-1], axis=-1)[:, :, None]
-        self._M = np.tile(M, rows_mu.shape[1])[:, None, :, None]
-        # the free (interior eta column) index of each cell's control
-        # values, n_free for a pinned one, and their pairs in the
-        # (n_free + 1)^2 matrix whose last row and column are dropped
-        n_mu, n_nu = basis.shape
-        self.n_free = n_mu * (n_nu - 2)
-        i = first_mu[:, None] + np.arange(basis.xi.degree + 1)
-        j = first_nu[:, None] + np.arange(basis.eta.degree + 1) - 1
-        i, j = i[:, None, :, None], j[None, :, None, :]
-        dof = np.where((j >= 0) & (j < n_nu - 2), i * (n_nu - 2) + j,
-                       self.n_free).reshape(len(first_mu) * len(first_nu), -1)
-        self._pairs = (dof[:, :, None] * (self.n_free + 1)
-                       + dof[:, None, :]).ravel()
+        self._last = None
+
+    def _at(self, coeffs):
+        """``_terms(coeffs, True)``, from the last pass if it was at the
+        same control values."""
+        if self._last is None or not np.array_equal(self._last[0], coeffs):
+            self._last = (np.array(coeffs), self._terms(coeffs, True))
+        return self._last[1]
 
     def _terms(self, coeffs, partials: bool):
         """Per-sample dots D, the products |t_mu|^2 |t_nu|^2 that bound D^2,
@@ -256,8 +300,7 @@ class CostEvaluator:
         return 0.5 * float(np.sum(dots * dots)) * self.cell_area
 
     def cost_of(self, coeffs: np.ndarray) -> float:
-        dots, _, _ = self._terms(coeffs, False)
-        return self._cost(dots)
+        return self._cost(self._at(coeffs)[0])
 
     def cost_and_scale(self, coeffs: np.ndarray):
         """``(cost_of(coeffs), scale)`` from one pass, the scale being
@@ -265,14 +308,14 @@ class CostEvaluator:
         have if each pair were parallel.  It bounds the cost (Cauchy-
         Schwarz) and scales with it, so their ratio is free of the length
         unit."""
-        dots, sizes, _ = self._terms(coeffs, False)
+        dots, sizes, _ = self._at(coeffs)
         return self._cost(dots), 0.5 * float(np.sum(sizes)) * self.cell_area
 
     def gradient(self, coeffs: np.ndarray):
         """``(cost_of(coeffs), gradient, J^T J * area)`` from one pass, the
         gradient and the Gauss-Newton matrix being exact over the interior
         eta columns (raveled row-major)."""
-        dots, _, (d_sig, d_mu, d_nu) = self._terms(coeffs, True)
+        dots, _, (d_sig, d_mu, d_nu) = self._at(coeffs)
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
@@ -307,31 +350,40 @@ def _qp_step(g, K, slack, active):
 
     ``slack`` holds each gap's excess over the margin and ``active`` the
     start's working set of gaps held at the margin, both (rows, gaps).  The
-    gap operator D = kron(I_rows, diff(I)[:, 1:-1]) maps a step on the
-    interior values to the change of every gap; a pinned end column
-    contributes nothing.  Each pass solves the KKT system
+    gap operator D maps a step on the interior values to the change of
+    every gap; a pinned end column contributes nothing.  K is positive
+    definite and fixed for the call, so the KKT system of a pass on the
+    working rows W of D,
 
-        [[K, -A^T], [A, 0]] [p; lam] = [-(g + K s); 0]
+        K p - D_W^T lam = -(g + K s),   D_W p = 0,
 
-    on the working rows A of D, for the step p and the working gaps'
-    multipliers lam.  A ratio test on D p stops the step at the first
-    inactive gap it would close past the margin and adds that gap; a full
-    step ends the search unless a multiplier is negative, and the most
-    negative one's gap then drops.  Returns the step and its working set.
+    is solved in range-space form (ibid., section 16.2): one solve with K
+    per call, Z = K^-1 [D^T, g], gives p = Z_W lam - (K^-1 g + s), and
+    each pass solves only the m x m Schur system of its m working gaps,
+    (D_W Z_W) lam = D_W (K^-1 g + s).  A ratio test on D p stops the step
+    at the first inactive gap it would close past the margin and adds that
+    gap; a full step ends the search unless a multiplier is negative, and
+    the most negative one's gap then drops.  Returns the step and its
+    working set.
     """
     n_mu, n_gaps = active.shape
-    D = np.kron(np.eye(n_mu), np.diff(np.eye(n_gaps + 1), axis=0)[:, 1:-1])
+    # free value k = c[i, j + 1] raises gap (i, j) and lowers gap (i, j + 1)
+    D = np.zeros((n_mu * n_gaps, len(g)))
+    k = np.arange(len(g))
+    D[k + k // (n_gaps - 1), k] = 1.0
+    D[k + k // (n_gaps - 1) + 1, k] = -1.0
+    Z = np.linalg.solve(K, np.column_stack([D.T, g]))
+    Z, Kg = Z[:, :-1], Z[:, -1]
+    DZ = D @ Z
     work, slack = active.flatten(), slack.flatten()
-    n = len(g)
-    s = np.zeros(n)
+    s = np.zeros(len(g))
     for _ in range(2 * work.size):
-        # the KKT matrix is singular only if every gap of a row is working,
-        # which cannot happen: a step keeps each row's total slack at
-        # 1 - n_gaps * margin > 0, so some gap of the row stays above it
-        A, m = D[work], int(work.sum())
-        kkt = np.block([[K, -A.T], [A, np.zeros((m, m))]])
-        sol = np.linalg.solve(kkt, np.concatenate([-(g + K @ s), np.zeros(m)]))
-        p, lam = sol[:n], sol[n:]
+        # the Schur matrix is singular only if every gap of a row is
+        # working, which cannot happen: a step keeps each row's total slack
+        # at 1 - n_gaps * margin > 0, so some gap of the row stays above it
+        y = Kg + s
+        lam = np.linalg.solve(DZ[np.ix_(work, work)], D[work] @ y)
+        p = Z[:, work] @ lam - y
         dgap = D @ p
         closing = np.flatnonzero(~work & (dgap < 0.0))
         room = np.maximum(slack[closing], 0.0) / -dgap[closing]
@@ -357,11 +409,13 @@ def optimize_control(x: SplineMap, init: ControlMap,
     Gauss-Newton damped by Levenberg-Marquardt on the interior eta columns,
     on the cost divided by its start value: a scaled map takes the same
     steps.  Each iteration solves the damped model over the ordering
-    constraints by a primal active set (``_qp_step``) and pays one
+    constraints by a primal active set (``_qp_step``: one solve with the
+    damped matrix, then one small Schur solve per pass) and pays one
     ``CostEvaluator.cost_of`` for the trial.  A trial that lowers the cost
-    is taken, with one ``CostEvaluator.gradient`` pass for the cost, its
-    gradient and J^T J at the new point, and the damping shrinks as far as
-    the model predicted the decrease; otherwise the damping grows.  The
+    is taken, and ``CostEvaluator.gradient`` gives the gradient and J^T J
+    at the new point from the trial's own pass, so a call runs the sample
+    pass iterations + 1 times; the damping shrinks as far as the model
+    predicted the decrease.  Otherwise the damping grows.  The
     loop stops once a step lowers the normalized cost by less than
     STOP_DECREASE, or a rejected trial's model predicts less, or after
     ``max_iter`` trials.  A start whose cost is below 1e-14 of its scale

@@ -45,7 +45,7 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError, MatchingError,
                      NonconvergenceError, StructureError, TopologyError)
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, basis_ders_nonzero, blossoms,
+                      TensorBasis, basis_ders_nonzero, basis_tables, blossoms,
                       bounding_box_diagonal, greville_abscissae, insert_knots,
                       open_knots, unique_knots)
 
@@ -337,7 +337,10 @@ def build_aux_space(basis: TensorBasis) -> TensorBasis:
     to p1+2 and the 0.5 repetition to p1+1, with degree p1+1; the eta part
     is copied unchanged.
     """
-    kv = basis.xi
+    return TensorBasis(_aux_xi(basis.xi), basis.eta)
+
+
+def _aux_xi(kv: KnotVector) -> KnotVector:
     p = kv.degree
     vals, counts = unique_knots(kv.knots)
     i_half = np.where(np.abs(vals - 0.5) <= KNOT_TOL)[0]
@@ -348,9 +351,7 @@ def build_aux_space(basis: TensorBasis) -> TensorBasis:
     new_counts[0] += 1
     new_counts[-1] += 1
     new_counts[i_half[0]] += 1
-    knots = np.repeat(vals, new_counts)
-    aux_xi = KnotVector(p + 1, knots)
-    return TensorBasis(aux_xi, basis.eta)
+    return KnotVector(p + 1, np.repeat(vals, new_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +396,36 @@ def _sum_span_products(A, B, first, n, pairs):
     return out
 
 
+def _xi_tables(kv: KnotVector):
+    """EggAssembly's tables of the xi direction, which depend on its knot
+    vector alone: the first function of each span; the 1-D projection
+    ``proj``; the xi tables the eta derivatives 0, 1, 2 of the fields meet
+    (terms, 1, n1, xi points): x_xi, u_xi | x_eta, x_xi_eta, u_eta |
+    x_eta_eta; the weighted test functions (xi points, n1); and the xi
+    products w N_i1 tau_j1 of the Newton matrix over (term, xi point) per
+    span, with tau = phi', phi + N', N for the component-diagonal terms of
+    eta derivative 0, 1, 2 (inner j1 only) and N', N for the 2x2 ones."""
+    aux_xi = _aux_xi(kv)
+    n1, n1q = kv.n, aux_xi.degree + 1
+    rule = np.polynomial.legendre.leggauss(n1q)
+    w1, first1, N = _gauss_windows(kv, rule, 1)
+    _, first_a, A = _gauss_windows(aux_xi, rule, 1)
+    E1, L1 = len(w1), N.shape[-1]
+    Nd, Ad = _dense(first1, N, n1), _dense(first_a, A, aux_xi.n)
+    wa = w1.reshape(-1, 1) * Ad[0]
+    proj = np.linalg.solve(wa.T @ Ad[0], wa.T @ Nd[1])
+    phi = Ad @ proj                               # (2, xi points, n1)
+    fields = tuple(np.stack(t).transpose(0, 2, 1)[:, None] for t in
+                   ((Nd[1], phi[1]), (Nd[0], Nd[1], phi[0]), (Nd[0],)))
+    wN = w1[..., None] * N[0]
+    tau = np.stack([phi[1], phi[0] + Nd[1], Nd[0]])[:, :, 1:-1]
+    diag = np.einsum("eql,keqj->eljkq", wN, tau.reshape(3, E1, n1q, n1 - 2)
+                     ).reshape(E1, L1, n1 - 2, 3 * n1q)
+    full = np.einsum("eql,keqj->eljkq", wN, N[::-1]).reshape(
+        E1, L1, L1, 2 * n1q)
+    return first1, proj, fields, w1.reshape(-1, 1) * Nd[0], diag, full
+
+
 class EggAssembly:
     """Per-direction quadrature tables and the banded Newton-matrix layout
     of one primal basis, with the auxiliary space built from it.
@@ -411,9 +442,15 @@ class EggAssembly:
     Every integrand is a tensor product, so nothing is tabulated per 2-D
     element.  The xi tables are dense over all xi Gauss points (phi is
     nonzero on every span anyway); the eta tables are the p+1 functions of
-    each span.  ``fields`` contracts the net with the eta windows, then
-    with the xi tables, onto the Gauss grid; ``residual`` is the transposed
-    pair.  The Jacobian integrand is a sum of terms
+    each span.  The xi tables (``_xi_tables``: ``proj``, phi and the
+    field, test and Newton-matrix tables built from them) depend on the xi
+    knot vector alone, which is fixed for a geometry, so they come from
+    ``splines.basis_tables``, shared by every assembly over the same xi
+    degree and knot values within its TABLE_CACHE_SIZE entries; the eta
+    tables follow the per-angle eta knots and are built per assembly.
+    ``fields`` contracts the net with the eta windows, then with the xi
+    tables, onto the Gauss grid; ``residual`` is the transposed pair.  The
+    Jacobian integrand is a sum of terms
     coefficient(q) * trial xi function * trial eta derivative, with the
     weighted test function N_i1 M_i2; each term is summed over the eta
     points of each span against products M_i2 M^(k)_j2 and folded into
@@ -423,50 +460,28 @@ class EggAssembly:
     Residuals and steps are vectors over the inner control points numbered
     eta-slow: eta index j holds its 2*(xi.n - 2) dofs, component fastest.
     A knot span couples every xi dof of its p+1 eta indices, so the
-    half-bandwidths stay below p+1 such blocks whatever the eta length.  The component-diagonal block (through u, x_xi_eta and
-    x_eta_eta) is the same for both components and is placed once: in the
+    half-bandwidths stay below p+1 such blocks whatever the eta length.
+    The component-diagonal block (through u, x_xi_eta and x_eta_eta) is
+    the same for both components and is placed once: in the
     Fortran-ordered band array the component-1 entry (2r + 1, 2c + 1) has
     the row of the component-0 entry (2r, 2c), one column on.
     """
 
     def __init__(self, basis: TensorBasis):
-        aux_xi = build_aux_space(basis).xi
         self.basis = basis
-        n1 = basis.xi.n
-        n1q, n2q = aux_xi.degree + 1, basis.eta.degree + 1
-        rule1 = np.polynomial.legendre.leggauss(n1q)
-        w1, self._first1, N = _gauss_windows(basis.xi, rule1, 1)
+        (self._first1, self.proj, self._xi, self._xi_test, self._xi_diag,
+         self._xi_x) = basis_tables(_xi_tables, basis.xi)
+        n2q = basis.eta.degree + 1
         w2, self._first2, M = _gauss_windows(
             basis.eta, np.polynomial.legendre.leggauss(n2q), 2)
-        _, first_a, A = _gauss_windows(aux_xi, rule1, 1)
-        E1, L1, L2 = len(w1), N.shape[-1], M.shape[-1]
-        Nd, Ad = _dense(self._first1, N, n1), _dense(first_a, A, aux_xi.n)
-        wa = w1.reshape(-1, 1) * Ad[0]
-        self.proj = np.linalg.solve(wa.T @ Ad[0], wa.T @ Nd[1])
-        phi = Ad @ self.proj                      # (2, xi points, n1)
-
-        # fields: the eta windows of each span (E2, 3 * n2q, L2), then the
-        # xi tables (terms, 1, n1, xi points) each eta derivative meets:
-        # x_xi, u_xi | x_eta, x_xi_eta, u_eta | x_eta_eta
+        L2 = M.shape[-1]
+        # fields: the eta windows of each span (E2, 3 * n2q, L2)
         self._eta = M.transpose(1, 0, 2, 3).reshape(len(w2), -1, L2)
         self._win2 = self._first2[:, None] + np.arange(L2)
-        self._xi = tuple(np.stack(t).transpose(0, 2, 1)[:, None] for t in
-                         ((Nd[1], phi[1]), (Nd[0], Nd[1], phi[0]), (Nd[0],)))
         # residual: the weighted test functions
-        self._xi_test = w1.reshape(-1, 1) * Nd[0]            # (xi points, n1)
         self._eta_test = (w2[..., None] * M[0]).transpose(0, 2, 1)[:, :, None]
-        # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q), and
-        # xi products w N_i1 tau_j1 over (term, xi point) per span, with
-        # tau = phi', phi + N', N for the component-diagonal terms of eta
-        # derivative 0, 1, 2 (inner j1 only) and N', N for the 2x2 ones
-        wN = w1[..., None] * N[0]
+        # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
-        tau = np.stack([phi[1], phi[0] + Nd[1], Nd[0]])[:, :, 1:-1]
-        self._xi_diag = np.einsum(
-            "eql,keqj->eljkq", wN, tau.reshape(3, E1, n1q, n1 - 2)
-        ).reshape(E1, L1, n1 - 2, 3 * n1q)
-        self._xi_x = np.einsum("eql,keqj->eljkq", wN, N[::-1]).reshape(
-            E1, L1, L1, 2 * n1q)
         self._layout_newton()
 
     def _layout_newton(self):

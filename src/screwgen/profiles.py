@@ -311,13 +311,17 @@ def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> Cros
 
     Both rotors are sampled with ``n_points``; point k of the cloud is the
     same material point at every angle (the base outline rotated), so chord
-    parameters are angle-invariant.  The right rotor leads the left one by
-    pi/flight_count about its own axis (co-rotating kinematics).
+    parameters are angle-invariant.  The right rotor is turned by
+    (pi + pi/z) mod (2 pi/z) about its own axis against the left one, for
+    z = flight_count (co-rotating kinematics): a root, at pi/z from a tip,
+    then faces the left rotor's tip, which faces the right rotor at
+    theta = 0.  The phase is pi/z for even z and 0 for odd z.
     """
     if n_points < 64:
         raise InvalidGeometryError("n_points must be >= 64")
     base = _rotor_outline(params, n_points)
-    phase = math.pi / params.flight_count
+    z = params.flight_count
+    phase = math.pi / z if z % 2 == 0 else 0.0
     left = PointCloud(base @ rotation(theta).T + params.left_center)
     right = PointCloud(base @ rotation(theta + phase).T + params.right_center)
     return CrossSection(theta, params, left, right)

@@ -27,10 +27,14 @@ temporary is O(block (q+1)), so the memory beyond the output is fixed, and
 
 Everything in this module is a pure function of immutable values; instances
 never mutate after construction and can be shared freely between threads.
+``basis_tables`` memoizes such functions of knot vectors, keyed by degree
+and knot values, in one cache bounded by TABLE_CACHE_SIZE entries whose
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ from .errors import DomainError, InvalidRefinementError
 
 KNOT_TOL = 1e-12  # absolute tolerance for knot equality
 EVAL_BLOCK = 4096  # points per block of SplineMap evaluation
+TABLE_CACHE_SIZE = 16  # entries of the fixed-basis table cache (basis_tables)
 
 
 def _frozen(a):
@@ -207,6 +212,47 @@ def basis_matrix(kv: KnotVector, x, der: int = 0):
     out = np.zeros((len(x), kv.n))
     np.put_along_axis(out, cols, ders[der], axis=1)
     return out
+
+
+class _KnotKey:
+    """A knot vector hashed and compared by its degree and knot values."""
+
+    __slots__ = ("kv", "key")
+
+    def __init__(self, kv: KnotVector):
+        self.kv, self.key = kv, (kv.degree, kv.knots.tobytes())
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+def _freeze_tables(tables):
+    if isinstance(tables, np.ndarray):
+        tables.flags.writeable = False
+    elif isinstance(tables, tuple):
+        for t in tables:
+            _freeze_tables(t)
+    return tables
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _basis_tables(build, *keys):
+    return _freeze_tables(build(*(k.kv for k in keys)))
+
+
+def basis_tables(build, *kvs):
+    """``build(*kvs)``, a tuple of tables that depend only on the knot
+    vectors, shared by every caller that passes the same builder and knot
+    vectors of the same degrees and knot values.
+
+    The cache keeps the TABLE_CACHE_SIZE most recently used results, and
+    their arrays are read-only.  It serves bases fixed for a geometry (the
+    control basis, the separator's xi basis), not the per-angle eta knots.
+    """
+    return _basis_tables(build, *map(_KnotKey, kvs))
 
 
 def _check_param(x, name="parameter"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,108 @@ def test_qp_step_returns_the_kkt_point():
         dropped += np.sum(active & ~work)
         pinned += np.sum(work[:, [0, -1]])
     assert dropped > 0 and pinned > 0
+
+
+def brute_force_qp(g, K, slack):
+    """The minimizer of g.s + s.K.s / 2 over slack + D s >= 0, by trying
+    every set W of gaps held at the margin: the equality-constrained
+    minimizer that is feasible and has multipliers >= 0 is the KKT point,
+    which is unique because K is positive definite."""
+    D = gap_rows(*slack.shape)
+    slack, n = slack.ravel(), len(g)
+    found = []
+    for bits in itertools.product((False, True), repeat=len(slack)):
+        A = D[list(bits)]
+        if len(A) and np.linalg.matrix_rank(A) < len(A):
+            continue
+        kkt = np.block([[K, -A.T], [A, np.zeros((len(A), len(A)))]])
+        sol = np.linalg.solve(kkt, np.concatenate([-g, -slack[list(bits)]]))
+        s, lam = sol[:n], sol[n:]
+        if (slack + D @ s).min() >= -1e-12 and lam.min(initial=0.0) >= -1e-12:
+            found.append(s)
+    assert found
+    return found[0]
+
+
+def test_qp_step_matches_the_brute_force_working_set():
+    # one solve with K per call, and no bordered KKT system
+    rng = np.random.default_rng(5)
+    solves, bound = [], 0
+    real_solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(a)
+        return real_solve(a, b)
+
+    for n_mu, n_gaps in [(2, 3), (2, 4), (2, 5), (3, 3)] * 6:
+        n = n_mu * (n_gaps - 1)
+        B = rng.normal(size=(n, n))
+        K, g = B @ B.T + 0.1 * np.eye(n), 3.0 * rng.normal(size=n)
+        slack = rng.uniform(0.01, 0.2, (n_mu, n_gaps))
+        slack[rng.random((n_mu, n_gaps)) < 0.4] = 0.0
+        slack[:, rng.integers(n_gaps)] = 0.1     # every row keeps one above
+        active = (slack == 0.0) & (rng.random((n_mu, n_gaps)) < 0.5)
+        want = brute_force_qp(g, K, slack)
+        solves.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", counted)
+            mp.setattr(np, "block", None)
+            s, _ = control_map._qp_step(g, K, slack, active)
+        assert sum(a is K for a in solves) == 1
+        assert np.abs(s - want).max() <= 1e-10
+        bound += np.sum(np.abs(slack.ravel() + gap_rows(n_mu, n_gaps) @ s)
+                        <= 1e-12)
+    assert bound > 24                       # the margin binds, not only s = 0
+
+
+def test_optimize_control_runs_one_cost_pass_per_point(monkeypatch):
+    x = curved_map()
+    passes = []
+    real = CostEvaluator._terms
+
+    def counted(self, coeffs, partials):
+        passes.append(partials)
+        return real(self, coeffs, partials)
+
+    monkeypatch.setattr(CostEvaluator, "_terms", counted)
+    for init in (identity_control(default_control_basis()),
+                 perturbed_control(4)):
+        passes.clear()
+        out = optimize_control(x, init)
+        assert out.iterations > 0
+        assert len(passes) == out.iterations + 1
+    # the early exit pays its one pass
+    gx, ge = x.basis.greville_grid()
+    affine = SplineMap(x.basis, np.stack(np.meshgrid(2.0 * gx, 3.0 * ge,
+                                                     indexing="ij"), -1))
+    passes.clear()
+    assert optimize_control(
+        affine, identity_control(default_control_basis())).iterations == 0
+    assert len(passes) == 1
+
+
+def test_evaluator_reuses_the_last_pass_only_at_the_same_values():
+    s = perturbed_control()
+    ev = CostEvaluator(curved_map(), s.basis)
+    coeffs = np.array(s.coeffs)
+    cost = ev.cost_of(coeffs)
+    coeffs[3, 4] += 1e-3                      # the caller's array changes
+    assert ev.cost_of(coeffs) != cost
+    assert ev.gradient(coeffs)[0] == ev.cost_of(coeffs)
+    assert CostEvaluator(curved_map(), s.basis).cost_of(coeffs) \
+        == ev.cost_of(coeffs)
+
+
+def test_evaluators_over_one_basis_share_their_tables():
+    x = curved_map()
+    a, b = (CostEvaluator(x, default_control_basis()) for _ in range(2))
+    for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d", "_cell_samples", "_N",
+                 "_M", "_pairs"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    assert a.taylor is not b.taylor           # the map's own tables
+    other = CostEvaluator(x, GRADED)
+    assert other.Bmu is not a.Bmu
 
 
 def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):

@@ -23,7 +23,7 @@ from screwgen.parameterization import (
 )
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
-from screwgen.splines import (SplineCurve, SplineMap, TensorBasis,
+from screwgen.splines import (KnotVector, SplineCurve, SplineMap, TensorBasis,
                               basis_matrix, blossoms, bounding_box_diagonal,
                               greville_abscissae, open_knots, uniform_knots,
                               unique_knots)
@@ -615,6 +615,18 @@ def test_half_bandwidths_do_not_grow_with_eta_resolution():
         assert max(asm.kl, asm.ku) <= 4 * 2 * (tb.xi.n - 2) - 1
         widths.add((asm.kl, asm.ku))
     assert len(widths) == 1
+
+
+def test_assemblies_over_one_xi_basis_share_its_tables():
+    a = EggAssembly(EGG_TB)
+    b = EggAssembly(TensorBasis(KnotVector(3, EGG_TB.xi.knots.copy()),
+                                uniform_knots(3, 24)))
+    for name in ("_first1", "proj", "_xi", "_xi_test", "_xi_diag", "_xi_x"):
+        assert getattr(a, name) is getattr(b, name)
+    assert not a.proj.flags.writeable and not a._xi[0].flags.writeable
+    assert a._eta_pairs is not b._eta_pairs    # the eta tables are per basis
+    other = EggAssembly(TensorBasis(separator_xi_basis(3, 5), EGG_TB.eta))
+    assert other.proj is not a.proj
 
 
 def test_assembly_requires_macro_split():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from screwgen import parameterization, pipeline
+from screwgen import control_map, parameterization, pipeline
 from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
@@ -24,7 +24,7 @@ from screwgen.profiles import (ScrewParams, booy_profile, cusp_points,
                                load_profile, rotation, save_profile)
 from screwgen.splines import (KNOT_TOL, SplineCurve, SplineMap, open_knots,
                               unique_knots)
-from test_control_map import terms_by_basis
+from test_control_map import gap_rows, terms_by_basis
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
@@ -94,6 +94,32 @@ def test_quarter_turn_control_map_on_the_basis_oracle_takes_the_same_steps(
     want = optimize_control(x, identity)
     assert quarter_turn.control.iterations == want.iterations > 0
     assert np.abs(quarter_turn.control.coeffs - want.coeffs).max() <= 1e-12
+
+
+def test_quarter_turn_control_steps_are_kkt_points(quarter_turn, monkeypatch):
+    # every constrained step of the pi/4 optimization is stationary on its
+    # working gaps, with nonnegative multipliers, and keeps every gap at or
+    # above the margin
+    x = quarter_turn.separator.map
+    steps = []
+    real = control_map._qp_step
+
+    def recorded(g, K, slack, active):
+        s, work = real(g, K, slack, active)
+        steps.append((g, K, slack, s, work))
+        return s, work
+
+    monkeypatch.setattr(control_map, "_qp_step", recorded)
+    out = optimize_control(x, identity_control(quarter_turn.control.basis))
+    assert len(steps) == out.iterations > 0
+    assert np.array_equal(out.coeffs, quarter_turn.control.coeffs)
+    for g, K, slack, s, work in steps:
+        D = gap_rows(*slack.shape)
+        A, grad = D[work.ravel()], K @ s + g
+        lam = np.linalg.lstsq(A.T, grad, rcond=None)[0]
+        assert np.abs(A.T @ lam - grad).max() <= 1e-10 * np.abs(g).max()
+        assert lam.min(initial=0.0) >= -1e-12
+        assert (slack.ravel() + D @ s).min() >= -1e-12
 
 
 @pytest.mark.parametrize("saved_angle", [0.0, math.pi / 8], ids=["0", "pi_8"])

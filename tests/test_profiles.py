@@ -39,15 +39,29 @@ def test_rotational_symmetry_full_flight():
     assert d.min(axis=1).max() <= 1e-9 * TABLE2.screw_radius
 
 
-def test_flank_clearance_oracle():
+def three_or_four_flights(z, centerline_distance):
+    return ScrewParams(screw_radius=0.05,
+                       centerline_distance=centerline_distance,
+                       screw_screw_clearance=0.5e-3,
+                       screw_barrel_clearance=0.5e-3, flight_count=z)
+
+
+FLIGHTS = [dataclasses.replace(TABLE2, flight_count=1), TABLE2,
+           three_or_four_flights(3, 0.095), three_or_four_flights(4, 0.098)]
+
+
+@pytest.mark.parametrize("params", FLIGHTS,
+                         ids=[f"z{p.flight_count}" for p in FLIGHTS])
+def test_flank_clearance_oracle(params):
     # brute-force nearest-neighbor distance between the rotor clouds stays
-    # at or above the screw-screw clearance at every angle
-    tol = 0.05 * TABLE2.screw_screw_clearance
-    for theta in np.linspace(0.0, math.pi, 8):
-        sec = booy_profile(TABLE2, theta, 512)
+    # at or above the screw-screw clearance at 33 angles of one period;
+    # sampling can only overestimate the least distance of the outlines
+    tol = 0.05 * params.screw_screw_clearance
+    for theta in np.linspace(0.0, 2 * math.pi / params.flight_count, 33):
+        sec = booy_profile(params, theta, 504)    # divisible by 1, 2, 3, 4
         d = np.linalg.norm(sec.left_rotor.points[:, None, :]
                            - sec.right_rotor.points[None, :, :], axis=2)
-        assert d.min() >= TABLE2.screw_screw_clearance - tol
+        assert d.min() >= params.screw_screw_clearance - tol, theta
 
 
 def test_right_rotor_is_phase_shifted_left():

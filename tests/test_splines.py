@@ -5,15 +5,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from screwgen.errors import DomainError, InvalidRefinementError
+from screwgen import splines
 from screwgen.splines import (
     EVAL_BLOCK,
     KNOT_TOL,
+    TABLE_CACHE_SIZE,
     KnotVector,
     SplineCurve,
     SplineMap,
     TensorBasis,
     _check_param,
     basis_matrix,
+    basis_tables,
     greville_abscissae,
     insert_knots,
     join_curves,
@@ -650,3 +653,33 @@ def test_join_tolerance_is_relative_to_the_curves(scale):
         else:
             with pytest.raises(DomainError, match="seam"):
                 join_curves(first, second, 0.5)
+
+
+def test_basis_tables_are_keyed_by_degree_and_knot_values():
+    built = []
+
+    def build(kv):
+        built.append(kv)
+        return np.array(kv.knots) * 2.0, (kv.n, np.ones(kv.n))
+
+    kv = uniform_knots(3, 5)
+    first = basis_tables(build, kv)
+    # an equal knot vector built apart shares the tables, read-only
+    assert basis_tables(build, KnotVector(3, kv.knots.copy())) is first
+    assert not first[0].flags.writeable and not first[1][1].flags.writeable
+    assert basis_tables(build, uniform_knots(2, 5)) is not first
+    assert basis_tables(build, uniform_knots(3, 6)) is not first
+    assert len(built) == 3
+
+
+def test_basis_tables_cache_stays_within_its_bound():
+    def build(kv):
+        return (np.array(kv.knots),)
+
+    kvs = [uniform_knots(2, k) for k in range(1, TABLE_CACHE_SIZE + 6)]
+    first = basis_tables(build, kvs[0])
+    for kv in kvs[1:]:
+        basis_tables(build, kv)
+        assert splines._basis_tables.cache_info().currsize <= TABLE_CACHE_SIZE
+    # the least recently used entry went and is built anew
+    assert basis_tables(build, kvs[0]) is not first
