@@ -24,8 +24,9 @@ value, which is free of the length unit, and stops once a step lowers it
 by less than a fixed share.
 
 Each point costs one pass over the samples: ``CostEvaluator`` keeps the
-last point's terms, so a trial's cost and, once it is taken, its gradient
-come from the same pass.  The tables that depend only on the control basis
+last point's pass, so a trial's cost and, once it is taken, its gradient
+come from the same pass, and the partials the gradient needs are finished
+from it only then.  The tables that depend only on the control basis
 or on the map's xi basis, both fixed for a geometry, are built once and
 shared through ``splines.basis_tables``, keyed by degree and knot values
 and bounded by TABLE_CACHE_SIZE entries; nothing is keyed by the
@@ -163,8 +164,9 @@ def _sample_columns():
 def _control_tables(kv_mu, kv_nu):
     """The tables of one control basis: its sample matrices Bmu, Bmu_d, Bnu,
     Bnu_d; the samples of each control-span cell (span_mu, span_nu, 1,
-    slots) as flat indices and the basis values N, N' and M, M' there; the
-    free (interior eta column) index of each cell's control values, n_free
+    slots) as flat indices, the basis values N, N' there, (2, span_mu, 1,
+    p+1, slots), and M, M' stacked per eta span, (span_nu, 2, q+1, slots);
+    the free (interior eta column) index of each cell's control values, n_free
     for a pinned one, as pairs in the (n_free + 1)^2 matrix whose last row
     and column are dropped; and n_free."""
     t = _sample_columns()
@@ -185,7 +187,7 @@ def _control_tables(kv_mu, kv_nu):
     pairs = (dof[:, :, None] * (n_free + 1) + dof[:, None, :]).ravel()
     return mats + (cell_samples,
                    np.repeat(N, M.shape[-1], axis=-1)[:, :, None],
-                   np.tile(M, rows_mu.shape[1])[:, None, :, None],
+                   np.tile(M, rows_mu.shape[1]).transpose(1, 0, 2, 3).copy(),
                    pairs, n_free)
 
 
@@ -213,14 +215,17 @@ class CostEvaluator:
     cell, d_sig N M + d_mu N' M + d_nu N M', so J^T J is one batched
     product of per-cell blocks and one scatter.
 
-    Each point costs one pass: the evaluator keeps the dots, sizes and
-    partials of the last point it evaluated, so ``cost_of`` or
-    ``cost_and_scale`` followed by ``gradient`` at the same control values
-    runs ``_terms`` once.  The tables of the control basis and the rows of
-    the map's xi basis at the sample columns depend on those bases alone
-    and come from ``splines.basis_tables``, shared by every evaluator over
-    the same bases; the Taylor tables depend on the map's net and are built
-    per evaluator.
+    Each point costs one pass: the evaluator keeps the pass of the last
+    point it evaluated, so ``cost_of`` or ``cost_and_scale`` followed by
+    ``gradient`` at the same control values runs ``_terms`` once.  A pass
+    computes the dots and sizes and keeps the derivatives of x it read; the
+    partials are finished from them (``_partials``) only when ``gradient``
+    reads them, so a trial that is rejected or ends the loop, and a one-off
+    ``orthogonality_cost``, pay for none.  The tables of the control basis
+    and the rows of the map's xi basis at the sample columns depend on
+    those bases alone and come from ``splines.basis_tables``, shared by
+    every evaluator over the same bases; the Taylor tables depend on the
+    map's net and are built per evaluator.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -241,7 +246,7 @@ class CostEvaluator:
              for rows in basis_tables(_column_rows, x.basis.xi)], axis=-1)
         kv = x.basis.eta
         p = kv.degree
-        self.lo = np.unique(kv.knots[p:kv.n])
+        self.lo = kv.breakpoints[:-1]
         cols, ders = basis_ders_nonzero(kv, self.lo, p)
         factorials = [math.factorial(k) for k in range(p + 1)]
         ders /= np.array(factorials)[:, None, None]
@@ -252,16 +257,20 @@ class CostEvaluator:
         self._last = None
 
     def _at(self, coeffs):
-        """``_terms(coeffs, True)``, from the last pass if it was at the
-        same control values."""
-        if self._last is None or not np.array_equal(self._last[0], coeffs):
-            self._last = (np.array(coeffs), self._terms(coeffs, True))
-        return self._last[1]
+        """The pass at the control values, kept from the last call if it
+        was at the same values."""
+        if self._last is None or not np.array_equal(self._last["coeffs"],
+                                                    coeffs):
+            self._last = None      # never hold two passes at once
+            self._last = self._terms(coeffs)
+        return self._last
 
-    def _terms(self, coeffs, partials: bool):
-        """Per-sample dots D, the products |t_mu|^2 |t_nu|^2 that bound D^2,
-        and, if asked, the partials of D with respect to sigma, sigma_mu and
-        sigma_nu."""
+    def _terms(self, coeffs):
+        """One pass over the samples: per-sample dots D, the products
+        |t_mu|^2 |t_nu|^2 that bound D^2, and what ``_partials`` reads: the
+        clipped samples, sigma_mu, sigma_nu, the eta derivatives of x and
+        x_xi and the tangents.  The Taylor gather is not kept: holding it
+        between calls makes the next passes fault in fresh pages."""
         sig = self.Bmu @ coeffs @ self.Bnu.T
         sig_mu = self.Bmu_d @ coeffs @ self.Bnu.T
         sig_nu = self.Bmu @ coeffs @ self.Bnu_d.T
@@ -270,37 +279,44 @@ class CostEvaluator:
                     0, len(self.lo) - 1)
         u = eta - self.lo[s]
         c = np.take(self.taylor, self._row + s, axis=2)
-        # Horner: value, first derivative and half the second derivative
-        val = c[-1]
-        d1 = d2 = np.zeros_like(val)
+        # Horner: value and first derivative, and half the second
+        # derivative of x from the coefficients k (k - 1) / 2 c_k
+        val, d1 = c[-1], np.zeros_like(c[-1])
         for k in range(len(c) - 2, -1, -1):
-            if partials:
-                d2 = d2 * u + d1
             d1 = d1 * u + val
             val = val * u + c[k]
+        p = len(c) - 1
+        half = math.comb(p, 2) * c[p, :2]
+        for k in range(p - 1, 1, -1):
+            half = half * u + math.comb(k, 2) * c[k, :2]
         x_eta, x_xi = d1[:2], val[2:]
-        t_mu = (x_xi[0] + sig_mu * x_eta[0], x_xi[1] + sig_mu * x_eta[1])
-        t_nu = (sig_nu * x_eta[0], sig_nu * x_eta[1])
-        dots = t_mu[0] * t_nu[0] + t_mu[1] * t_nu[1]
-        sizes = ((t_mu[0] * t_mu[0] + t_mu[1] * t_mu[1])
-                 * (t_nu[0] * t_nu[0] + t_nu[1] * t_nu[1]))
-        if not partials:
-            return dots, sizes, None
-        x_xieta, x_etaeta = d1[2:], 2.0 * d2[:2]
-        d_sig = (((x_xieta[0] + sig_mu * x_etaeta[0]) * t_nu[0]
-                  + (x_xieta[1] + sig_mu * x_etaeta[1]) * t_nu[1])
-                 + (t_mu[0] * (sig_nu * x_etaeta[0])
-                    + t_mu[1] * (sig_nu * x_etaeta[1])))
-        d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0  # x is read at the clipped sigma
-        d_mu = x_eta[0] * t_nu[0] + x_eta[1] * t_nu[1]
-        d_nu = t_mu[0] * x_eta[0] + t_mu[1] * x_eta[1]
-        return dots, sizes, (d_sig, d_mu, d_nu)
+        t_mu = x_xi + sig_mu * x_eta
+        t_nu = sig_nu * x_eta
+        return {"coeffs": np.array(coeffs), "dots": (t_mu * t_nu).sum(axis=0),
+                "sizes": (t_mu * t_mu).sum(axis=0) * (t_nu * t_nu).sum(axis=0),
+                "pass": ((sig < 0.0) | (sig > 1.0), sig_mu, sig_nu, d1,
+                         2.0 * half, t_mu, t_nu)}
+
+    def _partials(self, terms):
+        """The partials of D with respect to sigma, sigma_mu and sigma_nu
+        at a pass's samples, finished from what the pass kept on the first
+        call, which then drops it."""
+        if "partials" not in terms:
+            clipped, sig_mu, sig_nu, d1, x_etaeta, t_mu, t_nu = \
+                terms.pop("pass")
+            x_eta, x_xieta = d1[:2], d1[2:]
+            d_sig = (x_xieta * t_nu
+                     + x_etaeta * (sig_mu * t_nu + sig_nu * t_mu)).sum(axis=0)
+            d_sig[clipped] = 0.0          # x is read at the clipped sigma
+            terms["partials"] = (d_sig, (x_eta * t_nu).sum(axis=0),
+                                 (t_mu * x_eta).sum(axis=0))
+        return terms["partials"]
 
     def _cost(self, dots) -> float:
         return 0.5 * float(np.sum(dots * dots)) * self.cell_area
 
     def cost_of(self, coeffs: np.ndarray) -> float:
-        return self._cost(self._at(coeffs)[0])
+        return self._cost(self._at(coeffs)["dots"])
 
     def cost_and_scale(self, coeffs: np.ndarray):
         """``(cost_of(coeffs), scale)`` from one pass, the scale being
@@ -308,24 +324,28 @@ class CostEvaluator:
         have if each pair were parallel.  It bounds the cost (Cauchy-
         Schwarz) and scales with it, so their ratio is free of the length
         unit."""
-        dots, sizes, _ = self._at(coeffs)
-        return self._cost(dots), 0.5 * float(np.sum(sizes)) * self.cell_area
+        terms = self._at(coeffs)
+        return (self._cost(terms["dots"]),
+                0.5 * float(np.sum(terms["sizes"])) * self.cell_area)
 
     def gradient(self, coeffs: np.ndarray):
         """``(cost_of(coeffs), gradient, J^T J * area)`` from one pass, the
         gradient and the Gauss-Newton matrix being exact over the interior
         eta columns (raveled row-major)."""
-        dots, _, (d_sig, d_mu, d_nu) = self._at(coeffs)
+        terms = self._at(coeffs)
+        dots = terms["dots"]
+        d_sig, d_mu, d_nu = self._partials(terms)
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
-        (N, N_d), (M, M_d) = self._N, self._M
+        N, N_d = self._N
         d_sig, d_mu, d_nu = (np.take(d, self._cell_samples)
                              for d in (d_sig, d_mu, d_nu))
-        # (cells, (p+1)(q+1), samples)
-        rows = ((d_sig * N + d_mu * N_d)[:, :, :, None] * M
-                + (d_nu * N)[:, :, :, None] * M_d)
-        rows = rows.reshape(-1, N.shape[-2] * M.shape[-2], N.shape[-1])
+        # a sample's row is A_a M_b + B_a M'_b over the cell's control
+        # values (a, b), written straight into (cells, (p+1)(q+1), samples)
+        AB = np.stack([d_sig * N + d_mu * N_d, d_nu * N], axis=3)
+        rows = np.einsum("xyaks,ykbs->xyabs", AB, self._M).reshape(
+            -1, N.shape[-2] * self._M.shape[-2], N.shape[-1])
         m = self.n_free + 1
         normal = np.bincount(self._pairs,
                              np.matmul(rows, rows.transpose(0, 2, 1)).ravel(),

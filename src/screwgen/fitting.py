@@ -56,13 +56,21 @@ def _second_differences(g) -> np.ndarray:
     Greville abscissae g, scaled by the local gap: straight lines lie in the
     null space and the penalty weight decays under knot refinement, so the
     stabilization fixes rank deficiency without flooring fine fits."""
-    h0, h1 = np.diff(g)[:-1], np.diff(g)[1:]
+    h = np.diff(g)
+    h0, h1 = h[:-1], h[1:]
     hbar = 0.5 * (h0 + h1)
-    i = np.arange(len(hbar))
+    a, c = hbar / h0, hbar / h1
     D = np.zeros((len(hbar), len(g)))
-    D[i, i], D[i, i + 1], D[i, i + 2] = \
-        hbar / h0, -(hbar / h0 + hbar / h1), hbar / h1
+    # row i holds a, -(a + c), c from column i on: three strided diagonals
+    flat, step = D.reshape(-1), len(g) + 1
+    flat[::step], flat[1::step], flat[2::step] = a, -(a + c), c
     return D
+
+
+def _penalty_weight(points) -> float:
+    """The default penalty weight of a cloud: 1e-7 times its squared
+    extent."""
+    return 1e-7 * bounding_box_diagonal(points) ** 2
 
 
 def fit_curve(points, params, kv: KnotVector,
@@ -84,28 +92,28 @@ def fit_curve(points, params, kv: KnotVector,
         raise FitError("points and params length mismatch")
     params = _check_param(params)
     if lam_reg is None:
-        lam_reg = 1e-7 * bounding_box_diagonal(points) ** 2
+        lam_reg = _penalty_weight(points)
     n = kv.n
     cols, ders = basis_ders_nonzero(kv, params, 0)
     B = np.zeros((len(params), n))
-    np.put_along_axis(B, cols, ders[0], axis=1)
+    B[np.arange(len(params))[:, None], cols] = ders[0]
     D = _second_differences(greville_abscissae(kv))
     ctrl = np.zeros((n, 2))
     ctrl[0] = points[0]
     ctrl[-1] = points[-1]
-    # the inner control points; an empty system (n = 2) solves to nothing
-    free = np.arange(1, n - 1)
-    Bf = B[:, free]
-    rhs_pts = points - B[:, [0, n - 1]] @ ctrl[[0, -1]]
-    Df = D[:, free]
-    Dp = D[:, [0, n - 1]] @ ctrl[[0, -1]]
+    # the inner control points, columns 1 .. n-2, and the pinned ends,
+    # columns 0 and n-1, as views; an empty system (n = 2) solves to nothing
+    free, ends = slice(1, n - 1), slice(None, None, n - 1)
+    Bf, Df = B[:, free], D[:, free]
+    rhs_pts = points - B[:, ends] @ ctrl[ends]
+    Dp = D[:, ends] @ ctrl[ends]
     M = Bf.T @ Bf + lam_reg * (Df.T @ Df)
     rhs = Bf.T @ rhs_pts - lam_reg * (Df.T @ Dp)
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular fitting system: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise FitError("fitting system numerically singular despite stabilization")
     ctrl[free] = sol
     curve = SplineCurve(kv, ctrl)
@@ -135,12 +143,15 @@ def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,
                        max_spans: int = 512) -> FitResult:
     """Repeated fit/adapt loop until max_residual <= threshold.
 
-    Raises FitConvergenceError (carrying the best fit) if the span budget is
+    The penalty weight depends on the cloud alone, so it is computed once
+    and every level's fit (through ``fit_curve``) uses it.  Raises
+    FitConvergenceError (carrying the best fit) if the span budget is
     exhausted first.
     """
+    lam_reg = _penalty_weight(np.asarray(points, dtype=float))
     best = None
     while True:
-        fit = fit_curve(points, params, kv)
+        fit = fit_curve(points, params, kv, lam_reg)
         if best is None or fit.max_residual < best.max_residual:
             best = fit
         if fit.max_residual <= threshold:

@@ -47,7 +47,7 @@ from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, basis_tables, blossoms,
                       bounding_box_diagonal, greville_abscissae, insert_knots,
-                      open_knots, unique_knots)
+                      open_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
@@ -125,14 +125,12 @@ def _bezier(kv: KnotVector, cp):
     of the spline with control points cp along their leading axis: the
     blossoms f(lo^(p-j), hi^j), all spans and all j in one call."""
     p = kv.degree
-    vals, counts = unique_knots(kv.knots)
-    k = np.cumsum(counts)[:-1] - 1          # last knot index of each span
-    lo, hi = vals[:-1], vals[1:]
+    lo, hi = kv.breakpoints[:-1], kv.breakpoints[1:]
     # args[s, j, r] = hi on the last j levels r, else lo
     args = np.where(np.arange(p) >= p - np.arange(p + 1)[:, None],
                     hi[:, None, None], lo[:, None, None])
-    segs = blossoms(kv, cp, np.repeat(k, p + 1), args.reshape(-1, p))
-    return lo, hi, segs.reshape((len(k), p + 1) + segs.shape[1:])
+    segs = blossoms(kv, cp, np.repeat(kv.spans, p + 1), args.reshape(-1, p))
+    return lo, hi, segs.reshape((len(lo), p + 1) + segs.shape[1:])
 
 
 def _bernstein_cross(a, b):
@@ -342,7 +340,7 @@ def build_aux_space(basis: TensorBasis) -> TensorBasis:
 
 def _aux_xi(kv: KnotVector) -> KnotVector:
     p = kv.degree
-    vals, counts = unique_knots(kv.knots)
+    vals, counts = kv.breakpoints, kv.multiplicities
     i_half = np.where(np.abs(vals - 0.5) <= KNOT_TOL)[0]
     if len(i_half) != 1 or counts[i_half[0]] != p:
         raise StructureError(
@@ -449,8 +447,10 @@ class EggAssembly:
     degree and knot values within its TABLE_CACHE_SIZE entries; the eta
     tables follow the per-angle eta knots and are built per assembly.
     ``fields`` contracts the net with the eta windows, then with the xi
-    tables, onto the Gauss grid; ``residual`` is the transposed pair.  The
-    Jacobian integrand is a sum of terms
+    tables, onto the Gauss grid, and keeps the fields of the last net it
+    evaluated, compared by value, so the residual at a line-search trial
+    and the Newton matrix at the accepted one share one pass; ``residual``
+    is the transposed pair.  The Jacobian integrand is a sum of terms
     coefficient(q) * trial xi function * trial eta derivative, with the
     weighted test function N_i1 M_i2; each term is summed over the eta
     points of each span against products M_i2 M^(k)_j2 and folded into
@@ -483,6 +483,7 @@ class EggAssembly:
         # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
         self._layout_newton()
+        self._last = None      # (net, fields) of the last net evaluated
 
     def _layout_newton(self):
         """Eta-slow unknown positions, half-bandwidths and the raveled band
@@ -529,7 +530,14 @@ class EggAssembly:
     def fields(self, cp):
         """x_xi, x_eta, x_xi_eta, x_eta_eta, u_xi, u_eta (2, eta points, xi
         points) and the metric (eta points, xi points) on the Gauss grid,
-        both directions span-major."""
+        both directions span-major; the kept fields if ``cp`` equals the
+        last net evaluated."""
+        if self._last is None or not np.array_equal(self._last[0], cp):
+            self._last = None      # never hold two nets' fields at once
+            self._last = (np.array(cp), self._fields(cp))
+        return self._last[1]
+
+    def _fields(self, cp):
         n1 = len(cp)
         E2, L2 = self._win2.shape
         # the eta derivatives 0, 1, 2 on every eta point, (3, 2, points, n1)
@@ -643,7 +651,9 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     projection of x_xi at every iterate (see ``EggAssembly``), so the mixed
     form's projection equation holds exactly and only the harmonic one is
     solved.  Each step solves its analytic linearization in band storage
-    (LAPACK gbsv) and takes a backtracking line search on the residual norm.
+    (LAPACK gbsv) and takes a backtracking line search on the residual norm;
+    the assembly keeps the fields of the accepted trial, so each iterate
+    costs one fields pass, and so does the start (epsilon and residual).
     The residual is a length; the iteration stops once its norm is below
     NEWTON_TOL times the initial norm plus the initial net's bounding-box
     diagonal, so a scaled map takes the same steps.  A start whose residual

@@ -50,7 +50,7 @@ from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, bounding_box_diagonal, join_curves,
-                      open_knots, uniform_knots, unique_knots)
+                      open_knots, uniform_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
@@ -95,29 +95,37 @@ class FileSource:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _interior_counts(a: KnotVector, b: KnotVector):
-    """Distinct interior knot values of a and b together, with the
-    multiplicity of each in a and in b (KNOT_TOL clustering)."""
-    vals = unique_knots(np.sort(np.concatenate([a.knots, b.knots])))[0][1:-1]
-
-    def count(kv):
-        return np.sum(np.abs(kv.knots[None, :] - vals[:, None]) <= KNOT_TOL,
-                      axis=1)
-    return vals, count(a), count(b)
+def _merge_clusters(a: KnotVector, b: KnotVector):
+    """The clusterings of two knot vectors merged: the distinct values,
+    split where consecutive breakpoints lie more than KNOT_TOL apart as
+    ``unique_knots`` splits knots, each the least of its run, and the
+    multiplicities of a and of b at each, ends included."""
+    vals = np.concatenate([a.breakpoints, b.breakpoints])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    run = np.concatenate([[0], np.cumsum(vals[1:] - vals[:-1] > KNOT_TOL)])
+    n = int(run[-1]) + 1
+    where = run + n * (order >= len(a.breakpoints))
+    counts = np.bincount(
+        where, np.concatenate([a.multiplicities, b.multiplicities])[order],
+        minlength=2 * n).astype(int)
+    first = np.flatnonzero(np.diff(run, prepend=-1))
+    return vals[first], counts[:n], counts[n:]
 
 
 def merge_knot_vectors(a: KnotVector, b: KnotVector) -> KnotVector:
     """Union spline space: same degree, interior knots at max multiplicity."""
     if a.degree != b.degree:
         raise TopologyError("cannot merge knot vectors of different degree")
-    vals, ca, cb = _interior_counts(a, b)
-    return open_knots(a.degree, vals, np.maximum(ca, cb))
+    vals, ca, cb = _merge_clusters(a, b)
+    return open_knots(a.degree, vals[1:-1], np.maximum(ca, cb)[1:-1])
 
 
 def promote_curve(curve: SplineCurve, target: KnotVector) -> SplineCurve:
     """Re-express a curve in the (finer) target knot vector."""
-    vals, have, want = _interior_counts(curve.basis, target)
-    return curve.refine(np.repeat(vals, np.maximum(want - have, 0)))
+    vals, have, want = _merge_clusters(curve.basis, target)
+    return curve.refine(np.repeat(vals[1:-1],
+                                  np.maximum(want - have, 0)[1:-1]))
 
 
 def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:

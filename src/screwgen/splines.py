@@ -5,11 +5,18 @@ last knots are repeated degree+1 times. Interior knots may be repeated up
 to ``degree`` times, which reduces continuity down to C0 but never allows a
 discontinuous basis.
 
+A ``KnotVector`` clusters its knots once, when it is built: knots within
+KNOT_TOL of the one before them join its value.  The distinct values
+(breakpoints), their multiplicities and each element's span index are part
+of the value, and every consumer reads them there.
+
 The module has two kernels.  Every change of basis is ``blossoms``: the
 control points of a spline in a knot sequence that refines its own are its
 blossoms (polar forms) at that sequence's consecutive degree-tuples.  Knot
 insertion (all knots at once, the Oslo algorithm), sub-range extraction,
 Bezier nets and the halving of Bernstein coefficients all run through it.
+It runs de Boor's algorithm one level at a time, over all remaining indices
+and all requested blossoms at once.
 Every basis evaluation is ``basis_ders_nonzero``: one Cox-de Boor triangle
 gives the values and all derivatives of the p+1 functions nonzero at each
 point, returned with ``cols``, the (m, p+1) global indices of that window.
@@ -35,7 +42,7 @@ arrays are read-only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +74,11 @@ def bounding_box_diagonal(points) -> float:
 class KnotVector:
     """Open knot vector of a given degree over [0, 1].
 
+    The knots are clustered once, on construction, by ``unique_knots``, and
+    the clustering is part of the value: every consumer reads it here and
+    none clusters the knots again.  Every check of the knots runs on
+    construction, the interior multiplicities on that clustering.
+
     Attributes
     ----------
     degree : int
@@ -75,10 +87,21 @@ class KnotVector:
         Nondecreasing knot sequence of length n + p + 1 with exactly
         (p+1)-fold repetitions of 0 and 1 at the ends, so that every span
         a point can fall in is nonempty.
+    breakpoints : ndarray
+        Distinct knot values (element boundaries), each the first knot of
+        its cluster.
+    multiplicities : ndarray
+        Number of knots in each cluster.
+    spans : ndarray
+        For each element, the index of the last knot of its left cluster:
+        the span index k with knots[k] <= x < knots[k+1] inside it.
     """
 
     degree: int
     knots: np.ndarray
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicities: np.ndarray = field(init=False, repr=False, compare=False)
+    spans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "knots", _frozen(self.knots))
@@ -87,9 +110,9 @@ class KnotVector:
             raise DomainError(f"degree must be >= 1, got {p}")
         if t.ndim != 1 or len(t) < 2 * (p + 1):
             raise DomainError("knot vector too short for degree")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise DomainError("knots must be finite")
-        if np.any(np.diff(t) < -KNOT_TOL):
+        if (t[1:] - t[:-1]).min() < -KNOT_TOL:
             raise DomainError("knots must be nondecreasing")
         if abs(t[0]) > KNOT_TOL or abs(t[p] - t[0]) > KNOT_TOL:
             raise DomainError("knot vector must be clamped at 0")
@@ -97,8 +120,14 @@ class KnotVector:
             raise DomainError("knot vector must be clamped at 1")
         if t[p + 1] <= t[0] + KNOT_TOL or t[-p - 2] >= t[-1] - KNOT_TOL:
             raise DomainError("end knots repeated more than degree+1 times")
-        if np.any(unique_knots(t)[1][1:-1] > p):
+        vals, counts = unique_knots(t)
+        if counts[1:-1].max(initial=0) > p:
             raise DomainError("interior knot multiplicity exceeds degree")
+        spans = counts[:-1].cumsum() - 1
+        for name, value in (("breakpoints", vals), ("multiplicities", counts),
+                            ("spans", spans)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -106,16 +135,14 @@ class KnotVector:
         return len(self.knots) - self.degree - 1
 
     @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct knot values (element boundaries)."""
-        return unique_knots(self.knots)[0]
-
-    @property
     def n_elements(self) -> int:
         return len(self.breakpoints) - 1
 
     def multiplicity(self, value: float) -> int:
-        return int(np.sum(np.abs(self.knots - value) <= KNOT_TOL))
+        """Number of knots in the clusters whose value lies within KNOT_TOL
+        of ``value``."""
+        near = np.abs(self.breakpoints - value) <= KNOT_TOL
+        return int(self.multiplicities[near].sum())
 
 
 def uniform_knots(degree: int, n_elements: int) -> KnotVector:
@@ -140,9 +167,11 @@ def unique_knots(knots: np.ndarray):
     new value starts wherever a knot lies more than KNOT_TOL above the one
     before it, and each value is the first knot of its run."""
     knots = np.asarray(knots, dtype=float)
-    starts = np.flatnonzero(np.diff(knots) > KNOT_TOL) + 1
-    bounds = np.concatenate([[0], starts, [len(knots)]])
-    return knots[bounds[:-1]], np.diff(bounds)
+    # bounds of the runs: 0, every start and the end
+    split = np.ones(len(knots) + 1, dtype=bool)
+    np.greater(knots[1:] - knots[:-1], KNOT_TOL, out=split[1:-1])
+    bounds = np.flatnonzero(split)
+    return knots[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +182,7 @@ def find_spans(knots, degree, x):
     """Span index i with knots[i] <= x < knots[i+1], clamped to valid spans."""
     n = len(knots) - degree - 1
     s = np.searchsorted(knots, x, side="right") - 1
-    return np.clip(s, degree, n - 1).astype(np.intp)
+    return np.maximum(np.minimum(s, n - 1), degree)
 
 
 def basis_ders_nonzero(kv: KnotVector, x, nders: int):
@@ -167,7 +196,9 @@ def basis_ders_nonzero(kv: KnotVector, x, nders: int):
     N'_{g,r} = r (N_{g,r-1} / (t[g+r] - t[g]) - N_{g+1,r-1} / (t[g+r+1] - t[g+1])),
     whose divisors are those of the degree-r row.  Every span s is
     nonempty (a knot vector repeats its end knots exactly p+1 times), so
-    no divisor is zero.
+    no divisor is zero.  A row of degree r is one (r+1, m) array, so each
+    step of the triangle is one operation over the whole row and all
+    points.
 
     Returns
     -------
@@ -180,28 +211,31 @@ def basis_ders_nonzero(kv: KnotVector, x, nders: int):
     p, t = kv.degree, kv.knots
     spans = find_spans(t, p, x)
     low = p - min(nders, p)  # lowest degree a derivative reads
-    left = [None] + [x - t[spans + 1 - j] for j in range(1, p + 1)]
-    right = [None] + [t[spans + j] - x for j in range(1, p + 1)]
-    row = [np.ones(len(x))]
+    # left[j-1] = x - t[s+1-j] and right[j-1] = t[s+j] - x for j = 1..p
+    j = np.arange(1, p + 1)[:, None]
+    left, right = x - t[spans + 1 - j], t[spans + j] - x
+    row = np.ones((1, len(x)))
     rows, divisors = {0: row}, {}
-    for j in range(1, p + 1):
-        div = [right[k + 1] + left[j - k] for k in range(j)]
-        new, saved = [], 0.0
-        for k in range(j):
-            temp = row[k] / div[k]
-            new.append(saved + right[k + 1] * temp)
-            saved = left[j - k] * temp
-        row = new + [saved]
-        if j >= low:
-            rows[j], divisors[j] = row, div
+    for r in range(1, p + 1):
+        # N_k of degree r: the kth row entry over div[k], times right[k],
+        # plus the (k-1)th over div[k-1], times left[r-k]
+        div = right[:r] + left[r - 1::-1]
+        temp = row / div
+        row = np.zeros((r + 1, len(x)))
+        row[:r] = right[:r] * temp
+        row[1:] += left[r - 1::-1] * temp
+        if r >= low:
+            rows[r], divisors[r] = row, div
     ders = np.zeros((nders + 1, len(x), p + 1))
     for k in range(p - low + 1):
         row = rows[p - k]
         for r in range(p - k + 1, p + 1):
-            q = [n / d for n, d in zip(row, divisors[r])]
-            row = ([-r * q[0]] + [r * (a - b) for a, b in zip(q, q[1:])]
-                   + [r * q[-1]])
-        np.stack(row, axis=-1, out=ders[k])
+            q = row / divisors[r]
+            row = np.empty((r + 1, len(x)))
+            row[0] = -r * q[0]
+            row[1:-1] = r * (q[:-1] - q[1:])
+            row[-1] = r * q[-1]
+        ders[k] = row.T
     return (spans - p)[:, None] + np.arange(p + 1), ders
 
 
@@ -258,16 +292,16 @@ def basis_tables(build, *kvs):
 def _check_param(x, name="parameter"):
     x = np.asarray(x, dtype=float)
     # NaN fails every comparison, so test that x lies inside the range
-    if not np.all((x >= -KNOT_TOL) & (x <= 1.0 + KNOT_TOL)):
+    if not ((x >= -KNOT_TOL) & (x <= 1.0 + KNOT_TOL)).all():
         raise DomainError(f"{name} outside [0, 1] or not finite", name=name)
-    return np.clip(x, 0.0, 1.0)
+    return np.minimum(np.maximum(0.0, x), 1.0)
 
 
 def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Per-basis-function knot averages, clipped into [0, 1]."""
     p = kv.degree
     g = np.convolve(kv.knots[1:-1], np.ones(p) / p, mode="valid")
-    return np.clip(g, 0.0, 1.0)
+    return np.minimum(np.maximum(0.0, g), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +311,22 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
 def blossoms(kv: KnotVector, cp: np.ndarray, spans, args) -> np.ndarray:
     """Blossoms of the polynomial pieces on the given knot spans of the
     spline with control points cp along their leading axis, at the
-    arguments args (m, p): de Boor's algorithm on all m at once, level r
-    reading args[:, r-1]."""
+    arguments args (m, p): de Boor's algorithm on all m at once, one level
+    at a time, level r updating the points r..p together from args[:, r-1].
+    Each update is (1 - a) d[i-1] + a d[i], so the order in which the
+    points of a level are updated does not change a bit of the result."""
     p, t = kv.degree, kv.knots
-    shape = (-1,) + (1,) * (cp.ndim - 1)
-    d = [cp[spans - p + i] for i in range(p + 1)]
+    j = np.arange(p + 1)[:, None]
+    # level r updates point i from the knots t[s + i - p] and t[s + i + 1 - r]
+    lower, upper = t[spans + j - p], t[spans + j[:-1] + 1]
+    # cp's trailing axes lead, so that every product runs along the m points
+    d = np.take(np.moveaxis(np.asarray(cp, dtype=float), 0, -1),
+                spans + j - p, axis=-1)                  # (..., p+1, m)
     for r in range(1, p + 1):
-        x = args[:, r - 1]
-        for i in range(p, r - 1, -1):
-            left, right = t[spans - p + i], t[spans + i + 1 - r]
-            a = ((x - left) / (right - left)).reshape(shape)
-            d[i] = (1 - a) * d[i - 1] + a * d[i]
-    return d[p]
+        left, right = lower[r:], upper[:p + 1 - r]
+        a = (args[:, r - 1] - left) / (right - left)    # (p+1-r, m)
+        d[..., r:, :] = (1 - a) * d[..., r - 1:-1, :] + a * d[..., r:, :]
+    return np.ascontiguousarray(np.moveaxis(d[..., p, :], -1, 0))
 
 
 def _rebase(kv: KnotVector, cp: np.ndarray, tau, x) -> np.ndarray:
@@ -309,17 +347,23 @@ def insert_knots(kv: KnotVector, cp: np.ndarray, new_knots):
     """Refined knot vector and the control points, along the leading axis of
     ``cp``, of the same spline: all knots at once (Oslo algorithm), with
     tau the merged knots, new control point j on the old span holding
-    tau[j]."""
+    tau[j].  The multiplicity bound is the refined knot vector's own check
+    on its clustering: finite interior knots can fail no other."""
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size == 0:
         return kv, cp
     if np.any(new_knots <= KNOT_TOL) or np.any(new_knots >= 1.0 - KNOT_TOL):
         raise InvalidRefinementError("new knots must be interior")
+    if not np.isfinite(new_knots).all():
+        raise DomainError("knots must be finite")
     p = kv.degree
     tau = np.sort(np.concatenate([kv.knots, new_knots]))
-    if np.any(unique_knots(tau)[1][1:-1] > p):
-        raise InvalidRefinementError("insertion would exceed multiplicity bound")
-    return KnotVector(p, tau), _rebase(kv, cp, tau, tau[:len(tau) - p - 1])
+    try:
+        refined = KnotVector(p, tau)
+    except DomainError as exc:
+        raise InvalidRefinementError(
+            "insertion would exceed multiplicity bound") from exc
+    return refined, _rebase(kv, cp, tau, tau[:len(tau) - p - 1])
 
 
 # ---------------------------------------------------------------------------

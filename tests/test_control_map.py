@@ -66,7 +66,7 @@ def basis_pieces(ev, coeffs, partials=True):
 
 def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
     """Dots, sizes and partials from the pieces, as CostEvaluator._terms
-    returns them."""
+    and _partials give them."""
     def dot(a, b):
         return np.einsum("abd,abd->ab", a, b)
 
@@ -81,9 +81,12 @@ def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
     return dots, sizes, (d_sig, dot(x_eta, t_nu), dot(t_mu, x_eta))
 
 
-def terms_by_basis(ev, coeffs, partials=True):
-    """Reference for CostEvaluator._terms."""
-    return combine(*basis_pieces(ev, coeffs, partials))
+def terms_by_basis(ev, coeffs):
+    """Reference for CostEvaluator._terms: a pass whose partials are
+    already finished."""
+    dots, sizes, parts = combine(*basis_pieces(ev, coeffs))
+    return {"coeffs": np.array(coeffs), "dots": dots, "sizes": sizes,
+            "partials": parts}
 
 
 def assert_terms_match_oracle(ev, coeffs):
@@ -94,14 +97,15 @@ def assert_terms_match_oracle(ev, coeffs):
     pieces = basis_pieces(ev, coeffs)
     dots, sizes, parts = combine(*pieces)
     m_dots, m_sizes, m_parts = combine(pieces[0], *map(np.abs, pieces[1:]))
-    got_dots, got_sizes, got = ev._terms(coeffs, True)
-    for a, b, m in zip((got_dots, got_sizes) + got, (dots, sizes) + parts,
-                       (m_dots, m_sizes) + m_parts):
+    terms = ev._terms(coeffs)
+    # a pass leaves the partials to the first reader, which finishes them
+    # once
+    assert "partials" not in terms
+    got = ev._partials(terms)
+    assert ev._partials(terms) is got
+    for a, b, m in zip((terms["dots"], terms["sizes"]) + got,
+                       (dots, sizes) + parts, (m_dots, m_sizes) + m_parts):
         assert np.abs(a - b).max() <= 1e-13 * m.max()
-    plain_dots, plain_sizes, none = ev._terms(coeffs, False)
-    assert none is None
-    assert np.array_equal(plain_dots, got_dots)
-    assert np.array_equal(plain_sizes, got_sizes)
 
 
 def perturbed_control(seed=0):
@@ -160,7 +164,7 @@ def test_terms_match_the_basis_oracle(make):
 def dense_normal_matrix(ev, coeffs):
     """J^T J * area over the interior eta columns, from the oracle's
     partials and the dense Kronecker products of the sample matrices."""
-    _, _, (d_sig, d_mu, d_nu) = terms_by_basis(ev, coeffs)
+    d_sig, d_mu, d_nu = terms_by_basis(ev, coeffs)["partials"]
     jac = (d_sig.reshape(-1, 1) * np.kron(ev.Bmu, ev.Bnu)
            + d_mu.reshape(-1, 1) * np.kron(ev.Bmu_d, ev.Bnu)
            + d_nu.reshape(-1, 1) * np.kron(ev.Bmu, ev.Bnu_d))
@@ -205,7 +209,7 @@ def test_terms_match_the_basis_oracle_at_breakpoints_and_the_clip(make):
     sigma.ravel()[::7][:len(special)] = special
     assert np.isin(special, sigma).all()
     assert_terms_match_oracle(ev, sigma)
-    _, _, (d_sig, _, _) = ev._terms(sigma, True)
+    d_sig = ev._partials(ev._terms(sigma))[0]
     assert np.all(d_sig[(sigma < 0.0) | (sigma > 1.0)] == 0.0)
 
 
@@ -220,6 +224,31 @@ def test_optimize_control_on_the_basis_oracle_takes_the_same_steps(monkeypatch):
     assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12
     assert orthogonality_cost(x, got) == pytest.approx(
         orthogonality_cost(x, want), rel=1e-12)
+
+
+def test_partials_are_finished_only_for_the_gradient(monkeypatch):
+    # a one-off cost, a rejected trial and the converged last trial read
+    # no partials, so their passes never finish them
+    finished, gradients = [], []
+    real_partials, real_gradient = (CostEvaluator._partials,
+                                    CostEvaluator.gradient)
+
+    def partials(self, terms):
+        if "partials" not in terms:
+            finished.append(terms["coeffs"])
+        return real_partials(self, terms)
+
+    def gradient(self, coeffs):
+        gradients.append(coeffs)
+        return real_gradient(self, coeffs)
+
+    monkeypatch.setattr(CostEvaluator, "_partials", partials)
+    monkeypatch.setattr(CostEvaluator, "gradient", gradient)
+    x, init = curved_map(), identity_control(default_control_basis())
+    orthogonality_cost(x, init)
+    assert finished == []
+    out = optimize_control(x, init)
+    assert 0 < len(finished) == len(gradients) <= out.iterations
 
 
 def test_optimize_control_early_exit_is_scale_free():
@@ -389,9 +418,9 @@ def test_optimize_control_runs_one_cost_pass_per_point(monkeypatch):
     passes = []
     real = CostEvaluator._terms
 
-    def counted(self, coeffs, partials):
-        passes.append(partials)
-        return real(self, coeffs, partials)
+    def counted(self, coeffs):
+        passes.append(coeffs)
+        return real(self, coeffs)
 
     monkeypatch.setattr(CostEvaluator, "_terms", counted)
     for init in (identity_control(default_control_basis()),

@@ -24,10 +24,10 @@ from screwgen.parameterization import (
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from screwgen.splines import (KnotVector, SplineCurve, SplineMap, TensorBasis,
-                              basis_matrix, blossoms, bounding_box_diagonal,
+                              basis_matrix, bounding_box_diagonal,
                               greville_abscissae, open_knots, uniform_knots,
                               unique_knots)
-from test_splines import insert_knots_boehm
+from test_splines import blossoms_by_index, insert_knots_boehm
 
 
 def line_curve(kv, p0, p1):
@@ -236,12 +236,14 @@ def test_bezier_nets_match_knot_insertion():
 
 
 def bezier_by_levels(kv, cp):
-    """Reference Bezier nets: one blossoms call per Bernstein index j."""
+    """Reference Bezier nets: per Bernstein index j, de Boor one (level,
+    index) pair at a time on the spans of a fresh clustering."""
     p = kv.degree
     vals, counts = unique_knots(kv.knots)
     k = np.cumsum(counts)[:-1] - 1
     lo, hi = vals[:-1], vals[1:]
-    segs = [blossoms(kv, cp, k, np.column_stack([lo] * (p - j) + [hi] * j))
+    segs = [blossoms_by_index(kv, cp, k,
+                              np.column_stack([lo] * (p - j) + [hi] * j))
             for j in range(p + 1)]
     return lo, hi, np.stack(segs, axis=1)
 
@@ -502,6 +504,30 @@ def test_egg_newton_stop_is_scale_free():
         assert patch.iterations == ref.iterations
         assert np.abs(patch.map.control_points / scale
                       - ref.map.control_points).max() <= 1e-12 * extent
+
+
+def test_egg_solve_evaluates_the_fields_once_per_net(monkeypatch):
+    # the start's epsilon and residual share one fields pass, and each
+    # Newton matrix reads the fields of the trial its line search accepted
+    calls = {"_fields": 0, "residual": 0, "jacobian": 0}
+    for name in calls:
+        def counted(self, *args, _real=getattr(EggAssembly, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(EggAssembly, name, counted)
+    tb = TensorBasis(separator_xi_basis(3, 6), uniform_knots(3, 4))
+    halved = False
+    for init in (transfinite(*quarter_annulus_bounds(), QUARTER_TB),
+                 transfinite(*l_shape_bounds(tb), tb)):
+        for name in calls:
+            calls[name] = 0
+        patch = egg_solve(init)
+        trials = calls["residual"] - 1          # the start's residual
+        assert calls["jacobian"] == patch.iterations > 0
+        assert trials >= patch.iterations
+        assert calls["_fields"] == 1 + trials
+        halved |= trials > patch.iterations
+    assert halved                     # a rejected trial costs its own pass
 
 
 def l_shape_bounds(tb):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from screwgen import control_map, parameterization, pipeline
+from screwgen import control_map, fitting, parameterization, pipeline, splines
 from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
@@ -22,9 +23,10 @@ from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
 from screwgen.profiles import (ScrewParams, booy_profile, cusp_points,
                                load_profile, rotation, save_profile)
-from screwgen.splines import (KNOT_TOL, SplineCurve, SplineMap, open_knots,
-                              unique_knots)
+from screwgen.splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
+                              open_knots, unique_knots)
 from test_control_map import gap_rows, terms_by_basis
+from test_splines import jittered_pairs
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
@@ -340,6 +342,66 @@ def test_merge_knot_vectors_keeps_max_multiplicity():
         merge_knot_vectors(a, open_knots(2, [0.5]))
 
 
+def interior_counts(a, b):
+    """Reference clustering of a pair of knot vectors: the distinct interior
+    values of a and b together, and the number of knots of a and of b
+    within KNOT_TOL of each, by comparing every pair."""
+    vals = unique_knots(np.sort(np.concatenate([a.knots, b.knots])))[0][1:-1]
+
+    def count(kv):
+        return np.sum(np.abs(kv.knots[None, :] - vals[:, None]) <= KNOT_TOL,
+                      axis=1)
+    return vals, count(a), count(b)
+
+
+@given(jittered_pairs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_merge_and_promote_match_the_pairwise_reference(case, seed):
+    # knots closer together than KNOT_TOL count as one value, the least
+    p, a, b = case
+    vals, ca, cb = interior_counts(a, b)
+    merged = merge_knot_vectors(a, b)
+    assert np.array_equal(merged.knots,
+                          open_knots(p, vals, np.maximum(ca, cb)).knots)
+    curve = SplineCurve(a, np.random.default_rng(seed).normal(size=(a.n, 2)))
+    for target in (merged, b):
+        vals, have, want = interior_counts(a, target)
+        want_curve = curve.refine(np.repeat(vals, np.maximum(want - have, 0)))
+        got = promote_curve(curve, target)
+        assert np.array_equal(got.basis.knots, want_curve.basis.knots)
+        assert np.array_equal(got.control_points, want_curve.control_points)
+
+
+def test_build_patches_clusters_each_knot_vector_once(booy_context,
+                                                      monkeypatch):
+    # every consumer reads the clustering a KnotVector stores; the only
+    # clustering is the one each KnotVector makes when it is built
+    calls = {"built": 0, "in_build": 0, "elsewhere": 0}
+    building = []
+    real_post_init, real_unique = KnotVector.__post_init__, unique_knots
+
+    def post_init(self):
+        calls["built"] += 1
+        building.append(self)
+        try:
+            real_post_init(self)
+        finally:
+            building.pop()
+
+    def unique(knots):
+        calls["in_build" if building else "elsewhere"] += 1
+        return real_unique(knots)
+
+    monkeypatch.setattr(KnotVector, "__post_init__", post_init)
+    for module in (splines, fitting, parameterization, pipeline, control_map):
+        if hasattr(module, "unique_knots"):
+            monkeypatch.setattr(module, "unique_knots", unique)
+    booy_context.build_patches(math.pi / 4)
+    assert calls["built"] > 0
+    assert calls["in_build"] == calls["built"]
+    assert calls["elsewhere"] == 0
+
+
 def test_promote_curve_lands_in_target_and_keeps_geometry():
     kv = open_knots(3, [0.25, 0.5], [1, 2])
     rng = np.random.default_rng(3)
@@ -382,10 +444,13 @@ def test_table8_control_maps_converge_alike_at_congruent_angles():
     assert abs(ratios[0] - ratios[1]) <= 5e-3
 
 
-def test_importing_the_pipeline_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 20 MB to a process that imports it
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate",
+                                    "scipy.sparse"])
+def test_importing_the_pipeline_leaves_scipy_module_unloaded(module):
+    # each adds megabytes of resident memory to a process that imports it
+    # (scipy.optimize about 20 MB, scipy.interpolate about 22 MB)
     code = ("import sys, screwgen.pipeline; "
-            "print('scipy.optimize' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     src = str(Path(pipeline.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

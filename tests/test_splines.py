@@ -340,6 +340,66 @@ def test_unique_knots_matches_loop(clusters):
 
 
 # ---------------------------------------------------------------------------
+# the clustering a KnotVector stores
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jittered_knots(draw, p, bases):
+    """Open knot vector of degree p with 0 to p interior knots at each base,
+    spread less than KNOT_TOL / 2 above it."""
+    interior = []
+    for base in bases:
+        interior += sorted(base + KNOT_TOL * draw(st.floats(0.0, 0.45))
+                           for _ in range(draw(st.integers(0, p))))
+    return KnotVector(p, np.concatenate([np.zeros(p + 1), interior,
+                                         np.ones(p + 1)]))
+
+
+@st.composite
+def jittered_pairs(draw):
+    """A degree and two jittered knot vectors of it over one pool of bases
+    at least 1e-3 apart."""
+    p = draw(st.integers(1, 4))
+    bases = np.unique(np.round(draw(st.lists(st.floats(0.01, 0.99),
+                                             max_size=8)), 3))
+    return p, draw(jittered_knots(p, bases)), draw(jittered_knots(p, bases))
+
+
+@given(jittered_pairs())
+@settings(max_examples=200, deadline=None)
+def test_knot_vectors_store_the_clustering_of_their_knots(case):
+    for kv in case[1:]:
+        vals, counts = unique_knots(kv.knots)
+        assert np.array_equal(kv.breakpoints, vals)
+        assert np.array_equal(kv.multiplicities, counts)
+        assert kv.n_elements == len(vals) - 1
+        # each element's span index is the last knot of its left cluster
+        assert np.array_equal(kv.spans, np.cumsum(counts)[:-1] - 1)
+        assert np.array_equal(splines.find_spans(kv.knots, kv.degree,
+                                                 0.5 * (vals[:-1] + vals[1:])),
+                              kv.spans)
+        for value, count in zip(vals, counts):
+            assert kv.multiplicity(value) == count
+        for a in (kv.breakpoints, kv.multiplicities, kv.spans):
+            assert not a.flags.writeable
+
+
+def blossoms_by_index(kv: KnotVector, cp: np.ndarray, spans, args):
+    """Reference de Boor: one update per (level, index) pair, index p down
+    to r at level r, on the leading axis of cp."""
+    p, t = kv.degree, kv.knots
+    shape = (-1,) + (1,) * (cp.ndim - 1)
+    d = [cp[spans - p + i] for i in range(p + 1)]
+    for r in range(1, p + 1):
+        x = args[:, r - 1]
+        for i in range(p, r - 1, -1):
+            left, right = t[spans - p + i], t[spans + i + 1 - r]
+            a = ((x - left) / (right - left)).reshape(shape)
+            d[i] = (1 - a) * d[i - 1] + a * d[i]
+    return d[p]
+
+
+# ---------------------------------------------------------------------------
 # SplineMap.point / SplineMap.jacobian
 # ---------------------------------------------------------------------------
 
@@ -539,6 +599,19 @@ def test_insert_knots_matches_boehm(case):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@given(refinements(), st.sampled_from([(2,), (3, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_insertion_equals_the_per_index_blossoms_bit_for_bit(case, trailing):
+    kv, cp, new = case
+    cp = np.random.default_rng(len(new)).normal(size=(kv.n,) + trailing)
+    got_kv, got = insert_knots(kv, cp, new)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splines, "blossoms", blossoms_by_index)
+        want_kv, want = insert_knots(kv, cp, new)
+    assert np.array_equal(got_kv.knots, want_kv.knots)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_insertion_next_to_a_short_span_keeps_full_precision():
     # degree 5 with a 1e-3 end span: the blossom arguments must run from
     # the largest (widest de Boor level) down; ascending order extrapolates
@@ -584,6 +657,18 @@ def test_extract_is_the_curve_on_its_range(case):
         + 2 * KNOT_TOL * hodograph_bound(curve)
     assert np.abs(sub(x) - curve(a + (b - a) * x)).max() <= tol
     assert sub.basis.n == len(sub.control_points)
+
+@given(extractions())
+@settings(max_examples=100, deadline=None)
+def test_extraction_equals_the_per_index_blossoms_bit_for_bit(case):
+    curve, a, b = case
+    got = curve.extract(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splines, "blossoms", blossoms_by_index)
+        want = curve.extract(a, b)
+    assert np.array_equal(got.basis.knots, want.basis.knots)
+    assert got.control_points.tobytes() == want.control_points.tobytes()
+
 
 def test_p1_segment_midpoint_insertion():
     kv = KnotVector(1, [0, 0, 1, 1])
