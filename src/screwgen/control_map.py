@@ -23,14 +23,13 @@ at or above the margin.  The loop works on the cost divided by its start
 value, which is free of the length unit, and stops once a step lowers it
 by less than a fixed share.
 
-Each point costs one pass over the samples: ``CostEvaluator`` keeps the
-last point's pass, so a trial's cost and, once it is taken, its gradient
-come from the same pass, and the partials the gradient needs are finished
-from it only then.  The tables that depend only on the control basis
-or on the map's xi basis, both fixed for a geometry, are built once and
-shared through ``splines.basis_tables``, keyed by degree and knot values
-and bounded by TABLE_CACHE_SIZE entries; nothing is keyed by the
-per-angle eta knots.
+Each point costs one pass over the samples, which gives its cost and the
+partials its gradient needs: ``CostEvaluator`` keeps the last point's
+pass, so a trial's cost and, once it is taken, its gradient come from the
+same pass.  The tables that depend only on the control basis or on the
+map's xi basis, both fixed for a geometry, are built once and shared
+through ``splines.basis_tables``, keyed by the knot vectors and bounded by
+TABLE_CACHE_SIZE entries; nothing is keyed by the per-angle eta knots.
 
 The composite x o s needs no fold check of its own.  With eta degree q and
 knots t, sigma_nu is a convex combination of the slopes
@@ -218,10 +217,8 @@ class CostEvaluator:
     Each point costs one pass: the evaluator keeps the pass of the last
     point it evaluated, so ``cost_of`` or ``cost_and_scale`` followed by
     ``gradient`` at the same control values runs ``_terms`` once.  A pass
-    computes the dots and sizes and keeps the derivatives of x it read; the
-    partials are finished from them (``_partials``) only when ``gradient``
-    reads them, so a trial that is rejected or ends the loop, and a one-off
-    ``orthogonality_cost``, pay for none.  The tables of the control basis
+    computes the dots, the sizes and the partials together, from the
+    derivatives of x it reads.  The tables of the control basis
     and the rows of the map's xi basis at the sample columns depend on
     those bases alone and come from ``splines.basis_tables``, shared by
     every evaluator over the same bases; the Taylor tables depend on the
@@ -267,9 +264,9 @@ class CostEvaluator:
 
     def _terms(self, coeffs):
         """One pass over the samples: per-sample dots D, the products
-        |t_mu|^2 |t_nu|^2 that bound D^2, and what ``_partials`` reads: the
-        clipped samples, sigma_mu, sigma_nu, the eta derivatives of x and
-        x_xi and the tangents.  The Taylor gather is not kept: holding it
+        |t_mu|^2 |t_nu|^2 that bound D^2, and the partials of D with
+        respect to sigma, sigma_mu and sigma_nu, from the derivatives of x
+        and x_xi the pass reads.  The Taylor gather is not kept: holding it
         between calls makes the next passes fault in fresh pages."""
         sig = self.Bmu @ coeffs @ self.Bnu.T
         sig_mu = self.Bmu_d @ coeffs @ self.Bnu.T
@@ -289,28 +286,17 @@ class CostEvaluator:
         half = math.comb(p, 2) * c[p, :2]
         for k in range(p - 1, 1, -1):
             half = half * u + math.comb(k, 2) * c[k, :2]
-        x_eta, x_xi = d1[:2], val[2:]
+        x_eta, x_xieta, x_xi = d1[:2], d1[2:], val[2:]
         t_mu = x_xi + sig_mu * x_eta
         t_nu = sig_nu * x_eta
+        d_sig = (x_xieta * t_nu
+                 + 2.0 * half * (sig_mu * t_nu + sig_nu * t_mu)).sum(axis=0)
+        # x is read at the clipped sigma
+        d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0
         return {"coeffs": np.array(coeffs), "dots": (t_mu * t_nu).sum(axis=0),
                 "sizes": (t_mu * t_mu).sum(axis=0) * (t_nu * t_nu).sum(axis=0),
-                "pass": ((sig < 0.0) | (sig > 1.0), sig_mu, sig_nu, d1,
-                         2.0 * half, t_mu, t_nu)}
-
-    def _partials(self, terms):
-        """The partials of D with respect to sigma, sigma_mu and sigma_nu
-        at a pass's samples, finished from what the pass kept on the first
-        call, which then drops it."""
-        if "partials" not in terms:
-            clipped, sig_mu, sig_nu, d1, x_etaeta, t_mu, t_nu = \
-                terms.pop("pass")
-            x_eta, x_xieta = d1[:2], d1[2:]
-            d_sig = (x_xieta * t_nu
-                     + x_etaeta * (sig_mu * t_nu + sig_nu * t_mu)).sum(axis=0)
-            d_sig[clipped] = 0.0          # x is read at the clipped sigma
-            terms["partials"] = (d_sig, (x_eta * t_nu).sum(axis=0),
-                                 (t_mu * x_eta).sum(axis=0))
-        return terms["partials"]
+                "partials": (d_sig, (x_eta * t_nu).sum(axis=0),
+                             (t_mu * x_eta).sum(axis=0))}
 
     def _cost(self, dots) -> float:
         return 0.5 * float(np.sum(dots * dots)) * self.cell_area
@@ -334,7 +320,7 @@ class CostEvaluator:
         eta columns (raveled row-major)."""
         terms = self._at(coeffs)
         dots = terms["dots"]
-        d_sig, d_mu, d_nu = self._partials(terms)
+        d_sig, d_mu, d_nu = terms["partials"]
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)

@@ -22,11 +22,18 @@ from .splines import (KnotVector, SplineCurve, _check_param,
                       greville_abscissae)
 
 
-def chord_length_params(points) -> np.ndarray:
-    """Cumulative chord-length parameters of an ordered cloud, scaled to [0, 1]."""
+def _cloud(points) -> np.ndarray:
+    """The cloud as a float array; fewer than 2 points raise FitError."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
-        raise FitError("need at least 2 points for chord-length parameters")
+        raise FitError(f"need at least 2 points, got {len(points)}",
+                       n_points=len(points))
+    return points
+
+
+def chord_length_params(points) -> np.ndarray:
+    """Cumulative chord-length parameters of an ordered cloud, scaled to [0, 1]."""
+    points = _cloud(points)
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     total = seg.sum()
     if total <= 0:
@@ -82,11 +89,11 @@ def fit_curve(points, params, kv: KnotVector,
     minimize the squared collocation residual plus ``lam_reg`` times a
     second-difference penalty, which keeps the normal system regular even
     when the cloud carries fewer points than the basis has functions.
-    Parameters outside [0, 1] by more than KNOT_TOL raise DomainError;
-    the rest are clipped into it, and fit and residuals both use the
-    clipped values.
+    A cloud of fewer than 2 points raises FitError.  Parameters outside
+    [0, 1] by more than KNOT_TOL raise DomainError; the rest are clipped
+    into it, and fit and residuals both use the clipped values.
     """
-    points = np.asarray(points, dtype=float)
+    points = _cloud(points)
     params = np.asarray(params, dtype=float)
     if points.shape[0] != params.shape[0]:
         raise FitError("points and params length mismatch")
@@ -148,7 +155,8 @@ def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,
     FitConvergenceError (carrying the best fit) if the span budget is
     exhausted first.
     """
-    lam_reg = _penalty_weight(np.asarray(points, dtype=float))
+    points = _cloud(points)
+    lam_reg = _penalty_weight(points)
     best = None
     while True:
         fit = fit_curve(points, params, kv, lam_reg)

@@ -45,9 +45,9 @@ from .errors import (BasisMismatchError, FoldingUnrepairedError, MatchingError,
                      NonconvergenceError, StructureError, TopologyError)
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, basis_ders_nonzero, basis_tables, blossoms,
-                      bounding_box_diagonal, greville_abscissae, insert_knots,
-                      open_knots)
+                      TensorBasis, basis_ders_nonzero, basis_matrix,
+                      basis_tables, blossoms, bounding_box_diagonal,
+                      greville_abscissae, insert_knots, open_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
@@ -328,28 +328,16 @@ def assemble_separator_boundary(rotor_arcs, cusps, reparams,
 # auxiliary space
 # ---------------------------------------------------------------------------
 
-def build_aux_space(basis: TensorBasis) -> TensorBasis:
-    """Degree-elevated auxiliary space over the primal tensor basis.
-
-    The xi knot vector keeps the interior knots, raises the end repetitions
-    to p1+2 and the 0.5 repetition to p1+1, with degree p1+1; the eta part
-    is copied unchanged.
-    """
-    return TensorBasis(_aux_xi(basis.xi), basis.eta)
-
-
 def _aux_xi(kv: KnotVector) -> KnotVector:
-    p = kv.degree
-    vals, counts = kv.breakpoints, kv.multiplicities
-    i_half = np.where(np.abs(vals - 0.5) <= KNOT_TOL)[0]
-    if len(i_half) != 1 or counts[i_half[0]] != p:
+    """The xi knot vector of the degree-elevated auxiliary space: degree
+    p+1, the interior knots kept, the end repetitions raised to p+2 and the
+    degree-fold 0.5 repetition, which it requires, to p+1."""
+    if kv.multiplicity(0.5) != kv.degree:
         raise StructureError(
             "xi knot vector must carry a degree-fold repetition at 0.5")
-    new_counts = counts.copy()
-    new_counts[0] += 1
-    new_counts[-1] += 1
-    new_counts[i_half[0]] += 1
-    return KnotVector(p + 1, np.repeat(vals, new_counts))
+    counts = kv.multiplicities + (np.abs(kv.breakpoints - 0.5) <= KNOT_TOL)
+    counts[[0, -1]] += 1
+    return KnotVector(kv.degree + 1, np.repeat(kv.breakpoints, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +346,17 @@ def _aux_xi(kv: KnotVector) -> KnotVector:
 
 def _gauss_windows(kv: KnotVector, rule, max_der: int):
     """The Gauss rule (nodes, weights on [-1, 1]) on every knot span and the
-    basis on it: weights (spans, nodes), the first of the p+1 functions
-    nonzero on each span (spans,) and their derivatives up to max_der,
-    (max_der+1, spans, nodes, p+1)."""
+    basis on it: the nodes, span-major, weights (spans, nodes), the first of
+    the p+1 functions nonzero on each span (spans,) and their derivatives up
+    to max_der, (max_der+1, spans, nodes, p+1)."""
     breaks = kv.breakpoints
     ref_x, ref_w = rule
     half = 0.5 * np.diff(breaks)[:, None]
-    nodes = 0.5 * (breaks[:-1, None] + breaks[1:, None]) + half * ref_x
-    cols, ders = basis_ders_nonzero(kv, nodes.ravel(), max_der)
-    return (half * ref_w, cols[::len(ref_x), 0],
-            ders.reshape((max_der + 1,) + nodes.shape + (-1,)))
-
-
-def _dense(first, windows, n):
-    """(..., spans * nodes, n) table of all n functions from the windows
-    (..., spans, nodes, L) that start at function first (spans,)."""
-    out = np.zeros(windows.shape[:-1] + (n,))
-    cols = first[:, None, None] + np.arange(windows.shape[-1])
-    np.put_along_axis(out, np.broadcast_to(cols, windows.shape), windows,
-                      axis=-1)
-    return out.reshape(windows.shape[:-3] + (-1, n))
+    nodes = (0.5 * (breaks[:-1, None] + breaks[1:, None]) + half * ref_x
+             ).ravel()
+    cols, ders = basis_ders_nonzero(kv, nodes, max_der)
+    return (nodes, half * ref_w, cols[::len(ref_x), 0],
+            ders.reshape((max_der + 1, len(breaks) - 1, len(ref_x), -1)))
 
 
 def _sum_span_products(A, B, first, n, pairs):
@@ -406,10 +385,11 @@ def _xi_tables(kv: KnotVector):
     aux_xi = _aux_xi(kv)
     n1, n1q = kv.n, aux_xi.degree + 1
     rule = np.polynomial.legendre.leggauss(n1q)
-    w1, first1, N = _gauss_windows(kv, rule, 1)
-    _, first_a, A = _gauss_windows(aux_xi, rule, 1)
+    x1, w1, first1, N = _gauss_windows(kv, rule, 1)
     E1, L1 = len(w1), N.shape[-1]
-    Nd, Ad = _dense(first1, N, n1), _dense(first_a, A, aux_xi.n)
+    # the dense tables of all functions at the xi points, (2, points, n)
+    Nd, Ad = (np.stack([basis_matrix(b, x1, der) for der in (0, 1)])
+              for b in (kv, aux_xi))
     wa = w1.reshape(-1, 1) * Ad[0]
     proj = np.linalg.solve(wa.T @ Ad[0], wa.T @ Nd[1])
     phi = Ad @ proj                               # (2, xi points, n1)
@@ -443,14 +423,13 @@ class EggAssembly:
     each span.  The xi tables (``_xi_tables``: ``proj``, phi and the
     field, test and Newton-matrix tables built from them) depend on the xi
     knot vector alone, which is fixed for a geometry, so they come from
-    ``splines.basis_tables``, shared by every assembly over the same xi
-    degree and knot values within its TABLE_CACHE_SIZE entries; the eta
-    tables follow the per-angle eta knots and are built per assembly.
-    ``fields`` contracts the net with the eta windows, then with the xi
-    tables, onto the Gauss grid, and keeps the fields of the last net it
-    evaluated, compared by value, so the residual at a line-search trial
-    and the Newton matrix at the accepted one share one pass; ``residual``
-    is the transposed pair.  The Jacobian integrand is a sum of terms
+    ``splines.basis_tables``, shared by every assembly over an equal xi knot
+    vector within its TABLE_CACHE_SIZE entries; the eta tables follow the
+    per-angle eta knots and are built per assembly.  ``fields`` contracts
+    the net with the eta windows, then with the xi tables, onto the Gauss
+    grid; ``residual`` and ``jacobian`` read its result, so the caller
+    decides which nets' fields to evaluate and keep.  ``residual`` is the
+    transposed pair.  The Jacobian integrand is a sum of terms
     coefficient(q) * trial xi function * trial eta derivative, with the
     weighted test function N_i1 M_i2; each term is summed over the eta
     points of each span against products M_i2 M^(k)_j2 and folded into
@@ -472,7 +451,7 @@ class EggAssembly:
         (self._first1, self.proj, self._xi, self._xi_test, self._xi_diag,
          self._xi_x) = basis_tables(_xi_tables, basis.xi)
         n2q = basis.eta.degree + 1
-        w2, self._first2, M = _gauss_windows(
+        _, w2, self._first2, M = _gauss_windows(
             basis.eta, np.polynomial.legendre.leggauss(n2q), 2)
         L2 = M.shape[-1]
         # fields: the eta windows of each span (E2, 3 * n2q, L2)
@@ -483,7 +462,6 @@ class EggAssembly:
         # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
         self._layout_newton()
-        self._last = None      # (net, fields) of the last net evaluated
 
     def _layout_newton(self):
         """Eta-slow unknown positions, half-bandwidths and the raveled band
@@ -529,15 +507,8 @@ class EggAssembly:
 
     def fields(self, cp):
         """x_xi, x_eta, x_xi_eta, x_eta_eta, u_xi, u_eta (2, eta points, xi
-        points) and the metric (eta points, xi points) on the Gauss grid,
-        both directions span-major; the kept fields if ``cp`` equals the
-        last net evaluated."""
-        if self._last is None or not np.array_equal(self._last[0], cp):
-            self._last = None      # never hold two nets' fields at once
-            self._last = (np.array(cp), self._fields(cp))
-        return self._last[1]
-
-    def _fields(self, cp):
+        points) and the metric (eta points, xi points) of the net on the
+        Gauss grid, both directions span-major."""
         n1 = len(cp)
         E2, L2 = self._win2.shape
         # the eta derivatives 0, 1, 2 on every eta point, (3, 2, points, n1)
@@ -554,10 +525,6 @@ class EggAssembly:
         f["g22"] = np.einsum("d...,d...->...", xe, xe)
         return f
 
-    def metric_sum_samples(self, cp):
-        f = self.fields(cp)
-        return f["g11"] + f["g22"]
-
     # -- residual and Jacobian ----------------------------------------------
 
     @staticmethod
@@ -567,9 +534,10 @@ class EggAssembly:
              + f["g11"] * f["xee"])
         return den, P / den
 
-    def residual(self, cp, eps):
-        """Residual vector int w_i U over the inner dofs, eta-slow."""
-        den, U = self._upieces(self.fields(cp), eps)
+    def residual(self, f, eps):
+        """Residual vector int w_i U over the inner dofs, eta-slow, from the
+        net's ``fields`` f."""
+        den, U = self._upieces(f, eps)
         n1, n2 = self.basis.shape
         E2, _, _, n2q = self._eta_test.shape
         z = (U @ self._xi_test).reshape(2, E2, n2q, n1)
@@ -578,13 +546,12 @@ class EggAssembly:
             self._first2, n2, pairs=False)
         return z.reshape(n2, n1, 2)[1:-1, 1:-1].ravel()
 
-    def _eta_sums(self, cp, eps):
+    def _eta_sums(self, f, eps):
         """The Newton integrand summed over the eta points of each span
         against the eta products and folded into (i2, offset) pairs, laid
         out by xi span for the xi sums: the component-diagonal terms
         (E1, term * xi point, i2 * offset) and the 2x2 ones
         (E1, term * xi point, [a, b] * i2 * offset)."""
-        f = self.fields(cp)
         den, U = self._upieces(f, eps)
         n2 = self.basis.shape[1]
         G2, G1 = den.shape
@@ -617,12 +584,12 @@ class EggAssembly:
                 x_in[:, k] = t[:, :, 1:].transpose(3, 4, 2, 0, 1)
         return d_in.reshape(E1, 3 * n1q, -1), x_in.reshape(E1, 2 * n1q, -1)
 
-    def jacobian(self, cp, eps):
-        """Analytic Newton matrix in gbsv's (2 kl + ku + 1, n) Fortran-
-        ordered band array, rows kl onward; the rows above are zero and
-        take the LU factors' fill."""
+    def jacobian(self, f, eps):
+        """Analytic Newton matrix at the net's ``fields`` f in gbsv's
+        (2 kl + ku + 1, n) Fortran-ordered band array, rows kl onward; the
+        rows above are zero and take the LU factors' fill."""
         n1 = self.basis.shape[0]
-        diag, full = self._eta_sums(cp, eps)
+        diag, full = self._eta_sums(f, eps)
         # the xi sums: (i1, inner j1, i2, offset) and (i1, offset, [a, b],
         # i2, offset)
         diag = _sum_span_products(self._xi_diag, diag, self._first1, n1,
@@ -651,13 +618,14 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     projection of x_xi at every iterate (see ``EggAssembly``), so the mixed
     form's projection equation holds exactly and only the harmonic one is
     solved.  Each step solves its analytic linearization in band storage
-    (LAPACK gbsv) and takes a backtracking line search on the residual norm;
-    the assembly keeps the fields of the accepted trial, so each iterate
-    costs one fields pass, and so does the start (epsilon and residual).
-    The residual is a length; the iteration stops once its norm is below
-    NEWTON_TOL times the initial norm plus the initial net's bounding-box
-    diagonal, so a scaled map takes the same steps.  A start whose residual
-    or epsilon is not finite raises NonconvergenceError before any step.
+    (LAPACK gbsv) and takes a backtracking line search on the residual norm.
+    Each net costs one fields pass: the start's gives epsilon and the start
+    residual, and a trial's gives its residual and, once the trial is
+    accepted, the next Newton matrix.  The residual is a length; the
+    iteration stops once its norm is below NEWTON_TOL times the initial
+    norm plus the initial net's bounding-box diagonal, so a scaled map takes
+    the same steps.  A start whose residual or epsilon is not finite raises
+    NonconvergenceError before any step.
     """
     basis = initial.basis
     asm = EggAssembly(basis)
@@ -665,8 +633,9 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     n1, n2 = basis.shape
     # an inf in the net makes NaNs on the way; the check below reports them
     with np.errstate(invalid="ignore", over="ignore"):
-        eps = 1e-4 * float(np.median(asm.metric_sum_samples(cp)))
-        res = asm.residual(cp, eps)
+        f = asm.fields(cp)
+        eps = 1e-4 * float(np.median(f["g11"] + f["g22"]))
+        res = asm.residual(f, eps)
         norm0 = float(np.linalg.norm(res))
         target = NEWTON_TOL * (norm0
                                + bounding_box_diagonal(cp.reshape(-1, 2)))
@@ -688,7 +657,7 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
         # the LU factors overwrite the band array in place
-        _, _, step, info = dgbsv(asm.kl, asm.ku, asm.jacobian(cp, eps), -res,
+        _, _, step, info = dgbsv(asm.kl, asm.ku, asm.jacobian(f, eps), -res,
                                  overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise fail(f"singular Newton matrix at step {iterations}",
@@ -697,9 +666,11 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
 
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
+            f = None        # hold one net's fields at a time
             cp_try = cp.copy()
             cp_try[1:-1, 1:-1] += scale * dc
-            res_try = asm.residual(cp_try, eps)
+            f = asm.fields(cp_try)
+            res_try = asm.residual(f, eps)
             norm_try = float(np.linalg.norm(res_try))
             if norm_try < history[-1]:
                 break

@@ -34,8 +34,10 @@ temporary is O(block (q+1)), so the memory beyond the output is fixed, and
 
 Everything in this module is a pure function of immutable values; instances
 never mutate after construction and can be shared freely between threads.
-``basis_tables`` memoizes such functions of knot vectors, keyed by degree
-and knot values, in one cache bounded by TABLE_CACHE_SIZE entries whose
+A knot vector compares and hashes by its degree and knot values, and so
+does a ``TensorBasis`` through its two knot vectors; curves and maps
+compare by identity.  ``basis_tables`` is then a plain ``lru_cache`` of
+functions of knot vectors, bounded by TABLE_CACHE_SIZE entries whose
 arrays are read-only.
 """
 
@@ -70,14 +72,16 @@ def bounding_box_diagonal(points) -> float:
 # knot vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotVector:
     """Open knot vector of a given degree over [0, 1].
 
     The knots are clustered once, on construction, by ``unique_knots``, and
     the clustering is part of the value: every consumer reads it here and
     none clusters the knots again.  Every check of the knots runs on
-    construction, the interior multiplicities on that clustering.
+    construction, the interior multiplicities on that clustering.  Two knot
+    vectors are equal, and hash alike, when their degrees and knot values
+    are.
 
     Attributes
     ----------
@@ -99,9 +103,9 @@ class KnotVector:
 
     degree: int
     knots: np.ndarray
-    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
-    multiplicities: np.ndarray = field(init=False, repr=False, compare=False)
-    spans: np.ndarray = field(init=False, repr=False, compare=False)
+    breakpoints: np.ndarray = field(init=False, repr=False)
+    multiplicities: np.ndarray = field(init=False, repr=False)
+    spans: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "knots", _frozen(self.knots))
@@ -128,6 +132,15 @@ class KnotVector:
                             ("spans", spans)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, KnotVector):
+            return NotImplemented
+        return (self.degree == other.degree
+                and self.knots.tobytes() == other.knots.tobytes())
+
+    def __hash__(self):
+        return hash((self.degree, self.knots.tobytes()))
 
     @property
     def n(self) -> int:
@@ -248,21 +261,6 @@ def basis_matrix(kv: KnotVector, x, der: int = 0):
     return out
 
 
-class _KnotKey:
-    """A knot vector hashed and compared by its degree and knot values."""
-
-    __slots__ = ("kv", "key")
-
-    def __init__(self, kv: KnotVector):
-        self.kv, self.key = kv, (kv.degree, kv.knots.tobytes())
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
 def _freeze_tables(tables):
     if isinstance(tables, np.ndarray):
         tables.flags.writeable = False
@@ -273,20 +271,16 @@ def _freeze_tables(tables):
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _basis_tables(build, *keys):
-    return _freeze_tables(build(*(k.kv for k in keys)))
-
-
 def basis_tables(build, *kvs):
     """``build(*kvs)``, a tuple of tables that depend only on the knot
-    vectors, shared by every caller that passes the same builder and knot
-    vectors of the same degrees and knot values.
+    vectors, shared by every caller that passes the same builder and equal
+    knot vectors (same degrees and knot values).
 
     The cache keeps the TABLE_CACHE_SIZE most recently used results, and
     their arrays are read-only.  It serves bases fixed for a geometry (the
     control basis, the separator's xi basis), not the per-angle eta knots.
     """
-    return _basis_tables(build, *map(_KnotKey, kvs))
+    return _freeze_tables(build(*kvs))
 
 
 def _check_param(x, name="parameter"):
@@ -370,7 +364,7 @@ def insert_knots(kv: KnotVector, cp: np.ndarray, new_knots):
 # curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineCurve:
     """Planar spline curve: basis plus (n, 2) control points."""
 
@@ -443,7 +437,7 @@ class TensorBasis:
         return greville_abscissae(self.xi), greville_abscissae(self.eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineMap:
     """Tensor-product spline surface with an (n1, n2, 2) control net.
 

@@ -66,7 +66,7 @@ def basis_pieces(ev, coeffs, partials=True):
 
 def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
     """Dots, sizes and partials from the pieces, as CostEvaluator._terms
-    and _partials give them."""
+    gives them."""
     def dot(a, b):
         return np.einsum("abd,abd->ab", a, b)
 
@@ -82,8 +82,7 @@ def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
 
 
 def terms_by_basis(ev, coeffs):
-    """Reference for CostEvaluator._terms: a pass whose partials are
-    already finished."""
+    """Reference for CostEvaluator._terms."""
     dots, sizes, parts = combine(*basis_pieces(ev, coeffs))
     return {"coeffs": np.array(coeffs), "dots": dots, "sizes": sizes,
             "partials": parts}
@@ -98,12 +97,7 @@ def assert_terms_match_oracle(ev, coeffs):
     dots, sizes, parts = combine(*pieces)
     m_dots, m_sizes, m_parts = combine(pieces[0], *map(np.abs, pieces[1:]))
     terms = ev._terms(coeffs)
-    # a pass leaves the partials to the first reader, which finishes them
-    # once
-    assert "partials" not in terms
-    got = ev._partials(terms)
-    assert ev._partials(terms) is got
-    for a, b, m in zip((terms["dots"], terms["sizes"]) + got,
+    for a, b, m in zip((terms["dots"], terms["sizes"]) + terms["partials"],
                        (dots, sizes) + parts, (m_dots, m_sizes) + m_parts):
         assert np.abs(a - b).max() <= 1e-13 * m.max()
 
@@ -209,7 +203,7 @@ def test_terms_match_the_basis_oracle_at_breakpoints_and_the_clip(make):
     sigma.ravel()[::7][:len(special)] = special
     assert np.isin(special, sigma).all()
     assert_terms_match_oracle(ev, sigma)
-    d_sig = ev._partials(ev._terms(sigma))[0]
+    d_sig = ev._terms(sigma)["partials"][0]
     assert np.all(d_sig[(sigma < 0.0) | (sigma > 1.0)] == 0.0)
 
 
@@ -224,31 +218,6 @@ def test_optimize_control_on_the_basis_oracle_takes_the_same_steps(monkeypatch):
     assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12
     assert orthogonality_cost(x, got) == pytest.approx(
         orthogonality_cost(x, want), rel=1e-12)
-
-
-def test_partials_are_finished_only_for_the_gradient(monkeypatch):
-    # a one-off cost, a rejected trial and the converged last trial read
-    # no partials, so their passes never finish them
-    finished, gradients = [], []
-    real_partials, real_gradient = (CostEvaluator._partials,
-                                    CostEvaluator.gradient)
-
-    def partials(self, terms):
-        if "partials" not in terms:
-            finished.append(terms["coeffs"])
-        return real_partials(self, terms)
-
-    def gradient(self, coeffs):
-        gradients.append(coeffs)
-        return real_gradient(self, coeffs)
-
-    monkeypatch.setattr(CostEvaluator, "_partials", partials)
-    monkeypatch.setattr(CostEvaluator, "gradient", gradient)
-    x, init = curved_map(), identity_control(default_control_basis())
-    orthogonality_cost(x, init)
-    assert finished == []
-    out = optimize_control(x, init)
-    assert 0 < len(finished) == len(gradients) <= out.iterations
 
 
 def test_optimize_control_early_exit_is_scale_free():

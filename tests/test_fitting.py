@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from screwgen.errors import DomainError, FitConvergenceError, MatchingError
+from screwgen.errors import (DomainError, FitConvergenceError, FitError,
+                             MatchingError)
 from screwgen.fitting import (
     FitResult,
     _hierarchical_pairs,
@@ -112,6 +113,17 @@ def test_fit_clips_params_within_the_tolerance():
         == want.curve.control_points.tobytes()
     assert got.residuals.tobytes() == want.residuals.tobytes()
     assert got.params.tobytes() == t.tobytes()
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+@pytest.mark.parametrize("fit", [
+    lambda pts, t: fit_curve(pts, t, uniform_knots(3, 4)),
+    lambda pts, t: fit_curve_adaptive(pts, t, uniform_knots(3, 4), 1e-3)],
+    ids=["fit_curve", "fit_curve_adaptive"])
+def test_fit_rejects_a_cloud_of_fewer_than_two_points(fit, n_points):
+    with pytest.raises(FitError) as info:
+        fit(np.zeros((n_points, 2)), np.zeros(n_points))
+    assert info.value.details == {"n_points": n_points}
 
 
 def test_fit_underdetermined_is_stabilized():

@@ -8,10 +8,10 @@ from screwgen.control_map import check_composite_folding
 from screwgen.errors import (BasisMismatchError, MatchingError,
                              NonconvergenceError, StructureError,
                              TopologyError)
-from screwgen.fitting import ReparamFunction, fit_curve
+from screwgen.fitting import fit_curve
 from screwgen.parameterization import (
     EggAssembly,
-    build_aux_space,
+    _aux_xi,
     check_boundary_regular,
     check_folding,
     check_ruled_map,
@@ -363,33 +363,29 @@ def test_certificate_agrees_with_dense_samples():
 
 
 # ---------------------------------------------------------------------------
-# build_aux_space
+# auxiliary space
 # ---------------------------------------------------------------------------
 
 def test_aux_space_bicubic_degree():
-    tb = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
-    aux = build_aux_space(tb)
-    assert aux.xi.degree == 4
-    assert aux.eta is tb.eta
+    assert _aux_xi(separator_xi_basis(3, 4)).degree == 4
 
 
 def test_aux_space_knot_structure():
-    tb = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
-    aux = build_aux_space(tb)
-    vals, counts = unique_knots(aux.xi.knots)
-    pvals, pcounts = unique_knots(tb.xi.knots)
+    xi = separator_xi_basis(3, 4)
+    aux = _aux_xi(xi)
+    vals, counts = unique_knots(aux.knots)
+    pvals, pcounts = unique_knots(xi.knots)
     assert np.allclose(vals, pvals)  # interior knots preserved verbatim
     assert counts[0] == 5 and counts[-1] == 5  # p1 + 2
     i_half = np.argmin(np.abs(vals - 0.5))
     assert counts[i_half] == 4  # p1 + 1
     # dimension from the knot count: n = len(knots) - degree - 1
-    assert aux.xi.n == len(aux.xi.knots) - 4 - 1
+    assert aux.n == len(aux.knots) - 4 - 1
 
 
 def test_aux_space_requires_macro_split():
-    tb = TensorBasis(uniform_knots(3, 8), uniform_knots(3, 6))
     with pytest.raises(StructureError):
-        build_aux_space(tb)
+        _aux_xi(uniform_knots(3, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +407,15 @@ def egg_assembly(m):
     """The EGG assembly of the map's basis, and the epsilon ``egg_solve``
     takes for the map: 1e-4 times its median metric trace."""
     asm = EggAssembly(m.basis)
-    return asm, 1e-4 * float(np.median(asm.metric_sum_samples(m.control_points)))
+    f = asm.fields(m.control_points)
+    return asm, 1e-4 * float(np.median(f["g11"] + f["g22"]))
 
 
 def residual_at(m, eps=None):
     """The EGG residual at the map, with u the L2 projection of x_xi."""
     asm, own_eps = egg_assembly(m)
-    return asm.residual(m.control_points, own_eps if eps is None else eps)
+    return asm.residual(asm.fields(m.control_points),
+                        own_eps if eps is None else eps)
 
 
 def test_residual_zero_on_identity():
@@ -509,7 +507,7 @@ def test_egg_newton_stop_is_scale_free():
 def test_egg_solve_evaluates_the_fields_once_per_net(monkeypatch):
     # the start's epsilon and residual share one fields pass, and each
     # Newton matrix reads the fields of the trial its line search accepted
-    calls = {"_fields": 0, "residual": 0, "jacobian": 0}
+    calls = {"fields": 0, "residual": 0, "jacobian": 0}
     for name in calls:
         def counted(self, *args, _real=getattr(EggAssembly, name), _name=name):
             calls[_name] += 1
@@ -525,7 +523,7 @@ def test_egg_solve_evaluates_the_fields_once_per_net(monkeypatch):
         trials = calls["residual"] - 1          # the start's residual
         assert calls["jacobian"] == patch.iterations > 0
         assert trials >= patch.iterations
-        assert calls["_fields"] == 1 + trials
+        assert calls["fields"] == 1 + trials
         halved |= trials > patch.iterations
     assert halved                     # a rejected trial costs its own pass
 
@@ -600,7 +598,7 @@ def test_egg_gradient_check(name):
     rng = np.random.default_rng(3)
     asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, rng)
-    J = dense_newton_matrix(asm, asm.jacobian(cp, eps))
+    J = dense_newton_matrix(asm, asm.jacobian(asm.fields(cp), eps))
     h = 1e-6
     for _ in range(20):
         v = rng.normal(0, 1, J.shape[0])
@@ -610,7 +608,7 @@ def test_egg_gradient_check(name):
         def res_at(s):
             cp2 = cp.copy()
             cp2[1:-1, 1:-1] += s * dc
-            return asm.residual(cp2, eps)
+            return asm.residual(asm.fields(cp2), eps)
 
         fd = (res_at(h) - res_at(-h)) / (2 * h)
         an = J @ v
@@ -622,11 +620,12 @@ def test_band_step_matches_dense_solve(name):
     tb = NEWTON_BASES[name]
     asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, np.random.default_rng(5))
-    band = asm.jacobian(cp, eps)
+    f = asm.fields(cp)
+    band = asm.jacobian(f, eps)
     # gbsv's layout: Fortran order, the fill rows above row kl zero
     assert band.shape == (2 * asm.kl + asm.ku + 1, asm.n_unknowns)
     assert band.flags.f_contiguous and not band[:asm.kl].any()
-    rhs = -asm.residual(cp, eps)
+    rhs = -asm.residual(f, eps)
     want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
     got = solve_banded((asm.kl, asm.ku), band[asm.kl:], rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -693,7 +692,7 @@ class MixedForm:
     + g11 x_eta_eta) / (g11 + g22 + eps)."""
 
     def __init__(self, basis, refine=1):
-        aux = build_aux_space(basis).xi
+        aux = _aux_xi(basis.xi)
         xq, self.wx = gauss_rule(basis.xi, refine * (aux.degree + 1))
         eq, self.we = gauss_rule(basis.eta, refine * (basis.eta.degree + 1))
         self.N = [basis_matrix(basis.xi, xq, k) for k in range(3)]
@@ -764,7 +763,7 @@ def test_aux_field_is_the_xi_projection(name):
     r1, r2 = oracle.residual(cp, d, eps)
     assert np.abs(r1).max() <= 1e-14
     want = r2[1:-1, 1:-1].transpose(1, 0, 2).ravel()
-    have = asm.residual(cp, eps)
+    have = asm.residual(f, eps)
     assert np.abs(want).max() > 1e-3
     assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -17,7 +17,7 @@ from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   orthogonality_cost)
 from screwgen.errors import (ConstraintError, FitConvergenceError, FitError,
                              MatchingError, NonconvergenceError,
-                             TopologyError)
+                             ScrewgenError, TopologyError)
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
@@ -36,8 +36,8 @@ TABLE8 = ScrewParams(screw_radius=0.156, centerline_distance=0.262,
 N_POINTS = 1024
 
 
-def fit_threshold(factor, params=TABLE2):
-    sec0 = booy_profile(params, 0.0, N_POINTS)
+def fit_threshold(factor, params=TABLE2, n_points=N_POINTS):
+    sec0 = booy_profile(params, 0.0, n_points)
     return factor * bounding_box_diagonal(
         np.vstack([sec0.left_rotor.points, sec0.right_rotor.points]))
 
@@ -312,6 +312,36 @@ def test_table8_asymmetric_angles_are_rejected(monkeypatch):
                           fit_threshold=fit_threshold(1e-3, TABLE8))
     thetas = [k * math.pi / 8 for k in (1, 3, 5, 7)]
     assert certified_angles(ctx, thetas, monkeypatch) == []
+
+
+THREE_FLIGHT = ScrewParams(screw_radius=0.05, centerline_distance=0.095,
+                           screw_screw_clearance=0.5e-3,
+                           screw_barrel_clearance=0.5e-3, flight_count=3)
+
+
+@pytest.mark.parametrize("params, n_points", [
+    (ONE_FLIGHT, N_POINTS), (TABLE2, N_POINTS), (THREE_FLIGHT, 1008)],
+    ids=["one_flight", "two_flight", "three_flight"])
+def test_every_flight_count_certifies_or_rejects_each_angle_by_name(
+        params, n_points):
+    # 16 angles over one period 2 pi / z; the three-flight outline needs a
+    # point count that z divides.  Until the separator boundaries are
+    # regular at every angle, the one- and two-flight geometries certify
+    # only some of them
+    ctx = PipelineContext(BooySource(params, n_points),
+                          fit_threshold=fit_threshold(1e-3, params, n_points))
+    certified = []
+    for k in range(16):
+        theta = k * 2.0 * math.pi / (16 * params.flight_count)
+        try:
+            patches = ctx.build_patches(theta)
+        except ScrewgenError as exc:
+            assert exc.details["theta"] == theta
+            continue
+        assert parameterization.check_folding(patches.separator.map) == []
+        certified.append(k)
+    if params.flight_count == 3:
+        assert certified == list(range(16))
 
 
 def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):

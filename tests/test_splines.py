@@ -740,6 +740,30 @@ def test_join_tolerance_is_relative_to_the_curves(scale):
                 join_curves(first, second, 0.5)
 
 
+def test_knot_vectors_compare_and_hash_by_degree_and_knot_values():
+    a, b = uniform_knots(3, 4), uniform_knots(3, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != uniform_knots(2, 4)
+    moved = a.knots.copy()
+    moved[4] += 1e-15
+    assert KnotVector(3, moved) != a
+    # a tensor basis compares and hashes through its knot vectors
+    table = {TensorBasis(a, uniform_knots(2, 5)): 1}
+    table[TensorBasis(b, uniform_knots(2, 5))] = 2
+    assert list(table.values()) == [2]
+
+
+def test_curves_and_maps_compare_by_identity():
+    kv = uniform_knots(3, 4)
+    cp = np.zeros((kv.n, 2))
+    c1, c2 = SplineCurve(kv, cp), SplineCurve(kv, cp)
+    assert (c1 == c1) is True and (c1 == c2) is False
+    tb = TensorBasis(kv, kv)
+    m1, m2 = (SplineMap(tb, np.zeros((kv.n, kv.n, 2))) for _ in range(2))
+    assert (m1 == m1) is True and (m1 == m2) is False
+    assert len({c1, c2, m1, m2}) == 4
+
+
 def test_basis_tables_are_keyed_by_degree_and_knot_values():
     built = []
 
@@ -765,6 +789,6 @@ def test_basis_tables_cache_stays_within_its_bound():
     first = basis_tables(build, kvs[0])
     for kv in kvs[1:]:
         basis_tables(build, kv)
-        assert splines._basis_tables.cache_info().currsize <= TABLE_CACHE_SIZE
+        assert basis_tables.cache_info().currsize <= TABLE_CACHE_SIZE
     # the least recently used entry went and is built anew
     assert basis_tables(build, kvs[0]) is not first
