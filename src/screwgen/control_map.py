@@ -68,7 +68,7 @@ def default_control_basis() -> TensorBasis:
     return TensorBasis(uniform_knots(2, 8), uniform_knots(2, 8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlMap:
     """Unit-square self-map sliding in eta: s(mu, nu) = (mu, sigma(mu, nu))."""
 

@@ -181,7 +181,7 @@ def fit_curve_adaptive(points, params, kv: KnotVector, threshold: float,
 # reparameterization functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReparamFunction:
     """Monotone piecewise-linear map [0,1] -> [0,1] given by breakpoints."""
 
@@ -257,9 +257,11 @@ def match_points(cloud_a, cloud_b, ta, tb):
     d_rev = np.linalg.norm(a[0] - b[-1]) + np.linalg.norm(a[-1] - b[0])
     if d_rev < 0.5 * d_fwd:
         raise MatchingError("clouds appear oppositely oriented (crossing matches)")
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    pairs = _hierarchical_pairs(np.sqrt(dx * dx + dy * dy))
+    dist, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
+    dist *= dist    # in place: two (n_a, n_b) arrays in all
+    dy *= dy
+    dist += dy
+    pairs = _hierarchical_pairs(np.sqrt(dist, out=dist))
 
     ia, jb = np.array(pairs).T
     avg = 0.5 * (ta[ia] + tb[jb])

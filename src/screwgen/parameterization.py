@@ -63,11 +63,6 @@ class PatchParameterization:
     residual_history: tuple = ()
 
 
-def _same_knots(a: KnotVector, b: KnotVector) -> bool:
-    return a.degree == b.degree and len(a.knots) == len(b.knots) \
-        and np.abs(a.knots - b.knots).max() <= KNOT_TOL
-
-
 # ---------------------------------------------------------------------------
 # transfinite interpolation
 # ---------------------------------------------------------------------------
@@ -78,7 +73,8 @@ def transfinite(west: SplineCurve, east: SplineCurve, south: SplineCurve,
 
     south / north run in xi (west to east) on eta = 0 / 1 and live in
     ``basis.xi``; west / east run in eta (south to north) on xi = 0 / 1 and
-    live in ``basis.eta``.  The corners are the end control points of south
+    live in ``basis.eta``, each knot vector equal to the basis's, else
+    BasisMismatchError.  The corners are the end control points of south
     and north; the west and east ends must meet them within 1e-10 of the
     boundary control points' bounding-box diagonal, else TopologyError.
 
@@ -89,7 +85,7 @@ def transfinite(west: SplineCurve, east: SplineCurve, south: SplineCurve,
     w, e, s, n = west, east, south, north
     for curve, kv, name in ((w, basis.eta, "west"), (e, basis.eta, "east"),
                             (s, basis.xi, "south"), (n, basis.xi, "north")):
-        if not _same_knots(curve.basis, kv):
+        if curve.basis != kv:
             raise BasisMismatchError(
                 f"{name} boundary curve does not live in the patch basis")
     p00, p10 = s.control_points[[0, -1]]
@@ -225,16 +221,18 @@ def _cross_derivative(u, v, lo, hi):
 
 def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
     """Raise MatchingError unless the ruled map x = (1 - eta) s(t) + eta n(t)
-    between two curves on one knot vector keeps one Jacobian sign.
+    between two curves on one knot vector (equal knot vectors, else
+    BasisMismatchError) keeps one Jacobian sign.
 
     det J = (1 - eta) s' x (n - s) + eta n' x (n - s) is linear in eta, so
     both terms must keep one sign.  ``details`` go into the error, with the
     failed t intervals and the least term value there (``min_det``).
     """
-    if not _same_knots(south.basis, north.basis):
+    if south.basis != north.basis:
         raise BasisMismatchError("ruled map curves must share a knot vector")
-    lo, hi, s = _bezier(south.basis, south.control_points)
-    n = _bezier(south.basis, north.control_points)[2]
+    lo, hi, segs = _bezier(south.basis, np.stack(
+        [south.control_points, north.control_points], axis=1))
+    s, n = segs[:, :, 0], segs[:, :, 1]
     terms = [_cross_derivative(s - n, c, lo, hi) for c in (s, n)]
     _require_one_sign(np.tile(lo, 2), np.tile(hi, 2), np.concatenate(terms),
                       ("ruled map folds on t", "ruled map not certified on t"),

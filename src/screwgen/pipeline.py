@@ -6,9 +6,9 @@ of the source's ``ScrewParams``) and the three patch parameterizations plus
 the separator control map:
 
 * the casing curves and the cusp cut fraction: one fit of the left
-  retained barrel arc, from the upper cusp to the lower one with the exact
-  cusps as its ends, and the right arc as its point reflection through the
-  axes' midpoint (same knots, negated control points);
+  retained barrel arc on CASING_SPANS grid spans, cusp to cusp with the
+  exact cusps as its ends, and the right arc as its point reflection
+  through the axes' midpoint (same knots, negated control points);
 * the rotation-angle-zero rotor fit over the casing-aligned grid
   coordinate (radial projection), reused at every angle through the
   periodic shift of that coordinate, and stored as the fit joined to
@@ -21,7 +21,8 @@ the separator control map:
   certificate of the separator's west/east boundaries, which rejects a
   backtracking boundary with ``MatchingError`` before any C-grid or EGG
   work; the EGG solve with folding repair; each C-grid as the ruled map
-  between its rotor arc and casing arc; the orthogonality control map.
+  between its rotor and casing arcs on their merged knot vector; the
+  orthogonality control map.
   Every ``ScrewgenError`` that ``build_patches`` raises carries the angle
   as ``theta`` in its details.
 
@@ -57,6 +58,7 @@ DEGREE = 3                 # degree of every boundary curve and patch map
 XI_ELEMENTS_PER_HALF = 4   # separator xi spans on each side of the cusp line
 ETA_MAX_SPANS = 256        # span budget of the separator's eta fits
 GAP_SAMPLES = 200          # points per gap-arc cloud for the matching
+CASING_SPANS = 64          # uniform grid-coordinate spans of the casing fit
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +124,13 @@ def merge_knot_vectors(a: KnotVector, b: KnotVector) -> KnotVector:
 
 
 def promote_curve(curve: SplineCurve, target: KnotVector) -> SplineCurve:
-    """Re-express a curve in the (finer) target knot vector."""
+    """The curve in the target knot vector, which must refine its own: the
+    result's basis is the target, and a target that is no refinement
+    raises DomainError."""
     vals, have, want = _merge_clusters(curve.basis, target)
-    return curve.refine(np.repeat(vals[1:-1],
-                                  np.maximum(want - have, 0)[1:-1]))
+    refined = curve.refine(np.repeat(vals[1:-1],
+                                     np.maximum(want - have, 0)[1:-1]))
+    return SplineCurve(target, refined.control_points)
 
 
 def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
@@ -225,10 +230,13 @@ class PipelineContext:
         about the left axis from the upper cusp to the lower one.  Its end
         samples are the exact cusps, which the fit interpolates.
 
-        The knots are those of n uniform spans over the whole grid
-        coordinate g = q + t (1 - 2q) that fall inside the arc, so at angles
-        on that grid they coincide with the rotor arc's knots and the
-        C-grid's union knot vector stays small.
+        The knots are those of n = CASING_SPANS uniform spans over the
+        whole grid coordinate g = q + t (1 - 2q) that fall inside the arc, so
+        at angles on that grid they coincide with the rotor arc's knots and
+        the C-grid's union knot vector stays small.  A cubic fit errs by
+        about R (2 pi / n)^4 on every geometry, against casing_threshold
+        5e-7 R: 64 spans meet it by a factor of about four, 32 miss it by
+        as much, and a missed threshold raises InvalidGeometryError.
         """
         p, q = self.params, self.cut_frac
         ang = np.linspace(TWO_PI * q, TWO_PI * (1.0 - q), 4096)
@@ -236,16 +244,14 @@ class PipelineContext:
             [np.cos(ang), np.sin(ang)])
         pts[0], pts[-1] = self.cusps
         t = np.linspace(0.0, 1.0, len(pts))
-        n = 8
-        while True:
-            g = np.arange(1, n) / n
-            g = g[(g > q + KNOT_TOL) & (g < 1.0 - q - KNOT_TOL)]
-            fit = fit_curve(pts, t, open_knots(DEGREE, (g - q) / (1 - 2 * q)))
-            if fit.max_residual <= self.casing_threshold:
-                return fit.curve
-            n *= 2
-            if n > 1024:
-                raise InvalidGeometryError("casing fit failed to converge")
+        g = np.arange(1, CASING_SPANS) / CASING_SPANS
+        g = g[(g > q + KNOT_TOL) & (g < 1.0 - q - KNOT_TOL)]
+        fit = fit_curve(pts, t, open_knots(DEGREE, (g - q) / (1 - 2 * q)))
+        if fit.max_residual > self.casing_threshold:
+            raise InvalidGeometryError("casing fit misses its threshold",
+                                       max_residual=fit.max_residual,
+                                       threshold=self.casing_threshold)
+        return fit.curve
 
     # -- base rotor fit and matching -----------------------------------------
 

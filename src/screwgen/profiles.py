@@ -16,7 +16,6 @@ angles are rejected where they enter.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -287,15 +286,6 @@ def sample_rotor(params: ScrewParams, n_points: int) -> np.ndarray:
     return np.vstack([a.sample(c, endpoint=False) for a, c in zip(arcs, counts)])
 
 
-@functools.lru_cache(maxsize=8)
-def _rotor_outline(params: ScrewParams, n_points: int) -> np.ndarray:
-    """Read-only ``sample_rotor`` outline, cached for the few geometries a
-    session sweeps."""
-    base = sample_rotor(params, n_points)
-    base.flags.writeable = False
-    return base
-
-
 def cusp_points(params: ScrewParams) -> np.ndarray:
     """Intersections of the two casing circles: (upper, lower), x = 0."""
     rb = params.barrel_radius
@@ -309,9 +299,10 @@ def cusp_points(params: ScrewParams) -> np.ndarray:
 def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> CrossSection:
     """Cross section at rotation angle theta.
 
-    Both rotors are sampled with ``n_points``; point k of the cloud is the
-    same material point at every angle (the base outline rotated), so chord
-    parameters are angle-invariant.  The right rotor is turned by
+    Both rotors are the ``sample_rotor`` outline of ``n_points``, sampled
+    on every call and rotated into place; point k of the cloud is the same
+    material point at every angle, so chord parameters are
+    angle-invariant.  The right rotor is turned by
     (pi + pi/z) mod (2 pi/z) about its own axis against the left one, for
     z = flight_count (co-rotating kinematics): a root, at pi/z from a tip,
     then faces the left rotor's tip, which faces the right rotor at
@@ -319,7 +310,7 @@ def booy_profile(params: ScrewParams, theta: float, n_points: int = 256) -> Cros
     """
     if n_points < 64:
         raise InvalidGeometryError("n_points must be >= 64")
-    base = _rotor_outline(params, n_points)
+    base = sample_rotor(params, n_points)
     z = params.flight_count
     phase = math.pi / z if z % 2 == 0 else 0.0
     left = PointCloud(base @ rotation(theta).T + params.left_center)

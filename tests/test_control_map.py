@@ -10,6 +10,7 @@ from screwgen.control_map import (N_CELLS, ControlMap, CostEvaluator,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
 from screwgen.errors import ConstraintError, DomainError
+from screwgen.fitting import ReparamFunction
 from screwgen.parameterization import check_folding
 from screwgen.splines import (SplineMap, TensorBasis, basis_ders_nonzero,
                               basis_matrix, open_knots, uniform_knots)
@@ -128,6 +129,15 @@ def central_difference_gradient(ev, coeffs, h=1e-6):
             dn[i, j] -= h
             fd[i, j - 1] = (ev.cost_of(up) - ev.cost_of(dn)) / (2 * h)
     return fd.ravel()
+
+
+def test_control_maps_and_reparam_functions_compare_by_identity():
+    basis = default_control_basis()
+    t = np.linspace(0.0, 1.0, 5)
+    for a, b in ((identity_control(basis), identity_control(basis)),
+                 (ReparamFunction(t, t), ReparamFunction(t, t))):
+        assert (a == a) is True and (a == b) is False
+        assert len({a, b}) == 2
 
 
 def test_gradient_matches_central_differences():

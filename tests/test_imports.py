@@ -1,4 +1,5 @@
-"""Import hygiene: every name a screwgen module imports is used there."""
+"""Import hygiene: every name a screwgen module or a test module imports
+is used there."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import screwgen
 
 MODULES = sorted(Path(screwgen.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.stem for p in MODULES + TESTS])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -105,6 +105,24 @@ def test_transfinite_basis_mismatch():
         transfinite(*bad, tb)
 
 
+def test_knots_within_knot_tol_are_another_basis():
+    # bases compare by their knot values: a knot 1e-13 off, which KNOT_TOL
+    # would cluster with the basis's own, is a mismatch
+    tb = TensorBasis(uniform_knots(3, 4), uniform_knots(2, 3))
+    w, e, s, n = unit_square_bounds(tb)
+    knots = tb.eta.knots.copy()
+    knots[3] += 1e-13
+    moved = SplineCurve(KnotVector(2, knots), w.control_points)
+    with pytest.raises(BasisMismatchError):
+        transfinite(moved, e, s, n, tb)
+    rotor, casing = concentric_pair()
+    knots = casing.basis.knots.copy()
+    knots[5] += 1e-13
+    with pytest.raises(BasisMismatchError):
+        check_ruled_map(rotor, SplineCurve(KnotVector(3, knots),
+                                           casing.control_points))
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
 def test_transfinite_corner_tolerance_is_relative(scale):
     # a west end 1e-12 of the patch size off its corner is the corner; one

@@ -15,9 +15,11 @@ from screwgen import control_map, fitting, parameterization, pipeline, splines
 from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
-from screwgen.errors import (ConstraintError, FitConvergenceError, FitError,
-                             MatchingError, NonconvergenceError,
-                             ScrewgenError, TopologyError)
+from screwgen.errors import (ConstraintError, DomainError,
+                             FitConvergenceError, FitError,
+                             InvalidGeometryError, MatchingError,
+                             NonconvergenceError, ScrewgenError,
+                             TopologyError)
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
                                merge_knot_vectors, promote_curve)
@@ -242,6 +244,39 @@ def test_casing_arcs_end_on_the_cusps_and_reflect_into_each_other(params):
             <= ctx.casing_threshold
 
 
+CASING_GEOMETRIES = {
+    "table2": TABLE2,
+    "table8": TABLE8,
+    "one_flight": ScrewParams(screw_radius=0.05, centerline_distance=0.06,
+                              flight_count=1),
+    "two_flight": ScrewParams(screw_radius=0.05, centerline_distance=0.0995,
+                              screw_screw_clearance=0.1e-3,
+                              screw_barrel_clearance=0.1e-3),
+    "three_flight": ScrewParams(screw_radius=0.05, centerline_distance=0.095,
+                                screw_screw_clearance=0.5e-3,
+                                screw_barrel_clearance=0.5e-3,
+                                flight_count=3),
+}
+
+
+@pytest.mark.parametrize("params", CASING_GEOMETRIES.values(),
+                         ids=CASING_GEOMETRIES.keys())
+def test_casing_spans_meet_the_threshold_and_half_of_them_do_not(
+        params, monkeypatch):
+    # the casing error scales with the barrel radius as its threshold does,
+    # so one span count serves every geometry: CASING_SPANS meets the
+    # threshold and half of it does not (1008 points: every flight count
+    # here divides it)
+    ctx = PipelineContext(BooySource(params, 1008),
+                          fit_threshold=fit_threshold(1e-3, params, 1008))
+    assert np.array_equal(ctx._fit_casing().control_points,
+                          ctx.casing_arc["left"].control_points)
+    monkeypatch.setattr(pipeline, "CASING_SPANS", pipeline.CASING_SPANS // 2)
+    with pytest.raises(InvalidGeometryError) as info:
+        ctx._fit_casing()
+    assert info.value.details["max_residual"] > ctx.casing_threshold
+
+
 @pytest.mark.parametrize("threshold", [0.0, -1e-5, math.nan, math.inf])
 def test_context_rejects_a_fit_threshold_that_is_not_a_positive_length(
         threshold, monkeypatch):
@@ -396,9 +431,14 @@ def test_merge_and_promote_match_the_pairwise_reference(case, seed):
     curve = SplineCurve(a, np.random.default_rng(seed).normal(size=(a.n, 2)))
     for target in (merged, b):
         vals, have, want = interior_counts(a, target)
-        want_curve = curve.refine(np.repeat(vals, np.maximum(want - have, 0)))
+        if np.any(have > want):
+            # b need not refine a, and then it is no target to promote onto
+            with pytest.raises(DomainError):
+                promote_curve(curve, target)
+            continue
+        want_curve = curve.refine(np.repeat(vals, want - have))
         got = promote_curve(curve, target)
-        assert np.array_equal(got.basis.knots, want_curve.basis.knots)
+        assert got.basis == target
         assert np.array_equal(got.control_points, want_curve.control_points)
 
 
