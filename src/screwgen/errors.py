@@ -44,9 +44,10 @@ class FitConvergenceError(ScrewgenError):
 
 class MatchingError(ScrewgenError):
     """Two boundaries cannot bound a fold-free patch: the point-cloud
-    matching failed (orientation mismatch), a ruled map between two curves
-    folds, or a boundary curve reverses direction about its center
-    (backtracking), which no interior map can repair."""
+    matching failed (oppositely oriented or non-finite clouds, or
+    breakpoints that do not increase), or a boundary curve reverses
+    direction about its center (backtracking), which no interior map can
+    repair."""
 
 
 class BasisMismatchError(ScrewgenError):
@@ -77,7 +78,9 @@ class NonconvergenceError(ScrewgenError):
 
 
 class FoldingError(ScrewgenError):
-    """A parameterization is not certified fold-free on the boxes ``cells``."""
+    """A patch map is not certified fold-free on the knot-span boxes
+    ``cells`` that ``check_folding`` returns; ``build_c_grid`` raises it
+    for a C-grid, with its ``side``."""
 
     def __init__(self, message, cells=None, **details):
         super().__init__(message, **details)

@@ -23,11 +23,16 @@ from .splines import (KnotVector, SplineCurve, _check_param,
 
 
 def _cloud(points) -> np.ndarray:
-    """The cloud as a float array; fewer than 2 points raise FitError."""
+    """The cloud as a float array; fewer than 2 points, or a non-finite
+    coordinate (details: the first such row, ``row``), raise FitError."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise FitError(f"need at least 2 points, got {len(points)}",
                        n_points=len(points))
+    bad = ~np.isfinite(points).reshape(len(points), -1).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        raise FitError(f"cloud point {row} is not finite", row=row)
     return points
 
 
@@ -47,7 +52,7 @@ def chord_length_params(points) -> np.ndarray:
 # stabilized least-squares fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     curve: SplineCurve
     params: np.ndarray
@@ -193,10 +198,11 @@ class ReparamFunction:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
             raise MatchingError("breakpoint arrays must be equal-length 1d")
-        if abs(x[0]) > 1e-12 or abs(x[-1] - 1) > 1e-12 \
-                or abs(y[0]) > 1e-12 or abs(y[-1] - 1) > 1e-12:
+        # NaN fails every comparison, so each test asks for what must hold
+        ends = np.array([x[0], x[-1] - 1, y[0], y[-1] - 1])
+        if not np.all(np.abs(ends) <= 1e-12):
             raise MatchingError("reparameterization must map 0->0 and 1->1")
-        if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+        if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
             raise MatchingError("breakpoints must be strictly increasing")
         x = x.copy()
         y = y.copy()
@@ -245,12 +251,14 @@ def match_points(cloud_a, cloud_b, ta, tb):
     (f_a, f_b) mapping each cloud's parameter to the common value.  The
     pairs increase strictly in both indices, so the breakpoints do wherever
     the parameters do; a repeated point matched twice repeats its parameter
-    and raises MatchingError.
+    and raises MatchingError, as do a non-finite point or parameter.
     """
     a = np.asarray(cloud_a, dtype=float)
     b = np.asarray(cloud_b, dtype=float)
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise MatchingError("matched clouds must be finite")
     # reversed-orientation input would force crossing matches; detect it from
     # the endpoint correspondence before committing to the recursion
     d_fwd = np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[-1] - b[-1])

@@ -4,8 +4,9 @@ folding repair, and the one sign certificate behind every fold check.
 
 The certificate proves a spline quantity positive on each knot span by its
 Bernstein coefficients, halving by de Casteljau where they are inconclusive.
-It checks ruled (C-grid) maps, the separator's west/east boundaries (whose
-backtracking admits no fold-free interior map) and the det J of EGG maps.
+It checks the separator's west/east boundaries (whose backtracking admits
+no fold-free interior map) and, in ``check_folding``, det J > 0 of every
+patch map: the EGG separator and the two ruled C-grids.
 
 The EGG solve, ``egg_solve(initial)``, takes the initial map (the
 transfinite blend of the boundaries) and builds everything else it uses
@@ -41,8 +42,9 @@ from math import comb
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .errors import (BasisMismatchError, FoldingUnrepairedError, MatchingError,
-                     NonconvergenceError, StructureError, TopologyError)
+from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
+                     MatchingError, NonconvergenceError, StructureError,
+                     TopologyError)
 from .fitting import fit_curve
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, basis_ders_nonzero, basis_matrix,
@@ -113,7 +115,7 @@ def transfinite(west: SplineCurve, east: SplineCurve, south: SplineCurve,
 
 
 # ---------------------------------------------------------------------------
-# Bernstein sign certificate and the checks of ruled maps and boundaries
+# Bernstein sign certificate and the boundary regularity check
 # ---------------------------------------------------------------------------
 
 def _bezier(kv: KnotVector, cp):
@@ -190,14 +192,23 @@ def _certify(box, coeffs):
         box, origin = np.concatenate([left, right]), np.tile(origin, 2)
 
 
-def _require_one_sign(lo, hi, coeffs, messages, key, **details):
-    """Raise MatchingError unless the polynomials with Bernstein
-    coefficients (spans, n) on [lo, hi] keep the sign of their joint
-    integral: messages[0] if one has a wrong-signed exact value, else
-    messages[1]; the failed intervals and the least signed value at their
-    ends (``key``) go into the details."""
-    coeffs = coeffs * np.sign(np.sum((hi - lo) * coeffs.sum(axis=1)))
-    box, _, least = _certify(np.stack([lo, hi], 1)[..., None], coeffs)
+def check_boundary_regular(curve: SplineCurve, center, **details):
+    """Raise MatchingError unless the curve never backtracks about center.
+
+    For a curve star-shaped about ``center`` (a rotor arc about its axis)
+    backtracking is a sign change of the polar angular speed
+    w = (gamma - c) x gamma'; the orientation is the sign of the area the
+    radius sweeps, the sign of the integral of w.  ``details`` go into the
+    error, with the failed eta intervals and the least value of w times
+    that sign at their ends (``min_w``): the intervals with a wrong-signed
+    exact value if there are any, else those left uncertified.
+    """
+    lo, hi, segs = _bezier(curve.basis, curve.control_points)
+    hodograph = curve.basis.degree * np.diff(segs, axis=1)
+    w = _bernstein_cross(segs - np.asarray(center, dtype=float),
+                         hodograph / (hi - lo)[:, None, None])
+    w = w * np.sign(np.sum((hi - lo) * w.sum(axis=1)))
+    box, _, least = _certify(np.stack([lo, hi], 1)[..., None], w)
     wrong = ~(least > 0)
     box = box[wrong] if np.any(wrong) else box
     spans = []
@@ -207,52 +218,12 @@ def _require_one_sign(lo, hi, coeffs, messages, key, **details):
         else:
             spans.append((a, b))
     if spans:
+        message = ("boundary backtracks about its center on eta"
+                   if np.any(wrong) else
+                   "boundary regularity not certified on eta")
         raise MatchingError(
-            f"{messages[0] if np.any(wrong) else messages[1]} "
-            + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in spans),
-            intervals=spans, **{key: float(least.min())}, **details)
-
-
-def _cross_derivative(u, v, lo, hi):
-    """Bernstein coefficients of u x v' from Bezier nets on [lo, hi]."""
-    hodograph = (v.shape[1] - 1) * np.diff(v, axis=1)
-    return _bernstein_cross(u, hodograph / (hi - lo)[:, None, None])
-
-
-def check_ruled_map(south: SplineCurve, north: SplineCurve, **details):
-    """Raise MatchingError unless the ruled map x = (1 - eta) s(t) + eta n(t)
-    between two curves on one knot vector (equal knot vectors, else
-    BasisMismatchError) keeps one Jacobian sign.
-
-    det J = (1 - eta) s' x (n - s) + eta n' x (n - s) is linear in eta, so
-    both terms must keep one sign.  ``details`` go into the error, with the
-    failed t intervals and the least term value there (``min_det``).
-    """
-    if south.basis != north.basis:
-        raise BasisMismatchError("ruled map curves must share a knot vector")
-    lo, hi, segs = _bezier(south.basis, np.stack(
-        [south.control_points, north.control_points], axis=1))
-    s, n = segs[:, :, 0], segs[:, :, 1]
-    terms = [_cross_derivative(s - n, c, lo, hi) for c in (s, n)]
-    _require_one_sign(np.tile(lo, 2), np.tile(hi, 2), np.concatenate(terms),
-                      ("ruled map folds on t", "ruled map not certified on t"),
-                      "min_det", **details)
-
-
-def check_boundary_regular(curve: SplineCurve, center, **details):
-    """Raise MatchingError unless the curve never backtracks about center.
-
-    For a curve star-shaped about ``center`` (a rotor arc about its axis)
-    backtracking is a sign change of the polar angular speed
-    w = (gamma - c) x gamma'; the orientation is the sign of the area the
-    radius sweeps.  ``details`` go into the error, with the failed eta
-    intervals and the least value of w times that sign (``min_w``).
-    """
-    lo, hi, segs = _bezier(curve.basis, curve.control_points)
-    w = _cross_derivative(segs - np.asarray(center, dtype=float), segs, lo, hi)
-    _require_one_sign(lo, hi, w, (
-        "boundary backtracks about its center on eta",
-        "boundary regularity not certified on eta"), "min_w", **details)
+            f"{message} " + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in spans),
+            intervals=spans, min_w=float(least.min()), **details)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +232,11 @@ def check_boundary_regular(curve: SplineCurve, center, **details):
 
 def separator_xi_basis(degree: int, elements_per_half: int) -> KnotVector:
     """Open knot vector on [0, 1] with uniform spans per half and a
-    degree-fold repetition at 0.5 (the cusp C0 line)."""
+    degree-fold repetition at 0.5 (the cusp C0 line); fewer than one span
+    per half raises DomainError."""
     m = elements_per_half
+    if m < 1:
+        raise DomainError(f"need at least one span per half, got {m}")
     grid = np.linspace(0.0, 1.0, 2 * m + 1)[1:-1]
     mult = np.ones(len(grid), dtype=int)
     mult[m - 1] = degree

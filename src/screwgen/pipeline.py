@@ -21,12 +21,14 @@ the separator control map:
   certificate of the separator's west/east boundaries, which rejects a
   backtracking boundary with ``MatchingError`` before any C-grid or EGG
   work; the EGG solve with folding repair; each C-grid as the ruled map
-  between its rotor and casing arcs on their merged knot vector; the
+  between its rotor and casing arcs on their merged knot vector, xi
+  running clockwise about the rotor axis so that det J > 0; the
   orthogonality control map.
   Every ``ScrewgenError`` that ``build_patches`` raises carries the angle
   as ``theta`` in its details.
 
-Every fold check is the Bernstein sign certificate of ``parameterization``.
+All three patches are positively oriented, and ``check_folding``, the
+Bernstein sign certificate of ``parameterization``, certifies each of them.
 """
 
 from __future__ import annotations
@@ -38,15 +40,15 @@ import numpy as np
 
 from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
-from .errors import (FitError, InvalidGeometryError, MatchingError,
-                     ScrewgenError, TopologyError)
+from .errors import (FitError, FoldingError, InvalidGeometryError,
+                     MatchingError, ScrewgenError, TopologyError)
 from .fitting import (ReparamFunction, chord_length_params, fit_curve,
                       fit_curve_adaptive, match_points)
 from .parameterization import (PatchParameterization,
                                assemble_separator_boundary,
                                check_boundary_regular, check_folding,
-                               check_ruled_map, egg_solve, repair_folding,
-                               separator_xi_basis, transfinite)
+                               egg_solve, repair_folding, separator_xi_basis,
+                               transfinite)
 from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
@@ -143,7 +145,7 @@ def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
 # per-geometry fixed data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapArcs:
     """The rotor arcs bounding the separator at one angle (south to north,
     grid-coordinate parameterized), their sampled clouds, those clouds'
@@ -318,17 +320,24 @@ class PipelineContext:
 
     def build_c_grid(self, side: str, theta: float) -> PatchParameterization:
         """Ruled map from the rotor arc (eta = 0) to the casing arc (eta = 1)
-        over the retained grid range [q, 1 - q], fold-checked: linear in
-        eta, so its net is the two curves' control points side by side."""
+        over the retained grid range [q, 1 - q], with xi running clockwise
+        about the rotor axis so that det J > 0: linear in eta, so its net is
+        the two curves' control points side by side, reversed in xi.  A map
+        that ``check_folding`` does not certify raises FoldingError."""
         q = self.cut_frac
         rotor = self._rotor_arc(side, theta, q, 1.0 - q)
         casing = self.casing_arc[side]
         kv = merge_knot_vectors(rotor.basis, casing.basis)
-        rotor, casing = promote_curve(rotor, kv), promote_curve(casing, kv)
-        check_ruled_map(rotor, casing, side=side)
-        basis = TensorBasis(kv, KnotVector(1, [0.0, 0.0, 1.0, 1.0]))
-        return PatchParameterization(SplineMap(basis, np.stack(
-            [rotor.control_points, casing.control_points], axis=1)))
+        net = np.stack([promote_curve(rotor, kv).control_points,
+                        promote_curve(casing, kv).control_points], axis=1)
+        c_grid = SplineMap(TensorBasis(
+            KnotVector(DEGREE, 1.0 - kv.knots[::-1]),
+            KnotVector(1, [0.0, 0.0, 1.0, 1.0])), net[::-1])
+        boxes = check_folding(c_grid)
+        if boxes:
+            raise FoldingError(f"{side} C-grid not certified fold-free",
+                               cells=boxes, side=side)
+        return PatchParameterization(c_grid)
 
     # -- separator ---------------------------------------------------------------
 

@@ -88,7 +88,7 @@ class ScrewParams:
         return np.array([0.5 * self.centerline_distance, 0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Ordered planar point sequence."""
 
@@ -137,7 +137,7 @@ class CrossSection:
 # rotor arc construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Arc:
     center: np.ndarray
     radius: float

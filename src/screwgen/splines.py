@@ -159,7 +159,10 @@ class KnotVector:
 
 
 def uniform_knots(degree: int, n_elements: int) -> KnotVector:
-    """Open knot vector with ``n_elements`` uniform spans on [0, 1]."""
+    """Open knot vector with ``n_elements`` uniform spans on [0, 1]; fewer
+    than one span raises DomainError."""
+    if n_elements < 1:
+        raise DomainError(f"need at least one span, got {n_elements}")
     interior = np.linspace(0.0, 1.0, n_elements + 1)[1:-1]
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
     return KnotVector(degree, knots)

@@ -126,6 +126,21 @@ def test_fit_rejects_a_cloud_of_fewer_than_two_points(fit, n_points):
     assert info.value.details == {"n_points": n_points}
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda pts, t: chord_length_params(pts),
+    lambda pts, t: fit_curve(pts, t, uniform_knots(3, 4)),
+    lambda pts, t: fit_curve_adaptive(pts, t, uniform_knots(3, 4), 1e-3)],
+    ids=["chord_length_params", "fit_curve", "fit_curve_adaptive"])
+def test_a_non_finite_cloud_point_raises_fit_error_naming_its_row(entry,
+                                                                 value):
+    pts = circle_cloud(40, t1=np.pi)
+    pts[[17, 30], 1] = value
+    with pytest.raises(FitError) as info:
+        entry(pts, np.linspace(0.0, 1.0, 40))
+    assert info.value.details == {"row": 17}
+
+
 def test_fit_underdetermined_is_stabilized():
     # fewer points than basis functions: stabilization carries the rank
     pts = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]])
@@ -319,6 +334,21 @@ def test_match_rejects_a_repeated_point_matched_twice():
     pts = np.insert(pts, 17, pts[17], axis=0)
     with pytest.raises(MatchingError, match="strictly increasing"):
         match_by_chord(pts, 1.1 * pts)
+
+
+@pytest.mark.parametrize("where", ["point", "params"])
+def test_match_rejects_a_non_finite_point_or_parameter(where):
+    # a NaN point, or the parameters a chord-length pass over such a cloud
+    # used to return: NaN everywhere but the pinned end
+    pts = circle_cloud(40, t1=np.pi)
+    t = np.linspace(0.0, 1.0, 40)
+    ta = t.copy()
+    if where == "point":
+        pts[17] = np.nan
+    else:
+        ta[:-1] = np.nan
+    with pytest.raises(MatchingError):
+        match_points(pts, 1.1 * circle_cloud(40, t1=np.pi), ta, t)
 
 
 def test_match_orientation_mismatch_raises():

@@ -5,7 +5,7 @@ import pytest
 
 from screwgen import parameterization
 from screwgen.control_map import check_composite_folding
-from screwgen.errors import (BasisMismatchError, MatchingError,
+from screwgen.errors import (BasisMismatchError, DomainError, MatchingError,
                              NonconvergenceError, StructureError,
                              TopologyError)
 from screwgen.fitting import fit_curve
@@ -14,7 +14,6 @@ from screwgen.parameterization import (
     _aux_xi,
     check_boundary_regular,
     check_folding,
-    check_ruled_map,
     collocate_kinked_segments,
     egg_solve,
     repair_folding,
@@ -63,6 +62,20 @@ def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
     east = fit_curve(np.column_stack([r, np.zeros_like(t)]), t, tb.eta,
                      lam_reg=1e-14).curve
     return west, east, south, north
+
+
+# ---------------------------------------------------------------------------
+# bases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spans", [0, -1])
+def test_bases_of_fewer_than_one_span_raise_domain_error(spans):
+    with pytest.raises(DomainError):
+        uniform_knots(3, spans)
+    with pytest.raises(DomainError):
+        separator_xi_basis(3, spans)
+    assert uniform_knots(3, 1).n_elements == 1
+    assert separator_xi_basis(3, 1).n_elements == 2
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +128,6 @@ def test_knots_within_knot_tol_are_another_basis():
     moved = SplineCurve(KnotVector(2, knots), w.control_points)
     with pytest.raises(BasisMismatchError):
         transfinite(moved, e, s, n, tb)
-    rotor, casing = concentric_pair()
-    knots = casing.basis.knots.copy()
-    knots[5] += 1e-13
-    with pytest.raises(BasisMismatchError):
-        check_ruled_map(rotor, SplineCurve(KnotVector(3, knots),
-                                           casing.control_points))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
@@ -142,27 +149,34 @@ def test_transfinite_corner_tolerance_is_relative(scale):
 
 
 # ---------------------------------------------------------------------------
-# check_ruled_map
+# check_folding on ruled (C-grid) maps
 # ---------------------------------------------------------------------------
 
 def concentric_pair(twist=0.0):
+    """Unit and radius-2 circles, both clockwise from (1, 0), the outer one
+    twisted ahead by twist sin^2(pi t) turns."""
     kv = uniform_knots(3, 16)
     t = np.linspace(0, 1, 600)
     rotor = fit_curve(np.column_stack([np.cos(2 * np.pi * t),
-                                       np.sin(2 * np.pi * t)]),
+                                       -np.sin(2 * np.pi * t)]),
                       t, kv, lam_reg=1e-12).curve
     phi = 2 * np.pi * (t + twist * np.sin(np.pi * t) ** 2)
-    casing = fit_curve(2 * np.column_stack([np.cos(phi), np.sin(phi)]),
+    casing = fit_curve(2 * np.column_stack([np.cos(phi), -np.sin(phi)]),
                        t, kv, lam_reg=1e-12).curve
     return rotor, casing
 
 
+def ruled_map(rotor, casing):
+    """The ruled map from rotor (eta = 0) to casing (eta = 1), the two
+    curves on one knot vector; a clockwise pair, like a C-grid's, has
+    det J > 0."""
+    basis = TensorBasis(rotor.basis, KnotVector(1, [0.0, 0.0, 1.0, 1.0]))
+    return SplineMap(basis, np.stack(
+        [rotor.control_points, casing.control_points], axis=1))
+
+
 def ruled_map_folds(rotor, casing):
-    try:
-        check_ruled_map(rotor, casing)
-    except MatchingError as exc:
-        return exc.details["intervals"]
-    return []
+    return check_folding(ruled_map(rotor, casing))
 
 
 def test_o_grid_valid_concentric():
@@ -172,10 +186,7 @@ def test_o_grid_valid_concentric():
 
 def test_o_grid_twisted_invalid():
     rotor, casing = concentric_pair(twist=0.3)
-    with pytest.raises(MatchingError) as info:
-        check_ruled_map(rotor, casing, side="left")
-    assert info.value.details["side"] == "left"
-    assert len(info.value.details["intervals"]) > 0
+    assert len(ruled_map_folds(rotor, casing)) > 0
 
 
 def test_o_grid_validity_rotation_invariant():
@@ -205,8 +216,9 @@ def test_ruled_map_fold_between_isoline_samples_is_rejected():
     casing = SplineCurve(kv, cp)
     t = np.linspace(0.0, 1.0, 4 * kv.n)
     assert not np.any((t > 0.5) & (t < 0.508))
-    intervals = ruled_map_folds(rotor, casing)
-    assert intervals and all(0.5 <= a < b <= 0.508 for a, b in intervals)
+    assert ruled_map_folds(rotor, line_curve(kv, [0, 1], [1, 1])) == []
+    boxes = ruled_map_folds(rotor, casing)
+    assert boxes and all(0.5 <= lo[0] < hi[0] <= 0.508 for lo, hi in boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +285,7 @@ def bezier_by_levels(kv, cp):
 def test_bezier_nets_equal_the_per_index_blossoms_bit_for_bit(
         p, cuts, mults, trailing, seed):
     # random knot vectors with interior multiplicities up to p, and control
-    # points with the trailing axes the curve, ruled-map and folding checks
-    # pass
+    # points with the trailing axes the boundary and folding checks pass
     vals = np.unique(np.round(cuts, 3))
     kv = open_knots(p, vals, [min(m, p) for m in mults[:len(vals)]])
     cp = np.random.default_rng(seed).normal(size=(kv.n,) + trailing)

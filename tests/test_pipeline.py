@@ -16,7 +16,7 @@ from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
 from screwgen.errors import (ConstraintError, DomainError,
-                             FitConvergenceError, FitError,
+                             FitConvergenceError, FitError, FoldingError,
                              InvalidGeometryError, MatchingError,
                              NonconvergenceError, ScrewgenError,
                              TopologyError)
@@ -148,19 +148,23 @@ def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path,
 @pytest.mark.parametrize("theta", [0.0, 3 * math.pi / 8])
 def test_c_grid_is_the_ruled_map_between_rotor_and_casing_arcs(booy_context,
                                                                theta):
+    # xi runs clockwise about the rotor axis: the arcs, which run
+    # counter-clockwise, are read at u = 1 - xi
     ctx = booy_context
     q, s = ctx.cut_frac, theta / (2 * math.pi)
-    t = np.linspace(0.0, 1.0, 501)
+    xi = np.linspace(0.0, 1.0, 501)
+    u = 1.0 - xi
     scale = TABLE2.barrel_radius
-    for side, (cusp0, cusp1) in (("left", ctx.cusps), ("right", ctx.cusps[::-1])):
+    for side, (cusp0, cusp1) in (("left", ctx.cusps[::-1]),
+                                 ("right", ctx.cusps)):
         c_grid = ctx.build_c_grid(side, theta).map
         center = TABLE2.left_center if side == "left" else TABLE2.right_center
-        g = (q + t * (1 - 2 * q) - s) % 1.0
+        g = (q + u * (1 - 2 * q) - s) % 1.0
         rotor = ctx._two_period_rotor[side](g / 2)
         rotor = (rotor - center) @ rotation(theta).T + center
-        casing = ctx.casing_arc[side](t)
+        casing = ctx.casing_arc[side](u)
         for eta in (0.0, 0.5, 1.0):
-            got = c_grid.evaluate(t, np.full_like(t, eta))
+            got = c_grid.evaluate(xi, np.full_like(xi, eta))
             want = (1 - eta) * rotor + eta * casing
             assert np.abs(got - want).max() < 1e-12 * scale
         assert np.abs(c_grid.point(0.0, 1.0) - cusp0).max() < 1e-12 * scale
@@ -213,8 +217,8 @@ def test_arcs_ending_on_the_rotor_seam(booy_context, monkeypatch):
         p00, p10, p01, p11 = separator_corners(ctx, theta, monkeypatch)
         left = ctx.build_c_grid("left", theta).map.control_points
         right = ctx.build_c_grid("right", theta).map.control_points
-        for got, want in ((left[-1, 0], p00), (right[0, 0], p10),
-                          (left[0, 0], p01), (right[-1, 0], p11)):
+        for got, want in ((left[0, 0], p00), (right[-1, 0], p10),
+                          (left[-1, 0], p01), (right[0, 0], p11)):
             assert np.abs(got - want).max() < 1e-12 * scale, theta
 
 
@@ -377,6 +381,54 @@ def test_every_flight_count_certifies_or_rejects_each_angle_by_name(
         certified.append(k)
     if params.flight_count == 3:
         assert certified == list(range(16))
+
+
+ORIENTED_CASES = {
+    "table2": (TABLE2, 1e-3, N_POINTS),
+    "table2_fine": (TABLE2, 3e-4, N_POINTS),
+    "table8": (TABLE8, 1e-3, N_POINTS),
+    "one_flight": (ONE_FLIGHT, 1e-3, N_POINTS),
+    "three_flight": (THREE_FLIGHT, 1e-3, 1008),
+}
+
+
+@pytest.mark.parametrize("params, factor, n_points", ORIENTED_CASES.values(),
+                         ids=ORIENTED_CASES.keys())
+def test_all_three_patches_are_positively_oriented_and_certified(
+        params, factor, n_points):
+    # 16 angles over one period 2 pi / z: both C-grids at every angle, and
+    # the three patches of every set that builds, have det J > 0 certified
+    ctx = PipelineContext(BooySource(params, n_points),
+                          fit_threshold=fit_threshold(factor, params,
+                                                      n_points))
+    t = np.linspace(0.0, 1.0, 50)
+    xi, eta = np.repeat(t, t.size), np.tile(t, t.size)
+    for k in range(16):
+        theta = k * 2.0 * math.pi / (16 * params.flight_count)
+        for side in ("left", "right"):
+            c_grid = ctx.build_c_grid(side, theta).map
+            assert parameterization.check_folding(c_grid) == [], (side, k)
+            assert c_grid.jacobian(xi, eta)[1].min() > 0, (side, k)
+        try:
+            patches = ctx.build_patches(theta)
+        except ScrewgenError:
+            continue
+        for patch in (patches.left_c, patches.right_c, patches.separator):
+            assert parameterization.check_folding(patch.map) == [], k
+
+
+def test_an_uncertified_c_grid_raises_folding_error(booy_context,
+                                                    monkeypatch):
+    # a stand-in certificate that rejects every ruled (eta degree 1) map
+    # and passes the separator on to the real one
+    real = parameterization.check_folding
+    box = [[0.0, 0.0], [1.0, 1.0]]
+    monkeypatch.setattr(pipeline, "check_folding", lambda m: [box]
+                        if m.basis.eta.degree == 1 else real(m))
+    with pytest.raises(FoldingError) as info:
+        booy_context.build_patches(math.pi / 4)
+    assert info.value.cells == [box]
+    assert info.value.details == {"side": "left", "theta": math.pi / 4}
 
 
 def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):
