@@ -11,17 +11,19 @@ nu-derivatives, which maximizes grid orthogonality.
 
 The cost 0.5 sum D^2 * area is a least-squares sum, so ``optimize_control``
 runs Gauss-Newton damped by Levenberg-Marquardt (Nocedal & Wright,
-*Numerical Optimization*, ch. 10).  Each sample's D depends only on the
-control values of its control-span cell, so the Gauss-Newton matrix J^T J
-is a sum of small per-cell blocks.  The ordering constraints are handled by
-a primal active set (ch. 16) on one gap operator D, which maps a step on
-the interior values to the change of every gap.  The damped matrix K is
-fixed within a step, so the step makes one solve with K, and each pass
-solves only the Schur system of its working gaps for their multipliers
-(range-space form, section 16.2); a ratio test on D p keeps every other gap
-at or above the margin.  The loop works on the cost divided by its start
-value, which is free of the length unit, and stops once a step lowers it
-by less than a fixed share.
+*Numerical Optimization*, ch. 10).  Each sample's D depends on the control
+values only through sigma, sigma_mu and sigma_nu, each of which pairs one
+mu row with one nu row of the fixed sample matrices, so the Gauss-Newton
+matrix J^T J is a sum of Kronecker products of their row-wise products,
+weighted per sample by products of D's partials.  The ordering constraints
+are handled by a primal active set (ch. 16) on one gap operator D, which
+maps a step on the interior values to the change of every gap.  The damped
+matrix K is fixed within a step, so the step makes one solve with K, and
+each pass solves only the Schur system of its working gaps for their
+multipliers (range-space form, section 16.2); a ratio test on D p keeps
+every other gap at or above the margin.  The loop works on the cost divided
+by its start value, which is free of the length unit, and stops once a step
+lowers it by less than a fixed share.
 
 Each point costs one pass over the samples, which gives its cost and the
 partials its gradient needs: ``CostEvaluator`` keeps the last point's
@@ -78,6 +80,9 @@ class ControlMap:
     iterations: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConstraintError("margin must be a positive finite number",
+                                  margin=self.margin)
         c = np.ascontiguousarray(self.coeffs, dtype=float)
         if c.shape != self.basis.shape:
             raise DomainError("control value grid does not match the basis")
@@ -138,56 +143,27 @@ def check_composite_folding(x: SplineMap, s: ControlMap | None,
 # orthogonality cost
 # ---------------------------------------------------------------------------
 
-def _span_samples(kv, t):
-    """The sorted samples t grouped by the knot span they lie in.
-
-    Returns the sample indices (spans, slots), padded where a span holds
-    fewer samples than the fullest; the p+1 nonzero basis values and first
-    derivatives there, (2, spans, p+1, slots), zero in the padding; and the
-    first function nonzero on each span.
-    """
-    cols, ders = basis_ders_nonzero(kv, t, 1)
-    first, start, count = np.unique(cols[:, 0], return_index=True,
-                                    return_counts=True)
-    slots = np.arange(count.max())
-    rows = np.minimum(start[:, None] + slots, len(t) - 1)
-    values = np.where((slots < count[:, None])[:, None],
-                      ders[:, rows].transpose(0, 1, 3, 2), 0.0)
-    return rows, values, first
-
-
 def _sample_columns():
     return (np.arange(N_CELLS) + 0.5) / N_CELLS
 
 
 def _control_tables(kv_mu, kv_nu):
     """The tables of one control basis: its sample matrices Bmu, Bmu_d, Bnu,
-    Bnu_d; the samples of each control-span cell (span_mu, span_nu, 1,
-    slots) as flat indices, the basis values N, N' there, (2, span_mu, 1,
-    p+1, slots), and M, M' stacked per eta span, (span_nu, 2, q+1, slots);
-    the free (interior eta column) index of each cell's control values, n_free
-    for a pinned one, as pairs in the (n_free + 1)^2 matrix whose last row
-    and column are dropped; and n_free."""
+    Bnu_d, and the row-wise products of the sample matrices through which
+    D depends on the control values, A = (Bmu, Bmu_d, Bmu) and B = (Bnu,
+    Bnu, Bnu_d), B on the interior eta columns.  For each pair (k, l) of
+    ``np.triu_indices(3)``, AA[kl][(i, i'), a] = A_k[a, i] A_l[a, i'],
+    (6, n_mu^2, N_CELLS), and BB[kl][b, (j, j')] = B_k[b, j] B_l[b, j'],
+    (6, N_CELLS, (n_nu - 2)^2)."""
     t = _sample_columns()
-    mats = tuple(basis_matrix(kv, t, der=der)
-                 for kv in (kv_mu, kv_nu) for der in (0, 1))
-    rows_mu, N, first_mu = _span_samples(kv_mu, t)
-    rows_nu, M, first_nu = _span_samples(kv_nu, t)
-    cell_samples = (rows_mu[:, None, :, None] * N_CELLS
-                    + rows_nu[None, :, None, :]).reshape(
-        len(first_mu), len(first_nu), 1, -1)
-    n_mu, n_nu = kv_mu.n, kv_nu.n
-    n_free = n_mu * (n_nu - 2)
-    i = first_mu[:, None] + np.arange(kv_mu.degree + 1)
-    j = first_nu[:, None] + np.arange(kv_nu.degree + 1) - 1
-    i, j = i[:, None, :, None], j[None, :, None, :]
-    dof = np.where((j >= 0) & (j < n_nu - 2), i * (n_nu - 2) + j,
-                   n_free).reshape(len(first_mu) * len(first_nu), -1)
-    pairs = (dof[:, :, None] * (n_free + 1) + dof[:, None, :]).ravel()
-    return mats + (cell_samples,
-                   np.repeat(N, M.shape[-1], axis=-1)[:, :, None],
-                   np.tile(M, rows_mu.shape[1]).transpose(1, 0, 2, 3).copy(),
-                   pairs, n_free)
+    Bmu, Bmu_d, Bnu, Bnu_d = (basis_matrix(kv, t, der=der)
+                              for kv in (kv_mu, kv_nu) for der in (0, 1))
+    A = np.stack([Bmu, Bmu_d, Bmu])
+    B = np.stack([Bnu, Bnu, Bnu_d])[:, :, 1:-1]
+    k, l = np.triu_indices(3)
+    AA = np.einsum("kai,kaj->kija", A[k], A[l]).reshape(len(k), -1, N_CELLS)
+    BB = np.einsum("kbi,kbj->kbij", B[k], B[l]).reshape(len(k), N_CELLS, -1)
+    return Bmu, Bmu_d, Bnu, Bnu_d, AA, BB
 
 
 def _column_rows(kv):
@@ -209,10 +185,11 @@ class CostEvaluator:
     t_nu = sigma_nu x_eta, the per-sample dot D = t_mu . t_nu depends on the
     control values through sigma (via x), sigma_mu and sigma_nu, so the
     gradient of 0.5 sum D^2 is three basis contractions of D times the
-    partials of D.  The same partials give the sample's row of the
-    Jacobian J of D on the (p+1)(q+1) control values of its control-span
-    cell, d_sig N M + d_mu N' M + d_nu N M', so J^T J is one batched
-    product of per-cell blocks and one scatter.
+    partials of D.  The same partials give the Jacobian of D on the
+    interior control values, J = sum_k diag(d_k) (A_k kron B_k) with A =
+    (Bmu, Bmu_d, Bmu) and B = (Bnu, Bnu, Bnu_d), so the (k, l) block of
+    J^T J is AA_kl (d_k d_l) BB_kl on the row-wise products that
+    ``_control_tables`` tables: six batched pairs of matrix products.
 
     Each point costs one pass: the evaluator keeps the pass of the last
     point it evaluated, so ``cost_of`` or ``cost_and_scale`` followed by
@@ -231,9 +208,9 @@ class CostEvaluator:
                               "resolution")
         self.x = x
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
-        (self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d, self._cell_samples,
-         self._N, self._M, self._pairs, self.n_free) = basis_tables(
-            _control_tables, basis.xi, basis.eta)
+        (self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d, self._AA,
+         self._BB) = basis_tables(_control_tables, basis.xi, basis.eta)
+        self.n_free = basis.xi.n * (basis.eta.n - 2)
         # eta-spline coefficients per mu-column, x in components 0-1 and
         # x_xi in 2-3, and their Taylor coefficients (derivative k over k!)
         # about the left breakpoints lo of the knot spans
@@ -324,18 +301,19 @@ class CostEvaluator:
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
              + self.Bmu_d.T @ (dots * d_mu) @ self.Bnu
              + self.Bmu.T @ (dots * d_nu) @ self.Bnu_d)
-        N, N_d = self._N
-        d_sig, d_mu, d_nu = (np.take(d, self._cell_samples)
-                             for d in (d_sig, d_mu, d_nu))
-        # a sample's row is A_a M_b + B_a M'_b over the cell's control
-        # values (a, b), written straight into (cells, (p+1)(q+1), samples)
-        AB = np.stack([d_sig * N + d_mu * N_d, d_nu * N], axis=3)
-        rows = np.einsum("xyaks,ykbs->xyabs", AB, self._M).reshape(
-            -1, N.shape[-2] * self._M.shape[-2], N.shape[-1])
-        m = self.n_free + 1
-        normal = np.bincount(self._pairs,
-                             np.matmul(rows, rows.transpose(0, 2, 1)).ravel(),
-                             minlength=m * m).reshape(m, m)[:-1, :-1]
+        # the (k, l) block of J^T J is sum_ab A_k[a, i] A_l[a, i'] d_k d_l
+        # B_k[b, j] B_l[b, j'], and the (l, k) block its transpose; adding
+        # the off-diagonal blocks to their transpose before the diagonal
+        # ones keeps the matrix exactly symmetric
+        d = np.stack(terms["partials"])
+        k, l = np.triu_indices(3)
+        n_mu, m = coeffs.shape[0], coeffs.shape[1] - 2
+        blocks = ((self._AA @ (d[k] * d[l])) @ self._BB).reshape(
+            len(k), n_mu, n_mu, m, m)
+        off = blocks[k != l].sum(axis=0)
+        normal = (off + off.transpose(1, 0, 3, 2)
+                  + blocks[k == l].sum(axis=0)).transpose(0, 2, 1, 3).reshape(
+            self.n_free, self.n_free)
         return (self._cost(dots), self.cell_area * g[:, 1:-1].ravel(),
                 self.cell_area * normal)
 

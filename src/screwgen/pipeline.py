@@ -189,13 +189,20 @@ class PipelineContext:
     ``fit_threshold``, a positive finite length (default 1e-4 of the
     rotor clouds' bounding-box diagonal), governs the rotor and separator
     boundary fits; the casing fit gets a tighter budget so barrel vertices
-    stay on the physical circle.
+    stay on the physical circle.  Both clearances must be positive: a
+    closed gap leaves the separator or a C-grid no room, and it would
+    fail late with a fold error.
     """
 
     def __init__(self, source: BooySource | FileSource,
                  fit_threshold: float | None = None,
                  optimize_control_maps: bool = True):
         p = source.params
+        for name in ("screw_screw_clearance", "screw_barrel_clearance"):
+            value = getattr(p, name)
+            if not value > 0:
+                raise InvalidGeometryError(f"{name} must be > 0 to mesh",
+                                           field=name, value=value)
         self.params = p
         sec0 = source.section(0.0)
         if fit_threshold is None:

@@ -335,7 +335,11 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
     barrel is not part of the file: it is the one of ``params``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ProfileParseError(f"{path} is not UTF-8 text",
+                                    path=str(path)) from exc
     body = [ln.strip() for ln in lines]
     body = [ln for ln in body if ln and not ln.startswith("#")]
     if not body or body[0] != PROFILE_HEADER:

@@ -108,7 +108,9 @@ class KnotVector:
     spans: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", _frozen(self.knots))
+        # + 0.0 turns -0.0 into 0.0, whose bytes the comparison reads
+        object.__setattr__(self, "knots",
+                           _frozen(np.asarray(self.knots, dtype=float) + 0.0))
         p, t = self.degree, self.knots
         if p < 1:
             raise DomainError(f"degree must be >= 1, got {p}")

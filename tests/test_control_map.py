@@ -178,7 +178,7 @@ def dense_normal_matrix(ev, coeffs):
 
 
 # a graded control basis: its spans hold 3 to 20 of the 64 samples per
-# direction, so the per-cell sample blocks are padded
+# direction, so its sample matrices are unevenly filled
 GRADED = TensorBasis(open_knots(2, [0.05, 0.2, 0.5, 0.55, 0.8]),
                      open_knots(3, [0.1, 0.4, 0.45, 0.7, 0.9]))
 
@@ -194,6 +194,7 @@ def test_normal_matrix_matches_the_dense_oracle(make, basis):
     want = dense_normal_matrix(ev, coeffs)
     _, _, got = ev.gradient(coeffs)
     assert got.shape == (ev.n_free, ev.n_free)
+    assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -292,6 +293,14 @@ def test_control_map_rejects_a_non_finite_value():
     coeffs[3, 4] = np.nan
     with pytest.raises(DomainError, match="control values must be finite"):
         ControlMap(default_control_basis(), coeffs)
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.05, np.nan, np.inf])
+def test_control_map_rejects_a_margin_that_is_not_positive_and_finite(margin):
+    with pytest.raises(ConstraintError) as info:
+        identity_control(default_control_basis(), margin)
+    got = info.value.details["margin"]
+    assert got == margin or (np.isnan(got) and np.isnan(margin))
 
 
 def gap_rows(n_mu, n_gaps):
@@ -433,8 +442,7 @@ def test_evaluator_reuses_the_last_pass_only_at_the_same_values():
 def test_evaluators_over_one_basis_share_their_tables():
     x = curved_map()
     a, b = (CostEvaluator(x, default_control_basis()) for _ in range(2))
-    for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d", "_cell_samples", "_N",
-                 "_M", "_pairs"):
+    for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d", "_AA", "_BB"):
         assert getattr(a, name) is getattr(b, name)
         assert not getattr(a, name).flags.writeable
     assert a.taylor is not b.taylor           # the map's own tables

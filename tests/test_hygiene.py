@@ -1,5 +1,6 @@
-"""Declaration hygiene: every error class is raised somewhere, and every
-dataclass that holds an array compares by identity."""
+"""Declaration hygiene: every error class is raised somewhere, every
+private helper is used somewhere, and every dataclass that holds an array
+compares by identity."""
 
 import ast
 import dataclasses
@@ -59,6 +60,40 @@ def test_unused_classes_finds_a_class_nothing_calls():
     called = called_names("def f():\n    raise errors.Raised('x')\n")
     assert called == {"Raised"}
     assert unused_classes([Base, Raised, Unused], called) == ["Unused"]
+
+
+def unreferenced_private_defs(sources) -> list[str]:
+    """The functions, methods and classes named ``_x`` (dunders aside) in
+    the sources that no Name, Attribute or import in them refers to."""
+    defined, referenced = set(), set()
+    nodes = (node for src in sources for node in ast.walk(ast.parse(src)))
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    return sorted(name for name in defined - referenced
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_helper_is_referenced():
+    sources = [path.read_text() for path in MODULES]
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_unreferenced_private_defs_finds_a_helper_nothing_uses():
+    sources = ["from .b import _imported\n"
+               "def _called():\n    return _imported() + C()._method()\n"
+               "def _dead():\n    pass\n"
+               "class C:\n    def _method(self):\n        return _called\n"
+               "    def __init__(self):\n        pass\n",
+               "def _imported():\n    pass\n"]
+    assert unreferenced_private_defs(sources) == ["_dead"]
 
 
 def array_dataclasses():

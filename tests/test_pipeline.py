@@ -252,7 +252,8 @@ CASING_GEOMETRIES = {
     "table2": TABLE2,
     "table8": TABLE8,
     "one_flight": ScrewParams(screw_radius=0.05, centerline_distance=0.06,
-                              flight_count=1),
+                              screw_screw_clearance=0.1e-3,
+                              screw_barrel_clearance=0.1e-3, flight_count=1),
     "two_flight": ScrewParams(screw_radius=0.05, centerline_distance=0.0995,
                               screw_screw_clearance=0.1e-3,
                               screw_barrel_clearance=0.1e-3),
@@ -290,6 +291,17 @@ def test_context_rejects_a_fit_threshold_that_is_not_a_positive_length(
         PipelineContext(BooySource(TABLE2, N_POINTS), fit_threshold=threshold)
     got = info.value.details["fit_threshold"]
     assert got == threshold or (math.isnan(got) and math.isnan(threshold))
+
+
+@pytest.mark.parametrize("name", ["screw_screw_clearance",
+                                  "screw_barrel_clearance"])
+def test_context_rejects_a_closed_clearance_by_name(name, monkeypatch):
+    # a zero gap fails late at every angle, with a fold error
+    monkeypatch.setattr(BooySource, "section", stop)
+    params = dataclasses.replace(TABLE2, **{name: 0.0})
+    with pytest.raises(InvalidGeometryError) as info:
+        PipelineContext(BooySource(params, N_POINTS))
+    assert info.value.details == {"field": name, "value": 0.0}
 
 
 @pytest.mark.parametrize("stage, error", [

@@ -231,6 +231,14 @@ def test_profile_parse_errors(tmp_path):
         load_profile(bad, TABLE2)
 
 
+def test_profile_that_is_not_utf8_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"screwgen-profile v1\n\xff\n")
+    with pytest.raises(ProfileParseError) as info:
+        load_profile(bad, TABLE2)
+    assert info.value.details["path"] == str(bad)
+
+
 @pytest.mark.parametrize("line", [
     "section θ=nan", "section theta=inf", "L nan nan", "R 0.001 -inf",
     "L inf 0.0"])

@@ -747,6 +747,9 @@ def test_knot_vectors_compare_and_hash_by_degree_and_knot_values():
     moved = a.knots.copy()
     moved[4] += 1e-15
     assert KnotVector(3, moved) != a
+    signed = KnotVector(1, [-0.0, -0.0, 0.5, 1.0, 1.0])
+    unsigned = KnotVector(1, [0.0, 0.0, 0.5, 1.0, 1.0])
+    assert signed == unsigned and hash(signed) == hash(unsigned)
     # a tensor basis compares and hashes through its knot vectors
     table = {TensorBasis(a, uniform_knots(2, 5)): 1}
     table[TensorBasis(b, uniform_knots(2, 5))] = 2
