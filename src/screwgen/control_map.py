@@ -46,6 +46,7 @@ and the certificate on x certifies x o s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,22 +149,26 @@ def _sample_columns():
 
 
 def _control_tables(kv_mu, kv_nu):
-    """The tables of one control basis: its sample matrices Bmu, Bmu_d, Bnu,
-    Bnu_d, and the row-wise products of the sample matrices through which
-    D depends on the control values, A = (Bmu, Bmu_d, Bmu) and B = (Bnu,
-    Bnu, Bnu_d), B on the interior eta columns.  For each pair (k, l) of
-    ``np.triu_indices(3)``, AA[kl][(i, i'), a] = A_k[a, i] A_l[a, i'],
-    (6, n_mu^2, N_CELLS), and BB[kl][b, (j, j')] = B_k[b, j] B_l[b, j'],
-    (6, N_CELLS, (n_nu - 2)^2)."""
+    """The sample matrices Bmu, Bmu_d, Bnu, Bnu_d of one control basis."""
     t = _sample_columns()
-    Bmu, Bmu_d, Bnu, Bnu_d = (basis_matrix(kv, t, der=der)
-                              for kv in (kv_mu, kv_nu) for der in (0, 1))
+    return tuple(basis_matrix(kv, t, der=der)
+                 for kv in (kv_mu, kv_nu) for der in (0, 1))
+
+
+def _gauss_newton_tables(kv_mu, kv_nu):
+    """The row-wise products of the sample matrices of one control basis
+    through which D depends on the control values, A = (Bmu, Bmu_d, Bmu)
+    and B = (Bnu, Bnu, Bnu_d), B on the interior eta columns.  For each
+    pair (k, l) of ``np.triu_indices(3)``, AA[kl][(i, i'), a] = A_k[a, i]
+    A_l[a, i'], (6, n_mu^2, N_CELLS), and BB[kl][b, (j, j')] = B_k[b, j]
+    B_l[b, j'], (6, N_CELLS, (n_nu - 2)^2)."""
+    Bmu, Bmu_d, Bnu, Bnu_d = basis_tables(_control_tables, kv_mu, kv_nu)
     A = np.stack([Bmu, Bmu_d, Bmu])
     B = np.stack([Bnu, Bnu, Bnu_d])[:, :, 1:-1]
     k, l = np.triu_indices(3)
     AA = np.einsum("kai,kaj->kija", A[k], A[l]).reshape(len(k), -1, N_CELLS)
     BB = np.einsum("kbi,kbj->kbij", B[k], B[l]).reshape(len(k), N_CELLS, -1)
-    return Bmu, Bmu_d, Bnu, Bnu_d, AA, BB
+    return AA, BB
 
 
 def _column_rows(kv):
@@ -189,7 +194,7 @@ class CostEvaluator:
     interior control values, J = sum_k diag(d_k) (A_k kron B_k) with A =
     (Bmu, Bmu_d, Bmu) and B = (Bnu, Bnu, Bnu_d), so the (k, l) block of
     J^T J is AA_kl (d_k d_l) BB_kl on the row-wise products that
-    ``_control_tables`` tables: six batched pairs of matrix products.
+    ``_gauss_newton_tables`` tables: six batched pairs of matrix products.
 
     Each point costs one pass: the evaluator keeps the pass of the last
     point it evaluated, so ``cost_of`` or ``cost_and_scale`` followed by
@@ -198,8 +203,11 @@ class CostEvaluator:
     derivatives of x it reads.  The tables of the control basis
     and the rows of the map's xi basis at the sample columns depend on
     those bases alone and come from ``splines.basis_tables``, shared by
-    every evaluator over the same bases; the Taylor tables depend on the
-    map's net and are built per evaluator.
+    every evaluator over the same bases; the Gauss-Newton products
+    (``_gauss_newton_tables``, about 0.5 MB on the default control basis)
+    are fetched by the first ``gradient`` call, so evaluating the cost
+    alone never builds them.  The Taylor tables depend on the map's net and
+    are built per evaluator.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -208,8 +216,9 @@ class CostEvaluator:
                               "resolution")
         self.x = x
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
-        (self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d, self._AA,
-         self._BB) = basis_tables(_control_tables, basis.xi, basis.eta)
+        self.basis = basis
+        self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d = basis_tables(
+            _control_tables, basis.xi, basis.eta)
         self.n_free = basis.xi.n * (basis.eta.n - 2)
         # eta-spline coefficients per mu-column, x in components 0-1 and
         # x_xi in 2-3, and their Taylor coefficients (derivative k over k!)
@@ -229,6 +238,12 @@ class CostEvaluator:
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
         self._last = None
+
+    @functools.cached_property
+    def _gauss_newton(self):
+        """(AA, BB) of the control basis, fetched by the first gradient."""
+        return basis_tables(_gauss_newton_tables, self.basis.xi,
+                            self.basis.eta)
 
     def _at(self, coeffs):
         """The pass at the control values, kept from the last call if it
@@ -308,7 +323,8 @@ class CostEvaluator:
         d = np.stack(terms["partials"])
         k, l = np.triu_indices(3)
         n_mu, m = coeffs.shape[0], coeffs.shape[1] - 2
-        blocks = ((self._AA @ (d[k] * d[l])) @ self._BB).reshape(
+        AA, BB = self._gauss_newton
+        blocks = ((AA @ (d[k] * d[l])) @ BB).reshape(
             len(k), n_mu, n_mu, m, m)
         off = blocks[k != l].sum(axis=0)
         normal = (off + off.transpose(1, 0, 3, 2)

@@ -26,30 +26,33 @@ assembly works by sum factorization (Antolin, Buffa, Calabro, Martinelli
 & Sangalli, CMAME 2015): the fields at the Gauss points are two
 contractions of the net, one per direction, the residual is the transposed
 pair, and the Newton matrix sums over the eta points of each span before
-the xi points.  The unknowns are numbered eta-slow, so the Newton matrix
-is banded with half-bandwidths fixed by the xi width, and its
+the xi points.  The unknowns are numbered eta-slow and grouped by eta
+degree many eta indices, so the Newton matrix is block-tridiagonal over
+the groups with blocks of a size fixed by the xi width, and its
 component-diagonal part, alike for both components, is placed for one
 component and copied onto the other.  The matrix is scattered straight
-into LAPACK's Fortran-ordered band array, and each step is one in-place
-LAPACK band solve.
+into an array of each group's three blocks, and each step is one block
+LU solve (the block Thomas algorithm) in numpy, which pivots inside each
+group.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
                      MatchingError, NonconvergenceError, StructureError,
                      TopologyError)
 from .fitting import fit_curve
-from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, basis_ders_nonzero, basis_matrix,
-                      basis_tables, blossoms, bounding_box_diagonal,
-                      greville_abscissae, insert_knots, open_knots)
+from .splines import (KNOT_TOL, TABLE_CACHE_SIZE, KnotVector, SplineCurve,
+                      SplineMap, TensorBasis, basis_ders_nonzero,
+                      basis_matrix, basis_tables, blossoms,
+                      bounding_box_diagonal, greville_abscissae, insert_knots,
+                      open_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
@@ -376,9 +379,105 @@ def _xi_tables(kv: KnotVector):
     return first1, proj, fields, w1.reshape(-1, 1) * Nd[0], diag, full
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _newton_layout(n1, n2, p1, p2):
+    """The block layout of the Newton matrix of an n1 x n2 net of degrees
+    (p1, p2), which depends on that shape alone: the unknown count n, the
+    block array's shape (G, 3, s, s), and the raveled positions in it of
+    the component-diagonal block's component 0 and of the 2x2 block.
+
+    A group holds p2 consecutive inner eta indices, s = 2 (n1 - 2) p2
+    unknowns, and the unknowns past n in the last group are the pad.  Eta
+    indices couple at most p2 apart, so a group couples only to its two
+    neighbours: [g, 0] is its block with group g - 1, [g, 1] with itself
+    and [g, 2] with group g + 1.  A pair with a boundary dof goes to the
+    spare slot G 3 s^2 after the array.  The position arrays are read-only.
+    """
+    m = n1 - 2
+    half = m * p2                         # unknown pairs per group
+    s = 2 * half
+    groups = -(-(n2 - 2) // p2)
+    # unknown pair of each control point, -1 on the boundary and on the
+    # pads that out-of-range offsets reach
+    pos = -np.ones((n1 + 2 * p1, n2 + 2 * p2), dtype=np.int64)
+    pos[p1 + 1:p1 + n1 - 1, p2 + 1:p2 + n2 - 1] = np.arange(
+        m * (n2 - 2)).reshape(n2 - 2, m).T
+    row = pos[p1:p1 + n1, p2:p2 + n2]
+    j2 = np.arange(n2)[:, None] + np.arange(2 * p2 + 1)
+    j1 = np.arange(n1)[:, None] + np.arange(2 * p1 + 1)
+
+    def at(r, c, shift=0):
+        """Raveled position of entry (2r, 2c), plus shift, of pairs r, c."""
+        gr, gc = r // half, c // half
+        flat = (((3 * gr + gc - gr + 1) * s + 2 * (r % half)) * s
+                + 2 * (c % half))
+        return np.where((r >= 0) & (c >= 0), flat + shift,
+                        groups * 3 * s * s).ravel()
+
+    # (row, column) pairs of the diagonal block, (i1, inner j1, i2,
+    # offset), and of the 2x2 block, (i1, offset, a, b, i2, offset), whose
+    # entry (2r + a, 2c + b) lies a rows and b columns on
+    a, b = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
+    diag_at = at(row[:, None, :, None], pos[p1 + 1:p1 + n1 - 1][:, j2])
+    x_at = at(row[:, None, None, None, :, None],
+              pos[j1[:, :, None, None], j2][:, :, None, None], a * s + b)
+    diag_at.flags.writeable = x_at.flags.writeable = False
+    return 2 * m * (n2 - 2), (groups, 3, s, s), diag_at, x_at
+
+
+def _block_solve(blocks, rhs):
+    """Solve the block-tridiagonal system (G, 3, s, s) of ``jacobian``
+    against rhs (n,) by block LU, the block Thomas algorithm (Golub & Van
+    Loan, Matrix Computations, 4.5), overwriting the diagonal blocks.
+
+    Group g's Schur complement S_g = D_g - L_g X_(g-1) is solved against
+    [rhs | upper block], [y_g | X_g] = S_g^-1 [r_g - L_g y_(g-1) | U_g],
+    with partial pivoting inside the group; one matmul of L_g with the
+    previous group's [y | X] updates both.  Back substitution then gives
+    x_g = y_g - X_g x_(g+1).  The pad is decoupled, so the last group's
+    rows and the columns of the upper block before it stop at the last
+    unknown.  Returns (step, None), or (None, g) with the group whose Schur
+    complement is singular or where the step first turns non-finite.
+    """
+    groups, _, s, _ = blocks.shape
+    n = len(rhs)
+    # the unknowns of each group, the pad cut off, and none past the last
+    size = [s] * (groups - 1) + [n - (groups - 1) * s, 0]
+    work = np.zeros((groups, s, s + 1))
+    work[:, :, 1:] = blocks[:, 2]
+    work.reshape(-1, s + 1)[:n, 0] = rhs
+    # an inf or NaN in the matrix makes more on the way; the check below
+    # reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for g in range(groups):
+            r = size[g]
+            schur, w = blocks[g, 1, :r, :r], work[g, :r, :size[g + 1] + 1]
+            if g:
+                t = blocks[g, 0, :r] @ work[g - 1, :, :r + 1]
+                schur -= t[:, 1:]
+                w[:, 0] -= t[:, 0]
+            try:
+                w[...] = np.linalg.solve(schur, w)
+            except np.linalg.LinAlgError:
+                return None, g
+        step = [work[-1, :size[-2], 0]]
+        for g in range(groups - 2, -1, -1):
+            step.append(work[g, :, 0] - work[g, :, 1:size[g + 1] + 1]
+                        @ step[-1])
+    step = np.concatenate(step[::-1])
+    if not np.isfinite(step).all():
+        # elimination runs forward and back substitution backward
+        forward = ~np.isfinite(work).all(axis=(1, 2))
+        g = (np.flatnonzero(forward)[0] if forward.any() else
+             np.flatnonzero(~np.isfinite(step))[-1] // s)
+        return None, int(g)
+    return step, None
+
+
 class EggAssembly:
-    """Per-direction quadrature tables and the banded Newton-matrix layout
-    of one primal basis, with the auxiliary space built from it.
+    """Per-direction quadrature tables and the block-tridiagonal
+    Newton-matrix layout of one primal basis, with the auxiliary space
+    built from it.
 
     The aux mass is M_xi (x) M_eta and the coupling int a_k (w_i)_xi is
     G_xi (x) M_eta (see the module docstring), so the L2 projection of x_xi
@@ -410,12 +509,17 @@ class EggAssembly:
 
     Residuals and steps are vectors over the inner control points numbered
     eta-slow: eta index j holds its 2*(xi.n - 2) dofs, component fastest.
-    A knot span couples every xi dof of its p+1 eta indices, so the
-    half-bandwidths stay below p+1 such blocks whatever the eta length.
-    The component-diagonal block (through u, x_xi_eta and x_eta_eta) is
-    the same for both components and is placed once: in the
-    Fortran-ordered band array the component-1 entry (2r + 1, 2c + 1) has
-    the row of the component-0 entry (2r, 2c), one column on.
+    A knot span couples every xi dof of its p+1 eta indices, so eta indices
+    couple at most p apart, and groups of p consecutive ones, s = 2 (xi.n -
+    2) p unknowns each, make the matrix block-tridiagonal whatever the eta
+    length.  ``jacobian`` scatters it into a (G, 3, s, s) array of each
+    group's blocks with the previous group, itself and the next, at
+    positions that depend on the basis's shape alone (``_newton_layout``,
+    shared within its TABLE_CACHE_SIZE entries); the last group is padded
+    with identity rows.  The component-diagonal block (through u, x_xi_eta
+    and x_eta_eta) is the same for both components and is placed once: s
+    is even, so the component-1 entry (2r + 1, 2c + 1) lies one row and one
+    column on from the component-0 entry (2r, 2c) in the same block.
     """
 
     def __init__(self, basis: TensorBasis):
@@ -433,47 +537,9 @@ class EggAssembly:
         self._eta_test = (w2[..., None] * M[0]).transpose(0, 2, 1)[:, :, None]
         # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
-        self._layout_newton()
-
-    def _layout_newton(self):
-        """Eta-slow unknown positions, half-bandwidths and the raveled band
-        positions of the component-diagonal block's component 0 and of the
-        2x2 block; the pattern is fixed across steps."""
-        n1, n2 = self.basis.shape
-        p1, p2 = self.basis.xi.degree, self.basis.eta.degree
-        m = n1 - 2
-        n = self.n_unknowns = 2 * m * (n2 - 2)
-        # unknown pair of each control point, -1 on the boundary and on the
-        # pads that out-of-range offsets reach
-        pos = -np.ones((n1 + 2 * p1, n2 + 2 * p2), dtype=np.int64)
-        pos[p1 + 1:p1 + n1 - 1, p2 + 1:p2 + n2 - 1] = np.arange(
-            m * (n2 - 2)).reshape(n2 - 2, m).T
-        row = pos[p1:p1 + n1, p2:p2 + n2]
-        j2 = np.arange(n2)[:, None] + np.arange(2 * p2 + 1)
-        j1 = np.arange(n1)[:, None] + np.arange(2 * p1 + 1)
-        # (row, column) pairs of the diagonal block, (i1, inner j1, i2,
-        # offset), and of the 2x2 block, (i1, offset, a, b, i2, offset)
-        diag = (row[:, None, :, None], pos[p1 + 1:p1 + n1 - 1][:, j2])
-        full = (row[:, None, None, None, :, None],
-                pos[j1[:, :, None, None], j2][:, :, None, None])
-        ok = [(r >= 0) & (c >= 0) for r, c in (diag, full)]
-        # r - c of the unknowns: 2 (pos_i - pos_j) on the diagonal block,
-        # plus a - b in the 2x2 one
-        reach = [2 * (c - r)[k] for (r, c), k in zip((diag, full), ok)]
-        self.kl = -int(min(reach[0].min(), reach[1].min() - 1))
-        self.ku = int(max(reach[0].max(), reach[1].max() + 1))
-        # gbsv's band array ab is Fortran-ordered with ldab = 2 kl + ku + 1
-        # rows: entry (r, c) of the matrix is ab[kl + ku + r - c, c], at
-        # c * ldab + kl + ku + r - c of the raveled storage, and a pair with
-        # a boundary dof goes to the spare slot after it
-        self._ldab = ldab = 2 * self.kl + self.ku + 1
-        size = ldab * n
-        top = self.kl + self.ku
-        self._diag_at = np.where(ok[0], top + 2 * diag[0]
-                                 + 2 * diag[1] * (ldab - 1), size).ravel()
-        a, b = np.arange(2)[:, None, None, None], np.arange(2)[:, None, None]
-        self._x_at = np.where(ok[1], top + 2 * full[0] + a
-                              + (2 * full[1] + b) * (ldab - 1), size).ravel()
+        (self.n_unknowns, self.block_shape, self._diag_at,
+         self._x_at) = _newton_layout(*basis.shape, basis.xi.degree,
+                                      basis.eta.degree)
 
     # -- field evaluation ----------------------------------------------------
 
@@ -557,9 +623,10 @@ class EggAssembly:
         return d_in.reshape(E1, 3 * n1q, -1), x_in.reshape(E1, 2 * n1q, -1)
 
     def jacobian(self, f, eps):
-        """Analytic Newton matrix at the net's ``fields`` f in gbsv's
-        (2 kl + ku + 1, n) Fortran-ordered band array, rows kl onward; the
-        rows above are zero and take the LU factors' fill."""
+        """Analytic Newton matrix at the net's ``fields`` f as the
+        block-tridiagonal array (G, 3, s, s): [g, 0], [g, 1] and [g, 2] are
+        group g's blocks with groups g - 1, g and g + 1 (zero past the
+        ends), and the pad rows of the last group are identity rows."""
         n1 = self.basis.shape[0]
         diag, full = self._eta_sums(f, eps)
         # the xi sums: (i1, inner j1, i2, offset) and (i1, offset, [a, b],
@@ -568,13 +635,15 @@ class EggAssembly:
                                   pairs=False)
         full = _sum_span_products(self._xi_x, full, self._first1, n1,
                                   pairs=True)
-        n, ldab = self.n_unknowns, self._ldab
-        band = np.zeros(ldab * n + 1)
-        band[self._diag_at] = diag.ravel()
-        columns = band[:-1].reshape(n, ldab)
-        columns[1::2] = columns[::2]             # component 1
-        band[self._x_at] += full.ravel()
-        return columns.T
+        groups, _, s, _ = self.block_shape
+        flat = np.zeros(groups * 3 * s * s + 1)
+        flat[self._diag_at] = diag.ravel()
+        blocks = flat[:-1].reshape(self.block_shape)
+        blocks[..., 1::2, 1::2] = blocks[..., ::2, ::2]   # component 1
+        flat[self._x_at] += full.ravel()
+        last = self.n_unknowns - (groups - 1) * s
+        np.fill_diagonal(blocks[-1, 1, last:, last:], 1.0)
+        return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +658,10 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
     times the median metric trace of the initial map.  u is the L2
     projection of x_xi at every iterate (see ``EggAssembly``), so the mixed
     form's projection equation holds exactly and only the harmonic one is
-    solved.  Each step solves its analytic linearization in band storage
-    (LAPACK gbsv) and takes a backtracking line search on the residual norm.
+    solved.  Each step solves its analytic linearization, block-tridiagonal
+    over groups of eta indices, by block LU (``_block_solve``) and takes a
+    backtracking line search on the residual norm.  A singular group or a
+    non-finite step raises NonconvergenceError with the step and group.
     Each net costs one fields pass: the start's gives epsilon and the start
     residual, and a trial's gives its residual and, once the trial is
     accepted, the next Newton matrix.  The residual is a length; the
@@ -628,12 +699,10 @@ def egg_solve(initial: SplineMap) -> PatchParameterization:
             raise fail(f"Newton did not converge in {MAX_NEWTON_ITER} "
                        f"iterations (residual {history[-1]:.3e}, "
                        f"target {target:.3e})")
-        # the LU factors overwrite the band array in place
-        _, _, step, info = dgbsv(asm.kl, asm.ku, asm.jacobian(f, eps), -res,
-                                 overwrite_ab=True, overwrite_b=True)
-        if info > 0:
+        step, group = _block_solve(asm.jacobian(f, eps), -res)
+        if step is None:
             raise fail(f"singular Newton matrix at step {iterations}",
-                       step=iterations)
+                       step=iterations, group=group)
         dc = step.reshape(n2 - 2, n1 - 2, 2).transpose(1, 0, 2)
 
         scale = 1.0

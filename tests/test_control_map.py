@@ -442,12 +442,37 @@ def test_evaluator_reuses_the_last_pass_only_at_the_same_values():
 def test_evaluators_over_one_basis_share_their_tables():
     x = curved_map()
     a, b = (CostEvaluator(x, default_control_basis()) for _ in range(2))
-    for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d", "_AA", "_BB"):
+    for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d"):
         assert getattr(a, name) is getattr(b, name)
         assert not getattr(a, name).flags.writeable
+    # the Gauss-Newton tables come with the first gradient
+    coeffs = identity_control(default_control_basis()).coeffs
+    a.gradient(coeffs)
+    b.gradient(coeffs)
+    assert a._gauss_newton is b._gauss_newton
+    assert not any(t.flags.writeable for t in a._gauss_newton)
     assert a.taylor is not b.taylor           # the map's own tables
     other = CostEvaluator(x, GRADED)
     assert other.Bmu is not a.Bmu
+
+
+def test_cost_evaluation_never_builds_the_gauss_newton_tables(monkeypatch):
+    built = []
+    real = control_map._gauss_newton_tables
+
+    def counted(*kvs):
+        built.append(kvs)
+        return real(*kvs)
+
+    monkeypatch.setattr(control_map, "_gauss_newton_tables", counted)
+    x, s = curved_map(), identity_control(default_control_basis())
+    orthogonality_cost(x, s)
+    evaluator = CostEvaluator(x, s.basis)
+    evaluator.cost_and_scale(s.coeffs)
+    assert built == []
+    evaluator.gradient(s.coeffs)
+    evaluator.gradient(s.coeffs + 0.0)
+    assert len(built) == 1
 
 
 def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):

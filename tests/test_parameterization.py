@@ -12,6 +12,7 @@ from screwgen.fitting import fit_curve
 from screwgen.parameterization import (
     EggAssembly,
     _aux_xi,
+    _block_solve,
     check_boundary_regular,
     check_folding,
     collocate_kinked_segments,
@@ -21,7 +22,6 @@ from screwgen.parameterization import (
     transfinite,
 )
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
 from screwgen.splines import (KnotVector, SplineCurve, SplineMap, TensorBasis,
                               basis_matrix, bounding_box_diagonal,
                               greville_abscissae, open_knots, uniform_knots,
@@ -584,15 +584,17 @@ def test_egg_l_shape_fold_free_after_repair():
     assert patch.map.jacobian(xi.ravel(), eta.ravel())[1].min() > 0
 
 
-def dense_newton_matrix(asm, band):
+def dense_newton_matrix(asm, blocks):
     """The Newton matrix over the eta-slow inner unknowns, expanded from
-    gbsv's band array, whose rows kl onward hold it."""
-    n = asm.n_unknowns
-    dense = np.zeros((n, n))
-    for k in range(-asm.kl, asm.ku + 1):   # k = column - row
-        dense += np.diag(band[asm.kl + asm.ku - k, max(k, 0):n + min(k, 0)],
-                         k)
-    return dense
+    the block-tridiagonal array: block [g, k] sits at group row g and group
+    column g + k - 1, and the pad past the unknowns is cut off."""
+    groups, _, s, _ = blocks.shape
+    dense = np.zeros((groups * s, groups * s))
+    for g, k in np.ndindex(groups, 3):
+        if 0 <= g + k - 1 < groups:
+            dense[g * s:(g + 1) * s,
+                  (g + k - 1) * s:(g + k) * s] = blocks[g, k]
+    return dense[:asm.n_unknowns, :asm.n_unknowns]
 
 
 def inner_net(tb, v):
@@ -650,25 +652,46 @@ def test_band_step_matches_dense_solve(name):
     asm, eps = egg_assembly(identity_map(tb))
     cp = perturbed_state(asm, np.random.default_rng(5))
     f = asm.fields(cp)
-    band = asm.jacobian(f, eps)
-    # gbsv's layout: Fortran order, the fill rows above row kl zero
-    assert band.shape == (2 * asm.kl + asm.ku + 1, asm.n_unknowns)
-    assert band.flags.f_contiguous and not band[:asm.kl].any()
+    blocks = asm.jacobian(f, eps)
+    # groups of p_eta = 3 inner eta indices, the last one padded
+    p = tb.eta.degree
+    groups = -(-(tb.eta.n - 2) // p)
+    s = 2 * (tb.xi.n - 2) * p
+    assert blocks.shape == (groups, 3, s, s) == asm.block_shape
+    assert name != "graded" or groups == 17
+    # no block past the ends; the pad rows are identity rows
+    last = asm.n_unknowns - (groups - 1) * s
+    assert not blocks[0, 0].any() and not blocks[-1, 2].any()
+    assert not blocks[-1, 0, last:].any()
+    assert not blocks[-1, 1, :last, last:].any()
+    assert np.array_equal(blocks[-1, 1, last:], np.eye(s)[last:])
     rhs = -asm.residual(f, eps)
-    want = np.linalg.solve(dense_newton_matrix(asm, band), rhs)
-    got = solve_banded((asm.kl, asm.ku), band[asm.kl:], rhs)
+    want = np.linalg.solve(dense_newton_matrix(asm, blocks), rhs)
+    got, group = _block_solve(blocks, rhs)
+    assert group is None
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def half_bandwidths(dense):
+    rows, cols = np.nonzero(dense)
+    return int((rows - cols).max()), int((cols - rows).max())
+
+
 def test_half_bandwidths_do_not_grow_with_eta_resolution():
-    widths = set()
+    shapes, widths = set(), set()
     for eta_elems in (3, 6, 24):
         tb = TensorBasis(EGG_TB.xi, uniform_knots(3, eta_elems))
-        asm = EggAssembly(tb)
+        asm, eps = egg_assembly(identity_map(tb))
+        shapes.add(asm.block_shape[1:])
+        dense = dense_newton_matrix(
+            asm, asm.jacobian(asm.fields(identity_map(tb).control_points),
+                              eps))
         # an element couples every inner xi dof of its four eta indices
-        assert max(asm.kl, asm.ku) <= 4 * 2 * (tb.xi.n - 2) - 1
-        widths.add((asm.kl, asm.ku))
-    assert len(widths) == 1
+        kl, ku = half_bandwidths(dense)
+        assert max(kl, ku) <= 4 * 2 * (tb.xi.n - 2) - 1
+        widths.add((kl, ku))
+    # the group's blocks, (3, s, s), and the bandwidths within them
+    assert shapes == {(3, 66, 66)} and len(widths) == 1
 
 
 def test_assemblies_over_one_xi_basis_share_its_tables():
@@ -690,16 +713,51 @@ def test_assembly_requires_macro_split():
 
 
 def test_singular_newton_matrix_raises_nonconvergence(monkeypatch):
-    def zero_band(self, cp, eps):
-        return np.zeros((2 * self.kl + self.ku + 1, self.n_unknowns),
-                        order="F")
+    def zero_blocks(self, cp, eps):
+        return np.zeros(self.block_shape)
 
-    monkeypatch.setattr(EggAssembly, "jacobian", zero_band)
+    monkeypatch.setattr(EggAssembly, "jacobian", zero_blocks)
     with pytest.raises(NonconvergenceError) as err:
         egg_solve(transfinite(*quarter_annulus_bounds(), QUARTER_TB))
     assert err.value.last_map is not None
     assert len(err.value.history) == 1
     assert err.value.details["step"] == 0
+    assert err.value.details["group"] == 0
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_a_singular_or_non_finite_group_names_its_group(monkeypatch, fill):
+    # a zero group row makes that group's Schur complement singular; a NaN
+    # in it makes the step non-finite, which must not reach the line search
+    real = EggAssembly.jacobian
+
+    def broken(self, cp, eps):
+        blocks = real(self, cp, eps)
+        blocks[1] = fill
+        return blocks
+
+    monkeypatch.setattr(EggAssembly, "jacobian", broken)
+    initial = transfinite(*quarter_annulus_bounds(), QUARTER_TB)
+    assert EggAssembly(QUARTER_TB).block_shape[0] == 3
+    with pytest.raises(NonconvergenceError, match="singular Newton matrix "
+                       "at step 0") as err:
+        egg_solve(initial)
+    assert err.value.details["step"] == 0
+    assert err.value.details["group"] == 1
+    assert len(err.value.history) == 1
+
+
+def test_assemblies_of_one_shape_share_the_newton_layout():
+    a = EggAssembly(EGG_TB)
+    graded = open_knots(3, np.array([0.1, 0.15, 0.3, 0.5, 0.8]),
+                        np.ones(5, int))
+    b = EggAssembly(TensorBasis(EGG_TB.xi, graded))
+    assert b.basis.shape == a.basis.shape and b.basis.eta != a.basis.eta
+    for name in ("_diag_at", "_x_at"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    assert EggAssembly(TensorBasis(EGG_TB.xi, uniform_knots(3, 5)))._x_at \
+        is not a._x_at
 
 
 def gauss_rule(kv, n):

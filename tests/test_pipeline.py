@@ -578,18 +578,37 @@ def test_table8_control_maps_converge_alike_at_congruent_angles():
     assert abs(ratios[0] - ratios[1]) <= 5e-3
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate",
-                                    "scipy.sparse"])
-def test_importing_the_pipeline_leaves_scipy_module_unloaded(module):
-    # each adds megabytes of resident memory to a process that imports it
-    # (scipy.optimize about 20 MB, scipy.interpolate about 22 MB)
-    code = ("import sys, screwgen.pipeline; "
-            f"print({module!r} in sys.modules)")
+def run_with_src(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    screwgen from this checkout."""
     src = str(Path(pipeline.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate",
+                                    "scipy.sparse", "scipy.linalg"])
+def test_importing_the_pipeline_leaves_scipy_module_unloaded(module):
+    # each adds megabytes of resident memory to a process that imports it
+    # (scipy.optimize about 20 MB, scipy.interpolate and scipy.linalg about
+    # 22 MB)
+    assert run_with_src("import sys, screwgen.pipeline; "
+                        f"print({module!r} in sys.modules)") == "False"
+
+
+def test_the_pipeline_builds_without_scipy():
+    # a None entry makes every import of scipy or a submodule fail
+    code = ("import sys, math; sys.modules['scipy'] = None\n"
+            "from screwgen.pipeline import BooySource, PipelineContext\n"
+            "from screwgen.profiles import ScrewParams\n"
+            f"params = ScrewParams(**{dataclasses.asdict(TABLE2)!r})\n"
+            f"ctx = PipelineContext(BooySource(params, {N_POINTS}), "
+            f"fit_threshold={fit_threshold(1e-3)!r})\n"
+            "patches = ctx.build_patches(math.pi / 4)\n"
+            "print(patches.newton_iterations > 0)")
+    assert run_with_src(code) == "True"
 
 
 def test_readme_example_builds_a_feasible_patch_set():
