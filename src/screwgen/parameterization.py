@@ -1,6 +1,7 @@
-"""Patch parameterization: transfinite interpolation, separator boundary
-assembly, the auxiliary-variable elliptic grid generation (EGG) solve with
-folding repair, and the one sign certificate behind every fold check.
+"""Patch algorithms: transfinite interpolation, the auxiliary-variable
+elliptic grid generation (EGG) solve with folding repair, and the one sign
+certificate behind every fold check.  The boundary curves come from the
+caller (``pipeline`` builds the separator's), and nothing here fits data.
 
 The certificate proves a spline quantity positive on each knot span by its
 Bernstein coefficients, halving by de Casteljau where they are inconclusive.
@@ -44,15 +45,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import (BasisMismatchError, DomainError, FoldingUnrepairedError,
+from .errors import (BasisMismatchError, FoldingUnrepairedError,
                      MatchingError, NonconvergenceError, StructureError,
                      TopologyError)
-from .fitting import fit_curve
 from .splines import (KNOT_TOL, TABLE_CACHE_SIZE, KnotVector, SplineCurve,
                       SplineMap, TensorBasis, basis_ders_nonzero,
                       basis_matrix, basis_tables, blossoms,
-                      bounding_box_diagonal, greville_abscissae, insert_knots,
-                      open_knots)
+                      bounding_box_diagonal, insert_knots)
 
 NEWTON_TOL = 1e-8     # residual reduction target of the EGG Newton solve
 MAX_NEWTON_ITER = 50  # Newton steps of one EGG solve
@@ -227,76 +226,6 @@ def check_boundary_regular(curve: SplineCurve, center, **details):
         raise MatchingError(
             f"{message} " + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in spans),
             intervals=spans, min_w=float(least.min()), **details)
-
-
-# ---------------------------------------------------------------------------
-# separator boundary assembly
-# ---------------------------------------------------------------------------
-
-def separator_xi_basis(degree: int, elements_per_half: int) -> KnotVector:
-    """Open knot vector on [0, 1] with uniform spans per half and a
-    degree-fold repetition at 0.5 (the cusp C0 line); fewer than one span
-    per half raises DomainError."""
-    m = elements_per_half
-    if m < 1:
-        raise DomainError(f"need at least one span per half, got {m}")
-    grid = np.linspace(0.0, 1.0, 2 * m + 1)[1:-1]
-    mult = np.ones(len(grid), dtype=int)
-    mult[m - 1] = degree
-    return open_knots(degree, grid, mult)
-
-
-def collocate_kinked_segments(kv: KnotVector, p_start, p_mid, p_end) -> SplineCurve:
-    """Exact spline representation of the two-segment polyline
-    p_start -> p_mid (xi in [0, 0.5]) -> p_end (xi in [0.5, 1]).
-
-    Requires the degree-fold knot at 0.5; Greville collocation is exact for
-    piecewise-linear data with the kink on the C0 line.
-    """
-    if kv.multiplicity(0.5) != kv.degree:
-        raise StructureError("xi basis lacks the degree-fold knot at 0.5")
-    g = greville_abscissae(kv)
-    p_start, p_mid, p_end = (np.asarray(q, dtype=float)
-                             for q in (p_start, p_mid, p_end))
-    left = p_start[None, :] + 2 * g[:, None] * (p_mid - p_start)[None, :]
-    right = p_mid[None, :] + (2 * g - 1)[:, None] * (p_end - p_mid)[None, :]
-    ctrl = np.where(g[:, None] <= 0.5, left, right)
-    return SplineCurve(kv, ctrl)
-
-
-def assemble_separator_boundary(rotor_arcs, cusps, reparams,
-                                xi_basis: KnotVector, eta_kv: KnotVector):
-    """The separator's boundary curves (west, east, south, north), in the
-    orientations ``transfinite`` takes.
-
-    rotor_arcs: grid-coordinate parameterized west/east rotor arc curves
-    (south to north); cusps: (upper, lower) cusp points; reparams:
-    both-float matching functions for the west/east arcs; xi_basis: knot
-    vector with the degree-fold repetition at 0.5; eta_kv: the common knot
-    vector of both eta-direction curves.
-
-    The corners are the arcs' end control points, which are the rotor ends
-    of the C-grid cut edges.  The north/south boundaries are those straight
-    cut edges joined at the cusp, pinned to xi = 0.5 with the C0 knot; the
-    west/east boundaries are the rotor arcs refit in eta_kv at the floated
-    (matched) parameter values.  The matching functions act on the
-    chord-length parameters of the matched clouds but are applied here to
-    the arcs' own grid coordinate; the two differ, so the refit arcs are not
-    exactly chord-consistent with the matching.
-    """
-    west_arc, east_arc = rotor_arcs
-    f_w, f_e = reparams
-    cusp_top, cusp_bot = (np.asarray(q, dtype=float) for q in cusps)
-    a_bot_l, a_top_l = west_arc.control_points[[0, -1]]
-    a_bot_r, a_top_r = east_arc.control_points[[0, -1]]
-
-    # reparameterize the arcs by the matching functions: sample densely and
-    # refit at the floated parameter values
-    t = np.linspace(0.0, 1.0, 16 * max(west_arc.basis.n, east_arc.basis.n))
-    return (fit_curve(west_arc(t), f_w(t), eta_kv).curve,
-            fit_curve(east_arc(t), f_e(t), eta_kv).curve,
-            collocate_kinked_segments(xi_basis, a_bot_l, cusp_bot, a_bot_r),
-            collocate_kinked_segments(xi_basis, a_top_l, cusp_top, a_top_r))
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,17 @@ the separator control map:
 * rotor arcs at any angle as one extraction from that two-period curve,
   rotated (the material cloud only rotates, so the fit never has to be
   redone, and no arc wraps);
-* per angle, in this order: the gap-arc matching and the separator
-  boundary assembly from the gap arcs alone, then the regularity
-  certificate of the separator's west/east boundaries, which rejects a
-  backtracking boundary with ``MatchingError`` before any C-grid or EGG
-  work; the EGG solve with folding repair; each C-grid as the ruled map
-  between its rotor and casing arcs on their merged knot vector, xi
-  running clockwise about the rotor axis so that det J > 0; the
-  orthogonality control map.
+* the separator's xi basis, XI_ELEMENTS_PER_HALF spans on each side of
+  its C0 knot at the cusp line, and its Greville abscissae;
+* per angle, in this order: the gap-arc matching; the separator boundary
+  from the gap arcs alone (``_separator_boundary``: the eta knots of the
+  matched clouds' fits, the gap arcs refit in them, the cut edges through
+  the cusps); the regularity certificate of the separator's west/east
+  boundaries, which rejects a backtracking boundary with
+  ``MatchingError`` before any C-grid or EGG work; the EGG solve with
+  folding repair; each C-grid as the ruled map between its rotor and
+  casing arcs on their merged knot vector, xi running clockwise about the
+  rotor axis so that det J > 0; the orthogonality control map.
   Every ``ScrewgenError`` that ``build_patches`` raises carries the angle
   as ``theta`` in its details.
 
@@ -44,22 +47,22 @@ from .errors import (FitError, FoldingError, InvalidGeometryError,
                      MatchingError, ScrewgenError, TopologyError)
 from .fitting import (ReparamFunction, chord_length_params, fit_curve,
                       fit_curve_adaptive, match_points)
-from .parameterization import (PatchParameterization,
-                               assemble_separator_boundary,
-                               check_boundary_regular, check_folding,
-                               egg_solve, repair_folding, separator_xi_basis,
+from .parameterization import (PatchParameterization, check_boundary_regular,
+                               check_folding, egg_solve, repair_folding,
                                transfinite)
 from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, bounding_box_diagonal, join_curves,
-                      open_knots, uniform_knots)
+                      TensorBasis, bounding_box_diagonal,
+                      greville_abscissae, join_curves, open_knots,
+                      uniform_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
 XI_ELEMENTS_PER_HALF = 4   # separator xi spans on each side of the cusp line
 ETA_MAX_SPANS = 256        # span budget of the separator's eta fits
 GAP_SAMPLES = 200          # points per gap-arc cloud for the matching
+REFIT_SAMPLES = 16         # gap-arc samples per control point of the refit
 CASING_SPANS = 64          # uniform grid-coordinate spans of the casing fit
 
 
@@ -213,7 +216,12 @@ class PipelineContext:
                            fit_threshold=fit_threshold)
         self.fit_threshold = fit_threshold
         self.casing_threshold = 5e-7 * p.barrel_radius
-        self.xi_basis = separator_xi_basis(DEGREE, XI_ELEMENTS_PER_HALF)
+        # the separator's xi basis: uniform spans on each side of the cusp
+        # line, which is its C0 knot at 0.5
+        grid = np.linspace(0.0, 1.0, 2 * XI_ELEMENTS_PER_HALF + 1)[1:-1]
+        self.xi_basis = open_knots(DEGREE, grid,
+                                   np.where(grid == 0.5, DEGREE, 1))
+        self.xi_greville = greville_abscissae(self.xi_basis)
         self.control_basis = default_control_basis()
         self.optimize_control_maps = optimize_control_maps
 
@@ -359,25 +367,47 @@ class PipelineContext:
         f_w, f_e = match_points(wpts, epts, tw, te)
         return GapArcs(west, east, wpts, epts, tw, te, f_w, f_e)
 
-    def _eta_basis(self, gap: GapArcs) -> KnotVector:
-        """Common eta knot vector: adapt a fit of each cloud at its matched
-        parameters and merge the resulting knot vectors."""
+    def _cut_edge(self, start, cusp, end) -> SplineCurve:
+        """The cut edge start -> cusp -> end in the xi basis: the polyline
+        at the Greville abscissae, exact because the kink lies on the C0
+        knot at 0.5."""
+        g = self.xi_greville[:, None]
+        return SplineCurve(self.xi_basis, np.where(
+            g <= 0.5, start + 2 * g * (cusp - start),
+            cusp + (2 * g - 1) * (end - cusp)))
+
+    def _separator_boundary(self, gap: GapArcs):
+        """The separator's boundary curves (west, east, south, north), in
+        the orientations ``transfinite`` takes, and their eta knot vector.
+
+        The eta knot vector merges the adaptive fits of the two gap clouds
+        at their matched parameters f(chord).  West and east are the gap
+        arcs refit in it from REFIT_SAMPLES points per control point of the
+        larger arc, placed at f of the arcs' grid coordinate, not of the
+        chord parameter the matching acts on, so the matched cloud points
+        miss the refit arcs.  South and north are the cut edges, rotor end
+        -> cusp -> rotor end; their ends, the corners, are the gap arcs'
+        end control points, the rotor ends of the C-grid cut edges.
+        """
         kv = uniform_knots(DEGREE, 8)
-        union = None
-        for pts, t, f in ((gap.west_cloud, gap.west_chord, gap.f_w),
-                          (gap.east_cloud, gap.east_chord, gap.f_e)):
-            fit = fit_curve_adaptive(pts, f(t), kv, self.fit_threshold,
-                                     max_spans=ETA_MAX_SPANS)
-            union = fit.curve.basis if union is None \
-                else merge_knot_vectors(union, fit.curve.basis)
-        return union
+        eta_kv = merge_knot_vectors(*(
+            fit_curve_adaptive(pts, f(t), kv, self.fit_threshold,
+                               max_spans=ETA_MAX_SPANS).curve.basis
+            for pts, t, f in ((gap.west_cloud, gap.west_chord, gap.f_w),
+                              (gap.east_cloud, gap.east_chord, gap.f_e))))
+        t = np.linspace(0.0, 1.0,
+                        REFIT_SAMPLES * max(gap.west.basis.n, gap.east.basis.n))
+        (sw, nw), (se, ne) = (gap.west.control_points[[0, -1]],
+                              gap.east.control_points[[0, -1]])
+        upper, lower = self.cusps
+        return (fit_curve(gap.west(t), gap.f_w(t), eta_kv).curve,
+                fit_curve(gap.east(t), gap.f_e(t), eta_kv).curve,
+                self._cut_edge(sw, lower, se), self._cut_edge(nw, upper, ne),
+                eta_kv)
 
     def build_separator(self, theta: float) -> PatchParameterization:
-        gap = self.separator_reparams(theta)
-        eta_kv = self._eta_basis(gap)
-        west, east, south, north = assemble_separator_boundary(
-            (gap.west, gap.east), self.cusps, (gap.f_w, gap.f_e),
-            self.xi_basis, eta_kv)
+        west, east, south, north, eta_kv = self._separator_boundary(
+            self.separator_reparams(theta))
         # a backtracking west/east boundary admits no fold-free interior
         # map, so it is rejected before any EGG work
         check_boundary_regular(west, self.params.left_center, side="west")

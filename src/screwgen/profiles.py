@@ -17,6 +17,7 @@ angles are rejected where they enter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,15 @@ class ScrewParams:
     """Screw geometry parameters (SI units).
 
     barrel radius = screw_radius + screw_barrel_clearance; pitch_length 0
-    means a pure 2D cross-section geometry.
+    means a pure 2D cross-section geometry.  The clearances have no
+    default: 0.0 builds a profile, but ``PipelineContext`` meshes only
+    positive ones.  flight_count is an integer >= 1.
     """
 
     screw_radius: float
     centerline_distance: float
-    screw_screw_clearance: float = 0.0
-    screw_barrel_clearance: float = 0.0
+    screw_screw_clearance: float
+    screw_barrel_clearance: float
     pitch_length: float = 0.0
     flight_count: int = 2
     tip_fillet_radius: float | None = None  # None: 2% of the screw radius
@@ -64,8 +67,14 @@ class ScrewParams:
             raise InvalidGeometryError(
                 "screws do not intermesh: centerline distance must be below "
                 "twice the screw radius")
-        if self.flight_count < 1:
-            raise InvalidGeometryError("flight_count must be >= 1")
+        z = self.flight_count
+        if not (isinstance(z, numbers.Integral) and z >= 1):
+            raise InvalidGeometryError("flight_count must be an integer >= 1",
+                                       field="flight_count", value=z)
+        if self.pitch_length < 0:
+            raise InvalidGeometryError("pitch_length must be >= 0",
+                                       field="pitch_length",
+                                       value=self.pitch_length)
         if self.tip_fillet_radius is not None and self.tip_fillet_radius < 0:
             raise InvalidGeometryError("tip fillet radius must be >= 0")
 

@@ -1,6 +1,7 @@
 """Declaration hygiene: every error class is raised somewhere, every
-private helper is used somewhere, and every dataclass that holds an array
-compares by identity."""
+private helper is used somewhere, every dataclass that holds an array
+compares by identity, and only the pipeline imports package modules beyond
+``errors`` and ``splines``."""
 
 import ast
 import dataclasses
@@ -120,3 +121,48 @@ def test_dataclasses_holding_arrays_compare_by_identity(cls):
     # the generated __eq__ compares arrays, whose truth value raises, and
     # the generated __hash__ hashes them, which raises
     assert cls.__dataclass_params__.eq is False
+
+
+# the modules every package module may import; only ``pipeline`` imports
+# the others
+SHARED_MODULES = {"errors", "splines"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The screwgen modules that the source imports, relatively
+    (``from .m import x``, ``from . import m``) or by the package name
+    (``import screwgen.m``, ``from screwgen.m import x``,
+    ``from screwgen import m``), at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("screwgen."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "screwgen":
+                    continue
+            found.update([module.split(".")[0]] if module
+                         else (alias.name for alias in node.names))
+    return found
+
+
+def test_only_the_pipeline_imports_beyond_errors_and_splines():
+    beyond = {path.stem: sorted(package_imports(path.read_text())
+                                - SHARED_MODULES)
+              for path in MODULES if path.stem != "pipeline"}
+    assert {stem: names for stem, names in beyond.items() if names} == {}
+
+
+def test_package_imports_finds_every_form():
+    source = ("import math\nimport screwgen.control_map\n"
+              "from numpy import pi\nfrom . import fitting\n"
+              "from .splines import open_knots\n"
+              "from screwgen import profiles as p\n"
+              "from screwgen.errors import DomainError\n"
+              "def f():\n    from .parameterization import egg_solve\n")
+    assert package_imports(source) == {"control_map", "fitting", "splines",
+                                       "profiles", "errors",
+                                       "parameterization"}

@@ -15,10 +15,8 @@ from screwgen.parameterization import (
     _block_solve,
     check_boundary_regular,
     check_folding,
-    collocate_kinked_segments,
     egg_solve,
     repair_folding,
-    separator_xi_basis,
     transfinite,
 )
 from hypothesis import given, settings, strategies as st
@@ -44,7 +42,23 @@ def unit_square_bounds(tb):
     return w, e, s, n
 
 
-QUARTER_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 8))
+def c0_split(spans_per_half):
+    """Cubic open knot vector on [0, 1], uniform spans on each half and a
+    triple knot at 0.5: the C0 macro split the EGG aux space needs."""
+    grid = np.linspace(0.0, 1.0, 2 * spans_per_half + 1)[1:-1]
+    return open_knots(3, grid, np.where(grid == 0.5, 3, 1))
+
+
+def kinked_curve(kv, start, kink, end):
+    """The polyline start -> kink -> end, kinked at 0.5, at the Greville
+    abscissae of kv: exact when kv has its C0 knot at 0.5."""
+    g = greville_abscissae(kv)
+    pts = np.array([start, kink, end], dtype=float)
+    return SplineCurve(kv, np.column_stack(
+        [np.interp(g, [0.0, 0.5, 1.0], pts[:, d]) for d in (0, 1)]))
+
+
+QUARTER_TB = TensorBasis(c0_split(4), uniform_knots(3, 8))
 
 
 def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
@@ -72,10 +86,7 @@ def quarter_annulus_bounds(tb=QUARTER_TB, r_in=1.0, r_out=2.0):
 def test_bases_of_fewer_than_one_span_raise_domain_error(spans):
     with pytest.raises(DomainError):
         uniform_knots(3, spans)
-    with pytest.raises(DomainError):
-        separator_xi_basis(3, spans)
     assert uniform_knots(3, 1).n_elements == 1
-    assert separator_xi_basis(3, 1).n_elements == 2
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +407,11 @@ def test_certificate_agrees_with_dense_samples():
 # ---------------------------------------------------------------------------
 
 def test_aux_space_bicubic_degree():
-    assert _aux_xi(separator_xi_basis(3, 4)).degree == 4
+    assert _aux_xi(c0_split(4)).degree == 4
 
 
 def test_aux_space_knot_structure():
-    xi = separator_xi_basis(3, 4)
+    xi = c0_split(4)
     aux = _aux_xi(xi)
     vals, counts = unique_knots(aux.knots)
     pvals, pcounts = unique_knots(xi.knots)
@@ -429,7 +440,7 @@ def identity_map(tb):
     return SplineMap(tb, cp)
 
 
-EGG_TB = TensorBasis(separator_xi_basis(3, 4), uniform_knots(3, 6))
+EGG_TB = TensorBasis(c0_split(4), uniform_knots(3, 6))
 
 
 def egg_assembly(m):
@@ -542,7 +553,7 @@ def test_egg_solve_evaluates_the_fields_once_per_net(monkeypatch):
             calls[_name] += 1
             return _real(self, *args)
         monkeypatch.setattr(EggAssembly, name, counted)
-    tb = TensorBasis(separator_xi_basis(3, 6), uniform_knots(3, 4))
+    tb = TensorBasis(c0_split(6), uniform_knots(3, 4))
     halved = False
     for init in (transfinite(*quarter_annulus_bounds(), QUARTER_TB),
                  transfinite(*l_shape_bounds(tb), tb)):
@@ -561,8 +572,8 @@ def l_shape_bounds(tb):
     """Boundary curves (west, east, south, north) of a bent tube around the
     corner at (1, 1): outer (south) boundary through (0, 0), inner (north)
     through (1, 1), kinks pinned at xi = 0.5."""
-    outer = collocate_kinked_segments(tb.xi, [0, 2], [0, 0], [2, 0])
-    inner = collocate_kinked_segments(tb.xi, [1, 2], [1, 1], [2, 1])
+    outer = kinked_curve(tb.xi, [0, 2], [0, 0], [2, 0])
+    inner = kinked_curve(tb.xi, [1, 2], [1, 1], [2, 1])
     west = line_curve(tb.eta, [0, 2], [1, 2])
     east = line_curve(tb.eta, [2, 0], [2, 1])
     return west, east, outer, inner
@@ -571,7 +582,7 @@ def l_shape_bounds(tb):
 def test_egg_l_shape_fold_free_after_repair():
     # the reentrant inner corner degenerates the exact solution; the solve
     # plus the local-refinement repair round must end fold-free
-    tb = TensorBasis(separator_xi_basis(3, 6), uniform_knots(3, 4))
+    tb = TensorBasis(c0_split(6), uniform_knots(3, 4))
     bounds = l_shape_bounds(tb)
     patch = egg_solve(transfinite(*bounds, tb))
     boxes = check_folding(patch.map)
@@ -702,7 +713,7 @@ def test_assemblies_over_one_xi_basis_share_its_tables():
         assert getattr(a, name) is getattr(b, name)
     assert not a.proj.flags.writeable and not a._xi[0].flags.writeable
     assert a._eta_pairs is not b._eta_pairs    # the eta tables are per basis
-    other = EggAssembly(TensorBasis(separator_xi_basis(3, 5), EGG_TB.eta))
+    other = EggAssembly(TensorBasis(c0_split(5), EGG_TB.eta))
     assert other.proj is not a.proj
 
 
@@ -960,28 +971,6 @@ def test_repair_folding_noop_when_clean():
     bounds = quarter_annulus_bounds()
     patch = egg_solve(transfinite(*bounds, QUARTER_TB))
     assert repair_folding(patch, []) is patch
-
-
-# ---------------------------------------------------------------------------
-# separator boundary assembly
-# ---------------------------------------------------------------------------
-
-def test_collocate_kinked_segments_exact():
-    kv = separator_xi_basis(3, 4)
-    cur = collocate_kinked_segments(kv, [0, 0], [1, 0.5], [2, 0])
-    t = np.linspace(0, 1, 101)
-    pts = cur(t)
-    left = t <= 0.5
-    expected = np.where(left[:, None],
-                        np.array([0, 0]) + 2 * t[:, None] * np.array([1, 0.5]),
-                        np.array([1, 0.5]) + (2 * t - 1)[:, None] * np.array([1, -0.5]))
-    assert np.abs(pts - expected).max() < 1e-13
-    assert np.allclose(cur.point(0.5), [1, 0.5], atol=1e-14)
-
-
-def test_collocate_kinked_requires_c0_knot():
-    with pytest.raises(StructureError):
-        collocate_kinked_segments(uniform_knots(3, 4), [0, 0], [1, 1], [2, 0])
 
 
 def test_one_assembly_per_solve(monkeypatch):

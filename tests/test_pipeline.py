@@ -182,20 +182,11 @@ def test_rotor_arc_starting_just_before_the_seam(booy_context):
         assert np.abs(before - on).max() < 1e-11 * TABLE2.barrel_radius
 
 
-def separator_corners(ctx, theta, monkeypatch):
+def separator_corners(ctx, theta):
     """Corners p00, p10, p01, p11 of the boundary curves that
     ``build_separator`` assembles at theta: the ends of south and north."""
-    assembled = []
-
-    def capture(*args, **kwargs):
-        assembled.append(
-            parameterization.assemble_separator_boundary(*args, **kwargs))
-        raise Stop
-
-    monkeypatch.setattr(pipeline, "assemble_separator_boundary", capture)
-    with pytest.raises(Stop):
-        ctx.build_separator(theta)
-    west, east, south, north = assembled[0]
+    west, east, south, north, _ = ctx._separator_boundary(
+        ctx.separator_reparams(theta))
     p00, p10 = south.control_points[[0, -1]]
     p01, p11 = north.control_points[[0, -1]]
     # the west and east ends are those corners too
@@ -205,7 +196,7 @@ def separator_corners(ctx, theta, monkeypatch):
     return p00, p10, p01, p11
 
 
-def test_arcs_ending_on_the_rotor_seam(booy_context, monkeypatch):
+def test_arcs_ending_on_the_rotor_seam(booy_context):
     """The separator's corners are the rotor ends of the C-grid cut edges at
     every angle, also at 2 pi q, where the gap arcs end on the base rotor's
     seam, and at 2 pi (1 - q), where the C-grid rotor arcs do."""
@@ -214,12 +205,32 @@ def test_arcs_ending_on_the_rotor_seam(booy_context, monkeypatch):
     thetas = [k * math.pi / 16 for k in range(16)] + [
         2 * math.pi * ctx.cut_frac, 2 * math.pi * (1 - ctx.cut_frac)]
     for theta in thetas:
-        p00, p10, p01, p11 = separator_corners(ctx, theta, monkeypatch)
+        p00, p10, p01, p11 = separator_corners(ctx, theta)
         left = ctx.build_c_grid("left", theta).map.control_points
         right = ctx.build_c_grid("right", theta).map.control_points
         for got, want in ((left[0, 0], p00), (right[-1, 0], p10),
                           (left[-1, 0], p01), (right[0, 0], p11)):
             assert np.abs(got - want).max() < 1e-12 * scale, theta
+
+
+def test_separator_cut_edges_run_straight_through_the_cusps(booy_context):
+    # south and north, on the built separator, are the cut edges rotor end
+    # -> cusp -> rotor end, each half linear in xi
+    ctx = booy_context
+    upper, lower = ctx.cusps
+    xi = np.linspace(0.0, 1.0, 101)
+    t = xi[:, None]
+    for theta in (math.pi / 4, 3 * math.pi / 4):
+        separator = ctx.build_separator(theta).map
+        west = ctx.rotor_arc_gap("left", theta).control_points[[0, -1]]
+        east = ctx.rotor_arc_gap("right", theta).control_points[[0, -1]]
+        for eta, cusp in ((0, lower), (1, upper)):
+            start, end = west[eta], east[eta]
+            want = np.where(t <= 0.5, start + 2 * t * (cusp - start),
+                            cusp + (2 * t - 1) * (end - cusp))
+            got = separator.evaluate(xi, np.full_like(xi, eta))
+            assert np.abs(got - want).max() < 1e-12 * TABLE2.barrel_radius, \
+                (theta, eta)
 
 
 ONE_FLIGHT = dataclasses.replace(TABLE2, flight_count=1)
@@ -351,11 +362,17 @@ def test_separator_extracts_each_gap_arc_once(booy_context, monkeypatch):
     assert sorted(calls) == ["left", "right"]
 
 
+@pytest.mark.parametrize("factor, expected", [
+    (1e-3, [math.pi / 4, 3 * math.pi / 4]),
+    (3e-4, [0.0, math.pi / 4, 3 * math.pi / 4])], ids=["fit_1e-3", "fit_3e-4"])
 def test_period_sweep_certifies_exactly_the_symmetric_quarter_turns(
-        booy_context, monkeypatch):
+        monkeypatch, factor, expected):
+    # the finer fit is the benchmark's t2-egg-fine geometry, whose angle 0
+    # a resampled or re-knotted boundary loses
+    ctx = PipelineContext(BooySource(TABLE2, N_POINTS),
+                          fit_threshold=fit_threshold(factor))
     thetas = [k * math.pi / 16 for k in range(16)]
-    assert certified_angles(booy_context, thetas, monkeypatch) \
-        == [math.pi / 4, 3 * math.pi / 4]
+    assert certified_angles(ctx, thetas, monkeypatch) == expected
 
 
 def test_table8_asymmetric_angles_are_rejected(monkeypatch):

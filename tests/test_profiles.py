@@ -95,7 +95,8 @@ def test_min_casing_gap_attained_at_tips():
 
 def test_impossible_geometry_raises():
     with pytest.raises(InvalidGeometryError):
-        ScrewParams(screw_radius=10e-3, centerline_distance=25e-3)
+        ScrewParams(screw_radius=10e-3, centerline_distance=25e-3,
+                    screw_screw_clearance=0.0, screw_barrel_clearance=0.0)
     with pytest.raises(InvalidGeometryError):
         booy_profile(TABLE2, 0.0, 32)  # too few points
 
@@ -108,6 +109,24 @@ def test_non_finite_screw_params_are_rejected_by_name(field, bad):
     with pytest.raises(InvalidGeometryError, match=field) as info:
         dataclasses.replace(TABLE2, **{field: bad})
     assert info.value.details["field"] == field
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("flight_count", 0), ("flight_count", 2.0), ("flight_count", 2.5),
+    ("flight_count", "2"), ("pitch_length", -1.0)])
+def test_unmeshable_screw_params_are_rejected_by_name(field, bad):
+    with pytest.raises(InvalidGeometryError, match=field) as info:
+        dataclasses.replace(TABLE2, **{field: bad})
+    assert info.value.details == {"field": field, "value": bad}
+
+
+def test_clearances_have_no_default_and_zero_builds_a_profile():
+    with pytest.raises(TypeError, match="clearance"):
+        ScrewParams(screw_radius=TABLE2.screw_radius,
+                    centerline_distance=TABLE2.centerline_distance)
+    closed = dataclasses.replace(TABLE2, screw_screw_clearance=0.0,
+                                 screw_barrel_clearance=0.0)
+    assert len(booy_profile(closed, 0.3, 256).left_rotor.points) == 256
 
 
 def test_hand_built_section_with_a_rotor_point_outside_the_bore_raises():
@@ -167,7 +186,7 @@ def test_cusp_table2_value():
 def test_cusp_special_case_cl_equal_rb():
     # C_l = R_b gives y = +-(sqrt(3)/2) R_b
     p = ScrewParams(screw_radius=10e-3, centerline_distance=10.5e-3,
-                    screw_barrel_clearance=0.5e-3)
+                    screw_screw_clearance=0.0, screw_barrel_clearance=0.5e-3)
     assert p.barrel_radius == pytest.approx(10.5e-3)
     c = cusp_points(p)
     assert c[0, 1] == pytest.approx(math.sqrt(3) / 2 * p.barrel_radius, rel=1e-12)
