@@ -1,9 +1,10 @@
 """Per-angle three-patch construction.
 
 For one screw geometry this module owns everything between a source of
-rotor clouds (``BooySource`` or ``FileSource``; the barrel is always that
-of the source's ``ScrewParams``) and the three patch parameterizations plus
-the separator control map:
+rotor clouds (a ``BooySource``, or a ``CrossSection`` such as
+``load_profile`` reads; the barrel is always that of the source's
+``ScrewParams``) and the three patch parameterizations plus the separator
+control map:
 
 * the casing curves and the cusp cut fraction: one fit of the left
   retained barrel arc on CASING_SPANS grid spans, cusp to cusp with the
@@ -79,23 +80,6 @@ class BooySource:
 
     def section(self, theta: float) -> CrossSection:
         return booy_profile(self.params, theta, self.n_points)
-
-
-class FileSource:
-    """Profile from a point-cloud file, with the screw parameters of its
-    base section; other angles rotate the base clouds about their own
-    centers (co-rotating kinematics)."""
-
-    def __init__(self, base: CrossSection):
-        self.params = base.params
-        self.base = base
-
-    def section(self, theta: float) -> CrossSection:
-        delta = theta - self.base.angle
-        p = self.params
-        left = self.base.left_rotor.rotated(delta, p.left_center)
-        right = self.base.right_rotor.rotated(delta, p.right_center)
-        return CrossSection(theta, p, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +171,10 @@ class PatchSet:
 class PipelineContext:
     """Fixed per-geometry machinery and the per-angle patch builder.
 
-    ``source`` (a ``BooySource`` or ``FileSource``) supplies the rotor
-    clouds at angle zero and, through its ``params``, the barrel.
+    ``source`` supplies the rotor clouds at angle zero through its
+    ``section`` and, through its ``params``, the barrel: a ``BooySource``,
+    or a ``CrossSection`` such as ``load_profile`` returns, whose clouds
+    ``CrossSection.section`` turns about the rotor axes.
     ``fit_threshold``, a positive finite length (default 1e-4 of the
     rotor clouds' bounding-box diagonal), governs the rotor and separator
     boundary fits; the casing fit gets a tighter budget so barrel vertices
@@ -197,7 +183,7 @@ class PipelineContext:
     fail late with a fold error.
     """
 
-    def __init__(self, source: BooySource | FileSource,
+    def __init__(self, source: BooySource | CrossSection,
                  fit_threshold: float | None = None,
                  optimize_control_maps: bool = True):
         p = source.params

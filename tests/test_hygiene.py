@@ -1,7 +1,8 @@
 """Declaration hygiene: every error class is raised somewhere, every
 private helper is used somewhere, every dataclass that holds an array
-compares by identity, and only the pipeline imports package modules beyond
-``errors`` and ``splines``."""
+compares by identity, only the pipeline imports package modules beyond
+``errors`` and ``splines``, and every error that ``profiles`` raises
+carries details."""
 
 import ast
 import dataclasses
@@ -17,17 +18,20 @@ from screwgen import errors
 MODULES = sorted(Path(screwgen.__file__).parent.glob("*.py"))
 
 
+def call_name(call: ast.Call) -> str | None:
+    """The name a call calls, as ``f(...)`` or ``m.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def called_names(source: str) -> set[str]:
     """The names called in the source, as ``f(...)`` or ``m.f(...)``."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                names.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                names.add(func.attr)
-    return names
+    return {call_name(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)} - {None}
 
 
 def unused_classes(classes, called) -> list[str]:
@@ -61,6 +65,31 @@ def test_unused_classes_finds_a_class_nothing_calls():
     called = called_names("def f():\n    raise errors.Raised('x')\n")
     assert called == {"Raised"}
     assert unused_classes([Base, Raised, Unused], called) == ["Unused"]
+
+
+ERROR_NAMES = {name for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and issubclass(cls, errors.ScrewgenError)}
+
+
+def detail_free_errors(source: str) -> list[int]:
+    """The lines on which the source constructs a ``ScrewgenError``, as
+    ``E(...)`` or ``m.E(...)``, without a keyword detail."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and not node.keywords
+                  and call_name(node) in ERROR_NAMES)
+
+
+def test_every_profiles_error_carries_a_detail():
+    source = (Path(screwgen.__file__).parent / "profiles.py").read_text()
+    assert detail_free_errors(source) == []
+
+
+def test_detail_free_errors_finds_an_error_without_details():
+    source = ("def f(x):\n    if x:\n        raise InvalidGeometryError('a')\n"
+              "    raise errors.FitError('b', x=x)\n"
+              "def g(path):\n    return ProfileParseError(\n        'c')\n"
+              "h = str(FitError('d', x=1))\n")
+    assert detail_free_errors(source) == [3, 6]
 
 
 def unreferenced_private_defs(sources) -> list[str]:

@@ -21,7 +21,7 @@ from screwgen.errors import (ConstraintError, DomainError,
                              NonconvergenceError, ScrewgenError,
                              TopologyError)
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
-from screwgen.pipeline import (BooySource, FileSource, PipelineContext,
+from screwgen.pipeline import (BooySource, PipelineContext,
                                merge_knot_vectors, promote_curve)
 from screwgen.profiles import (ScrewParams, booy_profile, cusp_points,
                                load_profile, rotation, save_profile)
@@ -129,10 +129,10 @@ def test_quarter_turn_control_steps_are_kkt_points(quarter_turn, monkeypatch):
 @pytest.mark.parametrize("saved_angle", [0.0, math.pi / 8], ids=["0", "pi_8"])
 def test_file_source_reproduces_booy_c_grids(booy_context, tmp_path,
                                              saved_angle):
-    # a profile saved at a non-zero angle is turned back by FileSource
+    # a profile saved at a non-zero angle is turned back by its section()
     path = tmp_path / "table2.txt"
     save_profile(path, booy_profile(TABLE2, saved_angle, N_POINTS))
-    ctx = PipelineContext(FileSource(load_profile(path, TABLE2)),
+    ctx = PipelineContext(load_profile(path, TABLE2),
                           fit_threshold=booy_context.fit_threshold)
     scale = TABLE2.barrel_radius
     for theta in (0.0, math.pi / 4):
@@ -470,10 +470,23 @@ def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+    real = PipelineContext._separator_boundary
+
+    def backtracking(self, gap):
+        # the east boundary with its middle control point pulled back by
+        # twice the step between its neighbours, so that it retreats
+        west, east, south, north, eta_kv = real(self, gap)
+        cp, k = east.control_points.copy(), east.basis.n // 2
+        cp[k] -= 2.0 * (cp[k + 1] - cp[k - 1])
+        return west, SplineCurve(east.basis, cp), south, north, eta_kv
+
+    monkeypatch.setattr(PipelineContext, "_separator_boundary", backtracking)
     with pytest.raises(MatchingError) as info:
-        booy_context.build_patches(math.pi / 8)
+        booy_context.build_patches(math.pi / 4)
     assert info.value.details["side"] == "east"
+    assert info.value.details["min_w"] < 0
     assert calls == []
+    monkeypatch.setattr(PipelineContext, "_separator_boundary", real)
     booy_context.build_separator(math.pi / 4)
     assert calls == ["__init__"]
 

@@ -113,7 +113,11 @@ def test_non_finite_screw_params_are_rejected_by_name(field, bad):
 
 @pytest.mark.parametrize("field, bad", [
     ("flight_count", 0), ("flight_count", 2.0), ("flight_count", 2.5),
-    ("flight_count", "2"), ("pitch_length", -1.0)])
+    ("flight_count", "2"), ("pitch_length", -1.0), ("screw_radius", 0.0),
+    ("centerline_distance", -26.2e-3), ("screw_screw_clearance", -1e-5),
+    ("screw_barrel_clearance", -1e-5),
+    ("centerline_distance", 31e-3),       # >= 2 R: no intermeshing
+    ("tip_fillet_radius", -1e-4)])
 def test_unmeshable_screw_params_are_rejected_by_name(field, bad):
     with pytest.raises(InvalidGeometryError, match=field) as info:
         dataclasses.replace(TABLE2, **{field: bad})
@@ -223,31 +227,34 @@ def test_profile_roundtrip(tmp_path):
     assert np.abs(loaded.right_rotor.points - sec.right_rotor.points).max() == 0.0
 
 
-def test_multi_section_file_loads_its_first_section(tmp_path):
+def test_second_section_line_raises_naming_its_line(tmp_path):
     path = tmp_path / "two.txt"
     save_profile(path, booy_profile(TABLE2, 0.45, 256))
     second = tmp_path / "second.txt"
     save_profile(second, booy_profile(TABLE2, 0.9, 256))
-    body = second.read_text().splitlines()[1:]
-    path.write_text(path.read_text() + "\n".join(body) + "\n")
-    assert load_profile(path, TABLE2).angle == pytest.approx(0.45)
-    # a later section is still parsed and validated
-    path.write_text(path.read_text() + "section θ=1.0\nL 0 0\n")
-    with pytest.raises(ProfileParseError):
+    lines = path.read_text().splitlines() + second.read_text().splitlines()[1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileParseError) as info:
         load_profile(path, TABLE2)
+    # the header, the first section line and 2 x 256 point lines come first
+    assert info.value.details == {"path": str(path), "line": 515}
 
 
 def test_profile_parse_errors(tmp_path):
+    # each malformed file with the 1-based line its error names
     bad = tmp_path / "bad.txt"
-    bad.write_text("not a header\n")
-    with pytest.raises(ProfileParseError):
-        load_profile(bad, TABLE2)
-    bad.write_text("screwgen-profile v1\nL 0 0\n")
-    with pytest.raises(ProfileParseError):
-        load_profile(bad, TABLE2)
-    bad.write_text("screwgen-profile v1\nsection θ=0\nL 0 zero\n")
-    with pytest.raises(ProfileParseError):
-        load_profile(bad, TABLE2)
+    for text, line in [
+            ("not a header\n", 1),
+            ("# comment\n\nscrewgen-profile v1\nL 0 0\n", 4),
+            ("screwgen-profile v1\nsection θ=0\nL 0 zero\n", 3),
+            ("screwgen-profile v1\nsection phi=0\n", 2),
+            ("screwgen-profile v1\n# no section\n", 1),
+            ("screwgen-profile v1\nsection θ=0\n" + "L 0 0\n" * 8
+             + "R 0 0\n", 2)]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ProfileParseError) as info:
+            load_profile(bad, TABLE2)
+        assert info.value.details == {"path": str(bad), "line": line}, text
 
 
 def test_profile_that_is_not_utf8_is_a_parse_error(tmp_path):
@@ -255,7 +262,7 @@ def test_profile_that_is_not_utf8_is_a_parse_error(tmp_path):
     bad.write_bytes(b"screwgen-profile v1\n\xff\n")
     with pytest.raises(ProfileParseError) as info:
         load_profile(bad, TABLE2)
-    assert info.value.details["path"] == str(bad)
+    assert info.value.details == {"path": str(bad), "line": 2}
 
 
 @pytest.mark.parametrize("line", [
