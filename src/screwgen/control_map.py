@@ -46,7 +46,6 @@ and the certificate on x certifies x o s.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -117,27 +116,19 @@ def identity_control(basis: TensorBasis, margin: float = DEFAULT_MARGIN) -> Cont
 # composite evaluation
 # ---------------------------------------------------------------------------
 
-def folded_cells(det) -> list:
-    """Cells (i, j) of a lattice of (n+1) x (n+1) determinant samples that
-    have a corner with det <= 0, in row-major order."""
-    bad = np.asarray(det) <= 0.0
+def check_composite_folding(x: SplineMap, s: ControlMap,
+                            n_samples: int) -> list:
+    """Cells (i, j), row-major, of the n x n lattice that have a corner
+    with det d(x o s) <= 0; the identity control map (``identity_control``)
+    checks x itself.  By the chain rule the determinant is det J_x at
+    (mu, sigma) times sigma_nu.  This sampled check is the oracle of tests
+    and the benchmark, not used by the pipeline."""
+    t = np.linspace(0.0, 1.0, n_samples + 1)
+    sig = np.clip(s.sigma_grid(t, t), 0.0, 1.0)
+    _, det_x = x.jacobian(np.repeat(t, len(t)), sig.ravel())
+    bad = det_x.reshape(sig.shape) * s.sigma_grid(t, t, 0, 1) <= 0.0
     cells = bad[:-1, :-1] | bad[1:, :-1] | bad[:-1, 1:] | bad[1:, 1:]
     return [(int(i), int(j)) for i, j in np.argwhere(cells)]
-
-
-def check_composite_folding(x: SplineMap, s: ControlMap | None,
-                            n_samples: int) -> list:
-    """Cells of the n x n lattice whose corners carry det d(x o s) <= 0;
-    s = None means the identity.  By the chain rule the determinant is
-    det J_x at (mu, sigma) times sigma_nu.  This sampled check is the
-    oracle of tests and the benchmark, not used by the pipeline."""
-    t = np.linspace(0.0, 1.0, n_samples + 1)
-    sig, sig_nu = np.tile(t, (len(t), 1)), 1.0
-    if s is not None:
-        sig = np.clip(s.sigma_grid(t, t), 0.0, 1.0)
-        sig_nu = s.sigma_grid(t, t, 0, 1)
-    _, det_x = x.jacobian(np.repeat(t, len(t)), sig.ravel())
-    return folded_cells(det_x.reshape(sig.shape) * sig_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +196,9 @@ class CostEvaluator:
     those bases alone and come from ``splines.basis_tables``, shared by
     every evaluator over the same bases; the Gauss-Newton products
     (``_gauss_newton_tables``, about 0.5 MB on the default control basis)
-    are fetched by the first ``gradient`` call, so evaluating the cost
-    alone never builds them.  The Taylor tables depend on the map's net and
-    are built per evaluator.
+    are fetched by ``gradient`` alone, so evaluating the cost never builds
+    them.  The Taylor tables depend on the map's net and are built per
+    evaluator.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -238,12 +229,6 @@ class CostEvaluator:
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
         self._last = None
-
-    @functools.cached_property
-    def _gauss_newton(self):
-        """(AA, BB) of the control basis, fetched by the first gradient."""
-        return basis_tables(_gauss_newton_tables, self.basis.xi,
-                            self.basis.eta)
 
     def _at(self, coeffs):
         """The pass at the control values, kept from the last call if it
@@ -323,7 +308,8 @@ class CostEvaluator:
         d = np.stack(terms["partials"])
         k, l = np.triu_indices(3)
         n_mu, m = coeffs.shape[0], coeffs.shape[1] - 2
-        AA, BB = self._gauss_newton
+        AA, BB = basis_tables(_gauss_newton_tables, self.basis.xi,
+                              self.basis.eta)
         blocks = ((AA @ (d[k] * d[l])) @ BB).reshape(
             len(k), n_mu, n_mu, m, m)
         off = blocks[k != l].sum(axis=0)

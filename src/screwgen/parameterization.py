@@ -311,9 +311,9 @@ def _xi_tables(kv: KnotVector):
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _newton_layout(n1, n2, p1, p2):
     """The block layout of the Newton matrix of an n1 x n2 net of degrees
-    (p1, p2), which depends on that shape alone: the unknown count n, the
-    block array's shape (G, 3, s, s), and the raveled positions in it of
-    the component-diagonal block's component 0 and of the 2x2 block.
+    (p1, p2), which depends on that shape alone: the block array's shape
+    (G, 3, s, s) and the raveled positions in it of the component-diagonal
+    block's component 0 and of the 2x2 block.
 
     A group holds p2 consecutive inner eta indices, s = 2 (n1 - 2) p2
     unknowns, and the unknowns past n in the last group are the pad.  Eta
@@ -351,7 +351,7 @@ def _newton_layout(n1, n2, p1, p2):
     x_at = at(row[:, None, None, None, :, None],
               pos[j1[:, :, None, None], j2][:, :, None, None], a * s + b)
     diag_at.flags.writeable = x_at.flags.writeable = False
-    return 2 * m * (n2 - 2), (groups, 3, s, s), diag_at, x_at
+    return (groups, 3, s, s), diag_at, x_at
 
 
 def _block_solve(blocks, rhs):
@@ -363,8 +363,8 @@ def _block_solve(blocks, rhs):
     [rhs | upper block], [y_g | X_g] = S_g^-1 [r_g - L_g y_(g-1) | U_g],
     with partial pivoting inside the group; one matmul of L_g with the
     previous group's [y | X] updates both.  Back substitution then gives
-    x_g = y_g - X_g x_(g+1).  The pad is decoupled, so the last group's
-    rows and the columns of the upper block before it stop at the last
+    x_g = y_g - X_g x_(g+1).  The pad is never read: the last group's rows
+    and the columns of the upper block before it stop at the last
     unknown.  Returns (step, None), or (None, g) with the group whose Schur
     complement is singular or where the step first turns non-finite.
     """
@@ -444,8 +444,8 @@ class EggAssembly:
     length.  ``jacobian`` scatters it into a (G, 3, s, s) array of each
     group's blocks with the previous group, itself and the next, at
     positions that depend on the basis's shape alone (``_newton_layout``,
-    shared within its TABLE_CACHE_SIZE entries); the last group is padded
-    with identity rows.  The component-diagonal block (through u, x_xi_eta
+    shared within its TABLE_CACHE_SIZE entries); the last group's pad rows
+    and columns stay zero.  The component-diagonal block (through u, x_xi_eta
     and x_eta_eta) is the same for both components and is placed once: s
     is even, so the component-1 entry (2r + 1, 2c + 1) lies one row and one
     column on from the component-0 entry (2r, 2c) in the same block.
@@ -466,9 +466,8 @@ class EggAssembly:
         self._eta_test = (w2[..., None] * M[0]).transpose(0, 2, 1)[:, :, None]
         # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
-        (self.n_unknowns, self.block_shape, self._diag_at,
-         self._x_at) = _newton_layout(*basis.shape, basis.xi.degree,
-                                      basis.eta.degree)
+        self.block_shape, self._diag_at, self._x_at = _newton_layout(
+            *basis.shape, basis.xi.degree, basis.eta.degree)
 
     # -- field evaluation ----------------------------------------------------
 
@@ -554,8 +553,8 @@ class EggAssembly:
     def jacobian(self, f, eps):
         """Analytic Newton matrix at the net's ``fields`` f as the
         block-tridiagonal array (G, 3, s, s): [g, 0], [g, 1] and [g, 2] are
-        group g's blocks with groups g - 1, g and g + 1 (zero past the
-        ends), and the pad rows of the last group are identity rows."""
+        group g's blocks with groups g - 1, g and g + 1, zero past the ends
+        and on the last group's pad, which ``_block_solve`` never reads."""
         n1 = self.basis.shape[0]
         diag, full = self._eta_sums(f, eps)
         # the xi sums: (i1, inner j1, i2, offset) and (i1, offset, [a, b],
@@ -570,8 +569,6 @@ class EggAssembly:
         blocks = flat[:-1].reshape(self.block_shape)
         blocks[..., 1::2, 1::2] = blocks[..., ::2, ::2]   # component 1
         flat[self._x_at] += full.ravel()
-        last = self.n_unknowns - (groups - 1) * s
-        np.fill_diagonal(blocks[-1, 1, last:, last:], 1.0)
         return blocks
 
 

@@ -74,7 +74,7 @@ CASING_SPANS = 64          # uniform grid-coordinate spans of the casing fit
 class BooySource:
     """Self-wiping profile sections of ``params`` at any angle."""
 
-    def __init__(self, params: ScrewParams, n_points: int = 1024):
+    def __init__(self, params: ScrewParams, n_points: int):
         self.params = params
         self.n_points = n_points
 

@@ -234,11 +234,8 @@ def rotor_arcs(params: ScrewParams) -> list[_Arc]:
     d = 0.5 * params.screw_screw_clearance
     r0 = params.screw_radius + d          # base (wiping) tip radius
     cl = params.centerline_distance
-    ratio = cl / (2 * r0)
-    if ratio >= 1.0:
-        raise InvalidGeometryError("no flank contact: centerline too large",
-                                   ratio=ratio)
-    kappa = math.acos(ratio)
+    # cl < 2 R <= 2 r0 (ScrewParams), so the flanks always touch
+    kappa = math.acos(cl / (2 * r0))
     alpha = math.pi / z - 2 * kappa
     if alpha <= 1e-9:
         raise InvalidGeometryError(
@@ -308,12 +305,10 @@ def sample_rotor(params: ScrewParams, n_points: int) -> np.ndarray:
 
 
 def cusp_points(params: ScrewParams) -> np.ndarray:
-    """Intersections of the two casing circles: (upper, lower), x = 0."""
+    """Intersections of the two casing circles: (upper, lower), x = 0.
+    They always meet: barrel_radius >= R > centerline_distance / 2."""
     rb = params.barrel_radius
     half = 0.5 * params.centerline_distance
-    if rb <= half:
-        raise InvalidGeometryError("casing circles do not intersect",
-                                   barrel_radius=rb, half_centerline=half)
     y = math.sqrt(rb * rb - half * half)
     return np.array([[0.0, y], [0.0, -y]])
 
@@ -354,8 +349,9 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
     line; ``L x y`` / ``R x y`` point lines (meters) in boundary order;
     ``#`` comments.  Angles and coordinates must be finite numbers, and a
     second ``section`` line raises.  Every ProfileParseError carries the
-    ``path`` and the 1-based ``line`` at fault.  The barrel is not part of
-    the file: it is the one of ``params``.
+    ``path`` and the 1-based ``line`` at fault, and an InvalidGeometryError
+    of the rotor clouds (``PointCloud``, ``CrossSection``) the ``path``.
+    The barrel is not part of the file: it is the one of ``params``.
     """
     def fail(message: str, line: int) -> ProfileParseError:
         return ProfileParseError(f"{path}:{line}: {message}",
@@ -408,8 +404,12 @@ def load_profile(path, params: ScrewParams) -> CrossSection:
         raise fail("no section line after the header", body[0][0])
     if min(map(len, points.values())) < 8:
         raise fail("each rotor needs at least 8 points", start)
-    return CrossSection(theta, params, PointCloud(np.array(points["L"])),
-                        PointCloud(np.array(points["R"])))
+    try:
+        return CrossSection(theta, params, PointCloud(np.array(points["L"])),
+                            PointCloud(np.array(points["R"])))
+    except InvalidGeometryError as exc:
+        exc.details.setdefault("path", str(path))
+        raise
 
 
 def save_profile(path, section: CrossSection):

@@ -384,16 +384,11 @@ class SplineCurve:
                 f"{self.basis.n}")
         object.__setattr__(self, "control_points", _frozen(cp))
 
-    def evaluate(self, x, der: int = 0) -> np.ndarray:
-        x = _check_param(np.atleast_1d(np.asarray(x, dtype=float)))
-        cols, ders = basis_ders_nonzero(self.basis, x, der)
-        return np.einsum("mj,mjd->md", ders[der], self.control_points[cols])
-
     def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
-
-    def point(self, x: float) -> np.ndarray:
-        return self.evaluate([float(x)])[0]
+        """The curve's points (m, 2) at the parameters x."""
+        x = _check_param(np.atleast_1d(np.asarray(x, dtype=float)))
+        cols, ders = basis_ders_nonzero(self.basis, x, 0)
+        return np.einsum("mj,mjd->md", ders[0], self.control_points[cols])
 
     def refine(self, new_knots) -> "SplineCurve":
         return SplineCurve(*insert_knots(self.basis, self.control_points,
@@ -494,9 +489,6 @@ class SplineMap:
         """Partial derivative d^(dxi+deta) x / dxi^dxi deta^deta at paired
         points; xi and eta are equal-length arrays, else DomainError."""
         return self._derivatives(xi, eta, [(dxi, deta)])[..., 0]
-
-    def point(self, xi: float, eta: float) -> np.ndarray:
-        return self.evaluate([xi], [eta])[0]
 
     def jacobian(self, xi, eta):
         """Jacobian matrices (m, 2, 2) with columns x_xi, x_eta, and dets (m,)."""

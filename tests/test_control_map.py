@@ -6,14 +6,15 @@ import pytest
 from screwgen import control_map
 from screwgen.control_map import (N_CELLS, ControlMap, CostEvaluator,
                                   check_composite_folding,
-                                  default_control_basis, folded_cells,
+                                  default_control_basis,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
 from screwgen.errors import ConstraintError, DomainError
 from screwgen.fitting import ReparamFunction
 from screwgen.parameterization import check_folding
 from screwgen.splines import (SplineMap, TensorBasis, basis_ders_nonzero,
-                              basis_matrix, open_knots, uniform_knots)
+                              basis_matrix, basis_tables, open_knots,
+                              uniform_knots)
 
 
 def curved_map():
@@ -449,8 +450,10 @@ def test_evaluators_over_one_basis_share_their_tables():
     coeffs = identity_control(default_control_basis()).coeffs
     a.gradient(coeffs)
     b.gradient(coeffs)
-    assert a._gauss_newton is b._gauss_newton
-    assert not any(t.flags.writeable for t in a._gauss_newton)
+    tables = [basis_tables(control_map._gauss_newton_tables, ev.basis.xi,
+                           ev.basis.eta) for ev in (a, b)]
+    assert tables[0] is tables[1]
+    assert not any(t.flags.writeable for t in tables[0])
     assert a.taylor is not b.taylor           # the map's own tables
     other = CostEvaluator(x, GRADED)
     assert other.Bmu is not a.Bmu
@@ -502,14 +505,77 @@ def test_optimize_control_rejects_a_result_short_of_the_margin(monkeypatch):
     assert info.value.details["min_diff"] == pytest.approx(init.margin - 5e-8)
 
 
+def rejecting(monkeypatch, reject):
+    """Stand-ins that report the trials ``reject`` picks (by 0-based trial
+    number) as costlier than any point, and record each QP step's damped
+    matrix and slack."""
+    trials, steps = [], []
+    real_cost, real_step = CostEvaluator.cost_of, control_map._qp_step
+
+    def cost_of(self, coeffs):
+        trials.append(np.array(coeffs))
+        return np.inf if reject(len(trials) - 1) else real_cost(self, coeffs)
+
+    def qp_step(g, K, slack, active):
+        steps.append((K, slack))
+        return real_step(g, K, slack, active)
+
+    monkeypatch.setattr(CostEvaluator, "cost_of", cost_of)
+    monkeypatch.setattr(control_map, "_qp_step", qp_step)
+    return trials, steps
+
+
+def test_a_rejected_trial_grows_the_damping_and_keeps_the_point(
+        monkeypatch):
+    x, init = curved_map(), identity_control(default_control_basis())
+    trials, steps = rejecting(monkeypatch, lambda k: k == 0)
+    out = optimize_control(x, init)
+    assert out.iterations == len(trials) >= 3
+    # the second step starts from the same point with more damping alone
+    (K0, slack0), (K1, slack1) = steps[:2]
+    assert np.array_equal(slack0, slack1)
+    grown = np.diag(K1 - K0)
+    assert grown.min() > 0 and np.allclose(K1 - K0, np.diag(grown))
+    assert np.allclose(grown, grown[0])
+    assert out.feasible()
+    monkeypatch.undo()
+    assert orthogonality_cost(x, out) < orthogonality_cost(x, init)
+
+
+def test_rejected_trials_stop_once_the_model_predicts_too_little(
+        monkeypatch):
+    # every trial rejected: the damping grows until the predicted decrease
+    # falls below STOP_DECREASE, and the start comes back unchanged
+    x, init = curved_map(), identity_control(default_control_basis())
+    trials, _ = rejecting(monkeypatch, lambda k: True)
+    out = optimize_control(x, init)
+    assert 1 < out.iterations == len(trials) < 200
+    assert np.array_equal(out.coeffs, init.coeffs) and out.feasible()
+
+
+def marked_cells(det):
+    """Reference marking: every node with det <= 0 marks the up-to-four
+    cells it is a corner of, returned in row-major order."""
+    cells = set()
+    for i, j in np.argwhere(det <= 0.0):
+        for ci in (i - 1, i):
+            for cj in (j - 1, j):
+                if 0 <= ci < det.shape[0] - 1 and 0 <= cj < det.shape[1] - 1:
+                    cells.add((int(ci), int(cj)))
+    return sorted(cells)
+
+
 @pytest.mark.parametrize("make", [curved_map, folded_map])
 def test_identity_composite_check_is_the_map_check(make):
     m = make()
     identity = identity_control(default_control_basis())
     for n in (25, 40):
+        t = np.linspace(0.0, 1.0, n + 1)
+        det = m.jacobian(np.repeat(t, t.size), np.tile(t, t.size))[1]
         assert check_composite_folding(m, identity, n) \
-            == check_composite_folding(m, None, n)
-    assert bool(check_folding(m)) == bool(check_composite_folding(m, None, 40))
+            == marked_cells(det.reshape(t.size, t.size))
+    assert bool(check_folding(m)) == bool(check_composite_folding(m, identity,
+                                                                  40))
 
 
 def test_composite_check_sees_folds_and_clean_maps():
@@ -528,8 +594,9 @@ def test_composite_check_refinement_superset():
         return (arr[:, 0].min() / n, (arr[:, 0].max() + 1) / n,
                 arr[:, 1].min() / n, (arr[:, 1].max() + 1) / n)
 
-    b1 = bbox(check_composite_folding(folded, None, 25), 25)
-    b2 = bbox(check_composite_folding(folded, None, 50), 50)
+    identity = identity_control(default_control_basis())
+    b1 = bbox(check_composite_folding(folded, identity, 25), 25)
+    b2 = bbox(check_composite_folding(folded, identity, 50), 50)
     # the refined sample lattice contains the coarse one, so the defect
     # region can only grow, up to the one-cell marking margin of the
     # coarse grid
@@ -538,17 +605,23 @@ def test_composite_check_refinement_superset():
     assert b2[2] <= b1[2] + margin and b2[3] >= b1[3] - margin
 
 
-def test_folded_cells_matches_per_node_marking():
-    # reference: every node with det <= 0 marks the up-to-four cells it
-    # is a corner of
+class DetLattice:
+    """A stand-in map whose Jacobian determinants on the check's lattice
+    are the given (n + 1, n + 1) array."""
+
+    def __init__(self, det):
+        self.det = det
+
+    def jacobian(self, xi, eta):
+        return None, self.det.ravel()
+
+
+def test_composite_check_marks_every_cell_of_a_nonpositive_node():
+    # the identity control map keeps each node's sign (sigma_nu > 0)
+    identity = identity_control(default_control_basis())
     rng = np.random.default_rng(7)
-    for shape in ((2, 2), (9, 9), (13, 7)):
-        det = rng.normal(0.6, 1.0, shape)
+    for n in (1, 8, 12):
+        det = rng.normal(0.6, 1.0, (n + 1, n + 1))
         det[0, -1] = 0.0
-        cells = set()
-        for i, j in np.argwhere(det <= 0.0):
-            for ci in (i - 1, i):
-                for cj in (j - 1, j):
-                    if 0 <= ci < shape[0] - 1 and 0 <= cj < shape[1] - 1:
-                        cells.add((int(ci), int(cj)))
-        assert folded_cells(det) == sorted(cells)
+        assert check_composite_folding(DetLattice(det), identity, n) \
+            == marked_cells(det)

@@ -76,8 +76,7 @@ def test_fit_endpoint_interpolation():
     pts = rng.uniform(-1, 1, (20, 2))
     t = np.linspace(0, 1, 20)
     fit = fit_curve(pts, t, uniform_knots(3, 4))
-    assert np.allclose(fit.curve.point(0.0), pts[0], atol=1e-12)
-    assert np.allclose(fit.curve.point(1.0), pts[-1], atol=1e-12)
+    assert np.allclose(fit.curve([0.0, 1.0]), pts[[0, -1]], atol=1e-12)
 
 
 def test_fit_residuals_are_the_curve_distances_bit_for_bit():

@@ -1,13 +1,14 @@
 """Declaration hygiene: every error class is raised somewhere, every
-private helper is used somewhere, every dataclass that holds an array
-compares by identity, only the pipeline imports package modules beyond
-``errors`` and ``splines``, and every error that ``profiles`` raises
-carries details."""
+private helper is used somewhere, every public name is reached from outside
+the tests, every dataclass that holds an array compares by identity, only
+the pipeline imports package modules beyond ``errors`` and ``splines``, and
+every error that ``profiles`` raises carries details."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,105 @@ def test_unreferenced_private_defs_finds_a_helper_nothing_uses():
                "    def __init__(self):\n        pass\n",
                "def _imported():\n    pass\n"]
     assert unreferenced_private_defs(sources) == ["_dead"]
+
+
+def public_defs(source: str) -> list[str]:
+    """The module-level functions and classes of the source, and the
+    methods of its module-level classes, whose names have no leading
+    underscore."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found += [node.name] + [item.name for item in node.body
+                                    if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            found.append(node.name)
+    return [name for name in found if not name.startswith("_")]
+
+
+class _References(ast.NodeVisitor):
+    """The names a source refers to by a Name, an Attribute or an import,
+    and with ``strings`` by a string constant that is an identifier, as a
+    ``getattr`` by name does; a reference inside a definition of the same
+    name does not count."""
+
+    def __init__(self, strings: bool):
+        self.strings, self.enclosing, self.found = strings, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def _add(self, name):
+        if name not in self.enclosing:
+            self.found.add(name)
+
+    def visit_Name(self, node):
+        self._add(node.id)
+
+    def visit_Attribute(self, node):
+        self._add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._add(node.name.split(".")[-1])
+
+    def visit_Constant(self, node):
+        if self.strings and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            self._add(node.value)
+
+
+def referenced_names(source: str, strings: bool = False) -> set[str]:
+    visitor = _References(strings)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def markdown_code_names(text: str) -> set[str]:
+    """The identifiers in the code spans and fenced blocks of a Markdown
+    text."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def unreferenced_public_defs(package, harness, readme) -> list[str]:
+    """The public names defined in the package sources that neither the
+    package (outside their own definitions), nor the harness sources
+    (strings included), nor the README's code refers to."""
+    referenced = markdown_code_names(readme).union(
+        *(referenced_names(src) for src in package),
+        *(referenced_names(src, strings=True) for src in harness))
+    return sorted({name for src in package for name in public_defs(src)}
+                  - referenced)
+
+
+def test_every_public_name_is_reached_from_outside_the_tests():
+    root = Path(screwgen.__file__).parents[2]
+    harness = sorted((root / "perfbench").glob("*.py"))
+    assert unreferenced_public_defs(
+        [path.read_text() for path in MODULES],
+        [path.read_text() for path in harness],
+        (root / "README.md").read_text()) == []
+
+
+def test_unreferenced_public_defs_finds_what_only_tests_reach():
+    package = ["def used():\n    return Curve().value() + traced()\n"
+               "def recursive(n):\n    return recursive(n - 1)\n"
+               "def traced():\n    pass\n"
+               "def by_name():\n    pass\n"
+               "def documented():\n    pass\n"
+               "def _private():\n    pass\n"
+               "class Curve:\n    def value(self):\n        return 0\n"
+               "    def point(self):\n        return self.value()\n"]
+    harness = ["import package\nTRACED = ('package', 'by_name')\n"
+               "package.used()\n"]
+    readme = "Call `documented()`, not recursive or point.\n"
+    assert unreferenced_public_defs(package, harness, readme) == [
+        "point", "recursive"]
 
 
 def array_dataclasses():

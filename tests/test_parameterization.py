@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from screwgen import parameterization
-from screwgen.control_map import check_composite_folding
+from screwgen.control_map import (check_composite_folding,
+                                  default_control_basis, identity_control)
 from screwgen.errors import (BasisMismatchError, DomainError, MatchingError,
                              NonconvergenceError, StructureError,
                              TopologyError)
@@ -245,7 +246,8 @@ def circular_arc(n_spans=6, half_angle=0.6):
 
 def angular_speed_samples(curve, center, n=20001):
     t = np.linspace(0.0, 1.0, n)
-    rel, d = curve(t) - center, curve.evaluate(t, 1)
+    rel = curve(t) - center
+    d = basis_matrix(curve.basis, t, der=1) @ curve.control_points
     return t, rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
 
 
@@ -605,7 +607,8 @@ def dense_newton_matrix(asm, blocks):
         if 0 <= g + k - 1 < groups:
             dense[g * s:(g + 1) * s,
                   (g + k - 1) * s:(g + k) * s] = blocks[g, k]
-    return dense[:asm.n_unknowns, :asm.n_unknowns]
+    n = 2 * (asm.basis.xi.n - 2) * (asm.basis.eta.n - 2)
+    return dense[:n, :n]
 
 
 def inner_net(tb, v):
@@ -670,12 +673,12 @@ def test_band_step_matches_dense_solve(name):
     s = 2 * (tb.xi.n - 2) * p
     assert blocks.shape == (groups, 3, s, s) == asm.block_shape
     assert name != "graded" or groups == 17
-    # no block past the ends; the pad rows are identity rows
-    last = asm.n_unknowns - (groups - 1) * s
+    # no block past the ends, and the pad rows and columns are zero
+    last = 2 * (tb.xi.n - 2) * (tb.eta.n - 2) - (groups - 1) * s
     assert not blocks[0, 0].any() and not blocks[-1, 2].any()
     assert not blocks[-1, 0, last:].any()
-    assert not blocks[-1, 1, :last, last:].any()
-    assert np.array_equal(blocks[-1, 1, last:], np.eye(s)[last:])
+    assert not blocks[-1, 1, last:].any()
+    assert not blocks[-1, 1, :, last:].any()
     rhs = -asm.residual(f, eps)
     want = np.linalg.solve(dense_newton_matrix(asm, blocks), rhs)
     got, group = _block_solve(blocks, rhs)
@@ -892,6 +895,22 @@ def test_egg_nonconvergence_error(monkeypatch):
     assert len(err.value.history) >= 1
 
 
+def test_a_line_search_that_never_lowers_the_residual_raises(monkeypatch):
+    # the negated Newton matrix steps uphill: to first order the residual
+    # at scale t of its step is (1 + t) times the current one, so no
+    # halving lowers it
+    real = EggAssembly.jacobian
+    monkeypatch.setattr(EggAssembly, "jacobian",
+                        lambda self, f, eps: -real(self, f, eps))
+    initial = transfinite(*quarter_annulus_bounds(), QUARTER_TB)
+    with pytest.raises(NonconvergenceError,
+                       match="line search failed") as err:
+        egg_solve(initial)
+    assert len(err.value.history) == 1
+    assert np.array_equal(err.value.last_map.control_points,
+                          initial.control_points)
+
+
 # ---------------------------------------------------------------------------
 # folding
 # ---------------------------------------------------------------------------
@@ -916,6 +935,9 @@ def test_check_folding_displaced_control():
                for lo, hi in boxes)
 
 
+IDENTITY = identity_control(default_control_basis())
+
+
 def test_check_folding_agrees_with_dense_lattice():
     verdicts = []
     for seed in range(16):
@@ -924,7 +946,8 @@ def test_check_folding_agrees_with_dense_lattice():
         cp[1:-1, 1:-1] += 0.035 * rng.normal(size=cp[1:-1, 1:-1].shape)
         m = SplineMap(EGG_TB, cp)
         verdict = check_folding(m) == []
-        assert verdict == (check_composite_folding(m, None, 200) == []), seed
+        assert verdict == (check_composite_folding(m, IDENTITY, 200)
+                           == []), seed
         verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -938,7 +961,7 @@ def test_positive_det_with_negative_bernstein_coefficient_is_certified(
     cp = identity_map(tb).control_points.copy()
     cp[:, :, 0] = np.array([-1.0, 0.9, -0.9, 1.0])[:, None]
     m = SplineMap(tb, cp)
-    assert check_composite_folding(m, None, 200) == []
+    assert check_composite_folding(m, IDENTITY, 200) == []
     assert check_folding(m) == []
     assert halvings
 

@@ -23,8 +23,9 @@ from screwgen.errors import (ConstraintError, DomainError,
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
 from screwgen.pipeline import (BooySource, PipelineContext,
                                merge_knot_vectors, promote_curve)
-from screwgen.profiles import (ScrewParams, booy_profile, cusp_points,
-                               load_profile, rotation, save_profile)
+from screwgen.profiles import (PointCloud, ScrewParams, booy_profile,
+                               cusp_points, load_profile, rotation,
+                               save_profile)
 from screwgen.splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                               open_knots, unique_knots)
 from test_control_map import gap_rows, terms_by_basis
@@ -167,8 +168,8 @@ def test_c_grid_is_the_ruled_map_between_rotor_and_casing_arcs(booy_context,
             got = c_grid.evaluate(xi, np.full_like(xi, eta))
             want = (1 - eta) * rotor + eta * casing
             assert np.abs(got - want).max() < 1e-12 * scale
-        assert np.abs(c_grid.point(0.0, 1.0) - cusp0).max() < 1e-12 * scale
-        assert np.abs(c_grid.point(1.0, 1.0) - cusp1).max() < 1e-12 * scale
+        ends = c_grid.evaluate([0.0, 1.0], [1.0, 1.0])
+        assert np.abs(ends - [cusp0, cusp1]).max() < 1e-12 * scale
 
 
 def test_rotor_arc_starting_just_before_the_seam(booy_context):
@@ -458,6 +459,49 @@ def test_an_uncertified_c_grid_raises_folding_error(booy_context,
         booy_context.build_patches(math.pi / 4)
     assert info.value.cells == [box]
     assert info.value.details == {"side": "left", "theta": math.pi / 4}
+
+
+def test_an_uncertified_separator_goes_to_the_repair(booy_context,
+                                                    monkeypatch):
+    # a stand-in certificate that rejects the separator on one knot-span
+    # box: the real repair bisects that box's spans and re-solves, and the
+    # real certificate passes the refined map
+    real_check, real_repair = (parameterization.check_folding,
+                               parameterization.repair_folding)
+    plain = booy_context.build_separator(math.pi / 4).map.basis
+    xi, eta = plain.xi.breakpoints, plain.eta.breakpoints
+    k = len(eta) // 2
+    box = [[xi[2], eta[k]], [xi[3], eta[k + 1]]]
+    repaired = []
+
+    def counted(patch, boxes):
+        repaired.append(boxes)
+        return real_repair(patch, boxes)
+
+    monkeypatch.setattr(pipeline, "check_folding", lambda m: [box])
+    monkeypatch.setattr(pipeline, "repair_folding", counted)
+    patch = booy_context.build_separator(math.pi / 4)
+    assert repaired == [[box]]
+    basis = patch.map.basis
+    assert (basis.xi.n, basis.eta.n) == (plain.xi.n + 1, plain.eta.n + 1)
+    assert basis.xi.multiplicity((xi[2] + xi[3]) / 2) == 1
+    assert basis.eta.multiplicity((eta[k] + eta[k + 1]) / 2) == 1
+    assert real_check(patch.map) == []
+
+
+def test_a_rotor_cloud_with_two_points_on_one_ray_is_rejected():
+    # two points on the left rotor's ray at angle 0 from its axis share
+    # one grid fraction, so the radial assignment cannot order them
+    sec = booy_profile(TABLE2, 0.0, N_POINTS)
+    pts = sec.left_rotor.points.copy()
+    rel = pts - TABLE2.left_center
+    k = int(np.argmin(np.abs(np.arctan2(rel[:, 1], rel[:, 0]))))
+    pts[k:k + 2] = TABLE2.left_center + [[0.9 * TABLE2.screw_radius, 0.0],
+                                         [0.5 * TABLE2.screw_radius, 0.0]]
+    section = dataclasses.replace(sec, left_rotor=PointCloud(pts))
+    with pytest.raises(MatchingError, match="left rotor cloud is not "
+                       "star-shaped"):
+        PipelineContext(section, fit_threshold=fit_threshold(1e-3))
 
 
 def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from screwgen.errors import InvalidGeometryError, ProfileParseError
 from screwgen.profiles import (
@@ -12,6 +13,8 @@ from screwgen.profiles import (
     booy_profile,
     cusp_points,
     load_profile,
+    rotation,
+    rotor_arcs,
     save_profile,
 )
 
@@ -91,6 +94,47 @@ def test_min_casing_gap_attained_at_tips():
     assert gap.min() <= TABLE2.screw_barrel_clearance + 1e-9
     tip = pts[np.argmin(gap)]
     assert np.linalg.norm(tip) == pytest.approx(TABLE2.screw_radius, abs=1e-12)
+
+
+def arc_ends(arc):
+    return [arc.center + arc.radius * np.array([math.cos(a), math.sin(a)])
+            for a in (arc.a0, arc.a1)]
+
+
+def test_zero_tip_fillet_keeps_the_sharp_wiping_corner():
+    sharp = dataclasses.replace(TABLE2, tip_fillet_radius=0.0)
+    arcs = rotor_arcs(sharp)
+    # tip, flank, root, flank: no fillet arcs
+    assert len(arcs) == 4 and len(rotor_arcs(TABLE2)) == 6
+    ends = [arc_ends(arc) for arc in arcs]
+    tol = 1e-12 * TABLE2.screw_radius
+    for (_, end), (start, _) in zip(ends, ends[1:]):
+        assert np.linalg.norm(end - start) < tol
+    # the flight ends where the next one's tip starts
+    period = rotation(2 * math.pi / TABLE2.flight_count)
+    assert np.linalg.norm(ends[-1][1] - period @ ends[0][0]) < tol
+    # the corner lies on the tip circle and on the flank circle
+    corner = ends[0][1]
+    assert np.linalg.norm(corner) == pytest.approx(TABLE2.screw_radius,
+                                                   rel=1e-12)
+    assert np.linalg.norm(corner - arcs[1].center) == pytest.approx(
+        arcs[1].radius, rel=1e-12)
+    for theta in np.linspace(0.0, math.pi, 9):
+        sec = booy_profile(sharp, theta, 512)
+        d = np.linalg.norm(sec.left_rotor.points[:, None, :]
+                           - sec.right_rotor.points[None, :, :], axis=2)
+        assert d.min() >= 0.95 * TABLE2.screw_screw_clearance, theta
+
+
+def test_one_flight_profile_without_a_root_raises_naming_its_radius():
+    # one flight keeps the tip angle positive however close the axes are,
+    # so the root radius C_l - R - delta_s is what fails
+    p = ScrewParams(screw_radius=1.0, centerline_distance=1.0,
+                    screw_screw_clearance=0.1, screw_barrel_clearance=0.1,
+                    flight_count=1)
+    with pytest.raises(InvalidGeometryError, match="root radius") as info:
+        rotor_arcs(p)
+    assert info.value.details == {"r_root": pytest.approx(-0.1)}
 
 
 def test_impossible_geometry_raises():
@@ -204,13 +248,23 @@ def test_cusps_on_casing_circles():
                 TABLE2.barrel_radius, rel=1e-12)
 
 
-def test_non_intersecting_casing_raises():
-    # valid ScrewParams always intersect (R_b >= R_s > C_l/2); exercise the
-    # guard directly with an inconsistent parameter bag
-    from types import SimpleNamespace
-    fake = SimpleNamespace(barrel_radius=9e-3, centerline_distance=19.99e-3)
-    with pytest.raises(InvalidGeometryError):
-        cusp_points(fake)
+@settings(max_examples=200, deadline=None)
+@given(ratio=st.floats(0.05, 0.999), gap_s=st.floats(0.0, 0.2),
+       gap_b=st.floats(0.0, 0.2), z=st.integers(1, 4))
+def test_admissible_params_always_have_cusps_and_flank_contact(ratio, gap_s,
+                                                               gap_b, z):
+    # R_b >= R > C_l / 2, so the bores meet, and C_l < 2 R <= 2 (R +
+    # delta_s / 2), so the flanks touch: an admissible geometry is either
+    # built or rejected by a named profile check, never by a math error
+    p = ScrewParams(screw_radius=1.0, centerline_distance=2.0 * ratio,
+                    screw_screw_clearance=gap_s, screw_barrel_clearance=gap_b,
+                    flight_count=z)
+    upper, lower = cusp_points(p)
+    assert upper[1] > 0.0 and np.array_equal(lower, upper * [1.0, -1.0])
+    try:
+        rotor_arcs(p)
+    except InvalidGeometryError as exc:
+        assert set(exc.details) in ({"alpha", "flight_count"}, {"r_root"})
 
 
 # ---------------------------------------------------------------------------
@@ -291,5 +345,16 @@ def test_profile_invariant_violation(tmp_path):
         lines.append(f"R {x} {y}")
     bad = tmp_path / "big.txt"
     bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidGeometryError, match="bore") as info:
         load_profile(bad, TABLE2)
+    assert set(info.value.details) == {"max_excess", "path"}
+    assert info.value.details["path"] == str(bad)
+    # a repeated closing point fails in PointCloud and names the file too
+    closed = tmp_path / "closed.txt"
+    save_profile(closed, booy_profile(TABLE2, 0.0, 256))
+    text = closed.read_text().splitlines()
+    first_r = next(ln for ln in text if ln.startswith("R "))
+    closed.write_text("\n".join(text + [first_r]) + "\n")
+    with pytest.raises(InvalidGeometryError, match="repeat") as info:
+        load_profile(closed, TABLE2)
+    assert info.value.details == {"gap": 0.0, "path": str(closed)}

@@ -400,7 +400,7 @@ def blossoms_by_index(kv: KnotVector, cp: np.ndarray, spans, args):
 
 
 # ---------------------------------------------------------------------------
-# SplineMap.point / SplineMap.jacobian
+# SplineMap.evaluate / SplineMap.jacobian
 # ---------------------------------------------------------------------------
 
 def test_constant_control_points_constant_map():
@@ -408,8 +408,8 @@ def test_constant_control_points_constant_map():
     q = np.array([2.5, -1.0])
     cp = np.tile(q, (tb.xi.n, tb.eta.n, 1))
     m = SplineMap(tb, cp)
-    for xi, eta in [(0, 0), (0.3, 0.7), (1, 1)]:
-        assert np.allclose(m.point(xi, eta), q, atol=1e-14)
+    out = m.evaluate([0, 0.3, 1], [0, 0.7, 1])
+    assert np.allclose(out, q, atol=1e-14)
 
 
 def test_greville_control_points_give_identity():
@@ -426,22 +426,22 @@ def test_corner_evaluates_to_corner_control_point():
     rng = np.random.default_rng(4)
     cp = rng.uniform(-1, 1, (tb.xi.n, tb.eta.n, 2))
     m = SplineMap(tb, cp)
-    assert np.allclose(m.point(0, 0), cp[0, 0], atol=1e-15)
-    assert np.allclose(m.point(1, 1), cp[-1, -1], atol=1e-15)
+    out = m.evaluate([0, 1], [0, 1])
+    assert np.allclose(out, cp[[0, -1], [0, -1]], atol=1e-15)
 
 
 def test_map_domain_error():
     tb = TensorBasis(uniform_knots(2, 2), uniform_knots(2, 2))
     m = identity_map(tb)
     with pytest.raises(DomainError):
-        m.point(1.5, 0.2)
+        m.evaluate([1.5], [0.2])
 
 
 def test_non_finite_parameters_are_rejected_by_name():
     kv = uniform_knots(2, 3)
     curve = SplineCurve(kv, np.zeros((kv.n, 2)))
     with pytest.raises(DomainError, match="parameter") as err:
-        curve.evaluate([0.2, np.nan])
+        curve([0.2, np.nan])
     assert err.value.details["name"] == "parameter"
     m = identity_map(TensorBasis(uniform_knots(2, 2), uniform_knots(2, 2)))
     for xi, eta, name in ((np.nan, 0.5, "xi"), (0.5, np.inf, "eta")):
@@ -478,8 +478,9 @@ def test_jacobian_against_finite_differences():
     pts = rng.uniform(0.05, 0.95, (20, 2))
     for xi, eta in pts:
         J = m.jacobian([xi], [eta])[0][0]
-        fd_x = (m.point(xi + h, eta) - m.point(xi - h, eta)) / (2 * h)
-        fd_e = (m.point(xi, eta + h) - m.point(xi, eta - h)) / (2 * h)
+        plus = m.evaluate([xi + h, xi], [eta, eta + h])
+        minus = m.evaluate([xi - h, xi], [eta, eta - h])
+        fd_x, fd_e = (plus - minus) / (2 * h)
         fd = np.stack([fd_x, fd_e], axis=-1)
         assert np.abs(J - fd).max() / np.abs(J).max() < 1e-5
 
