@@ -26,12 +26,14 @@ by its start value, which is free of the length unit, and stops once a step
 lowers it by less than a fixed share.
 
 Each point costs one pass over the samples, which gives its cost and the
-partials its gradient needs: ``CostEvaluator`` keeps the last point's
-pass, so a trial's cost and, once it is taken, its gradient come from the
-same pass.  The tables that depend only on the control basis or on the
-map's xi basis, both fixed for a geometry, are built once and shared
-through ``splines.basis_tables``, keyed by the knot vectors and bounded by
-TABLE_CACHE_SIZE entries; nothing is keyed by the per-angle eta knots.
+partials its gradient needs: ``CostEvaluator.cost_of`` returns the pass
+with the cost, and the caller hands that pass to ``gradient``, so a trial's
+cost and, once it is taken, its gradient come from the same pass.  The
+sample rows of each knot vector of the control basis and of the map's xi
+basis, all fixed for a geometry, are built once by ``_column_rows`` and
+shared through ``splines.basis_tables``, keyed by the knot vector and
+bounded by TABLE_CACHE_SIZE entries; nothing is keyed by the per-angle eta
+knots.
 
 The composite x o s needs no fold check of its own.  With eta degree q and
 knots t, sigma_nu is a convex combination of the slopes
@@ -135,15 +137,11 @@ def check_composite_folding(x: SplineMap, s: ControlMap,
 # orthogonality cost
 # ---------------------------------------------------------------------------
 
-def _sample_columns():
-    return (np.arange(N_CELLS) + 0.5) / N_CELLS
-
-
-def _control_tables(kv_mu, kv_nu):
-    """The sample matrices Bmu, Bmu_d, Bnu, Bnu_d of one control basis."""
-    t = _sample_columns()
-    return tuple(basis_matrix(kv, t, der=der)
-                 for kv in (kv_mu, kv_nu) for der in (0, 1))
+def _column_rows(kv):
+    """The rows of a basis and of its derivative at the sample columns, the
+    cell centers of one direction."""
+    t = (np.arange(N_CELLS) + 0.5) / N_CELLS
+    return basis_matrix(kv, t, der=0), basis_matrix(kv, t, der=1)
 
 
 def _gauss_newton_tables(kv_mu, kv_nu):
@@ -153,20 +151,14 @@ def _gauss_newton_tables(kv_mu, kv_nu):
     pair (k, l) of ``np.triu_indices(3)``, AA[kl][(i, i'), a] = A_k[a, i]
     A_l[a, i'], (6, n_mu^2, N_CELLS), and BB[kl][b, (j, j')] = B_k[b, j]
     B_l[b, j'], (6, N_CELLS, (n_nu - 2)^2)."""
-    Bmu, Bmu_d, Bnu, Bnu_d = basis_tables(_control_tables, kv_mu, kv_nu)
+    (Bmu, Bmu_d), (Bnu, Bnu_d) = (basis_tables(_column_rows, kv)
+                                  for kv in (kv_mu, kv_nu))
     A = np.stack([Bmu, Bmu_d, Bmu])
     B = np.stack([Bnu, Bnu, Bnu_d])[:, :, 1:-1]
     k, l = np.triu_indices(3)
     AA = np.einsum("kai,kaj->kija", A[k], A[l]).reshape(len(k), -1, N_CELLS)
     BB = np.einsum("kbi,kbj->kbij", B[k], B[l]).reshape(len(k), N_CELLS, -1)
     return AA, BB
-
-
-def _column_rows(kv):
-    """The rows of the map's xi basis and of its derivative at the sample
-    columns."""
-    t = _sample_columns()
-    return basis_matrix(kv, t, der=0), basis_matrix(kv, t, der=1)
 
 
 class CostEvaluator:
@@ -187,18 +179,18 @@ class CostEvaluator:
     J^T J is AA_kl (d_k d_l) BB_kl on the row-wise products that
     ``_gauss_newton_tables`` tables: six batched pairs of matrix products.
 
-    Each point costs one pass: the evaluator keeps the pass of the last
-    point it evaluated, so ``cost_of`` or ``cost_and_scale`` followed by
-    ``gradient`` at the same control values runs ``_terms`` once.  A pass
-    computes the dots, the sizes and the partials together, from the
-    derivatives of x it reads.  The tables of the control basis
-    and the rows of the map's xi basis at the sample columns depend on
-    those bases alone and come from ``splines.basis_tables``, shared by
-    every evaluator over the same bases; the Gauss-Newton products
-    (``_gauss_newton_tables``, about 0.5 MB on the default control basis)
-    are fetched by ``gradient`` alone, so evaluating the cost never builds
-    them.  The Taylor tables depend on the map's net and are built per
-    evaluator.
+    Each point costs one pass, and the evaluator keeps none: ``cost_of``
+    returns the cost with the pass that gave it, a dict of the dots, the
+    sizes and the partials, computed together from the derivatives of x it
+    reads, and ``gradient`` takes that pass, as ``egg_solve`` hands its
+    fields from the residual to the Newton matrix.  The sample rows of
+    each knot vector of the control basis and of the map's xi basis depend
+    on that knot vector alone and come from ``_column_rows`` through
+    ``splines.basis_tables``, shared by every evaluator over equal knot
+    vectors; the Gauss-Newton products (``_gauss_newton_tables``, about
+    0.5 MB on the default control basis) are fetched by ``gradient`` alone,
+    so evaluating the cost never builds them.  The Taylor tables depend on
+    the map's net and are built per evaluator.
     """
 
     def __init__(self, x: SplineMap, basis: TensorBasis):
@@ -208,8 +200,8 @@ class CostEvaluator:
         self.x = x
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
         self.basis = basis
-        self.Bmu, self.Bmu_d, self.Bnu, self.Bnu_d = basis_tables(
-            _control_tables, basis.xi, basis.eta)
+        self.Bmu, self.Bmu_d = basis_tables(_column_rows, basis.xi)
+        self.Bnu, self.Bnu_d = basis_tables(_column_rows, basis.eta)
         self.n_free = basis.xi.n * (basis.eta.n - 2)
         # eta-spline coefficients per mu-column, x in components 0-1 and
         # x_xi in 2-3, and their Taylor coefficients (derivative k over k!)
@@ -228,23 +220,14 @@ class CostEvaluator:
             np.einsum("ksj,asjc->kcas", ders, coef[:, cols]).reshape(
                 p + 1, 4, N_CELLS * len(self.lo)))
         self._row = (np.arange(N_CELLS) * len(self.lo))[:, None]
-        self._last = None
-
-    def _at(self, coeffs):
-        """The pass at the control values, kept from the last call if it
-        was at the same values."""
-        if self._last is None or not np.array_equal(self._last["coeffs"],
-                                                    coeffs):
-            self._last = None      # never hold two passes at once
-            self._last = self._terms(coeffs)
-        return self._last
 
     def _terms(self, coeffs):
         """One pass over the samples: per-sample dots D, the products
         |t_mu|^2 |t_nu|^2 that bound D^2, and the partials of D with
         respect to sigma, sigma_mu and sigma_nu, from the derivatives of x
-        and x_xi the pass reads.  The Taylor gather is not kept: holding it
-        between calls makes the next passes fault in fresh pages."""
+        and x_xi the pass reads.  The Taylor gather is not returned:
+        holding it between calls makes the next passes fault in fresh
+        pages."""
         sig = self.Bmu @ coeffs @ self.Bnu.T
         sig_mu = self.Bmu_d @ coeffs @ self.Bnu.T
         sig_nu = self.Bmu @ coeffs @ self.Bnu_d.T
@@ -270,32 +253,22 @@ class CostEvaluator:
                  + 2.0 * half * (sig_mu * t_nu + sig_nu * t_mu)).sum(axis=0)
         # x is read at the clipped sigma
         d_sig[(sig < 0.0) | (sig > 1.0)] = 0.0
-        return {"coeffs": np.array(coeffs), "dots": (t_mu * t_nu).sum(axis=0),
+        return {"dots": (t_mu * t_nu).sum(axis=0),
                 "sizes": (t_mu * t_mu).sum(axis=0) * (t_nu * t_nu).sum(axis=0),
                 "partials": (d_sig, (x_eta * t_nu).sum(axis=0),
                              (t_mu * x_eta).sum(axis=0))}
 
-    def _cost(self, dots) -> float:
-        return 0.5 * float(np.sum(dots * dots)) * self.cell_area
+    def cost_of(self, coeffs: np.ndarray):
+        """``(cost, terms)``: the cost at the control values and the sample
+        pass that gave it, which ``gradient`` takes."""
+        terms = self._terms(coeffs)
+        dots = terms["dots"]
+        return 0.5 * float(np.sum(dots * dots)) * self.cell_area, terms
 
-    def cost_of(self, coeffs: np.ndarray) -> float:
-        return self._cost(self._at(coeffs)["dots"])
-
-    def cost_and_scale(self, coeffs: np.ndarray):
-        """``(cost_of(coeffs), scale)`` from one pass, the scale being
-        0.5 sum |t_mu|^2 |t_nu|^2 * area: the cost the same tangents would
-        have if each pair were parallel.  It bounds the cost (Cauchy-
-        Schwarz) and scales with it, so their ratio is free of the length
-        unit."""
-        terms = self._at(coeffs)
-        return (self._cost(terms["dots"]),
-                0.5 * float(np.sum(terms["sizes"])) * self.cell_area)
-
-    def gradient(self, coeffs: np.ndarray):
-        """``(cost_of(coeffs), gradient, J^T J * area)`` from one pass, the
-        gradient and the Gauss-Newton matrix being exact over the interior
-        eta columns (raveled row-major)."""
-        terms = self._at(coeffs)
+    def gradient(self, terms):
+        """``(gradient, J^T J * area)`` at the pass ``terms`` that
+        ``cost_of`` returned, both exact over the interior eta columns
+        (raveled row-major)."""
         dots = terms["dots"]
         d_sig, d_mu, d_nu = terms["partials"]
         g = (self.Bmu.T @ (dots * d_sig) @ self.Bnu
@@ -307,7 +280,7 @@ class CostEvaluator:
         # ones keeps the matrix exactly symmetric
         d = np.stack(terms["partials"])
         k, l = np.triu_indices(3)
-        n_mu, m = coeffs.shape[0], coeffs.shape[1] - 2
+        n_mu, m = self.basis.xi.n, self.basis.eta.n - 2
         AA, BB = basis_tables(_gauss_newton_tables, self.basis.xi,
                               self.basis.eta)
         blocks = ((AA @ (d[k] * d[l])) @ BB).reshape(
@@ -316,13 +289,12 @@ class CostEvaluator:
         normal = (off + off.transpose(1, 0, 3, 2)
                   + blocks[k == l].sum(axis=0)).transpose(0, 2, 1, 3).reshape(
             self.n_free, self.n_free)
-        return (self._cost(dots), self.cell_area * g[:, 1:-1].ravel(),
-                self.cell_area * normal)
+        return self.cell_area * g[:, 1:-1].ravel(), self.cell_area * normal
 
 
 def orthogonality_cost(x: SplineMap, s: ControlMap) -> float:
     """0.5 sum over cell centers of (d(x o s)/dmu . d(x o s)/dnu)^2 * area."""
-    return CostEvaluator(x, s.basis).cost_of(s.coeffs)
+    return CostEvaluator(x, s.basis).cost_of(s.coeffs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +371,17 @@ def optimize_control(x: SplineMap, init: ControlMap,
     damped matrix, then one small Schur solve per pass) and pays one
     ``CostEvaluator.cost_of`` for the trial.  A trial that lowers the cost
     is taken, and ``CostEvaluator.gradient`` gives the gradient and J^T J
-    at the new point from the trial's own pass, so a call runs the sample
-    pass iterations + 1 times; the damping shrinks as far as the model
-    predicted the decrease.  Otherwise the damping grows.  The
-    loop stops once a step lowers the normalized cost by less than
-    STOP_DECREASE, or a rejected trial's model predicts less, or after
-    ``max_iter`` trials.  A start whose cost is below 1e-14 of its scale
-    (``cost_and_scale``, one pass) is already orthogonal to rounding, at
-    any length unit, and is returned after 0 iterations.
+    at the new point from the trial's own pass, which ``cost_of`` returned,
+    so a call runs the sample pass iterations + 1 times; the damping
+    shrinks as far as the model predicted the decrease.  Otherwise the
+    damping grows.  The loop stops once a step lowers the normalized cost
+    by less than STOP_DECREASE, or a rejected trial's model predicts less,
+    or after ``max_iter`` trials.  A start whose cost is below 1e-14 of its
+    scale is already orthogonal to rounding, at any length unit, and is
+    returned after 0 iterations.  The scale, read from the start's pass, is
+    0.5 sum |t_mu|^2 |t_nu|^2 * area: the cost the same tangents would have
+    if each pair were parallel.  It bounds the cost (Cauchy-Schwarz) and
+    scales with it, so their ratio is free of the length unit.
 
     Every trial keeps the active gaps at the margin and the others above
     it, so the returned map is ``feasible()`` by construction, and its
@@ -419,10 +394,11 @@ def optimize_control(x: SplineMap, init: ControlMap,
     n_mu = basis.shape[0]
     ev = CostEvaluator(x, basis)
     c = np.array(init.coeffs)
-    f0, scale = ev.cost_and_scale(c)
+    f0, terms = ev.cost_of(c)
+    scale = 0.5 * float(np.sum(terms["sizes"])) * ev.cell_area
     if f0 <= 1e-14 * scale:
         return ControlMap(basis, init.coeffs, margin, iterations=0)
-    _, g, H = ev.gradient(c)
+    g, H = ev.gradient(terms)
     f, g, H = 1.0, g / f0, H / f0
     active = np.diff(c, axis=1) <= margin
     damping, growth = DAMPING * float(H.diagonal().max()), 2.0
@@ -434,7 +410,8 @@ def optimize_control(x: SplineMap, init: ControlMap,
         predicted = -(g @ s + 0.5 * s @ H @ s)
         trial = c.copy()
         trial[:, 1:-1] += s.reshape(n_mu, -1)
-        f_trial = ev.cost_of(trial) / f0
+        f_trial, terms = ev.cost_of(trial)
+        f_trial /= f0
         if f_trial >= f:
             if predicted < STOP_DECREASE:
                 break
@@ -448,7 +425,7 @@ def optimize_control(x: SplineMap, init: ControlMap,
         c, f, active = trial, f_trial, work
         if converged:
             break
-        _, g, H = ev.gradient(c)
+        g, H = ev.gradient(terms)
         g, H = g / f0, H / f0
     out = ControlMap(basis, c, margin, iterations=iterations)
     if not out.feasible():

@@ -12,8 +12,9 @@ control map:
   through the axes' midpoint (same knots, negated control points);
 * the rotation-angle-zero rotor fit over the casing-aligned grid
   coordinate (radial projection), reused at every angle through the
-  periodic shift of that coordinate, and stored as the fit joined to
-  itself over two periods;
+  periodic shift of that coordinate, and stored doubled over two periods:
+  knots 0.5 t, then 0.5 + 0.5 t past the seam, control points c, then
+  c[1:], as both ends of the fit are the seam point;
 * rotor arcs at any angle as one extraction from that two-period curve,
   rotated (the material cloud only rotates, so the fit never has to be
   redone, and no arc wraps);
@@ -55,8 +56,7 @@ from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
                        rotation)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
                       TensorBasis, bounding_box_diagonal,
-                      greville_abscissae, join_curves, open_knots,
-                      uniform_knots)
+                      greville_abscissae, open_knots, uniform_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
@@ -219,12 +219,17 @@ class PipelineContext:
         left = self._fit_casing()
         self.casing_arc = {"left": left, "right": SplineCurve(
             left.basis, -left.control_points)}
-        # the base rotor fit joined to itself over two periods of the grid
-        # coordinate, so that every wrapped grid range is one extraction
+        # the base rotor fit doubled over two periods of the grid
+        # coordinate, so that every wrapped grid range is one extraction;
+        # both ends of the fit are the seam point
         self._two_period_rotor: dict[str, SplineCurve] = {}
         for side in ("left", "right"):
             fit = self._fit_rotor(side, sec0)
-            self._two_period_rotor[side] = join_curves(fit, fit, 0.5)
+            t, c = 0.5 * fit.basis.knots, fit.control_points
+            self._two_period_rotor[side] = SplineCurve(
+                KnotVector(DEGREE, np.concatenate([t[:-1],
+                                                   0.5 + t[DEGREE + 1:]])),
+                np.vstack([c, c[1:]]))
 
     # -- casing -------------------------------------------------------------
 
@@ -272,18 +277,33 @@ class PipelineContext:
         casing arc fraction of that foot.  Rotating the rotor then shifts
         every fraction by theta / 2 pi exactly, which is what lets the base
         fit serve all angles.
+
+        The fractions are taken in boundary order, counterclockwise (a
+        clockwise cloud is reversed) from the point nearest the seam at
+        fraction 0, and must increase: a cloud whose polar angle about its
+        axis backtracks, or repeats, raises MatchingError with the ``index``
+        in the cloud of the first point that does.
         """
         pts = (sec0.left_rotor if side == "left" else sec0.right_rotor).points
         center = self._center(side)
         anchor = 0.0 if side == "left" else math.pi
-        ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+        rel = pts - center
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
         fracs = ((ang - anchor) / TWO_PI) % 1.0
-        order = np.argsort(fracs)
+        order = np.arange(len(pts))
+        # twice the signed area (shoelace) is negative for a clockwise cloud
+        if np.sum(rel[:, 0] * np.roll(rel[:, 1], -1)
+                  - np.roll(rel[:, 0], -1) * rel[:, 1]) < 0:
+            order = order[::-1]
+        order = np.roll(order, -int(np.argmin(fracs[order])))
         g = fracs[order]
-        if np.any(np.diff(g) <= 0):
+        back = np.flatnonzero(np.diff(g) <= 0)
+        if back.size:
             raise MatchingError(
                 f"{side} rotor cloud is not star-shaped about its axis; "
-                "radial grid assignment is ambiguous")
+                "its polar angle does not increase along the boundary",
+                side=side,
+                index=int(order[back[0] + 1]))
         pp = pts[order]
         # synthesize the seam point at grid 0 across the wrap gap
         gl, gr = g[-1] - 1.0, g[0]

@@ -503,26 +503,3 @@ class SplineMap:
         kve, cp = insert_knots(self.basis.eta, cp.transpose(1, 0, 2),
                                eta_knots)
         return SplineMap(TensorBasis(kvx, kve), cp.transpose(1, 0, 2))
-
-
-def join_curves(first: SplineCurve, second: SplineCurve, split: float) -> SplineCurve:
-    """C0 join of two clamped curves into one over [0, 1] with the seam at
-    ``split``; the first curve occupies [0, split].  End points must agree
-    within 1e-9 of the two control polygons' bounding-box diagonal."""
-    if not 0.0 < split < 1.0:
-        raise DomainError("split must be interior")
-    if first.basis.degree != second.basis.degree:
-        raise DomainError("joined curves must share the degree")
-    pa = first.control_points[-1]
-    pb = second.control_points[0]
-    extent = bounding_box_diagonal(np.vstack([first.control_points,
-                                              second.control_points]))
-    if np.linalg.norm(pa - pb) > 1e-9 * extent:
-        raise DomainError("curves do not meet at the seam")
-    p = first.basis.degree
-    ka = first.basis.knots * split
-    kb = split + second.basis.knots * (1.0 - split)
-    knots = np.concatenate([ka[:-1], kb[p + 1:]])
-    ctrl = np.vstack([first.control_points, second.control_points[1:]])
-    return SplineCurve(KnotVector(p, knots), ctrl)
-

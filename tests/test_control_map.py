@@ -86,8 +86,7 @@ def combine(sig, sig_mu, sig_nu, x_xi, x_eta, x_xieta=None, x_etaeta=None):
 def terms_by_basis(ev, coeffs):
     """Reference for CostEvaluator._terms."""
     dots, sizes, parts = combine(*basis_pieces(ev, coeffs))
-    return {"coeffs": np.array(coeffs), "dots": dots, "sizes": sizes,
-            "partials": parts}
+    return {"dots": dots, "sizes": sizes, "partials": parts}
 
 
 def assert_terms_match_oracle(ev, coeffs):
@@ -128,7 +127,7 @@ def central_difference_gradient(ev, coeffs, h=1e-6):
             up, dn = coeffs.copy(), coeffs.copy()
             up[i, j] += h
             dn[i, j] -= h
-            fd[i, j - 1] = (ev.cost_of(up) - ev.cost_of(dn)) / (2 * h)
+            fd[i, j - 1] = (ev.cost_of(up)[0] - ev.cost_of(dn)[0]) / (2 * h)
     return fd.ravel()
 
 
@@ -146,7 +145,7 @@ def test_gradient_matches_central_differences():
     assert s.feasible()
     ev = CostEvaluator(curved_map(), s.basis)
     coeffs = np.array(s.coeffs)
-    _, g, _ = ev.gradient(coeffs)
+    g, _ = ev.gradient(ev.cost_of(coeffs)[1])
     fd = central_difference_gradient(ev, coeffs)
     assert np.linalg.norm(fd) > 1e-3  # the cost is genuinely sloped here
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
@@ -162,8 +161,13 @@ def test_terms_match_the_basis_oracle(make):
     ev = CostEvaluator(make(), s.basis)
     coeffs = np.array(s.coeffs)
     assert_terms_match_oracle(ev, coeffs)
-    cost, _, _ = ev.gradient(coeffs)
-    assert cost == ev.cost_of(coeffs)
+    # cost_of returns the pass that gave its cost
+    cost, terms = ev.cost_of(coeffs)
+    want = ev._terms(coeffs)
+    for a, b in zip((terms["dots"], terms["sizes"]) + terms["partials"],
+                    (want["dots"], want["sizes"]) + want["partials"]):
+        assert np.array_equal(a, b)
+    assert cost == 0.5 * float(np.sum(want["dots"] ** 2)) * ev.cell_area
 
 
 def dense_normal_matrix(ev, coeffs):
@@ -193,7 +197,7 @@ def test_normal_matrix_matches_the_dense_oracle(make, basis):
         -1.0, 1.0, coeffs[:, 1:-1].shape)
     ev = CostEvaluator(make(), basis)
     want = dense_normal_matrix(ev, coeffs)
-    _, _, got = ev.gradient(coeffs)
+    _, got = ev.gradient(ev.cost_of(coeffs)[1])
     assert got.shape == (ev.n_free, ev.n_free)
     assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -428,16 +432,25 @@ def test_optimize_control_runs_one_cost_pass_per_point(monkeypatch):
     assert len(passes) == 1
 
 
-def test_evaluator_reuses_the_last_pass_only_at_the_same_values():
+def test_gradient_reads_the_pass_it_is_handed(monkeypatch):
     s = perturbed_control()
     ev = CostEvaluator(curved_map(), s.basis)
     coeffs = np.array(s.coeffs)
-    cost = ev.cost_of(coeffs)
+    cost, terms = ev.cost_of(coeffs)
     coeffs[3, 4] += 1e-3                      # the caller's array changes
-    assert ev.cost_of(coeffs) != cost
-    assert ev.gradient(coeffs)[0] == ev.cost_of(coeffs)
-    assert CostEvaluator(curved_map(), s.basis).cost_of(coeffs) \
-        == ev.cost_of(coeffs)
+    changed = ev.cost_of(coeffs)[0]
+    assert changed != cost
+    assert CostEvaluator(curved_map(), s.basis).cost_of(coeffs)[0] == changed
+    # the gradient runs no sample pass: it reads the first pass, which the
+    # change to the array does not reach
+    fresh = CostEvaluator(curved_map(), s.basis)
+    want = fresh.gradient(fresh.cost_of(s.coeffs)[1])
+    passes = []
+    monkeypatch.setattr(CostEvaluator, "_terms",
+                        lambda self, c: passes.append(c))
+    got = ev.gradient(terms)
+    assert passes == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_evaluators_over_one_basis_share_their_tables():
@@ -446,10 +459,17 @@ def test_evaluators_over_one_basis_share_their_tables():
     for name in ("Bmu", "Bmu_d", "Bnu", "Bnu_d"):
         assert getattr(a, name) is getattr(b, name)
         assert not getattr(a, name).flags.writeable
+    # both directions of the default basis have equal knot vectors, and
+    # read one entry of sample rows
+    basis = default_control_basis()
+    assert basis.xi is not basis.eta and basis.xi == basis.eta
+    assert a.Bmu is a.Bnu and a.Bmu_d is a.Bnu_d
+    assert basis_tables(control_map._column_rows, basis.xi) \
+        is basis_tables(control_map._column_rows, basis.eta)
     # the Gauss-Newton tables come with the first gradient
-    coeffs = identity_control(default_control_basis()).coeffs
-    a.gradient(coeffs)
-    b.gradient(coeffs)
+    coeffs = identity_control(basis).coeffs
+    a.gradient(a.cost_of(coeffs)[1])
+    b.gradient(b.cost_of(coeffs)[1])
     tables = [basis_tables(control_map._gauss_newton_tables, ev.basis.xi,
                            ev.basis.eta) for ev in (a, b)]
     assert tables[0] is tables[1]
@@ -471,10 +491,10 @@ def test_cost_evaluation_never_builds_the_gauss_newton_tables(monkeypatch):
     x, s = curved_map(), identity_control(default_control_basis())
     orthogonality_cost(x, s)
     evaluator = CostEvaluator(x, s.basis)
-    evaluator.cost_and_scale(s.coeffs)
+    _, terms = evaluator.cost_of(s.coeffs)
     assert built == []
-    evaluator.gradient(s.coeffs)
-    evaluator.gradient(s.coeffs + 0.0)
+    evaluator.gradient(terms)
+    evaluator.gradient(evaluator.cost_of(s.coeffs + 0.0)[1])
     assert len(built) == 1
 
 
@@ -509,12 +529,17 @@ def rejecting(monkeypatch, reject):
     """Stand-ins that report the trials ``reject`` picks (by 0-based trial
     number) as costlier than any point, and record each QP step's damped
     matrix and slack."""
-    trials, steps = [], []
+    trials, steps, calls = [], [], []
     real_cost, real_step = CostEvaluator.cost_of, control_map._qp_step
 
     def cost_of(self, coeffs):
-        trials.append(np.array(coeffs))
-        return np.inf if reject(len(trials) - 1) else real_cost(self, coeffs)
+        # the first call prices the start, every later one a trial
+        calls.append(None)
+        if len(calls) > 1:
+            trials.append(np.array(coeffs))
+            if reject(len(trials) - 1):
+                return np.inf, None
+        return real_cost(self, coeffs)
 
     def qp_step(g, K, slack, active):
         steps.append((K, slack))

@@ -1,8 +1,9 @@
 """Declaration hygiene: every error class is raised somewhere, every
 private helper is used somewhere, every public name is reached from outside
-the tests, every dataclass that holds an array compares by identity, only
-the pipeline imports package modules beyond ``errors`` and ``splines``, and
-every error that ``profiles`` raises carries details."""
+the tests, every dataclass that holds an array compares by identity, no
+object changes its own state after it is made, only the pipeline imports
+package modules beyond ``errors`` and ``splines``, and every error that
+``profiles`` raises carries details."""
 
 import ast
 import dataclasses
@@ -250,6 +251,81 @@ def test_dataclasses_holding_arrays_compare_by_identity(cls):
     # the generated __eq__ compares arrays, whose truth value raises, and
     # the generated __hash__ hashes them, which raises
     assert cls.__dataclass_params__.eq is False
+
+
+def _writes_to(node, me: str) -> bool:
+    """Whether the statement or call writes to the object named ``me``: an
+    assignment, plain, augmented or annotated, to an attribute or item
+    hanging from it, or ``object.__setattr__(me, ...)``.  A name that only
+    indexes, as in ``flat[me.at] = v``, is read."""
+    if isinstance(node, ast.Call):
+        func, args = node.func, node.args
+        return (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object" and bool(args)
+                and isinstance(args[0], ast.Name) and args[0].id == me)
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            root = target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == me:
+                return True
+    return False
+
+
+def self_writing_methods(source: str) -> list[str]:
+    """``Class.method`` for every method of a module-level class of the
+    source, ``__init__`` and ``__post_init__`` aside, that writes to the
+    object it is called on (its first argument)."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if (isinstance(method, ast.FunctionDef) and method.args.args
+                    and method.name not in ("__init__", "__post_init__")
+                    and any(_writes_to(node, method.args.args[0].arg)
+                            for node in ast.walk(method))):
+                found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_no_method_changes_its_object_after_it_is_made():
+    # a pass handed from call to call is seen by the caller; state kept on
+    # the object between calls is not
+    assert [name for path in MODULES
+            for name in self_writing_methods(path.read_text())] == []
+
+
+def test_self_writing_methods_finds_every_form_of_write():
+    source = ("class A:\n"
+              "    def __init__(self):\n        self.n = 0\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'n', 1)\n"
+              "    def bump(self):\n        self.n += 1\n"
+              "    def put(me, k):\n        me.table[k][0] = k\n"
+              "    def pair(self):\n        b, (self.a, *c) = 1, (2, 3)\n"
+              "    def note(self):\n        self.x: int = 0\n"
+              "    def freeze(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "    def read(self, flat, other):\n"
+              "        flat[self.at] = other.x = self.x[0]\n"
+              "        setattr(other, 'x', 1)\n"
+              "def bump(self):\n    self.n += 1\n")
+    assert self_writing_methods(source) == [
+        "A.bump", "A.put", "A.pair", "A.note", "A.freeze"]
 
 
 # the modules every package module may import; only ``pipeline`` imports

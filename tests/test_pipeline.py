@@ -504,6 +504,82 @@ def test_a_rotor_cloud_with_two_points_on_one_ray_is_rejected():
         PipelineContext(section, fit_threshold=fit_threshold(1e-3))
 
 
+def z_folded_left_rotor():
+    """A TABLE2 section whose left rotor runs forward, back and forward
+    again between polar angles 0.2 and 0.4 about its axis, on three strands
+    0.3 mm apart radially, and the cloud index of the first point that
+    runs back."""
+    sec = booy_profile(TABLE2, 0.0, N_POINTS)
+    pts = sec.left_rotor.points
+    rel = pts - TABLE2.left_center
+    ang, r = np.arctan2(rel[:, 1], rel[:, 0]), np.hypot(rel[:, 0], rel[:, 1])
+    seg = np.flatnonzero((ang > 0.2) & (ang < 0.4))   # counterclockwise
+    phi = ang[seg]
+    # each strand a third of a step ahead of the last: no two points share
+    # a polar angle
+    shift = (phi[-1] - phi[0]) / (3 * (len(seg) - 1))
+    strands = []
+    for j, step in enumerate((1, -1, 1)):
+        a = (phi + j * shift)[::step]
+        radius = np.interp(a, phi, r[seg]) - j * 0.3e-3
+        strands.append(TABLE2.left_center
+                       + radius[:, None] * np.column_stack([np.cos(a),
+                                                            np.sin(a)]))
+    folded = np.vstack([pts[:seg[0]], *strands, pts[seg[-1] + 1:]])
+    return (dataclasses.replace(sec, left_rotor=PointCloud(folded)),
+            int(seg[0]) + len(seg) + 1)
+
+
+def test_a_rotor_cloud_whose_polar_angle_backtracks_is_rejected():
+    # sorted by polar angle, the three strands would be one zig-zag
+    section, first_back = z_folded_left_rotor()
+    with pytest.raises(MatchingError, match="left rotor cloud is not "
+                       "star-shaped") as info:
+        PipelineContext(section, fit_threshold=fit_threshold(1e-3))
+    assert info.value.details == {"side": "left", "index": first_back}
+
+
+def test_rotor_clouds_may_run_either_way_round_from_any_point():
+    sec = booy_profile(TABLE2, 0.0, N_POINTS)
+    turned = dataclasses.replace(
+        sec,
+        left_rotor=PointCloud(np.roll(sec.left_rotor.points[::-1], 300, 0)),
+        right_rotor=PointCloud(np.roll(sec.right_rotor.points[::-1], -77, 0)))
+    a, b = (PipelineContext(s, fit_threshold=fit_threshold(1e-3))
+            for s in (sec, turned))
+    for side in ("left", "right"):
+        want, got = a._two_period_rotor[side], b._two_period_rotor[side]
+        assert np.array_equal(got.basis.knots, want.basis.knots)
+        assert np.array_equal(got.control_points, want.control_points)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_two_period_rotor_is_the_base_fit_twice(scale):
+    # the doubling is exact at any size of screw: the fit's two ends are
+    # the same seam point, so no seam tolerance is involved
+    params = dataclasses.replace(TABLE2, **{
+        name: scale * getattr(TABLE2, name)
+        for name in ("screw_radius", "centerline_distance",
+                     "screw_screw_clearance", "screw_barrel_clearance")})
+    ctx = PipelineContext(BooySource(params, N_POINTS),
+                          fit_threshold=fit_threshold(1e-3, params))
+    sec0 = booy_profile(params, 0.0, N_POINTS)
+    s = np.linspace(0.0, 1.0, 201)
+    first, second = s[s <= 0.5], s[s >= 0.5]
+    for side in ("left", "right"):
+        fit = ctx._fit_rotor(side, sec0)
+        two = ctx._two_period_rotor[side]
+        for half in (two.extract(0.0, 0.5), two.extract(0.5, 1.0)):
+            assert np.array_equal(half.basis.knots, fit.basis.knots)
+            assert np.array_equal(half.control_points, fit.control_points)
+        # an arc across the seam is the end of one period, then the start
+        # of the next
+        arc = two.extract(0.4, 0.6)
+        err = max(np.abs(arc(first) - fit(0.8 + 0.4 * first)).max(),
+                  np.abs(arc(second) - fit(0.4 * second - 0.2)).max())
+        assert err < 1e-12 * params.barrel_radius
+
+
 def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):
     calls = []
     for cls, name in ((parameterization.EggAssembly, "__init__"),

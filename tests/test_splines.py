@@ -19,7 +19,6 @@ from screwgen.splines import (
     basis_tables,
     greville_abscissae,
     insert_knots,
-    join_curves,
     open_knots,
     uniform_knots,
     unique_knots,
@@ -719,26 +718,6 @@ def test_extraction_preserves_geometry():
     sub = cur.extract(0.25, 0.8)
     x = np.linspace(0, 1, 100)
     assert np.abs(sub(x) - cur(0.25 + 0.55 * x)).max() < 1e-12
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
-def test_join_tolerance_is_relative_to_the_curves(scale):
-    # ends 1e-12 of the curves' size apart join, 1e-4 apart do not, at any
-    # scale
-    kv = uniform_knots(3, 2)
-    first = SplineCurve(kv, scale * np.column_stack(
-        [np.linspace(0, 1, kv.n), np.zeros(kv.n)]))
-    for gap, joins in ((1e-12, True), (1e-4, False)):
-        second = SplineCurve(kv, first.control_points[-1] + scale * np.column_stack(
-            [np.full(kv.n, gap), np.linspace(0, 1, kv.n)]))
-        if joins:
-            joined = join_curves(first, second, 0.5)
-            assert np.array_equal(joined(np.array([0.0, 1.0])),
-                                  [first.control_points[0],
-                                   second.control_points[-1]])
-        else:
-            with pytest.raises(DomainError, match="seam"):
-                join_curves(first, second, 0.5)
 
 
 def test_knot_vectors_compare_and_hash_by_degree_and_knot_values():
