@@ -87,13 +87,20 @@ class ControlMap:
                                   margin=self.margin)
         c = np.ascontiguousarray(self.coeffs, dtype=float)
         if c.shape != self.basis.shape:
-            raise DomainError("control value grid does not match the basis")
+            raise DomainError("control value grid does not match the basis",
+                              shape=c.shape, basis_shape=self.basis.shape)
         if not np.all(np.isfinite(c)):
-            raise DomainError("control values must be finite")
-        if np.abs(c[:, 0]).max() > 1e-12 or np.abs(c[:, -1] - 1).max() > 1e-12:
-            raise ConstraintError("boundary control rows must be pinned to 0 and 1")
-        if np.any(np.diff(c, axis=1) <= 0):
-            raise ConstraintError("control values must increase along eta")
+            raise DomainError("control values must be finite",
+                              index=tuple(map(int, np.argwhere(
+                                  ~np.isfinite(c))[0])))
+        deviation = max(np.abs(c[:, 0]).max(), np.abs(c[:, -1] - 1).max())
+        if deviation > 1e-12:
+            raise ConstraintError("boundary control rows must be pinned to 0 and 1",
+                                  deviation=float(deviation))
+        falling = np.diff(c, axis=1) <= 0
+        if falling.any():
+            raise ConstraintError("control values must increase along eta",
+                                  index=tuple(map(int, np.argwhere(falling)[0])))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -196,7 +203,8 @@ class CostEvaluator:
     def __init__(self, x: SplineMap, basis: TensorBasis):
         if N_CELLS < 2 * max(basis.shape):
             raise DomainError("sample grid must be at least twice the control "
-                              "resolution")
+                              "resolution", n_cells=N_CELLS,
+                              shape=basis.shape)
         self.x = x
         self.cell_area = 1.0 / (N_CELLS * N_CELLS)
         self.basis = basis
@@ -389,7 +397,9 @@ def optimize_control(x: SplineMap, init: ControlMap,
     raises ConstraintError (``min_diff``).
     """
     if not init.feasible():
-        raise ConstraintError("initial control map violates the ordering margin")
+        raise ConstraintError("initial control map violates the ordering margin",
+                              min_diff=float(np.diff(init.coeffs, axis=1).min()),
+                              margin=init.margin)
     basis, margin = init.basis, init.margin
     n_mu = basis.shape[0]
     ev = CostEvaluator(x, basis)

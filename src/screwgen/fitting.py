@@ -42,7 +42,8 @@ def chord_length_params(points) -> np.ndarray:
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     total = seg.sum()
     if total <= 0:
-        raise FitError("degenerate cloud: zero total chord length")
+        raise FitError("degenerate cloud: zero total chord length",
+                       length=float(total))
     t = np.concatenate([[0.0], np.cumsum(seg)]) / total
     t[-1] = 1.0
     return t
@@ -101,7 +102,8 @@ def fit_curve(points, params, kv: KnotVector,
     points = _cloud(points)
     params = np.asarray(params, dtype=float)
     if points.shape[0] != params.shape[0]:
-        raise FitError("points and params length mismatch")
+        raise FitError("points and params length mismatch",
+                       n_points=points.shape[0], n_params=params.shape[0])
     params = _check_param(params)
     if lam_reg is None:
         lam_reg = _penalty_weight(points)
@@ -124,9 +126,11 @@ def fit_curve(points, params, kv: KnotVector,
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
-        raise FitError(f"singular fitting system: {exc}") from exc
+        raise FitError(f"singular fitting system: {exc}", n_basis=n,
+                       lam_reg=float(lam_reg)) from exc
     if not np.isfinite(sol).all():
-        raise FitError("fitting system numerically singular despite stabilization")
+        raise FitError("fitting system numerically singular despite stabilization",
+                       n_basis=n, lam_reg=float(lam_reg))
     ctrl[free] = sol
     curve = SplineCurve(kv, ctrl)
     fitted = np.einsum("mj,mjd->md", ders[0], curve.control_points[cols])
@@ -197,13 +201,18 @@ class ReparamFunction:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-            raise MatchingError("breakpoint arrays must be equal-length 1d")
+            raise MatchingError("breakpoint arrays must be equal-length 1d",
+                                x_shape=x.shape, y_shape=y.shape)
         # NaN fails every comparison, so each test asks for what must hold
         ends = np.array([x[0], x[-1] - 1, y[0], y[-1] - 1])
         if not np.all(np.abs(ends) <= 1e-12):
-            raise MatchingError("reparameterization must map 0->0 and 1->1")
-        if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
-            raise MatchingError("breakpoints must be strictly increasing")
+            raise MatchingError("reparameterization must map 0->0 and 1->1",
+                                ends=tuple(float(v) for v in
+                                           (x[0], x[-1], y[0], y[-1])))
+        rising = (np.diff(x) > 0) & (np.diff(y) > 0)
+        if not rising.all():
+            raise MatchingError("breakpoints must be strictly increasing",
+                                index=int(np.argmin(rising)) + 1)
         x = x.copy()
         y = y.copy()
         x[0] = 0.0
@@ -258,13 +267,15 @@ def match_points(cloud_a, cloud_b, ta, tb):
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise MatchingError("matched clouds must be finite")
+        raise MatchingError("matched clouds must be finite",
+                            cloud="b" if np.isfinite(a).all() else "a")
     # reversed-orientation input would force crossing matches; detect it from
     # the endpoint correspondence before committing to the recursion
     d_fwd = np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[-1] - b[-1])
     d_rev = np.linalg.norm(a[0] - b[-1]) + np.linalg.norm(a[-1] - b[0])
     if d_rev < 0.5 * d_fwd:
-        raise MatchingError("clouds appear oppositely oriented (crossing matches)")
+        raise MatchingError("clouds appear oppositely oriented (crossing matches)",
+                            forward=float(d_fwd), reverse=float(d_rev))
     dist, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
     dist *= dist    # in place: two (n_a, n_b) arrays in all
     dy *= dy

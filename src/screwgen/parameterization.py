@@ -39,7 +39,6 @@ group.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import (BasisMismatchError, FoldingUnrepairedError,
                      MatchingError, NonconvergenceError, StructureError,
                      TopologyError)
-from .splines import (KNOT_TOL, TABLE_CACHE_SIZE, KnotVector, SplineCurve,
+from .splines import (KNOT_TOL, KnotVector, SplineCurve,
                       SplineMap, TensorBasis, basis_ders_nonzero,
                       basis_matrix, basis_tables, blossoms,
                       bounding_box_diagonal, insert_knots)
@@ -91,7 +90,8 @@ def transfinite(west: SplineCurve, east: SplineCurve, south: SplineCurve,
                             (s, basis.xi, "south"), (n, basis.xi, "north")):
         if curve.basis != kv:
             raise BasisMismatchError(
-                f"{name} boundary curve does not live in the patch basis")
+                f"{name} boundary curve does not live in the patch basis",
+                side=name)
     p00, p10 = s.control_points[[0, -1]]
     p01, p11 = n.control_points[[0, -1]]
     gap = np.linalg.norm(np.array([w.control_points[[0, -1]],
@@ -238,7 +238,8 @@ def _aux_xi(kv: KnotVector) -> KnotVector:
     degree-fold 0.5 repetition, which it requires, to p+1."""
     if kv.multiplicity(0.5) != kv.degree:
         raise StructureError(
-            "xi knot vector must carry a degree-fold repetition at 0.5")
+            "xi knot vector must carry a degree-fold repetition at 0.5",
+            multiplicity=kv.multiplicity(0.5), degree=kv.degree)
     counts = kv.multiplicities + (np.abs(kv.breakpoints - 0.5) <= KNOT_TOL)
     counts[[0, -1]] += 1
     return KnotVector(kv.degree + 1, np.repeat(kv.breakpoints, counts))
@@ -308,7 +309,6 @@ def _xi_tables(kv: KnotVector):
     return first1, proj, fields, w1.reshape(-1, 1) * Nd[0], diag, full
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _newton_layout(n1, n2, p1, p2):
     """The block layout of the Newton matrix of an n1 x n2 net of degrees
     (p1, p2), which depends on that shape alone: the block array's shape
@@ -320,7 +320,7 @@ def _newton_layout(n1, n2, p1, p2):
     indices couple at most p2 apart, so a group couples only to its two
     neighbours: [g, 0] is its block with group g - 1, [g, 1] with itself
     and [g, 2] with group g + 1.  A pair with a boundary dof goes to the
-    spare slot G 3 s^2 after the array.  The position arrays are read-only.
+    spare slot G 3 s^2 after the array.
     """
     m = n1 - 2
     half = m * p2                         # unknown pairs per group
@@ -350,7 +350,6 @@ def _newton_layout(n1, n2, p1, p2):
     diag_at = at(row[:, None, :, None], pos[p1 + 1:p1 + n1 - 1][:, j2])
     x_at = at(row[:, None, None, None, :, None],
               pos[j1[:, :, None, None], j2][:, :, None, None], a * s + b)
-    diag_at.flags.writeable = x_at.flags.writeable = False
     return (groups, 3, s, s), diag_at, x_at
 
 
@@ -443,8 +442,9 @@ class EggAssembly:
     2) p unknowns each, make the matrix block-tridiagonal whatever the eta
     length.  ``jacobian`` scatters it into a (G, 3, s, s) array of each
     group's blocks with the previous group, itself and the next, at
-    positions that depend on the basis's shape alone (``_newton_layout``,
-    shared within its TABLE_CACHE_SIZE entries); the last group's pad rows
+    positions that depend on the basis's shape and degrees alone
+    (``_newton_layout``, which ``basis_tables`` caches by those integers as
+    it caches the xi tables by their knot vector); the last group's pad rows
     and columns stay zero.  The component-diagonal block (through u, x_xi_eta
     and x_eta_eta) is the same for both components and is placed once: s
     is even, so the component-1 entry (2r + 1, 2c + 1) lies one row and one
@@ -466,8 +466,8 @@ class EggAssembly:
         self._eta_test = (w2[..., None] * M[0]).transpose(0, 2, 1)[:, :, None]
         # Jacobian: eta products w M_i2 M^(k)_j2, (3, E2, L2, L2, n2q)
         self._eta_pairs = np.einsum("eql,keqj->keljq", w2[..., None] * M[0], M)
-        self.block_shape, self._diag_at, self._x_at = _newton_layout(
-            *basis.shape, basis.xi.degree, basis.eta.degree)
+        self.block_shape, self._diag_at, self._x_at = basis_tables(
+            _newton_layout, *basis.shape, basis.xi.degree, basis.eta.degree)
 
     # -- field evaluation ----------------------------------------------------
 

@@ -16,8 +16,8 @@ control map:
   knots 0.5 t, then 0.5 + 0.5 t past the seam, control points c, then
   c[1:], as both ends of the fit are the seam point;
 * rotor arcs at any angle as one extraction from that two-period curve,
-  rotated (the material cloud only rotates, so the fit never has to be
-  redone, and no arc wraps);
+  its control points ``turned`` (the material cloud only rotates, so the
+  fit never has to be redone, and no arc wraps);
 * the separator's xi basis, XI_ELEMENTS_PER_HALF spans on each side of
   its C0 knot at the cusp line, and its Greville abscissae;
 * per angle, in this order: the gap-arc matching; the separator boundary
@@ -27,8 +27,8 @@ control map:
   boundaries, which rejects a backtracking boundary with
   ``MatchingError`` before any C-grid or EGG work; the EGG solve with
   folding repair; each C-grid as the ruled map between its rotor and
-  casing arcs on their merged knot vector, xi running clockwise about the
-  rotor axis so that det J > 0; the orthogonality control map.
+  casing arcs promoted onto their merged knot vector, xi running clockwise
+  about the rotor axis so that det J > 0; the orthogonality control map.
   Every ``ScrewgenError`` that ``build_patches`` raises carries the angle
   as ``theta`` in its details.
 
@@ -46,17 +46,18 @@ import numpy as np
 from .control_map import (ControlMap, default_control_basis,
                           identity_control, optimize_control)
 from .errors import (FitError, FoldingError, InvalidGeometryError,
-                     MatchingError, ScrewgenError, TopologyError)
+                     MatchingError, ScrewgenError)
 from .fitting import (ReparamFunction, chord_length_params, fit_curve,
                       fit_curve_adaptive, match_points)
 from .parameterization import (PatchParameterization, check_boundary_regular,
                                check_folding, egg_solve, repair_folding,
                                transfinite)
 from .profiles import (CrossSection, ScrewParams, booy_profile, cusp_points,
-                       rotation)
+                       turned)
 from .splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                      TensorBasis, bounding_box_diagonal,
-                      greville_abscissae, open_knots, uniform_knots)
+                      TensorBasis, bounding_box_diagonal, greville_abscissae,
+                      merge_knot_vectors, open_knots, promote_curve,
+                      uniform_knots)
 
 TWO_PI = 2.0 * math.pi
 DEGREE = 3                 # degree of every boundary curve and patch map
@@ -80,52 +81,6 @@ class BooySource:
 
     def section(self, theta: float) -> CrossSection:
         return booy_profile(self.params, theta, self.n_points)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def _merge_clusters(a: KnotVector, b: KnotVector):
-    """The clusterings of two knot vectors merged: the distinct values,
-    split where consecutive breakpoints lie more than KNOT_TOL apart as
-    ``unique_knots`` splits knots, each the least of its run, and the
-    multiplicities of a and of b at each, ends included."""
-    vals = np.concatenate([a.breakpoints, b.breakpoints])
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    run = np.concatenate([[0], np.cumsum(vals[1:] - vals[:-1] > KNOT_TOL)])
-    n = int(run[-1]) + 1
-    where = run + n * (order >= len(a.breakpoints))
-    counts = np.bincount(
-        where, np.concatenate([a.multiplicities, b.multiplicities])[order],
-        minlength=2 * n).astype(int)
-    first = np.flatnonzero(np.diff(run, prepend=-1))
-    return vals[first], counts[:n], counts[n:]
-
-
-def merge_knot_vectors(a: KnotVector, b: KnotVector) -> KnotVector:
-    """Union spline space: same degree, interior knots at max multiplicity."""
-    if a.degree != b.degree:
-        raise TopologyError("cannot merge knot vectors of different degree")
-    vals, ca, cb = _merge_clusters(a, b)
-    return open_knots(a.degree, vals[1:-1], np.maximum(ca, cb)[1:-1])
-
-
-def promote_curve(curve: SplineCurve, target: KnotVector) -> SplineCurve:
-    """The curve in the target knot vector, which must refine its own: the
-    result's basis is the target, and a target that is no refinement
-    raises DomainError."""
-    vals, have, want = _merge_clusters(curve.basis, target)
-    refined = curve.refine(np.repeat(vals[1:-1],
-                                     np.maximum(want - have, 0)[1:-1]))
-    return SplineCurve(target, refined.control_points)
-
-
-def rotate_curve(curve: SplineCurve, theta: float, about) -> SplineCurve:
-    about = np.asarray(about, dtype=float)
-    cp = (curve.control_points - about) @ rotation(theta).T + about
-    return SplineCurve(curve.basis, cp)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +131,14 @@ class PipelineContext:
     or a ``CrossSection`` such as ``load_profile`` returns, whose clouds
     ``CrossSection.section`` turns about the rotor axes.
     ``fit_threshold``, a positive finite length (default 1e-4 of the
-    rotor clouds' bounding-box diagonal), governs the rotor and separator
-    boundary fits; the casing fit gets a tighter budget so barrel vertices
-    stay on the physical circle.  Both clearances must be positive: a
-    closed gap leaves the separator or a C-grid no room, and it would
-    fail late with a fold error.
+    rotor clouds' bounding-box diagonal), bounds the rotor fit: every rotor
+    cloud point lies within it of the fit at the point's grid fraction, and
+    so of each C-grid rotor edge, an exact extraction of that fit.  It is
+    also the budget of the separator's eta fits, whose west and east refits
+    nothing checks.  The casing arc has its own bound, 5e-7 of the barrel
+    radius, so barrel vertices stay on the physical circle.  Both
+    clearances must be positive: a closed gap leaves the separator or a
+    C-grid no room, and it would fail late with a fold error.
     """
 
     def __init__(self, source: BooySource | CrossSection,
@@ -324,11 +282,13 @@ class PipelineContext:
                    b: float) -> SplineCurve:
         """Rotor boundary at the given angle over the wrapped grid range
         [a, b]: the two-period fit over [lo, lo + (b - a) mod 1] / 2, with
-        lo the range's start in the base fit's grid, rotated."""
+        lo the range's start in the base fit's grid, turned about the
+        rotor axis."""
         lo = (a - theta / TWO_PI) % 1.0
         arc = self._two_period_rotor[side].extract(
             lo / 2, (lo + (b - a) % 1.0) / 2)
-        return rotate_curve(arc, theta, self._center(side))
+        return SplineCurve(arc.basis, turned(arc.control_points, theta,
+                                             self._center(side)))
 
     def rotor_arc_gap(self, side: str, theta: float) -> SplineCurve:
         """Rotor boundary over the cut-away (intermeshing) arc, running

@@ -35,6 +35,12 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def turned(points, theta: float, about) -> np.ndarray:
+    """The (m, 2) points turned by theta about the point ``about``."""
+    about = np.asarray(about, dtype=float)
+    return (points - about) @ rotation(theta).T + about
+
+
 @dataclass(frozen=True)
 class ScrewParams:
     """Screw geometry parameters (SI units).
@@ -121,8 +127,7 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
 
     def rotated(self, theta: float, about) -> "PointCloud":
-        about = np.asarray(about, dtype=float)
-        return PointCloud((self.points - about) @ rotation(theta).T + about)
+        return PointCloud(turned(self.points, theta, about))
 
 
 @dataclass(frozen=True)

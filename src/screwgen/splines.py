@@ -8,7 +8,9 @@ discontinuous basis.
 A ``KnotVector`` clusters its knots once, when it is built: knots within
 KNOT_TOL of the one before them join its value.  The distinct values
 (breakpoints), their multiplicities and each element's span index are part
-of the value, and every consumer reads them there.
+of the value, and every consumer reads them there.  A merge of two knot
+vectors (``merge_knot_vectors``, ``promote_curve``) clusters the union of
+their breakpoints by the same rule, ``unique_knots``.
 
 The module has two kernels.  Every change of basis is ``blossoms``: the
 control points of a spline in a knot sequence that refines its own are its
@@ -37,8 +39,8 @@ never mutate after construction and can be shared freely between threads.
 A knot vector compares and hashes by its degree and knot values, and so
 does a ``TensorBasis`` through its two knot vectors; curves and maps
 compare by identity.  ``basis_tables`` is then a plain ``lru_cache`` of
-functions of knot vectors, bounded by TABLE_CACHE_SIZE entries whose
-arrays are read-only.
+functions of knot vectors or of a net's shape, bounded by TABLE_CACHE_SIZE
+entries whose arrays are read-only; it is the package's one table cache.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidRefinementError
+from .errors import DomainError, InvalidRefinementError, TopologyError
 
 KNOT_TOL = 1e-12  # absolute tolerance for knot equality
 EVAL_BLOCK = 4096  # points per block of SplineMap evaluation
@@ -113,22 +115,30 @@ class KnotVector:
                            _frozen(np.asarray(self.knots, dtype=float) + 0.0))
         p, t = self.degree, self.knots
         if p < 1:
-            raise DomainError(f"degree must be >= 1, got {p}")
+            raise DomainError(f"degree must be >= 1, got {p}", degree=p)
         if t.ndim != 1 or len(t) < 2 * (p + 1):
-            raise DomainError("knot vector too short for degree")
+            raise DomainError("knot vector too short for degree",
+                              shape=t.shape, degree=p)
         if not np.isfinite(t).all():
-            raise DomainError("knots must be finite")
-        if (t[1:] - t[:-1]).min() < -KNOT_TOL:
-            raise DomainError("knots must be nondecreasing")
+            raise DomainError("knots must be finite",
+                              index=int(np.argmin(np.isfinite(t))))
+        step = t[1:] - t[:-1]
+        if step.min() < -KNOT_TOL:
+            raise DomainError("knots must be nondecreasing",
+                              index=int(np.argmax(step < -KNOT_TOL)) + 1)
         if abs(t[0]) > KNOT_TOL or abs(t[p] - t[0]) > KNOT_TOL:
-            raise DomainError("knot vector must be clamped at 0")
+            raise DomainError("knot vector must be clamped at 0",
+                              clamp=(float(t[0]), float(t[p])))
         if abs(t[-1] - 1.0) > KNOT_TOL or abs(t[-p - 1] - t[-1]) > KNOT_TOL:
-            raise DomainError("knot vector must be clamped at 1")
+            raise DomainError("knot vector must be clamped at 1",
+                              clamp=(float(t[-p - 1]), float(t[-1])))
         if t[p + 1] <= t[0] + KNOT_TOL or t[-p - 2] >= t[-1] - KNOT_TOL:
-            raise DomainError("end knots repeated more than degree+1 times")
+            raise DomainError("end knots repeated more than degree+1 times",
+                              degree=p)
         vals, counts = unique_knots(t)
         if counts[1:-1].max(initial=0) > p:
-            raise DomainError("interior knot multiplicity exceeds degree")
+            raise DomainError("interior knot multiplicity exceeds degree",
+                              multiplicity=int(counts[1:-1].max()), degree=p)
         spans = counts[:-1].cumsum() - 1
         for name, value in (("breakpoints", vals), ("multiplicities", counts),
                             ("spans", spans)):
@@ -164,10 +174,9 @@ def uniform_knots(degree: int, n_elements: int) -> KnotVector:
     """Open knot vector with ``n_elements`` uniform spans on [0, 1]; fewer
     than one span raises DomainError."""
     if n_elements < 1:
-        raise DomainError(f"need at least one span, got {n_elements}")
-    interior = np.linspace(0.0, 1.0, n_elements + 1)[1:-1]
-    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-    return KnotVector(degree, knots)
+        raise DomainError(f"need at least one span, got {n_elements}",
+                          n_elements=n_elements)
+    return open_knots(degree, np.linspace(0.0, 1.0, n_elements + 1)[1:-1])
 
 
 def open_knots(degree: int, interior, multiplicities=None) -> KnotVector:
@@ -276,16 +285,18 @@ def _freeze_tables(tables):
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def basis_tables(build, *kvs):
-    """``build(*kvs)``, a tuple of tables that depend only on the knot
-    vectors, shared by every caller that passes the same builder and equal
-    knot vectors (same degrees and knot values).
+def basis_tables(build, *keys):
+    """``build(*keys)``, a tuple of tables that depend only on the keys,
+    shared by every caller that passes the same builder and equal keys:
+    knot vectors (equal when their degrees and knot values are) or the
+    integers of a net's shape and degrees.
 
     The cache keeps the TABLE_CACHE_SIZE most recently used results, and
-    their arrays are read-only.  It serves bases fixed for a geometry (the
-    control basis, the separator's xi basis), not the per-angle eta knots.
+    their arrays are read-only.  It serves what is fixed for a geometry
+    (the control basis, the separator's xi basis, the Newton-matrix layout
+    of a net's shape), not the per-angle eta knots.
     """
-    return _freeze_tables(build(*kvs))
+    return _freeze_tables(build(*keys))
 
 
 def _check_param(x, name="parameter"):
@@ -351,18 +362,50 @@ def insert_knots(kv: KnotVector, cp: np.ndarray, new_knots):
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size == 0:
         return kv, cp
-    if np.any(new_knots <= KNOT_TOL) or np.any(new_knots >= 1.0 - KNOT_TOL):
-        raise InvalidRefinementError("new knots must be interior")
+    outside = (new_knots <= KNOT_TOL) | (new_knots >= 1.0 - KNOT_TOL)
+    if outside.any():
+        raise InvalidRefinementError("new knots must be interior",
+                                     value=float(new_knots[outside][0]))
     if not np.isfinite(new_knots).all():
-        raise DomainError("knots must be finite")
+        raise DomainError("knots must be finite",
+                          count=int(np.count_nonzero(~np.isfinite(new_knots))))
     p = kv.degree
     tau = np.sort(np.concatenate([kv.knots, new_knots]))
     try:
         refined = KnotVector(p, tau)
     except DomainError as exc:
         raise InvalidRefinementError(
-            "insertion would exceed multiplicity bound") from exc
+            "insertion would exceed multiplicity bound", **exc.details) from exc
     return refined, _rebase(kv, cp, tau, tau[:len(tau) - p - 1])
+
+
+def _common_clusters(a: KnotVector, b: KnotVector):
+    """The breakpoints of a and b clustered together by ``unique_knots``,
+    and the multiplicities of a and of b in each cluster, ends included."""
+    vals = unique_knots(np.sort(np.concatenate([a.breakpoints,
+                                                b.breakpoints])))[0]
+    return vals, *(np.bincount(
+        np.searchsorted(vals, kv.breakpoints, "right") - 1,
+        kv.multiplicities, minlength=len(vals)).astype(int) for kv in (a, b))
+
+
+def merge_knot_vectors(a: KnotVector, b: KnotVector) -> KnotVector:
+    """Union spline space: same degree, interior knots at max multiplicity."""
+    if a.degree != b.degree:
+        raise TopologyError("cannot merge knot vectors of different degree",
+                            degrees=(a.degree, b.degree))
+    vals, ca, cb = _common_clusters(a, b)
+    return open_knots(a.degree, vals[1:-1], np.maximum(ca, cb)[1:-1])
+
+
+def promote_curve(curve: SplineCurve, target: KnotVector) -> SplineCurve:
+    """The curve in the target knot vector, which must refine its own: the
+    result's basis is the target, and a target that is no refinement
+    raises DomainError."""
+    vals, have, want = _common_clusters(curve.basis, target)
+    refined = curve.refine(np.repeat(vals[1:-1],
+                                     np.maximum(want - have, 0)[1:-1]))
+    return SplineCurve(target, refined.control_points)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +424,7 @@ class SplineCurve:
         if cp.ndim != 2 or cp.shape[0] != self.basis.n or cp.shape[1] != 2:
             raise DomainError(
                 f"control point grid {cp.shape} does not match basis dimension "
-                f"{self.basis.n}")
+                f"{self.basis.n}", shape=cp.shape, n=self.basis.n)
         object.__setattr__(self, "control_points", _frozen(cp))
 
     def __call__(self, x) -> np.ndarray:
@@ -408,7 +451,8 @@ class SplineCurve:
         that starts within KNOT_TOL of a.
         """
         if not (-KNOT_TOL <= a < b <= 1.0 + KNOT_TOL):
-            raise DomainError(f"invalid extraction range ({a}, {b})")
+            raise DomainError(f"invalid extraction range ({a}, {b})",
+                              a=float(a), b=float(b))
         p, t = self.basis.degree, self.basis.knots
         mid = t[(t > a + KNOT_TOL) & (t < b - KNOT_TOL)]
         tau = np.concatenate([np.full(p + 1, a), mid, np.full(p + 1, b)])
@@ -453,7 +497,8 @@ class SplineMap:
         if cp.shape != (self.basis.xi.n, self.basis.eta.n, 2):
             raise DomainError(
                 f"control net {cp.shape} does not match basis "
-                f"{self.basis.shape}")
+                f"{self.basis.shape}", shape=cp.shape,
+                basis_shape=self.basis.shape)
         object.__setattr__(self, "control_points", _frozen(cp))
 
     # -- evaluation at paired points ---------------------------------------

@@ -2,8 +2,8 @@
 private helper is used somewhere, every public name is reached from outside
 the tests, every dataclass that holds an array compares by identity, no
 object changes its own state after it is made, only the pipeline imports
-package modules beyond ``errors`` and ``splines``, and every error that
-``profiles`` raises carries details."""
+package modules beyond ``errors`` and ``splines``, every error the package
+raises carries details, and ``splines.basis_tables`` is the one cache."""
 
 import ast
 import dataclasses
@@ -81,9 +81,11 @@ def detail_free_errors(source: str) -> list[int]:
                   and call_name(node) in ERROR_NAMES)
 
 
-def test_every_profiles_error_carries_a_detail():
-    source = (Path(screwgen.__file__).parent / "profiles.py").read_text()
-    assert detail_free_errors(source) == []
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_error_carries_a_detail(path):
+    # the quantity at fault (a degree, a shape, a count, an index or a
+    # value) goes with the message, so that the failure can be reproduced
+    assert detail_free_errors(path.read_text()) == []
 
 
 def test_detail_free_errors_finds_an_error_without_details():
@@ -371,3 +373,51 @@ def test_package_imports_finds_every_form():
     assert package_imports(source) == {"control_map", "fitting", "splines",
                                        "profiles", "errors",
                                        "parameterization"}
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _is_cache(node) -> bool:
+    """Whether the node names ``functools.lru_cache`` or
+    ``functools.cache``, imported by name or read off the module."""
+    if isinstance(node, ast.Name):
+        return node.id in CACHES
+    return (isinstance(node, ast.Attribute) and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools")
+
+
+def cached_functions(source: str) -> list[str]:
+    """The functions of the source that a ``functools`` cache decorates,
+    bare or called, and ``line N`` for every other use of one."""
+    found, decorators = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if _is_cache(target):
+                    decorators.add(target)
+                    found.append(node.name)
+    found += [f"line {node.lineno}" for node in ast.walk(tree)
+              if _is_cache(node) and node not in decorators]
+    return sorted(found)
+
+
+def test_basis_tables_is_the_one_cache():
+    # one bounded cache of read-only tables serves every fixed table; a
+    # second cache would be a second bound and a second freezing
+    assert [f"{path.stem}.{name}" for path in MODULES
+            for name in cached_functions(path.read_text())] == [
+        "splines.basis_tables"]
+
+
+def test_cached_functions_finds_every_form_of_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=4)\ndef a():\n    pass\n"
+              "@lru_cache\ndef b():\n    pass\n"
+              "class C:\n    @cache\n    def m(self):\n        pass\n"
+              "    @property\n    def n(self):\n        return self.cache\n"
+              "d = functools.lru_cache(maxsize=2)(len)\n")
+    assert cached_functions(source) == ["a", "b", "line 16", "m"]

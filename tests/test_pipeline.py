@@ -9,27 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from screwgen import control_map, fitting, parameterization, pipeline, splines
 from screwgen.control_map import (CostEvaluator, check_composite_folding,
                                   identity_control, optimize_control,
                                   orthogonality_cost)
-from screwgen.errors import (ConstraintError, DomainError,
-                             FitConvergenceError, FitError, FoldingError,
-                             InvalidGeometryError, MatchingError,
-                             NonconvergenceError, ScrewgenError,
-                             TopologyError)
+from screwgen.errors import (ConstraintError, FitConvergenceError, FitError,
+                             FoldingError, InvalidGeometryError,
+                             MatchingError, NonconvergenceError,
+                             ScrewgenError)
 from screwgen.fitting import bounding_box_diagonal, chord_length_params
-from screwgen.pipeline import (BooySource, PipelineContext,
-                               merge_knot_vectors, promote_curve)
+from screwgen.pipeline import BooySource, PipelineContext
 from screwgen.profiles import (PointCloud, ScrewParams, booy_profile,
                                cusp_points, load_profile, rotation,
                                save_profile)
 from screwgen.splines import (KNOT_TOL, KnotVector, SplineCurve, SplineMap,
-                              open_knots, unique_knots)
+                              unique_knots)
 from test_control_map import gap_rows, terms_by_basis
-from test_splines import jittered_pairs
 
 TABLE2 = ScrewParams(screw_radius=15.275e-3, centerline_distance=26.2e-3,
                      screw_screw_clearance=0.2e-3, screw_barrel_clearance=0.15e-3)
@@ -425,20 +421,38 @@ ORIENTED_CASES = {
 @pytest.mark.parametrize("params, factor, n_points", ORIENTED_CASES.values(),
                          ids=ORIENTED_CASES.keys())
 def test_all_three_patches_are_positively_oriented_and_certified(
-        params, factor, n_points):
+        params, factor, n_points, monkeypatch):
     # 16 angles over one period 2 pi / z: both C-grids at every angle, and
-    # the three patches of every set that builds, have det J > 0 certified
+    # the three patches of every set that builds, have det J > 0 certified,
+    # and no separator needs the folding repair
+    monkeypatch.setattr(pipeline, "repair_folding", lambda *args: pytest.fail(
+        "the sweep called repair_folding"))
     ctx = PipelineContext(BooySource(params, n_points),
                           fit_threshold=fit_threshold(factor, params,
                                                       n_points))
+    q = ctx.cut_frac
     t = np.linspace(0.0, 1.0, 50)
     xi, eta = np.repeat(t, t.size), np.tile(t, t.size)
     for k in range(16):
         theta = k * 2.0 * math.pi / (16 * params.flight_count)
-        for side in ("left", "right"):
+        section = booy_profile(params, theta, n_points)
+        for side, cloud, center, anchor in (
+                ("left", section.left_rotor, params.left_center, 0.0),
+                ("right", section.right_rotor, params.right_center, math.pi)):
             c_grid = ctx.build_c_grid(side, theta).map
             assert parameterization.check_folding(c_grid) == [], (side, k)
             assert c_grid.jacobian(xi, eta)[1].min() > 0, (side, k)
+            # the rotor edge conforms to the cloud: every rotor point in
+            # the retained grid range [q, 1 - q] lies within fit_threshold
+            # of the edge at its own grid fraction, whose xi runs clockwise
+            rel = cloud.points - center
+            g = ((np.arctan2(rel[:, 1], rel[:, 0]) - anchor)
+                 / (2.0 * math.pi)) % 1.0
+            inside = (g >= q) & (g <= 1.0 - q)
+            at = 1.0 - (g[inside] - q) / (1.0 - 2.0 * q)
+            edge = c_grid.evaluate(at, np.zeros_like(at))
+            assert np.linalg.norm(edge - cloud.points[inside], axis=1).max() \
+                <= ctx.fit_threshold, (side, k)
         try:
             patches = ctx.build_patches(theta)
         except ScrewgenError:
@@ -611,57 +625,15 @@ def test_rejected_angle_builds_no_egg_assembly(booy_context, monkeypatch):
     assert calls == ["__init__"]
 
 
-def test_merge_knot_vectors_keeps_max_multiplicity():
-    a = open_knots(3, [0.25, 0.5], [1, 2])
-    b = open_knots(3, [0.5, 0.6, 0.75], [3, 1, 2])
-    vals, counts = unique_knots(merge_knot_vectors(a, b).knots)
-    assert vals.tolist() == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
-    assert counts.tolist() == [4, 1, 3, 1, 2, 4]
-    with pytest.raises(TopologyError):
-        merge_knot_vectors(a, open_knots(2, [0.5]))
-
-
-def interior_counts(a, b):
-    """Reference clustering of a pair of knot vectors: the distinct interior
-    values of a and b together, and the number of knots of a and of b
-    within KNOT_TOL of each, by comparing every pair."""
-    vals = unique_knots(np.sort(np.concatenate([a.knots, b.knots])))[0][1:-1]
-
-    def count(kv):
-        return np.sum(np.abs(kv.knots[None, :] - vals[:, None]) <= KNOT_TOL,
-                      axis=1)
-    return vals, count(a), count(b)
-
-
-@given(jittered_pairs(), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_merge_and_promote_match_the_pairwise_reference(case, seed):
-    # knots closer together than KNOT_TOL count as one value, the least
-    p, a, b = case
-    vals, ca, cb = interior_counts(a, b)
-    merged = merge_knot_vectors(a, b)
-    assert np.array_equal(merged.knots,
-                          open_knots(p, vals, np.maximum(ca, cb)).knots)
-    curve = SplineCurve(a, np.random.default_rng(seed).normal(size=(a.n, 2)))
-    for target in (merged, b):
-        vals, have, want = interior_counts(a, target)
-        if np.any(have > want):
-            # b need not refine a, and then it is no target to promote onto
-            with pytest.raises(DomainError):
-                promote_curve(curve, target)
-            continue
-        want_curve = curve.refine(np.repeat(vals, want - have))
-        got = promote_curve(curve, target)
-        assert got.basis == target
-        assert np.array_equal(got.control_points, want_curve.control_points)
-
-
 def test_build_patches_clusters_each_knot_vector_once(booy_context,
                                                       monkeypatch):
-    # every consumer reads the clustering a KnotVector stores; the only
-    # clustering is the one each KnotVector makes when it is built
-    calls = {"built": 0, "in_build": 0, "elsewhere": 0}
-    building = []
+    # every consumer reads the clustering a KnotVector stores; besides the
+    # one each KnotVector makes when it is built, knots are clustered only
+    # by a merge of two knot vectors (merge_knot_vectors, promote_curve),
+    # once, on the sorted union of their breakpoints
+    calls = {"built": 0, "in_build": 0, "merges": 0, "in_merge": 0,
+             "elsewhere": 0}
+    building, merging = [], []
     real_post_init, real_unique = KnotVector.__post_init__, unique_knots
 
     def post_init(self):
@@ -672,30 +644,41 @@ def test_build_patches_clusters_each_knot_vector_once(booy_context,
         finally:
             building.pop()
 
+    def merge(real):
+        def merged(a, b):
+            kv = a.basis if isinstance(a, SplineCurve) else a
+            calls["merges"] += 1
+            merging.append(np.sort(np.concatenate([kv.breakpoints,
+                                                   b.breakpoints])))
+            try:
+                return real(a, b)
+            finally:
+                merging.pop()
+        return merged
+
     def unique(knots):
-        calls["in_build" if building else "elsewhere"] += 1
+        if building:
+            calls["in_build"] += 1
+        elif merging and np.array_equal(knots, merging[-1]):
+            calls["in_merge"] += 1
+        else:
+            calls["elsewhere"] += 1
         return real_unique(knots)
 
     monkeypatch.setattr(KnotVector, "__post_init__", post_init)
     for module in (splines, fitting, parameterization, pipeline, control_map):
         if hasattr(module, "unique_knots"):
             monkeypatch.setattr(module, "unique_knots", unique)
+        for name in ("merge_knot_vectors", "promote_curve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, merge(getattr(module, name)))
     booy_context.build_patches(math.pi / 4)
     assert calls["built"] > 0
     assert calls["in_build"] == calls["built"]
+    # the eta merge, and for each C-grid one merge and two promotions
+    assert calls["merges"] == 7
+    assert calls["in_merge"] == calls["merges"]
     assert calls["elsewhere"] == 0
-
-
-def test_promote_curve_lands_in_target_and_keeps_geometry():
-    kv = open_knots(3, [0.25, 0.5], [1, 2])
-    rng = np.random.default_rng(3)
-    curve = SplineCurve(kv, rng.normal(size=(kv.n, 2)))
-    target = merge_knot_vectors(kv, open_knots(3, [0.5, 0.6, 0.75], [3, 1, 2]))
-    promoted = promote_curve(curve, target)
-    assert promoted.basis.degree == 3
-    assert np.array_equal(promoted.basis.knots, target.knots)
-    t = np.linspace(0.0, 1.0, 301)
-    assert np.abs(promoted(t) - curve(t)).max() < 1e-12
 
 
 def test_control_map_is_scale_invariant(quarter_turn):

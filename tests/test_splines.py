@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from screwgen.errors import DomainError, InvalidRefinementError
+from screwgen.errors import DomainError, InvalidRefinementError, TopologyError
 from screwgen import splines
 from screwgen.splines import (
     EVAL_BLOCK,
@@ -19,7 +19,9 @@ from screwgen.splines import (
     basis_tables,
     greville_abscissae,
     insert_knots,
+    merge_knot_vectors,
     open_knots,
+    promote_curve,
     uniform_knots,
     unique_knots,
 )
@@ -719,6 +721,72 @@ def test_extraction_preserves_geometry():
     x = np.linspace(0, 1, 100)
     assert np.abs(sub(x) - cur(0.25 + 0.55 * x)).max() < 1e-12
 
+
+# ---------------------------------------------------------------------------
+# merge_knot_vectors / promote_curve
+# ---------------------------------------------------------------------------
+
+def test_merge_knot_vectors_keeps_max_multiplicity():
+    a = open_knots(3, [0.25, 0.5], [1, 2])
+    b = open_knots(3, [0.5, 0.6, 0.75], [3, 1, 2])
+    vals, counts = unique_knots(merge_knot_vectors(a, b).knots)
+    assert vals.tolist() == [0.0, 0.25, 0.5, 0.6, 0.75, 1.0]
+    assert counts.tolist() == [4, 1, 3, 1, 2, 4]
+    with pytest.raises(TopologyError) as info:
+        merge_knot_vectors(a, open_knots(2, [0.5]))
+    assert info.value.details == {"degrees": (3, 2)}
+
+
+def interior_counts(a, b):
+    """Reference clustering of a pair of knot vectors: the distinct interior
+    values of a and b together, and the number of knots of a and of b
+    within KNOT_TOL of each, by comparing every pair."""
+    vals = unique_knots(np.sort(np.concatenate([a.knots, b.knots])))[0][1:-1]
+
+    def count(kv):
+        return np.sum(np.abs(kv.knots[None, :] - vals[:, None]) <= KNOT_TOL,
+                      axis=1)
+    return vals, count(a), count(b)
+
+
+@given(jittered_pairs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_merge_and_promote_match_the_pairwise_reference(case, seed):
+    # knots closer together than KNOT_TOL count as one value, the least
+    p, a, b = case
+    vals, ca, cb = interior_counts(a, b)
+    merged = merge_knot_vectors(a, b)
+    assert np.array_equal(merged.knots,
+                          open_knots(p, vals, np.maximum(ca, cb)).knots)
+    curve = SplineCurve(a, np.random.default_rng(seed).normal(size=(a.n, 2)))
+    for target in (merged, b):
+        vals, have, want = interior_counts(a, target)
+        if np.any(have > want):
+            # b need not refine a, and then it is no target to promote onto
+            with pytest.raises(DomainError):
+                promote_curve(curve, target)
+            continue
+        want_curve = curve.refine(np.repeat(vals, want - have))
+        got = promote_curve(curve, target)
+        assert got.basis == target
+        assert np.array_equal(got.control_points, want_curve.control_points)
+
+
+def test_promote_curve_lands_in_target_and_keeps_geometry():
+    kv = open_knots(3, [0.25, 0.5], [1, 2])
+    rng = np.random.default_rng(3)
+    curve = SplineCurve(kv, rng.normal(size=(kv.n, 2)))
+    target = merge_knot_vectors(kv, open_knots(3, [0.5, 0.6, 0.75], [3, 1, 2]))
+    promoted = promote_curve(curve, target)
+    assert promoted.basis.degree == 3
+    assert np.array_equal(promoted.basis.knots, target.knots)
+    t = np.linspace(0.0, 1.0, 301)
+    assert np.abs(promoted(t) - curve(t)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# values and the table cache
+# ---------------------------------------------------------------------------
 
 def test_knot_vectors_compare_and_hash_by_degree_and_knot_values():
     a, b = uniform_knots(3, 4), uniform_knots(3, 4)
